@@ -13,16 +13,24 @@
 //!           sentinel is outside the legal line range `line < 2^63 - 1`,
 //!           so the probe needs no valid bit and no mask — a hit is a
 //!           bare `tags[i] == line` compare)
-//! dirty[i]: 0 or 1, touched only by writes and coherence operations
+//! state[i]: state bits, touched only by writes and coherence operations:
+//!           bit 0 (DIRTY) — the line holds modified data (it feeds
+//!           `dirty_evictions` and `Evicted::dirty`);
+//!           bit 1 (OWNED) — set by every write alongside DIRTY, cleared
+//!           by `clean` and by `disown`, so OWNED implies DIRTY. The
+//!           simulator's L1s use it to know the node's L2 copy is
+//!           modified without probing the L2.
 //! ```
 //!
 //! Set lookup uses a mask when the set count is a power of two and a
 //! precomputed reciprocal multiply-shift otherwise (the paper's 1.25 MB
 //! 4-way L2 has 5120 sets — no hardware divide on the probe path).
 //! Direct-mapped and 2-way sets — the L1s and several of the paper's L2
-//! points — skip the general LRU rotate entirely; the ≥4-way scan
-//! compares the whole set unconditionally so the compiler can vectorize
-//! the tag compare.
+//! points — resolve inline with at most a swap; wider sets go through an
+//! out-of-line scan that compares the whole set unconditionally so the
+//! compiler can vectorize the tag compare. LRU rotation moves slots with
+//! element loops: a set is a handful of slots, too few for a `memmove`
+//! call to pay off.
 //!
 //! Semantics are bit-identical to the retained seed implementation
 //! ([`crate::ReferenceCache`]); `tests/sweep_identity.rs` proves it on a
@@ -68,6 +76,13 @@ const TAG_MASK: u64 = !(1 << 63);
 /// (`line < TAG_MASK`), so `tags[i] == line` can never match an empty slot
 /// and the probe needs no valid bit.
 const EMPTY_SLOT: u64 = u64::MAX;
+/// State bit: the line holds modified data.
+const DIRTY: u8 = 1;
+/// State bit: the line is owned (set with [`DIRTY`] by every write,
+/// cleared by [`Cache::clean`] and [`Cache::disown`]).
+const OWNED: u8 = 2;
+/// The state a write leaves behind.
+const WRITTEN: u8 = DIRTY | OWNED;
 
 /// A set-associative, write-back, write-allocate cache with true LRU
 /// replacement.
@@ -103,9 +118,10 @@ pub struct Cache {
     /// Line-address tags, `n_sets * assoc` long, MRU-first within each
     /// set; [`EMPTY_SLOT`] marks a free slot.
     tags: Vec<u64>,
-    /// Dirty flags (0/1), parallel to `tags`. Split out so the probe's
-    /// tag compare carries no state bits and read hits store nothing.
-    dirty: Vec<u8>,
+    /// State bytes ([`DIRTY`], [`OWNED`]), parallel to `tags`. Split out
+    /// so the probe's tag compare carries no state bits and read hits
+    /// store nothing.
+    state: Vec<u8>,
     /// Live count of valid lines, maintained by insert/invalidate so
     /// [`Cache::occupancy`] is O(1) instead of an O(capacity) scan.
     valid_count: usize,
@@ -152,7 +168,7 @@ impl Cache {
             recip_m,
             recip_sh,
             tags: vec![EMPTY_SLOT; n_sets * assoc],
-            dirty: vec![0; n_sets * assoc],
+            state: vec![0; n_sets * assoc],
             valid_count: 0,
             stats: CacheStats::default(),
         }
@@ -192,136 +208,128 @@ impl Cache {
         set * self.assoc
     }
 
-    /// Looks a line up and updates LRU state. On a write hit the line
-    /// becomes dirty. On a miss nothing is allocated — service the miss and
-    /// call [`Cache::insert`].
-    // analyze: hot
-    #[inline]
-    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/dirty hold n_sets*assoc entries from construction, so every probe in the set window is in bounds
-    pub fn access(&mut self, line: u64, write: bool) -> Outcome {
-        debug_assert!(line < TAG_MASK, "line {line:#x} exceeds the legal tag range");
+    /// The set `line` maps to: its tag and state windows.
+    #[inline(always)]
+    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/state hold n_sets*assoc entries from construction, so the set window is in bounds
+    fn set(&self, line: u64) -> (&[u64], &[u8]) {
         let start = self.set_start(line);
-        match self.assoc {
+        let end = start + self.assoc;
+        (&self.tags[start..end], &self.state[start..end])
+    }
+
+    /// Mutable form of [`Cache::set`].
+    #[inline(always)]
+    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/state hold n_sets*assoc entries from construction, so the set window is in bounds
+    fn set_mut(&mut self, line: u64) -> (&mut [u64], &mut [u8]) {
+        let start = self.set_start(line);
+        let end = start + self.assoc;
+        (&mut self.tags[start..end], &mut self.state[start..end])
+    }
+
+    /// The state byte of a resident line, `None` when absent.
+    #[inline]
+    fn state_mut(&mut self, line: u64) -> Option<&mut u8> {
+        let (tags, states) = self.set_mut(line);
+        tags.iter().zip(states).find_map(|(&t, s)| (t == line).then_some(s))
+    }
+
+    /// The probe kernel: on a hit, rotates the line to the MRU slot, ORs
+    /// `bits` into its state and returns the state it had before; `None`
+    /// on a miss. Touches no counters. Direct-mapped and 2-way sets — the
+    /// L1s and several of the paper's L2 points — resolve inline; wider
+    /// sets take the out-of-line [`touch_wide`] scan.
+    // analyze: hot
+    #[inline(always)]
+    fn touch(&mut self, line: u64, bits: u8) -> Option<u8> {
+        debug_assert!(line < TAG_MASK, "line {line:#x} exceeds the legal tag range");
+        match self.set_mut(line) {
             // Direct-mapped: one bare compare; a read hit stores nothing
             // (the packed layout's unconditional dirty-refresh store was
             // the single largest probe cost).
-            1 => {
-                if self.tags[start] == line {
-                    if write {
-                        self.dirty[start] = 1;
-                    }
-                    self.stats.record_hit(write);
-                    return Outcome::Hit;
+            ([t0], [s0]) => {
+                if *t0 != line {
+                    return None;
                 }
+                let prev = *s0;
+                if bits != 0 {
+                    *s0 = prev | bits;
+                }
+                Some(prev)
             }
             // 2-way: the rotate is a swap (or a no-op on an MRU hit).
-            2 => {
-                if self.tags[start] == line {
-                    if write {
-                        self.dirty[start] = 1;
+            ([t0, t1], [s0, s1]) => {
+                if *t0 == line {
+                    let prev = *s0;
+                    if bits != 0 {
+                        *s0 = prev | bits;
                     }
-                    self.stats.record_hit(write);
-                    return Outcome::Hit;
-                }
-                if self.tags[start + 1] == line {
-                    self.tags[start + 1] = self.tags[start];
-                    self.tags[start] = line;
-                    let d = self.dirty[start + 1] | u8::from(write);
-                    self.dirty[start + 1] = self.dirty[start];
-                    self.dirty[start] = d;
-                    self.stats.record_hit(write);
-                    return Outcome::Hit;
+                    Some(prev)
+                } else if *t1 == line {
+                    let prev = *s1;
+                    *t1 = *t0;
+                    *s1 = *s0;
+                    *t0 = line;
+                    *s0 = prev | bits;
+                    Some(prev)
+                } else {
+                    None
                 }
             }
-            _ => {
-                // Scan the whole set unconditionally: at most one slot can
-                // match, so last-match == the match, and the branch-free
-                // body lets the compiler vectorize the tag compare.
-                let set = &self.tags[start..start + self.assoc];
-                let mut hit = usize::MAX;
-                for (i, &t) in set.iter().enumerate() {
-                    if t == line {
-                        hit = i;
-                    }
-                }
-                if hit != usize::MAX {
-                    let d = self.dirty[start + hit] | u8::from(write);
-                    // Rotate both arrays to the MRU position.
-                    self.tags.copy_within(start..start + hit, start + 1);
-                    self.dirty.copy_within(start..start + hit, start + 1);
-                    self.tags[start] = line;
-                    self.dirty[start] = d;
-                    self.stats.record_hit(write);
-                    return Outcome::Hit;
-                }
-            }
+            (tags, states) => touch_wide(tags, states, line, bits),
         }
-        self.stats.record_miss(write);
-        Outcome::Miss
     }
 
-    /// `access(line, true)` fused with the pre-store `is_dirty(line)`
-    /// read: probes once and also returns whether the line was already
-    /// dirty *before* this store marked it. Counters, LRU movement and
-    /// the final dirty state are exactly those of the unfused pair
-    /// (`is_dirty` mutates nothing); on a miss the second component is
-    /// `false`, as `is_dirty` reports for an absent line. The simulator
-    /// uses this for the uniprocessor store-ownership shortcut, where
-    /// the separate `is_dirty` probe was a measurable second walk of the
-    /// set.
+    /// Counts one access and names its outcome.
+    #[inline(always)]
+    fn record(&mut self, hit: bool, write: bool) -> Outcome {
+        if hit {
+            self.stats.record_hit(write);
+            Outcome::Hit
+        } else {
+            self.stats.record_miss(write);
+            Outcome::Miss
+        }
+    }
+
+    /// Looks a line up and updates LRU state. On a write hit the line
+    /// becomes dirty and owned. On a miss nothing is allocated — service
+    /// the miss and call [`Cache::insert`].
     // analyze: hot
     #[inline]
-    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/dirty hold n_sets*assoc entries from construction, so every probe in the set window is in bounds
+    pub fn access(&mut self, line: u64, write: bool) -> Outcome {
+        let hit = self.touch(line, if write { WRITTEN } else { 0 }).is_some();
+        self.record(hit, write)
+    }
+
+    /// `access(line, true)` fused with a read of the line's state before
+    /// the store: probes once and also returns whether any of the `was`
+    /// bits were set. Counters, LRU movement and the final state are
+    /// exactly those of the plain store; on a miss the second component
+    /// is `false`, as for an absent line.
+    #[inline(always)]
+    fn access_store_was(&mut self, line: u64, was: u8) -> (Outcome, bool) {
+        let prev = self.touch(line, WRITTEN);
+        (self.record(prev.is_some(), true), prev.is_some_and(|s| s & was != 0))
+    }
+
+    /// A store fused with the pre-store `is_dirty(line)` read: whether
+    /// the line was already dirty before this store marked it. See
+    /// [`Cache::access_store_was_owned`] for the form the simulator uses.
+    // analyze: hot
+    #[inline]
     pub fn access_store_was_dirty(&mut self, line: u64) -> (Outcome, bool) {
-        debug_assert!(line < TAG_MASK, "line {line:#x} exceeds the legal tag range");
-        let start = self.set_start(line);
-        match self.assoc {
-            1 => {
-                if self.tags[start] == line {
-                    let was = self.dirty[start] != 0;
-                    self.dirty[start] = 1;
-                    self.stats.record_hit(true);
-                    return (Outcome::Hit, was);
-                }
-            }
-            2 => {
-                if self.tags[start] == line {
-                    let was = self.dirty[start] != 0;
-                    self.dirty[start] = 1;
-                    self.stats.record_hit(true);
-                    return (Outcome::Hit, was);
-                }
-                if self.tags[start + 1] == line {
-                    let was = self.dirty[start + 1] != 0;
-                    self.tags[start + 1] = self.tags[start];
-                    self.tags[start] = line;
-                    self.dirty[start + 1] = self.dirty[start];
-                    self.dirty[start] = 1;
-                    self.stats.record_hit(true);
-                    return (Outcome::Hit, was);
-                }
-            }
-            _ => {
-                let set = &self.tags[start..start + self.assoc];
-                let mut hit = usize::MAX;
-                for (i, &t) in set.iter().enumerate() {
-                    if t == line {
-                        hit = i;
-                    }
-                }
-                if hit != usize::MAX {
-                    let was = self.dirty[start + hit] != 0;
-                    self.tags.copy_within(start..start + hit, start + 1);
-                    self.dirty.copy_within(start..start + hit, start + 1);
-                    self.tags[start] = line;
-                    self.dirty[start] = 1;
-                    self.stats.record_hit(true);
-                    return (Outcome::Hit, was);
-                }
-            }
-        }
-        self.stats.record_miss(true);
-        (Outcome::Miss, false)
+        self.access_store_was(line, DIRTY)
+    }
+
+    /// A store fused with a read of the owned bit: whether the line was
+    /// owned before this store. The simulator keeps an L1 line owned
+    /// exactly while its node's L2 copy is modified (stores set the bit,
+    /// [`Cache::disown`] clears it at a coherence downgrade), so an
+    /// owned store hit needs no ownership walk and no L2 probe.
+    // analyze: hot
+    #[inline]
+    pub fn access_store_was_owned(&mut self, line: u64) -> (Outcome, bool) {
+        self.access_store_was(line, OWNED)
     }
 
     /// Records a read hit without probing the set.
@@ -329,8 +337,8 @@ impl Cache {
     /// Contract: the caller must already know the line is resident at the
     /// MRU position of its set, so a real `access(line, false)` would hit
     /// and change nothing but the hit counters (an MRU hit rotates
-    /// nothing, and a read leaves the dirty bit alone). The simulator
-    /// uses this for back-to-back instruction fetches of one line, which
+    /// nothing, and a read leaves the state alone). The simulator uses
+    /// this for back-to-back instruction fetches of one line, which
     /// dominate the fetch stream; the counters advance exactly as the
     /// full probe would advance them.
     // analyze: hot
@@ -353,25 +361,20 @@ impl Cache {
     // analyze: hot
     #[inline]
     pub fn contains(&self, line: u64) -> bool {
-        let start = self.set_start(line);
-        // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/dirty hold n_sets*assoc entries from construction, so every probe in the set window is in bounds
-        self.tags[start..start + self.assoc].contains(&line)
+        self.set(line).0.contains(&line)
     }
 
     /// Whether the line is present and modified. `false` when absent.
     // analyze: hot
     #[inline]
-    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/dirty hold n_sets*assoc entries from construction, so every probe in the set window is in bounds
     pub fn is_dirty(&self, line: u64) -> bool {
-        let start = self.set_start(line);
-        match self.tags[start..start + self.assoc].iter().position(|&t| t == line) {
-            Some(i) => self.dirty[start + i] != 0,
-            None => false,
-        }
+        let (tags, states) = self.set(line);
+        tags.iter().zip(states).any(|(&t, &s)| t == line && s & DIRTY != 0)
     }
 
     /// Installs a line at the MRU position, evicting the LRU slot if the
-    /// set is full. Returns the victim, if any.
+    /// set is full. Returns the victim, if any. A dirty insert is also
+    /// owned.
     ///
     /// # Panics
     ///
@@ -379,40 +382,21 @@ impl Cache {
     /// must only insert after a miss.
     // analyze: hot
     #[inline]
-    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/dirty hold n_sets*assoc entries from construction, so every probe in the set window is in bounds
     pub fn insert(&mut self, line: u64, dirty: bool) -> Option<Evicted> {
         debug_assert!(line < TAG_MASK, "line {line:#x} exceeds the legal tag range");
         debug_assert!(!self.contains(line), "inserting line {line:#x} that is already cached");
-        let start = self.set_start(line);
-        if self.assoc == 1 {
-            let victim_tag = self.tags[start];
-            let victim_dirty = self.dirty[start];
-            self.tags[start] = line;
-            self.dirty[start] = u8::from(dirty);
-            return self.account_insert(victim_tag, victim_dirty);
-        }
-        // Prefer an invalid slot; otherwise evict LRU (last). Valid slots
-        // always precede empty ones (invalidate compacts), so `position`
-        // finds the frontmost free slot.
-        let victim_idx = self.tags[start..start + self.assoc]
-            .iter()
-            .position(|&t| t == EMPTY_SLOT)
-            .unwrap_or(self.assoc - 1);
-        let victim_tag = self.tags[start + victim_idx];
-        let victim_dirty = self.dirty[start + victim_idx];
-        self.tags.copy_within(start..start + victim_idx, start + 1);
-        self.dirty.copy_within(start..start + victim_idx, start + 1);
-        self.tags[start] = line;
-        self.dirty[start] = u8::from(dirty);
-        self.account_insert(victim_tag, victim_dirty)
-    }
-
-    /// Shared insert bookkeeping: stats, live occupancy count, and the
-    /// evicted-line report.
-    #[inline]
-    fn account_insert(&mut self, victim_tag: u64, victim_dirty: u8) -> Option<Evicted> {
+        let state = if dirty { WRITTEN } else { 0 };
+        let (victim_tag, victim_state) = match self.set_mut(line) {
+            // Direct-mapped: the one slot is the victim, empty or not.
+            ([t0], [s0]) => (std::mem::replace(t0, line), std::mem::replace(s0, state)),
+            // Shift the whole set one slot toward the LRU end. Valid
+            // slots always precede empty ones (invalidate compacts), so
+            // what falls out of the last slot is the LRU line of a full
+            // set, or else an empty slot (the shifted tail was empty).
+            (tags, states) => shift_in(tags.iter_mut().zip(states), line, state),
+        };
         if victim_tag != EMPTY_SLOT {
-            let dirty = victim_dirty != 0;
+            let dirty = victim_state & DIRTY != 0;
             self.stats.record_eviction(dirty);
             Some(Evicted { line: victim_tag, dirty })
         } else {
@@ -422,54 +406,38 @@ impl Cache {
     }
 
     /// Removes a line. Returns `Some(dirty)` when it was present.
-    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/dirty hold n_sets*assoc entries from construction, so every probe in the set window is in bounds
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let start = self.set_start(line);
-        let end = start + self.assoc;
-        for i in start..end {
-            if self.tags[i] == line {
-                let dirty = self.dirty[i] != 0;
-                // Compact: shift later (less recent) slots up, free the LRU end.
-                self.tags.copy_within(i + 1..end, i);
-                self.dirty.copy_within(i + 1..end, i);
-                self.tags[end - 1] = EMPTY_SLOT;
-                self.dirty[end - 1] = 0;
-                self.valid_count -= 1;
-                self.stats.record_invalidation();
-                return Some(dirty);
-            }
-        }
-        None
+        let (tags, states) = self.set_mut(line);
+        let i = tags.iter().position(|&t| t == line)?;
+        // Compact: shift later (less recent) slots up, free the LRU end.
+        let (_, state) = shift_in(tags.iter_mut().zip(states).skip(i).rev(), EMPTY_SLOT, 0);
+        self.valid_count -= 1;
+        self.stats.record_invalidation();
+        Some(state & DIRTY != 0)
     }
 
-    /// Clears the dirty bit of a present line (coherence downgrade M→S).
-    /// Returns `true` when the line was present.
+    /// Clears the dirty and owned bits of a present line (coherence
+    /// downgrade M→S). Returns `true` when the line was present.
     #[inline]
-    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/dirty hold n_sets*assoc entries from construction, so every probe in the set window is in bounds
     pub fn clean(&mut self, line: u64) -> bool {
-        let start = self.set_start(line);
-        for i in start..start + self.assoc {
-            if self.tags[i] == line {
-                self.dirty[i] = 0;
-                return true;
-            }
-        }
-        false
+        self.state_mut(line).map(|s| *s = 0).is_some()
     }
 
-    /// Marks a present line dirty without an access (used when ownership is
-    /// granted after an upgrade). Returns `true` when the line was present.
+    /// Clears only the owned bit of a present line: the level below has
+    /// been downgraded, but this copy keeps its modified data (and so
+    /// still counts as a dirty eviction). Returns `true` when the line
+    /// was present.
     #[inline]
-    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/dirty hold n_sets*assoc entries from construction, so every probe in the set window is in bounds
+    pub fn disown(&mut self, line: u64) -> bool {
+        self.state_mut(line).map(|s| *s &= !OWNED).is_some()
+    }
+
+    /// Marks a present line dirty and owned without an access (used when
+    /// ownership is granted after an upgrade). Returns `true` when the
+    /// line was present.
+    #[inline]
     pub fn mark_dirty(&mut self, line: u64) -> bool {
-        let start = self.set_start(line);
-        for i in start..start + self.assoc {
-            if self.tags[i] == line {
-                self.dirty[i] = 1;
-                return true;
-            }
-        }
-        false
+        self.state_mut(line).map(|s| *s = WRITTEN).is_some()
     }
 
     /// Number of valid lines currently cached. O(1): the count is
@@ -489,6 +457,43 @@ impl Cache {
     pub fn resident_lines(&self) -> impl Iterator<Item = u64> + '_ {
         self.tags.iter().copied().filter(|&t| t != EMPTY_SLOT)
     }
+}
+
+/// The ≥3-way arm of [`Cache::touch`], kept out of line so the 1- and
+/// 2-way arms inline into the simulator's dispatch loop without it.
+/// Scans the whole set unconditionally: at most one slot can match, so
+/// the last match is the match, and the branch-free body lets the
+/// compiler vectorize the tag compare.
+// analyze: hot
+#[inline(never)]
+fn touch_wide(tags: &mut [u64], states: &mut [u8], line: u64, bits: u8) -> Option<u8> {
+    let mut hit = usize::MAX;
+    for (i, &t) in tags.iter().enumerate() {
+        if t == line {
+            hit = i;
+        }
+    }
+    // `usize::MAX` (no match) is out of range: the miss.
+    let prev = *states.get(hit)?;
+    shift_in(tags.iter_mut().zip(states).take(hit + 1), line, prev | bits);
+    Some(prev)
+}
+
+/// Moves (`tag`, `state`) into the first of `slots`, each slot's old
+/// contents into the next, and returns what falls out of the last. Over
+/// a set's first `k` slots this is the LRU rotate to MRU; over a reversed
+/// tail it is the compaction after an invalidation.
+#[inline(always)]
+fn shift_in<'a>(
+    slots: impl Iterator<Item = (&'a mut u64, &'a mut u8)>,
+    mut tag: u64,
+    mut state: u8,
+) -> (u64, u8) {
+    for (t, s) in slots {
+        std::mem::swap(t, &mut tag);
+        std::mem::swap(s, &mut state);
+    }
+    (tag, state)
 }
 
 #[cfg(test)]
@@ -604,6 +609,20 @@ mod tests {
         assert!(c.mark_dirty(5));
         assert!(c.is_dirty(5));
         assert!(!c.mark_dirty(77));
+    }
+
+    #[test]
+    fn disown_keeps_the_data_dirty() {
+        let mut c = cache(4096, 2);
+        c.insert(5, false);
+        assert_eq!(c.access_store_was_owned(5), (Outcome::Hit, false));
+        assert_eq!(c.access_store_was_owned(5), (Outcome::Hit, true));
+        assert!(c.disown(5));
+        assert!(c.is_dirty(5), "disown keeps the modified data");
+        assert_eq!(c.access_store_was_dirty(5), (Outcome::Hit, true));
+        assert!(c.disown(5));
+        assert_eq!(c.access_store_was_owned(5), (Outcome::Hit, false));
+        assert!(!c.disown(77), "disowning an absent line reports false");
     }
 
     #[test]

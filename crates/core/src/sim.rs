@@ -11,7 +11,7 @@ use csim_obs::{EpochSnapshot, Event, EventKind, MissClass, Observer};
 use csim_proc::{ExecBreakdown, StallClass, Timing, TimingModel};
 use csim_prof::Attribution;
 use csim_trace::hostprof::{self, Region};
-use csim_trace::{MemRef, ReferenceStream, PACKED_ACCESS_SHIFT, PACKED_ADDR_MASK};
+use csim_trace::{ReferenceStream, PACKED_ACCESS_SHIFT, PACKED_ADDR_MASK};
 use csim_workload::{NodeWorkload, OltpParams, OltpWorkload, SharedOltpState};
 
 use crate::error::{CoherenceViolation, SimError};
@@ -93,11 +93,6 @@ pub struct Simulation<S = NodeWorkload> {
     /// one without.
     attr: Option<Box<Attribution>>,
     sanitizer: Option<Box<Sanitizer>>,
-    /// True for single-node machines. In a uniprocessor no remote read
-    /// can ever downgrade (clean) an L2 line, so "dirty in the L1" proves
-    /// "dirty in the L2" and a store that hits an already-dirty L1 line
-    /// skips the ownership walk — see [`Simulation::access`].
-    uni: bool,
     /// Batched reference dispatch (the default): streams are drained in
     /// [`BURST_COLS`]-deep packed columns instead of one `MemRef` at a
     /// time. Bit-identical to single-step dispatch by the
@@ -191,7 +186,6 @@ impl<S: ReferenceStream> Simulation<S> {
             observer: Observer::disabled(),
             attr: None,
             sanitizer: None,
-            uni: cfg.n_nodes() == 1,
             batched: true,
             batch_cols: vec![0; n_streams * BURST_COLS],
             batch_len: vec![0; n_streams],
@@ -409,106 +403,75 @@ impl<S: ReferenceStream> Simulation<S> {
     // analyze: hot
     // analyze: total — placement and streams have one entry per core: try_new checks streams.len() against the config's core total and placement is built from the same enumeration
     fn advance_single_step(&mut self, refs_per_node: u64) {
-        // The epoch check is hoisted into two loop bodies so the common
-        // no-epochs configuration never tests it per round.
-        match self.observer.epoch_len() {
-            None => {
-                for _ in 0..refs_per_node {
-                    for s in 0..self.streams.len() {
-                        let r = self.streams[s].next_ref();
-                        let (n, c) = self.placement[s];
-                        self.access(n as usize, c as usize, r);
-                    }
-                    // `refs_run` doubles as the fault model's logical
-                    // clock, so it advances per round, not per batch.
-                    self.refs_run += 1;
-                }
+        let epoch = self.observer.epoch_len();
+        for _ in 0..refs_per_node {
+            for s in 0..self.streams.len() {
+                let word = self.streams[s].next_ref().pack();
+                let (n, c) = self.placement[s];
+                self.access(n as usize, c as usize, word);
             }
-            Some(e) => {
-                for _ in 0..refs_per_node {
-                    for s in 0..self.streams.len() {
-                        let r = self.streams[s].next_ref();
-                        let (n, c) = self.placement[s];
-                        self.access(n as usize, c as usize, r);
-                    }
-                    self.refs_run += 1;
-                    if self.refs_run.is_multiple_of(e) {
-                        self.close_epoch();
-                    }
-                }
+            // `refs_run` doubles as the fault model's logical clock, so
+            // it advances per round, not per batch.
+            self.refs_run += 1;
+            if epoch.is_some_and(|e| self.refs_run.is_multiple_of(e)) {
+                self.close_epoch();
             }
         }
     }
 
     /// Batched dispatch for the one-stream machine: drains the stream in
-    /// [`BURST_COLS`]-deep packed columns on a stack buffer, so the
-    /// per-reference cost is one slice copy and one [`dispatch_word`]
-    /// call instead of a virtual `next_ref` plus struct moves.
-    ///
-    /// [`dispatch_word`]: Simulation::dispatch_word
+    /// spans of at most [`BURST_COLS`] packed words on a stack buffer,
+    /// so the per-reference cost is one slice copy and one probe instead
+    /// of a virtual `next_ref` plus struct moves. One loop serves every
+    /// configuration: a span also ends at the next epoch boundary, so
+    /// the epoch close runs between spans, and `refs_run` is stored
+    /// before each access, so the fault clock and event timestamps read
+    /// what single-step dispatch shows them.
     // analyze: hot
     // analyze: total — the single-stream fast path: try_new rejects zero-core configs so streams[0]/placement[0] exist, and next_burst returns got <= col.len() by its trait contract
     fn advance_batched_single(&mut self, refs_per_node: u64) {
         let (n, c) = self.placement[0];
         let (n, c) = (n as usize, c as usize);
         let mut col = [0u64; BURST_COLS];
+        let (period, mut to_epoch) = self.epoch_countdown();
         let mut remaining = refs_per_node;
-        // `refs_run` may be flushed once per burst exactly when nothing
-        // observes it mid-burst: it is read between references only by
-        // the epoch close, the fault injector's logical clock and event
-        // timestamps. With all three off, deferring the increment is
-        // invisible.
-        if self.observer.epoch_len().is_none()
-            && self.injector.is_none()
-            && !self.observer.wants_events()
-        {
-            while remaining > 0 {
-                let want = remaining.min(BURST_COLS as u64) as usize;
-                let got = self.streams[0].next_burst(&mut col[..want]);
-                let mut i = 0;
-                while i < got {
-                    let word = col[i];
-                    // Straight-line code fetches back-to-back words of
-                    // one line; `word >> 6` (line, access kind and mode
-                    // together) being equal proves the whole run would
-                    // take `dispatch_word`'s repeat-fetch lane, so the
-                    // run retires as one batched call. Exactness of the
-                    // batch is the documented contract of
-                    // `retire_instructions` / `record_repeat_read_hits`.
-                    if word >> PACKED_ACCESS_SHIFT & 0x3 == 0 {
-                        let line = (word & PACKED_ADDR_MASK) / LINE_SIZE;
-                        if line == self.nodes[n].cores[c].last_ifetch_line {
-                            let key = word >> 6;
-                            let mut k = 1;
-                            while i + k < got && col[i + k] >> 6 == key {
-                                k += 1;
-                            }
-                            self.retire_ifetch_run(n, c, k as u64);
-                            i += k;
-                            continue;
+        while remaining > 0 {
+            let want = remaining.min(to_epoch).min(BURST_COLS as u64) as usize;
+            let got = self.streams[0].next_burst(&mut col[..want]);
+            let base = self.refs_run;
+            let mut i = 0;
+            while i < got {
+                let word = col[i];
+                // Straight-line code fetches back-to-back words of one
+                // line; `word >> 6` (line, access kind and mode together)
+                // being equal proves the whole run would take the fetch
+                // memo lane of `access`, so the run retires as one
+                // batched call. Exactness of the batch is the documented
+                // contract of `retire_instructions` /
+                // `record_repeat_read_hits`, and the lane reads no clock.
+                if word >> PACKED_ACCESS_SHIFT & 0x3 == 0 {
+                    let line = (word & PACKED_ADDR_MASK) / LINE_SIZE;
+                    if line == self.nodes[n].cores[c].last_ifetch_line {
+                        let key = word >> 6;
+                        let mut k = 1;
+                        while i + k < got && col[i + k] >> 6 == key {
+                            k += 1;
                         }
+                        self.retire_ifetch_run(n, c, k as u64);
+                        i += k;
+                        continue;
                     }
-                    self.access_packed(n, c, word);
-                    i += 1;
                 }
-                self.refs_run += got as u64;
-                remaining -= got as u64;
+                self.refs_run = base + i as u64;
+                self.access(n, c, word);
+                i += 1;
             }
-        } else {
-            let epoch = self.observer.epoch_len();
-            while remaining > 0 {
-                let want = remaining.min(BURST_COLS as u64) as usize;
-                let got = self.streams[0].next_burst(&mut col[..want]);
-                for &word in &col[..got] {
-                    self.dispatch_word(n, c, word);
-                    self.refs_run += 1;
-                    if let Some(e) = epoch {
-                        if self.refs_run.is_multiple_of(e) {
-                            self.close_epoch();
-                        }
-                    }
-                }
-                remaining -= got as u64;
+            self.refs_run = base + got as u64;
+            remaining -= got as u64;
+            to_epoch -= got as u64;
+            if to_epoch == 0 {
+                self.close_epoch();
+                to_epoch = period;
             }
         }
     }
@@ -522,7 +485,7 @@ impl<S: ReferenceStream> Simulation<S> {
     // analyze: hot
     // analyze: total — cols holds streams.len()*BURST_COLS words with one window per stream, and next_burst keeps got <= BURST_COLS by its trait contract
     fn advance_batched_multi(&mut self, refs_per_node: u64) {
-        let epoch = self.observer.epoch_len();
+        let (period, mut to_epoch) = self.epoch_countdown();
         for r in 0..refs_per_node {
             // Refills are capped at the references left in this call so
             // every gathered word is consumed before returning — the
@@ -538,38 +501,26 @@ impl<S: ReferenceStream> Simulation<S> {
                 let word = self.batch_cols[s * BURST_COLS + self.batch_head[s] as usize];
                 self.batch_head[s] += 1;
                 let (n, c) = self.placement[s];
-                self.dispatch_word(n as usize, c as usize, word);
+                self.access(n as usize, c as usize, word);
             }
             // `refs_run` doubles as the fault model's logical clock, so
             // it advances per round, not per batch.
             self.refs_run += 1;
-            if let Some(e) = epoch {
-                if self.refs_run.is_multiple_of(e) {
-                    self.close_epoch();
-                }
+            to_epoch -= 1;
+            if to_epoch == 0 {
+                self.close_epoch();
+                to_epoch = period;
             }
         }
     }
 
-    /// Dispatches one packed reference word into the hierarchy. The
-    /// repeat-ifetch fast lane resolves straight-line refetches of the
-    /// memoized line (the dominant reference class) on the packed word
-    /// alone — no unpack, no `MemRef` construction — mirroring the memo
-    /// check at the top of [`Simulation::access_line`].
-    // analyze: cold — per-reference entry into the float-CPI timing model (retire_instruction); same boundary, for the same documented reason, as `access`
-    #[inline]
-    fn dispatch_word(&mut self, n: usize, c: usize, word: u64) {
-        if word >> PACKED_ACCESS_SHIFT & 0x3 == 0 {
-            let line = (word & PACKED_ADDR_MASK) / LINE_SIZE;
-            // analyze: total — node and core ids come from placement entries validated against the node grid in try_new
-            let core = &mut self.nodes[n].cores[c];
-            if line == core.last_ifetch_line {
-                core.timing.retire_instruction(&mut core.bd);
-                core.l1i.record_repeat_read_hit();
-                return;
-            }
-        }
-        self.access_packed(n, c, word);
+    /// The epoch length and the references left until the next epoch
+    /// boundary: the batched loops count down instead of dividing every
+    /// round. Without epochs the length is `u64::MAX`, a boundary no run
+    /// reaches.
+    fn epoch_countdown(&self) -> (u64, u64) {
+        let period = self.observer.epoch_len().unwrap_or(u64::MAX);
+        (period, period - self.refs_run % period)
     }
 
     /// Hands the observer a cumulative snapshot of the machine-wide
@@ -765,33 +716,10 @@ impl<S: ReferenceStream> Simulation<S> {
         }
     }
 
-    /// [`Simulation::access_line`] for a `MemRef` (the single-step oracle
-    /// path's currency).
-    // analyze: cold — the per-reference timing model is float CPI arithmetic by design (the paper's analytical overlap model); reproducibility is guarded by the bit-identity tests, not by integer-only arithmetic
-    #[inline]
-    fn access(&mut self, n: usize, c: usize, r: MemRef) {
-        let line = r.line_addr(LINE_SIZE);
-        let is_ifetch = r.access.is_instruction();
-        let write = r.access.is_write();
-        self.access_line(n, c, line, is_ifetch, write);
-    }
-
-    /// [`Simulation::access_line`] for a packed word (the batched path's
-    /// currency): the access class reads straight out of the word's high
-    /// bits, skipping the `MemRef` enum round-trip the hierarchy never
-    /// looks at.
-    // analyze: cold — same per-reference timing boundary as `access`
-    #[inline]
-    fn access_packed(&mut self, n: usize, c: usize, word: u64) {
-        let line = (word & PACKED_ADDR_MASK) / LINE_SIZE;
-        let class = word >> PACKED_ACCESS_SHIFT & 0x3;
-        self.access_line(n, c, line, class == 0, class == 2);
-    }
-
     /// Retires a detected run of `k` back-to-back repeat fetches of the
     /// memoized instruction line: one batched timing call and one batched
-    /// L1I hit-counter bump, bit-identical to `k` trips through
-    /// `dispatch_word`'s repeat-fetch lane (the documented contracts of
+    /// L1I hit-counter bump, bit-identical to `k` trips through the
+    /// fetch memo lane of [`Simulation::access`] (the contracts of
     /// [`TimingModel::retire_instructions`] and
     /// [`Cache::record_repeat_read_hits`](csim_cache::Cache)).
     // analyze: cold — same per-reference timing boundary as `access`; the closed-form retire's float exactness is proven at `InOrderTiming::retire_instructions`
@@ -804,16 +732,21 @@ impl<S: ReferenceStream> Simulation<S> {
         core.l1i.record_repeat_read_hits(k);
     }
 
-    /// Runs one reference (already reduced to its line, fetch kind and
-    /// write-ness — everything the hierarchy observes) through the
-    /// memory system. Split for inlining: this front half — the retire,
-    /// the fetch memo and the L1 probe, which together resolve the vast
-    /// majority of references — inlines into the dispatch loops, while
-    /// everything past the L1 (ownership walks, the L2 and the miss
-    /// machinery) stays behind the [`Simulation::access_below_l1`] call
-    /// so the loop body keeps only the code that usually runs.
+    /// Runs one packed reference word through the memory system. The
+    /// line and access class read straight out of the word's bits (the
+    /// hierarchy never looks at the mode). Split for inlining: this
+    /// front half — the retire, the fetch memo and the L1 probe, which
+    /// together resolve the vast majority of references — inlines into
+    /// the dispatch loops, while everything past the L1 (ownership
+    /// walks, the L2 and the miss machinery) stays behind the
+    /// [`Simulation::access_below_l1`] call so the loop body keeps only
+    /// the code that usually runs.
     // analyze: cold — the per-reference timing model is float CPI arithmetic by design (the paper's analytical overlap model); reproducibility is guarded by the bit-identity tests, not by integer-only arithmetic
-    fn access_line(&mut self, n: usize, c: usize, line: u64, is_ifetch: bool, write: bool) {
+    #[inline(always)]
+    fn access(&mut self, n: usize, c: usize, word: u64) {
+        let line = (word & PACKED_ADDR_MASK) / LINE_SIZE;
+        let class = word >> PACKED_ACCESS_SHIFT & 0x3;
+        let (is_ifetch, write) = (class == 0, class == 2);
         // Retire + L1 probe share one bounds-checked core borrow: this
         // runs once per reference, so the double index was measurable.
         let (l1_hit, owned) = {
@@ -828,19 +761,20 @@ impl<S: ReferenceStream> Simulation<S> {
                     return;
                 }
             }
-            let l1 = if is_ifetch { &mut core.l1i } else { &mut core.l1d };
-            // Uniprocessor stores that hit an already-dirty L1 line need
-            // no ownership walk: nothing in a single-node machine ever
-            // cleans an L2 line (downgrades require a remote reader), so
-            // L1-dirty proves L2-dirty and `ensure_ownership` would
-            // return immediately — at the price of a probe into the much
-            // larger L2 slot array. The dirty-before read is fused into
-            // the store's own probe so the set is walked once.
-            if write && self.uni {
-                let (outcome, owned) = l1.access_store_was_dirty(line);
+            // A store that hits an L1 line this core owns needs no
+            // ownership walk: the owned bit is set only by stores, which
+            // leave the node's L2 copy modified, and cleared on every
+            // core of the node when a remote read downgrades that copy
+            // (`downgrade_owner`), so owned proves L2-dirty and
+            // `ensure_ownership` would return immediately — at the price
+            // of a probe into the much larger L2 slot array. The read of
+            // the bit is fused into the store's own probe.
+            if write {
+                let (outcome, owned) = core.l1d.access_store_was_owned(line);
                 (outcome.is_hit(), owned)
             } else {
-                let hit = l1.access(line, write).is_hit();
+                let l1 = if is_ifetch { &mut core.l1i } else { &mut core.l1d };
+                let hit = l1.access(line, false).is_hit();
                 if is_ifetch && hit {
                     core.last_ifetch_line = line;
                 }
@@ -848,16 +782,21 @@ impl<S: ReferenceStream> Simulation<S> {
             }
         };
         if l1_hit && (!write || owned) {
+            debug_assert!(
+                !owned || self.nodes[n].l2.is_dirty(line),
+                "owned L1 line {line:#x} is clean in the L2"
+            );
             return;
         }
         self.access_below_l1(n, c, line, is_ifetch, write, l1_hit);
     }
 
-    /// The slow back half of [`Simulation::access_line`]: an L1 write
+    /// The slow back half of [`Simulation::access`]: an L1 write
     /// hit still needing the ownership walk, or an L1 miss heading into
     /// the L2 and the coherence machinery.
     // analyze: cold — the per-reference timing model is float CPI arithmetic by design (the paper's analytical overlap model); reproducibility is guarded by the bit-identity tests, not by integer-only arithmetic
     // analyze: total — node ids are validated placement entries (try_new) or directory-reported homes/owners/sharers, which the directory reduces modulo the node count
+    #[inline(never)]
     fn access_below_l1(
         &mut self,
         n: usize,
@@ -1155,9 +1094,9 @@ impl<S: ReferenceStream> Simulation<S> {
     fn rac_fill(&mut self, n: usize, line: u64) {
         // analyze: total — node ids are validated placement entries (try_new) or directory-reported homes/owners/sharers, which the directory reduces modulo the node count
         let Some(rac) = self.nodes[n].rac.as_mut() else { return };
-        if rac.contains(line) {
-            return;
-        }
+        // The caller's RAC probe just missed, and the fill in between
+        // can only park the L2's victim, never this line.
+        debug_assert!(!rac.contains(line), "RAC fill of resident line {line:#x}");
         if let Some(rv) = rac.insert(line, false) {
             if rv.dirty {
                 self.writeback(n, rv.line);
@@ -1178,6 +1117,12 @@ impl<S: ReferenceStream> Simulation<S> {
         } else {
             let cleaned = node.l2.clean(line);
             debug_assert!(cleaned, "directory said the owner's copy is in its L2");
+            // The L2 copy is clean now, so no L1 of the node may keep
+            // claiming ownership (the owned-store shortcut in
+            // `access`); the L1 data stays dirty.
+            for core in &mut node.cores {
+                core.l1d.disown(line);
+            }
         }
         if self.observer.wants_events() {
             self.observer.record_event(Event {
@@ -1450,6 +1395,53 @@ mod tests {
         // No stall was charged for the upgrade: only the initial cold
         // fetch contributes.
         assert_eq!(rep.breakdown.local_cycles, cfg.latencies().local as f64);
+    }
+
+    /// Runs `warm` rounds, which end with a remote read downgrading a
+    /// line the streams' first node has stored to, then one round in
+    /// which a core of that node stores to the line again and hits its
+    /// still-dirty L1 copy. The downgrade must have disowned that copy,
+    /// so the store upgrades.
+    fn assert_store_hit_reupgrades(cfg: &SystemConfig, streams: Vec<SliceStream>, warm: u64) {
+        let mut sim = sim_new(cfg, streams);
+        let before = sim.run(warm);
+        assert_eq!((before.directory.downgrades, before.upgrades), (1, 0));
+        let rep = sim.run(1);
+        assert_eq!(rep.upgrades, 1, "the store hit must re-acquire ownership");
+        assert_eq!(rep.directory.write_misses, before.directory.write_misses + 1);
+        sim.verify_coherence().unwrap();
+    }
+
+    #[test]
+    fn store_hit_after_remote_downgrade_reupgrades() {
+        // Node 0 stores, node 1 reads (3-hop), node 0 stores again.
+        let a = addr_homed(0, 1, 2);
+        let other = |i: u64| a + i * LINE_SIZE; // same page, other L1 sets
+        let streams = vec![
+            SliceStream::cycle(&[store(a), load(other(1)), store(a)]),
+            SliceStream::cycle(&[load(other(3)), load(a), load(other(3))]),
+        ];
+        assert_store_hit_reupgrades(&tiny_cfg(2), streams, 2);
+    }
+
+    #[test]
+    fn store_hit_after_remote_downgrade_reupgrades_on_every_core() {
+        // Two cores per chip: core 0 stores, core 1 reads the line from
+        // the shared L2 and stores too (no upgrade: the L2 copy is
+        // dirty), chip 1 reads (3-hop), core 1 stores again. The
+        // downgrade must disown the line in every L1 of chip 0.
+        let l1 = CacheGeometry::new(1024, 1, 64).unwrap();
+        let mut b = SystemConfig::builder();
+        b.nodes(2).cores_per_node(2).l1(l1).l2_off_chip(8192, 2);
+        let a = addr_homed(0, 1, 2);
+        let other = |i: u64| a + i * LINE_SIZE;
+        let streams = vec![
+            SliceStream::cycle(&[store(a), load(other(1)), load(other(1)), load(other(1))]),
+            SliceStream::cycle(&[load(a), store(a), load(other(2)), store(a)]),
+            SliceStream::cycle(&[load(other(3)), load(other(3)), load(a), load(other(3))]),
+            SliceStream::cycle(&[load(other(4)); 4]),
+        ];
+        assert_store_hit_reupgrades(&b.build().unwrap(), streams, 3);
     }
 
     #[test]

@@ -28,7 +28,9 @@ pub enum Region {
     Idle = 0,
     /// The simulator's per-reference advance loop (`Simulation::advance`).
     Advance = 1,
-    /// The workload's amortized 64-reference burst refill.
+    /// The workload's amortized scheduling-burst refill (a burst is
+    /// thousands of references; the simulator then drains the buffer up
+    /// to 512 at a time).
     BurstRefill = 2,
     /// The packed-slot cache probe kernel (bench instrumentation).
     PackedProbe = 3,

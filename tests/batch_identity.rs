@@ -1,15 +1,15 @@
 //! Bit-identity contract of the batched reference dispatch.
 //!
 //! The simulator's default hot path gathers references from each stream
-//! in 64-deep packed columns ([`ReferenceStream::next_burst`]) instead of
-//! one virtual `next_ref` call per reference. The contract is that this
+//! in 512-deep packed columns ([`ReferenceStream::next_burst`]) instead
+//! of one virtual `next_ref` call per reference. The contract is that this
 //! is *pure mechanism*: every counter of every report — misses,
 //! breakdowns, histograms, epoch series, fault statistics — must be
 //! bit-identical to the retained single-step oracle path
 //! ([`Simulation::set_batched_dispatch`]).
 //!
 //! The drives here are adversarial about burst boundaries on purpose:
-//! run lengths that are not multiples of the 64-word column, epochs that
+//! run lengths that are not multiples of the 512-word column, epochs that
 //! close mid-burst, a fault storm whose injector reads the logical clock
 //! between references, and a multi-node machine whose streams must stay
 //! strictly round-interleaved.
@@ -17,7 +17,7 @@
 //! [`ReferenceStream::next_burst`]: oltp_chip_integration::trace::ReferenceStream::next_burst
 //! [`Simulation::set_batched_dispatch`]: oltp_chip_integration::sim::Simulation::set_batched_dispatch
 
-use oltp_chip_integration::config::SystemConfig;
+use oltp_chip_integration::config::{IntegrationLevel, OooParams, SystemConfig};
 use oltp_chip_integration::fault::{FaultInjector, FaultPlan};
 use oltp_chip_integration::obs::{ObsConfig, Observer, TraceConfig};
 use oltp_chip_integration::sim::Simulation;
@@ -27,9 +27,9 @@ use oltp_chip_integration::trace::{
 use oltp_chip_integration::workload::{NodeWorkload, OltpParams};
 
 /// Builds the batched/single-step pair for one configuration and drives
-/// both through the same chunk schedule, comparing the full report (and
-/// the observer's JSON, which carries histograms/epochs/trace) after
-/// every chunk.
+/// both through the same chunk schedule, comparing the full report, the
+/// observer's JSON (histograms, epochs, trace counts) and the traced
+/// events themselves after every chunk.
 fn assert_dispatch_identity(
     cfg: &SystemConfig,
     seed: u64,
@@ -62,6 +62,11 @@ fn assert_dispatch_identity(
         let ob = oracle.observer().to_json().to_string();
         assert_eq!(oa, ob, "observer output diverges at chunk {i} ({chunk} refs)");
         assert_eq!(
+            batched.observer().trace_jsonl(),
+            oracle.observer().trace_jsonl(),
+            "traced events (and their timestamps) diverge at chunk {i}"
+        );
+        assert_eq!(
             batched.fault_stats(),
             oracle.fault_stats(),
             "fault statistics diverge at chunk {i}"
@@ -71,11 +76,11 @@ fn assert_dispatch_identity(
 
 #[test]
 fn batched_dispatch_matches_single_step_on_non_multiple_lengths() {
-    // Uniprocessor — the stack-column fast path with the deferred
-    // refs_run flush. Every length is coprime with the 64-word column
-    // so chunks start and end mid-burst.
+    // Uniprocessor — the stack-column loop with the repeat-fetch run
+    // scanner. Every length is coprime with the 512-word column so
+    // chunks start and end mid-burst.
     let cfg = SystemConfig::paper_base_uni();
-    assert_dispatch_identity(&cfg, 11, None, None, 10_001, &[1, 63, 65, 4_097, 33_333]);
+    assert_dispatch_identity(&cfg, 11, None, None, 10_001, &[1, 63, 65, 511, 513, 4_097, 33_333]);
 }
 
 #[test]
@@ -119,6 +124,30 @@ fn batched_dispatch_matches_single_step_under_fault_storm() {
         .expect("the example fault plan parses");
     let cfg = SystemConfig::paper_fully_integrated(2);
     assert_dispatch_identity(&cfg, 17, None, Some(&plan), 5_000, &[15_013, 7_919]);
+}
+
+#[test]
+fn batched_dispatch_matches_single_step_single_stream_observed() {
+    // One stream with everything that reads the logical clock between
+    // references at once: epochs closing inside spans (777 is coprime
+    // with the column depth), timestamped events, the fault storm's
+    // clock, and the out-of-order model, whose repeat-fetch runs retire
+    // one instruction at a time.
+    let plan = FaultPlan::from_toml_str(include_str!("../examples/fault_storm.toml"))
+        .expect("the example fault plan parses");
+    let mut b = SystemConfig::builder();
+    b.nodes(1)
+        .integration(IntegrationLevel::FullyIntegrated)
+        .l2_sram(2 << 20, 8)
+        .out_of_order(OooParams::paper());
+    let cfg = b.build().expect("valid config");
+    let obs = ObsConfig {
+        histograms: true,
+        epoch: Some(777),
+        trace: Some(TraceConfig::default()),
+    };
+    let chunks = [1, 511, 513, 4_097, 33_333];
+    assert_dispatch_identity(&cfg, 29, Some(obs), Some(&plan), 3_001, &chunks);
 }
 
 #[test]
