@@ -10,7 +10,7 @@
 //!   `baseline_seed_refs_per_sec` is the same loop measured against the
 //!   pre-optimization engine on the same machine; `speedup_vs_seed` is
 //!   the hot-path optimization win.
-//! * **cache_kernel** — the struct-of-arrays [`Cache`] vs
+//! * **cache_kernel** — the slot-word [`Cache`] (one host line per set) vs
 //!   [`ReferenceCache`] (the retained seed implementation) on an
 //!   identical access stream over the default 8 MB direct-mapped L2
 //!   geometry. Both kernels' statistics are compared after timing —
@@ -34,7 +34,7 @@
 //!   throughput [--meas N] [--reps K] [--jobs J] [--out FILE]
 //!   throughput --check FILE     # re-measure and fail (exit 1) on a
 //!                               # >20% refs/sec regression vs FILE, or
-//!                               # on the SoA cache kernel dropping
+//!                               # on the slot-word cache kernel dropping
 //!                               # below 1.0x vs ReferenceCache
 //!
 //! Timing uses `Instant::now`, which the workspace lint bans from
@@ -115,9 +115,9 @@ fn cache_ops_per_sec(
 
 fn measure_cache_kernel(reps: usize) -> (f64, f64) {
     // The default configuration's 8 MB direct-mapped off-chip L2: the
-    // largest slot array the simulator probes, where the SoA layout's
-    // footprint (1 MB of bare tags vs 2 MB of slot structs) governs the
-    // host's cache behaviour.
+    // largest slot array the simulator probes, where the slot-word
+    // layout's footprint (1 MB of 8-byte slots vs 2 MB of slot structs)
+    // governs the host's cache behaviour.
     let geometry = CacheGeometry::new(8 << 20, 1, 64).expect("valid geometry");
     // 2x the cache's line capacity: hits, misses and evictions all stay
     // frequent, so both the probe and the insert/evict paths weigh in.
@@ -436,7 +436,7 @@ fn main() {
             eprintln!("FAIL: >20% throughput regression vs {path}");
             std::process::exit(1);
         }
-        // The struct-of-arrays kernel must never lose to the reference
+        // The slot-word kernel must never lose to the reference
         // implementation it replaced — that would mean the optimized
         // probe regressed into net overhead.
         eprintln!("cache kernel gate: optimized vs reference ...");
@@ -444,7 +444,7 @@ fn main() {
         let kernel_ratio = opt / reference;
         println!("cache kernel {opt:.0} vs {reference:.0} ops/s ({kernel_ratio:.2}x)");
         if kernel_ratio < 1.0 {
-            eprintln!("FAIL: SoA cache kernel slower than ReferenceCache");
+            eprintln!("FAIL: slot-word cache kernel slower than ReferenceCache");
             std::process::exit(1);
         }
         println!("ok: within the 20% regression budget, kernel >= 1.0x");

@@ -1,26 +1,40 @@
-//! The set-associative cache model (struct-of-arrays hot-path
-//! implementation).
+//! The set-associative cache model (one slot word per way, one host
+//! cache line per set).
 //!
-//! Every probe in the simulator's inner loop lands here. The previous
-//! packed layout (dirty bit folded into the tag word) made every probe
-//! pay a mask before the compare and every hit an unconditional
-//! read-modify-write store to refresh the dirty bit — `kernel_attribution`
-//! in BENCH_sweep.json localized ~99% of kernel time to exactly that
-//! arithmetic. The slots are now split into parallel arrays:
+//! Every probe in the simulator's inner loop lands here. Each way of a
+//! set is one `u64` slot word:
 //!
 //! ```text
-//! tags[i]:  raw line address, or u64::MAX for an empty slot (the
-//!           sentinel is outside the legal line range `line < 2^63 - 1`,
-//!           so the probe needs no valid bit and no mask — a hit is a
-//!           bare `tags[i] == line` compare)
-//! state[i]: state bits, touched only by writes and coherence operations:
-//!           bit 0 (DIRTY) — the line holds modified data (it feeds
-//!           `dirty_evictions` and `Evicted::dirty`);
-//!           bit 1 (OWNED) — set by every write alongside DIRTY, cleared
-//!           by `clean` and by `disown`, so OWNED implies DIRTY. The
-//!           simulator's L1s use it to know the node's L2 copy is
-//!           modified without probing the L2.
+//! bits 0..=60  key: line + 1, or 0 for an empty slot
+//! bit  61      DIRTY — the line holds modified data (it feeds
+//!              `dirty_evictions` and `Evicted::dirty`)
+//! bit  62      OWNED — set by every write alongside DIRTY, cleared by
+//!              `clean` and by `disown`, so OWNED implies DIRTY. The
+//!              simulator's L1s use it to know the node's L2 copy is
+//!              modified without probing the L2.
+//! bit  63      always 0
 //! ```
+//!
+//! A probe computes `key = line + 1` once and compares `slot & KEY_MASK`
+//! against it; a read hit at the MRU slot stores nothing. The slot array
+//! starts at a 64-byte boundary, so a set of up to 8 ways (power-of-two
+//! associativity) occupies exactly one host cache line.
+//!
+//! Why this layout replaced separate tag and state arrays: a sampling
+//! profile of the 8-way MP machine (eight 2M8w L2s plus 8M8w RACs) found
+//! that (1) glibc's 16-byte header on large allocations left every tag
+//! array at an address ≡ 16 (mod 64), so every 8-way set and every other
+//! 4-way set straddled two host lines, and the first tag load of the
+//! wide probe took 17% of samples; (2) the parallel state-byte array
+//! added a second host line to every insert, `is_dirty`, `clean`,
+//! `mark_dirty` and `disown`, and its byte swap was two thirds of the
+//! insert's set-shift cost; and (3) the `u64::MAX` empty sentinel forced
+//! construction to write every slot (10 MB on that machine), where an
+//! all-zero empty slot lets the array come from the allocator's zeroed
+//! pages, so construction writes nothing and untouched pages never become
+//! resident. An earlier packed layout was slow because every hit stored
+//! its word back to refresh the dirty bit, not because the state shared
+//! the tag's word.
 //!
 //! Set lookup uses a mask when the set count is a power of two and a
 //! precomputed reciprocal multiply-shift otherwise (the paper's 1.25 MB
@@ -28,9 +42,9 @@
 //! Direct-mapped and 2-way sets — the L1s and several of the paper's L2
 //! points — resolve inline with at most a swap; wider sets go through an
 //! out-of-line scan that compares the whole set unconditionally so the
-//! compiler can vectorize the tag compare. LRU rotation moves slots with
-//! element loops: a set is a handful of slots, too few for a `memmove`
-//! call to pay off.
+//! compiler can vectorize the key compare. LRU rotation, insert and
+//! invalidate move one word per way with an element loop: a set is a
+//! handful of slots, too few for a `memmove` call to pay off.
 //!
 //! Semantics are bit-identical to the retained seed implementation
 //! ([`crate::ReferenceCache`]); `tests/sweep_identity.rs` proves it on a
@@ -68,21 +82,35 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Upper bound (exclusive) on legal line addresses: `2^63 - 1`. Keeps the
-/// empty sentinel unambiguous and the reciprocal set index exact (the
-/// multiply-shift below is proven for dividends under `2^63`).
-const TAG_MASK: u64 = !(1 << 63);
-/// Sentinel tag for an empty slot — outside the legal line-address range
-/// (`line < TAG_MASK`), so `tags[i] == line` can never match an empty slot
-/// and the probe needs no valid bit.
-const EMPTY_SLOT: u64 = u64::MAX;
+/// The key bits of a slot word (`line + 1`; 0 is an empty slot). Also
+/// the exclusive upper bound on legal line addresses, `2^61 - 1`: the
+/// largest legal line's key is exactly `KEY_MASK`, and the reciprocal set
+/// index (exact below `2^63`) holds on the whole range.
+const KEY_MASK: u64 = (1 << 61) - 1;
 /// State bit: the line holds modified data.
-const DIRTY: u8 = 1;
+const DIRTY: u64 = 1 << 61;
 /// State bit: the line is owned (set with [`DIRTY`] by every write,
 /// cleared by [`Cache::clean`] and [`Cache::disown`]).
-const OWNED: u8 = 2;
+const OWNED: u64 = 1 << 62;
 /// The state a write leaves behind.
-const WRITTEN: u8 = DIRTY | OWNED;
+const WRITTEN: u64 = DIRTY | OWNED;
+/// Host cache line size in bytes.
+const LINE_BYTES: usize = 64;
+/// Slot words per host cache line.
+const LINE_WORDS: usize = LINE_BYTES / 8;
+
+/// The slot key of a line address.
+#[inline(always)]
+fn key_of(line: u64) -> u64 {
+    debug_assert!(line < KEY_MASK, "line {line:#x} exceeds the legal line range");
+    line + 1
+}
+
+/// The line address held by a non-empty slot word.
+#[inline(always)]
+fn line_of(slot: u64) -> u64 {
+    (slot & KEY_MASK) - 1
+}
 
 /// A set-associative, write-back, write-allocate cache with true LRU
 /// replacement.
@@ -96,10 +124,12 @@ const WRITTEN: u8 = DIRTY | OWNED;
 /// 1.25 MB L2 of the paper's Figure 12 are supported; power-of-two set
 /// counts take a mask fast path.
 ///
-/// Line addresses must be below `2^63 - 1` (the all-ones word is the
-/// empty-tag sentinel, and the reciprocal set index is exact only below
-/// `2^63`). The simulator's address map stays far below that; the bound
-/// is debug-asserted.
+/// Line addresses must be below `2^61 - 1` (the slot word keeps the key
+/// `line + 1` in its low 61 bits). The simulator's address map stays far
+/// below that; the bound is debug-asserted.
+///
+/// A clone is correct but may lose the 64-byte set alignment, since the
+/// slot offset was chosen for the original's heap address.
 #[derive(Clone, Debug)]
 pub struct Cache {
     geometry: CacheGeometry,
@@ -115,13 +145,14 @@ pub struct Cache {
     /// `floor(log2(n_sets))` — the post-multiply shift paired with
     /// `recip_m`.
     recip_sh: u32,
-    /// Line-address tags, `n_sets * assoc` long, MRU-first within each
-    /// set; [`EMPTY_SLOT`] marks a free slot.
-    tags: Vec<u64>,
-    /// State bytes ([`DIRTY`], [`OWNED`]), parallel to `tags`. Split out
-    /// so the probe's tag compare carries no state bits and read hits
-    /// store nothing.
-    state: Vec<u8>,
+    /// Index of the first slot of set 0: the first 64-byte-aligned word
+    /// of `slots`, so sets never straddle a host cache line. Below
+    /// [`LINE_WORDS`]; it moves only where slots live, never a result.
+    base: usize,
+    /// Slot words, MRU-first within each set, `n_sets * assoc` of them
+    /// from `base`; the `LINE_WORDS - 1` spare words around them stay 0
+    /// (empty). Never resized.
+    slots: Vec<u64>,
     /// Live count of valid lines, maintained by insert/invalidate so
     /// [`Cache::occupancy`] is O(1) instead of an O(capacity) scan.
     valid_count: usize,
@@ -159,6 +190,11 @@ impl Cache {
             let m = ((1u128 << (64 + sh)) / u128::from(d) + 1) as u64;
             (m, sh)
         };
+        // Zero is the empty slot, so the array comes from the
+        // allocator's zeroed pages: nothing is written here, and pages no
+        // set ever touches never become resident.
+        let slots = vec![0; n_sets * assoc + LINE_WORDS - 1];
+        let base = (slots.as_ptr() as usize).wrapping_neg() % LINE_BYTES / 8;
         Cache {
             geometry,
             n_sets,
@@ -167,8 +203,8 @@ impl Cache {
             pow2,
             recip_m,
             recip_sh,
-            tags: vec![EMPTY_SLOT; n_sets * assoc],
-            state: vec![0; n_sets * assoc],
+            base,
+            slots,
             valid_count: 0,
             stats: CacheStats::default(),
         }
@@ -191,12 +227,12 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// First slot index of the set the line maps to. Power-of-two set
-    /// counts use a mask; others (e.g. the 1.25 MB L2's 5120 sets) use the
-    /// precomputed reciprocal — a widening multiply and two shifts instead
-    /// of a hardware divide on every probe. The branch is perfectly
-    /// predicted — it goes the same way for the lifetime of a cache
-    /// instance.
+    /// First slot index of the set the line maps to, relative to `base`.
+    /// Power-of-two set counts use a mask; others (e.g. the 1.25 MB L2's
+    /// 5120 sets) use the precomputed reciprocal — a widening multiply and
+    /// two shifts instead of a hardware divide on every probe. The branch
+    /// is perfectly predicted — it goes the same way for the lifetime of a
+    /// cache instance.
     #[inline(always)]
     fn set_start(&self, line: u64) -> usize {
         let set = if self.pow2 {
@@ -208,74 +244,68 @@ impl Cache {
         set * self.assoc
     }
 
-    /// The set `line` maps to: its tag and state windows.
+    /// The slot words of the set `line` maps to.
     #[inline(always)]
-    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/state hold n_sets*assoc entries from construction, so the set window is in bounds
-    fn set(&self, line: u64) -> (&[u64], &[u8]) {
-        let start = self.set_start(line);
-        let end = start + self.assoc;
-        (&self.tags[start..end], &self.state[start..end])
+    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, base < LINE_WORDS, and slots holds n_sets*assoc + LINE_WORDS - 1 words from construction, so the set window is in bounds
+    fn set(&self, line: u64) -> &[u64] {
+        let start = self.base + self.set_start(line);
+        &self.slots[start..start + self.assoc]
     }
 
     /// Mutable form of [`Cache::set`].
     #[inline(always)]
-    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, and tags/state hold n_sets*assoc entries from construction, so the set window is in bounds
-    fn set_mut(&mut self, line: u64) -> (&mut [u64], &mut [u8]) {
-        let start = self.set_start(line);
-        let end = start + self.assoc;
-        (&mut self.tags[start..end], &mut self.state[start..end])
+    // analyze: total — set_start returns set*assoc with the set index reduced below n_sets, base < LINE_WORDS, and slots holds n_sets*assoc + LINE_WORDS - 1 words from construction, so the set window is in bounds
+    fn set_mut(&mut self, line: u64) -> &mut [u64] {
+        let start = self.base + self.set_start(line);
+        &mut self.slots[start..start + self.assoc]
     }
 
-    /// The state byte of a resident line, `None` when absent.
+    /// The slot word of a resident line, `None` when absent.
     #[inline]
-    fn state_mut(&mut self, line: u64) -> Option<&mut u8> {
-        let (tags, states) = self.set_mut(line);
-        tags.iter().zip(states).find_map(|(&t, s)| (t == line).then_some(s))
+    fn slot_mut(&mut self, line: u64) -> Option<&mut u64> {
+        let key = key_of(line);
+        self.set_mut(line).iter_mut().find(|s| **s & KEY_MASK == key)
     }
 
     /// The probe kernel: on a hit, rotates the line to the MRU slot, ORs
-    /// `bits` into its state and returns the state it had before; `None`
-    /// on a miss. Touches no counters. Direct-mapped and 2-way sets — the
-    /// L1s and several of the paper's L2 points — resolve inline; wider
-    /// sets take the out-of-line [`touch_wide`] scan.
+    /// `bits` into its slot word and returns the word it had before;
+    /// `None` on a miss. Touches no counters. Direct-mapped and 2-way
+    /// sets — the L1s and several of the paper's L2 points — resolve
+    /// inline; wider sets take the out-of-line [`touch_wide`] scan.
     // analyze: hot
     #[inline(always)]
-    fn touch(&mut self, line: u64, bits: u8) -> Option<u8> {
-        debug_assert!(line < TAG_MASK, "line {line:#x} exceeds the legal tag range");
+    fn touch(&mut self, line: u64, bits: u64) -> Option<u64> {
+        let key = key_of(line);
         match self.set_mut(line) {
-            // Direct-mapped: one bare compare; a read hit stores nothing
-            // (the packed layout's unconditional dirty-refresh store was
-            // the single largest probe cost).
-            ([t0], [s0]) => {
-                if *t0 != line {
+            // Direct-mapped: one compare; a read hit stores nothing.
+            [s0] => {
+                let prev = *s0;
+                if prev & KEY_MASK != key {
                     return None;
                 }
-                let prev = *s0;
                 if bits != 0 {
                     *s0 = prev | bits;
                 }
                 Some(prev)
             }
             // 2-way: the rotate is a swap (or a no-op on an MRU hit).
-            ([t0, t1], [s0, s1]) => {
-                if *t0 == line {
+            [s0, s1] => {
+                if *s0 & KEY_MASK == key {
                     let prev = *s0;
                     if bits != 0 {
                         *s0 = prev | bits;
                     }
                     Some(prev)
-                } else if *t1 == line {
+                } else if *s1 & KEY_MASK == key {
                     let prev = *s1;
-                    *t1 = *t0;
                     *s1 = *s0;
-                    *t0 = line;
                     *s0 = prev | bits;
                     Some(prev)
                 } else {
                     None
                 }
             }
-            (tags, states) => touch_wide(tags, states, line, bits),
+            slots => touch_wide(slots, key, bits),
         }
     }
 
@@ -307,7 +337,7 @@ impl Cache {
     /// exactly those of the plain store; on a miss the second component
     /// is `false`, as for an absent line.
     #[inline(always)]
-    fn access_store_was(&mut self, line: u64, was: u8) -> (Outcome, bool) {
+    fn access_store_was(&mut self, line: u64, was: u64) -> (Outcome, bool) {
         let prev = self.touch(line, WRITTEN);
         (self.record(prev.is_some(), true), prev.is_some_and(|s| s & was != 0))
     }
@@ -361,15 +391,16 @@ impl Cache {
     // analyze: hot
     #[inline]
     pub fn contains(&self, line: u64) -> bool {
-        self.set(line).0.contains(&line)
+        let key = key_of(line);
+        self.set(line).iter().any(|&s| s & KEY_MASK == key)
     }
 
     /// Whether the line is present and modified. `false` when absent.
     // analyze: hot
     #[inline]
     pub fn is_dirty(&self, line: u64) -> bool {
-        let (tags, states) = self.set(line);
-        tags.iter().zip(states).any(|(&t, &s)| t == line && s & DIRTY != 0)
+        let key = key_of(line);
+        self.set(line).iter().any(|&s| s & (KEY_MASK | DIRTY) == key | DIRTY)
     }
 
     /// Installs a line at the MRU position, evicting the LRU slot if the
@@ -383,22 +414,21 @@ impl Cache {
     // analyze: hot
     #[inline]
     pub fn insert(&mut self, line: u64, dirty: bool) -> Option<Evicted> {
-        debug_assert!(line < TAG_MASK, "line {line:#x} exceeds the legal tag range");
         debug_assert!(!self.contains(line), "inserting line {line:#x} that is already cached");
-        let state = if dirty { WRITTEN } else { 0 };
-        let (victim_tag, victim_state) = match self.set_mut(line) {
+        let word = key_of(line) | if dirty { WRITTEN } else { 0 };
+        let victim = match self.set_mut(line) {
             // Direct-mapped: the one slot is the victim, empty or not.
-            ([t0], [s0]) => (std::mem::replace(t0, line), std::mem::replace(s0, state)),
+            [s0] => std::mem::replace(s0, word),
             // Shift the whole set one slot toward the LRU end. Valid
             // slots always precede empty ones (invalidate compacts), so
             // what falls out of the last slot is the LRU line of a full
             // set, or else an empty slot (the shifted tail was empty).
-            (tags, states) => shift_in(tags.iter_mut().zip(states), line, state),
+            slots => shift_in(slots.iter_mut(), word),
         };
-        if victim_tag != EMPTY_SLOT {
-            let dirty = victim_state & DIRTY != 0;
+        if victim != 0 {
+            let dirty = victim & DIRTY != 0;
             self.stats.record_eviction(dirty);
-            Some(Evicted { line: victim_tag, dirty })
+            Some(Evicted { line: line_of(victim), dirty })
         } else {
             self.valid_count += 1;
             None
@@ -407,20 +437,21 @@ impl Cache {
 
     /// Removes a line. Returns `Some(dirty)` when it was present.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let (tags, states) = self.set_mut(line);
-        let i = tags.iter().position(|&t| t == line)?;
+        let key = key_of(line);
+        let slots = self.set_mut(line);
+        let i = slots.iter().position(|&s| s & KEY_MASK == key)?;
         // Compact: shift later (less recent) slots up, free the LRU end.
-        let (_, state) = shift_in(tags.iter_mut().zip(states).skip(i).rev(), EMPTY_SLOT, 0);
+        let removed = shift_in(slots.iter_mut().skip(i).rev(), 0);
         self.valid_count -= 1;
         self.stats.record_invalidation();
-        Some(state & DIRTY != 0)
+        Some(removed & DIRTY != 0)
     }
 
     /// Clears the dirty and owned bits of a present line (coherence
     /// downgrade M→S). Returns `true` when the line was present.
     #[inline]
     pub fn clean(&mut self, line: u64) -> bool {
-        self.state_mut(line).map(|s| *s = 0).is_some()
+        self.slot_mut(line).map(|s| *s &= KEY_MASK).is_some()
     }
 
     /// Clears only the owned bit of a present line: the level below has
@@ -429,7 +460,7 @@ impl Cache {
     /// was present.
     #[inline]
     pub fn disown(&mut self, line: u64) -> bool {
-        self.state_mut(line).map(|s| *s &= !OWNED).is_some()
+        self.slot_mut(line).map(|s| *s &= !OWNED).is_some()
     }
 
     /// Marks a present line dirty and owned without an access (used when
@@ -437,7 +468,7 @@ impl Cache {
     /// line was present.
     #[inline]
     pub fn mark_dirty(&mut self, line: u64) -> bool {
-        self.state_mut(line).map(|s| *s = WRITTEN).is_some()
+        self.slot_mut(line).map(|s| *s |= WRITTEN).is_some()
     }
 
     /// Number of valid lines currently cached. O(1): the count is
@@ -446,16 +477,17 @@ impl Cache {
     pub fn occupancy(&self) -> usize {
         debug_assert_eq!(
             self.valid_count,
-            self.tags.iter().filter(|&&t| t != EMPTY_SLOT).count(),
-            "live valid_count diverged from the tag array"
+            self.slots.iter().filter(|&&s| s != 0).count(),
+            "live valid_count diverged from the slot array"
         );
         self.valid_count
     }
 
     /// Iterates over all resident line addresses (MRU-first within each
-    /// set; for tests and reporting).
+    /// set; for tests and reporting). The spare words around the sets
+    /// are always empty, so the scan covers the whole array.
     pub fn resident_lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.tags.iter().copied().filter(|&t| t != EMPTY_SLOT)
+        self.slots.iter().filter(|&&s| s != 0).map(|&s| line_of(s))
     }
 }
 
@@ -463,37 +495,32 @@ impl Cache {
 /// 2-way arms inline into the simulator's dispatch loop without it.
 /// Scans the whole set unconditionally: at most one slot can match, so
 /// the last match is the match, and the branch-free body lets the
-/// compiler vectorize the tag compare.
+/// compiler vectorize the key compare.
 // analyze: hot
 #[inline(never)]
-fn touch_wide(tags: &mut [u64], states: &mut [u8], line: u64, bits: u8) -> Option<u8> {
+fn touch_wide(slots: &mut [u64], key: u64, bits: u64) -> Option<u64> {
     let mut hit = usize::MAX;
-    for (i, &t) in tags.iter().enumerate() {
-        if t == line {
+    for (i, &s) in slots.iter().enumerate() {
+        if s & KEY_MASK == key {
             hit = i;
         }
     }
     // `usize::MAX` (no match) is out of range: the miss.
-    let prev = *states.get(hit)?;
-    shift_in(tags.iter_mut().zip(states).take(hit + 1), line, prev | bits);
+    let prev = *slots.get(hit)?;
+    shift_in(slots.iter_mut().take(hit + 1), prev | bits);
     Some(prev)
 }
 
-/// Moves (`tag`, `state`) into the first of `slots`, each slot's old
-/// contents into the next, and returns what falls out of the last. Over
-/// a set's first `k` slots this is the LRU rotate to MRU; over a reversed
-/// tail it is the compaction after an invalidation.
+/// Moves `word` into the first of `slots`, each slot's old word into the
+/// next, and returns what falls out of the last. Over a set's first `k`
+/// slots this is the LRU rotate to MRU; over a reversed tail it is the
+/// compaction after an invalidation.
 #[inline(always)]
-fn shift_in<'a>(
-    slots: impl Iterator<Item = (&'a mut u64, &'a mut u8)>,
-    mut tag: u64,
-    mut state: u8,
-) -> (u64, u8) {
-    for (t, s) in slots {
-        std::mem::swap(t, &mut tag);
-        std::mem::swap(s, &mut state);
+fn shift_in<'a>(slots: impl Iterator<Item = &'a mut u64>, mut word: u64) -> u64 {
+    for s in slots {
+        std::mem::swap(s, &mut word);
     }
-    (tag, state)
+    word
 }
 
 #[cfg(test)]
@@ -691,8 +718,8 @@ mod tests {
                 check(line);
             }
             for k in 0..10_000u64 {
-                check(TAG_MASK - 1 - k);
-                check(k.wrapping_mul(0x9E37_79B9_7F4A_7C15) & (TAG_MASK - 1));
+                check(KEY_MASK - 1 - k);
+                check(k.wrapping_mul(0x9E37_79B9_7F4A_7C15) % KEY_MASK);
             }
         }
     }
@@ -745,5 +772,99 @@ mod tests {
         // Ninth line evicts the LRU, which after the hit sweep is line 0.
         let v = c.insert(8, false).unwrap();
         assert_eq!(v.line, 0);
+    }
+
+    #[test]
+    fn every_set_lies_in_one_host_cache_line() {
+        // The paper's geometries plus a non-power-of-two set count: each
+        // set window of up to 8 ways must sit inside one 64-byte line.
+        let geometries = [
+            (64u64 << 10, 2u32),
+            (2 << 20, 1),
+            (2 << 20, 2),
+            (2 << 20, 4),
+            (2 << 20, 8),
+            (8 << 20, 8),
+            (5 << 18, 4),
+            (3 << 16, 1),
+        ];
+        for (size, assoc) in geometries {
+            let c = cache(size, assoc);
+            for set in 0..c.geometry().sets() {
+                let window = c.set(set);
+                let first = window.as_ptr() as usize;
+                let last = first + std::mem::size_of_val(window) - 1;
+                let lines = (first / LINE_BYTES, last / LINE_BYTES);
+                assert_eq!(lines.0, lines.1, "{size}B {assoc}w: set {set} straddles");
+            }
+        }
+    }
+
+    #[test]
+    fn extreme_keys_survive_every_operation() {
+        // Line 0 has key 1, the smallest non-empty slot; the top legal
+        // line has every key bit set, right below the state bits.
+        let top = KEY_MASK - 1;
+        for assoc in [1u32, 2, 8] {
+            let mut c = cache(u64::from(assoc) * 32 * 64, assoc);
+            let sets = c.geometry().sets();
+            for line in [0, top] {
+                assert_eq!(c.access(line, false), Outcome::Miss);
+                assert!(c.insert(line, false).is_none());
+                assert_eq!(c.access(line, false), Outcome::Hit);
+                assert!(!c.is_dirty(line));
+                assert_eq!(c.access_store_was_owned(line), (Outcome::Hit, false));
+                assert!(c.is_dirty(line));
+                assert!(c.clean(line));
+                assert!(!c.is_dirty(line) && c.contains(line));
+                assert!(c.mark_dirty(line));
+                assert_eq!(c.access_store_was_owned(line), (Outcome::Hit, true));
+                assert!(c.disown(line));
+                assert!(c.is_dirty(line), "disown keeps the modified data");
+                assert_eq!(c.access_store_was_owned(line), (Outcome::Hit, false));
+            }
+            let mut resident: Vec<u64> = c.resident_lines().collect();
+            resident.sort_unstable();
+            assert_eq!(resident, [0, top], "{assoc}w");
+            for line in [0, top] {
+                // `assoc` conflicting lines push the line out of its set
+                // with its dirty flag.
+                let conflict = |k: u64| if line == 0 { k * sets } else { line - k * sets };
+                for k in 1..u64::from(assoc) {
+                    assert!(c.insert(conflict(k), false).is_none());
+                }
+                let victim = c.insert(conflict(u64::from(assoc)), false);
+                assert_eq!(victim, Some(Evicted { line, dirty: true }), "{assoc}w line {line:#x}");
+                assert!(!c.contains(line));
+                assert!(c.insert(line, true).is_some());
+                assert!(c.resident_lines().any(|l| l == line));
+                assert_eq!(c.invalidate(line), Some(true));
+                assert_eq!(c.invalidate(line), None);
+                assert!(!c.resident_lines().any(|l| l == line));
+            }
+        }
+    }
+
+    #[test]
+    fn clone_answers_like_the_original() {
+        // A clone may lose the set alignment, never the contents.
+        let mut rng = csim_trace::SimRng::seed_from_u64(0xC10E);
+        let drive = |c: &mut Cache, r: u64| {
+            let line = r >> 40 & 0x7FFF;
+            let outcome = c.access(line, r & 1 == 0);
+            let victim = if outcome.is_hit() { None } else { c.insert(line, r & 2 == 0) };
+            (outcome, victim, c.is_dirty(line ^ 1))
+        };
+        let mut original = cache(256 << 10, 8);
+        for _ in 0..50_000 {
+            drive(&mut original, rng.next_u64());
+        }
+        let mut copy = original.clone();
+        for i in 0..50_000 {
+            let r = rng.next_u64();
+            assert_eq!(drive(&mut copy, r), drive(&mut original, r), "op {i}");
+        }
+        assert_eq!(copy.stats(), original.stats());
+        assert!(copy.resident_lines().eq(original.resident_lines()));
     }
 }

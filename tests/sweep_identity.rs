@@ -235,6 +235,16 @@ fn optimized_cache_matches_reference_on_non_power_of_two_direct_mapped() {
 }
 
 #[test]
+fn optimized_cache_matches_reference_on_l1_and_rac_geometries() {
+    // The simulator's 64K 2-way L1 and 8M 8-way RAC: the smallest and
+    // the largest slot arrays it probes, each set one host cache line.
+    for (size, assoc, seed) in [(64u64 << 10, 2u32, 0x11u64), (8 << 20, 8, 0x8AC)] {
+        let geometry = CacheGeometry::new(size, assoc, 64).expect("valid geometry");
+        differential_drive(geometry, 250_000, seed);
+    }
+}
+
+#[test]
 fn optimized_cache_matches_reference_statistics_exactly() {
     // Separate tiny-geometry torture: high conflict pressure makes every
     // class of event (hit, miss, clean/dirty eviction) frequent.
