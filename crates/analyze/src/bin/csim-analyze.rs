@@ -4,9 +4,10 @@
 //! csim-analyze [workspace-root] [--json [PATH]] [--baseline PATH [--update-baseline]]
 //! ```
 //!
-//! Runs the six `csim-analyze` passes (layering gate, hot-path lints,
-//! determinism taint, dead-pub audit, concurrency discipline,
-//! unwind safety) over the workspace and prints the human report. With
+//! Runs the nine `csim-analyze` passes (layering gate, hot-path lints,
+//! determinism taint, dead-pub audit, concurrency discipline, unwind
+//! safety, panic-freedom, f64 exactness, token-level source rules) over
+//! the workspace and prints the human report. With
 //! `--json` the byte-stable `csim-analyze-report/v1` document is
 //! written to PATH (or stdout when PATH is omitted) — two runs over the
 //! same tree produce byte-identical output, and CI asserts that.
@@ -20,6 +21,8 @@
 //!
 //! Exit status 0 when clean (or ratchet-clean under `--baseline`), 1
 //! when new findings remain, 2 on usage or I/O errors.
+
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,7 +1,7 @@
 //! Token-level intraprocedural control-flow graphs.
 //!
-//! [`Cfg::build`] turns one function body (a token span from the shared
-//! [`csim_check::lex`] stream) into basic blocks connected by typed
+//! [`Cfg::build`] turns one function body (a token span from the
+//! [`crate::lex`] stream) into basic blocks connected by typed
 //! edges: branches (`if`/`if let`, `while`, `for`), `match` arms, loop
 //! back-edges, `break`/`continue`, early `return`, and `?` early exits.
 //! The dataflow framework in [`crate::dataflow`] runs lattice fixpoints
@@ -28,7 +28,7 @@
 //! is the conservative direction for the must-fact analyses built on
 //! top: extra joins can only weaken facts, never fabricate them.
 
-use csim_check::lex::{ctrl_kw, CtrlKw, TokKind};
+use crate::lex::{ctrl_kw, CtrlKw, TokKind};
 
 use crate::model::SourceFile;
 

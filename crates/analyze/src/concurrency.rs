@@ -37,7 +37,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use csim_check::lex::TokKind;
+use crate::lex::TokKind;
 
 use crate::graph::CallGraph;
 use crate::model::{FnItem, Section, Workspace};

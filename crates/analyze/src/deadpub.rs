@@ -82,7 +82,7 @@ pub fn run(ws: &Workspace) -> (Vec<Finding>, Vec<Suppression>) {
             let file = &ws.files[item.file];
             let (a, b) = item.span;
             for t in &file.toks[a..b.min(file.toks.len())] {
-                if t.kind != csim_check::lex::TokKind::Ident {
+                if t.kind != crate::lex::TokKind::Ident {
                     continue;
                 }
                 let name = file.text(*t);

@@ -40,7 +40,7 @@
 
 use std::collections::BTreeMap;
 
-use csim_check::lex::TokKind;
+use crate::lex::TokKind;
 
 use crate::cfg::{Cfg, EdgeKind};
 use crate::dataflow::{fixpoint, Analysis};

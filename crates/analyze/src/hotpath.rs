@@ -27,7 +27,7 @@
 
 use std::collections::BTreeMap;
 
-use csim_check::lex::TokKind;
+use crate::lex::TokKind;
 
 use crate::graph::CallGraph;
 use crate::model::{FnItem, Section, Workspace};

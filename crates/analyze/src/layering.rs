@@ -45,7 +45,7 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
         ],
     ),
     ("sweep", &["trace", "workload", "config", "core", "obs", "fault"]),
-    ("analyze", &["check", "obs"]),
+    ("analyze", &["obs"]),
     (
         "bench",
         &[

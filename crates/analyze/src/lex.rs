@@ -1,5 +1,5 @@
-//! A hand-rolled, lossless Rust lexer shared by the source-analysis
-//! tools (`csim-lint` and `csim-analyze`).
+//! A hand-rolled, lossless Rust lexer: the token layer every
+//! `csim-analyze` pass stands on.
 //!
 //! The workspace builds with zero external crates, so the analysis
 //! layer cannot lean on `syn` or `rustc_lexer`. This module provides
@@ -15,31 +15,24 @@
 //!   (`/* /* */ */`), raw strings with any hash depth (`r##"…"##`),
 //!   byte and raw-byte strings, raw identifiers (`r#type`), multi-byte
 //!   character literals (`'é'`), and the char-literal/lifetime
-//!   ambiguity (`'a'` vs `&'a str`) are all tokenized correctly. The
-//!   previous line-oriented stripper mis-lexed multi-byte char
-//!   literals, which silently corrupted everything after them on the
-//!   line — a lint gate that can be blinded by a unicode literal is not
-//!   a gate.
+//!   ambiguity (`'a'` vs `&'a str`) are all tokenized correctly. A
+//!   line-oriented stripper that mis-lexes a multi-byte char literal
+//!   silently corrupts everything after it on the line — a gate that
+//!   can be blinded by a unicode literal is not a gate.
 //!
-//! On top of the lexer sit the two helpers the analysis tools share:
-//!
-//! * [`strip_noncode`] — blanks comments and string/char literals while
-//!   preserving byte length and line structure, so token-level rule
-//!   scans can never be tripped (or hidden) by prose;
-//! * [`markers`] — extracts `// lint: allow(rule) — reason` and the
-//!   `// analyze:` directives (`hot`, `cold`, `publish`, `unwind`,
-//!   `total`, `exact`) from *comment tokens only*. The old scanner
-//!   searched raw lines, so a marker spelled inside a string literal
-//!   could fabricate an escape and suppress a real finding; a directive
-//!   is now only a directive when it is actually a comment.
+//! On top of the lexer sits [`markers`], which extracts
+//! `// lint: allow(rule) — reason` and the `// analyze:` directives
+//! (`hot`, `cold`, `publish`, `unwind`, `total`, `exact`) from *comment
+//! tokens only*: a marker spelled inside a string literal cannot
+//! fabricate an escape and suppress a real finding; a directive is only
+//! a directive when it is actually a comment.
 
 /// Control-flow keyword classes, for CFG construction.
 ///
 /// The lexer itself keeps keywords as [`TokKind::Ident`] (losslessness
-/// does not care), but `csim-analyze`'s CFG builder needs to know which
-/// identifiers open branches, loops, and exits. Classifying them here —
-/// next to the lexer, in the one crate both analysis tools share —
-/// keeps the keyword set in a single place.
+/// does not care), but the CFG builder needs to know which identifiers
+/// open branches, loops, and exits. Classifying them here, next to the
+/// lexer, keeps the keyword set in a single place.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CtrlKw {
     /// `if` — a two-way branch (the `else`-less form falls through).
@@ -182,7 +175,7 @@ fn str_end(b: &[u8], mut i: usize) -> usize {
 /// returned tokens concatenate back to `src` exactly.
 ///
 /// ```
-/// use csim_check::lex::{lex, TokKind};
+/// use csim_analyze::lex::{lex, TokKind};
 /// let toks = lex("let x = r#\"raw\"#; // done");
 /// let rebuilt: String = toks.iter().map(|t| t.text).collect();
 /// assert_eq!(rebuilt, "let x = r#\"raw\"#; // done");
@@ -354,38 +347,6 @@ fn char_or_lifetime(src: &str, i: usize) -> (TokKind, usize) {
             }
         }
     }
-}
-
-/// Replaces the contents of comments and string/char literals with
-/// spaces, preserving byte length and line structure so offsets and
-/// line numbers keep meaning. Lifetimes survive; everything a human
-/// wrote as prose is gone, so token rules can neither be tripped nor
-/// hidden by comments or string text.
-pub fn strip_noncode(source: &str) -> String {
-    let mut out = String::with_capacity(source.len());
-    for tok in lex(source) {
-        match tok.kind {
-            TokKind::LineComment
-            | TokKind::BlockComment
-            | TokKind::Str
-            | TokKind::RawStr
-            | TokKind::CharLit => {
-                for ch in tok.text.chars() {
-                    if ch == '\n' {
-                        out.push('\n');
-                    } else {
-                        // Multi-byte chars blank to one space per byte so
-                        // byte offsets after the literal stay aligned.
-                        for _ in 0..ch.len_utf8() {
-                            out.push(' ');
-                        }
-                    }
-                }
-            }
-            _ => out.push_str(tok.text),
-        }
-    }
-    out
 }
 
 /// A source directive extracted from a comment.
@@ -568,33 +529,21 @@ mod tests {
 
     #[test]
     fn multibyte_char_literals_do_not_corrupt_the_tail() {
-        // The old line-oriented stripper treated the closing quote of
-        // 'é' as a fresh char-literal opener and swallowed real code.
-        let src = "let v = ['é', 'x']; y.unwrap()";
-        let stripped = strip_noncode(src);
-        assert!(stripped.contains("unwrap"), "code after a unicode char must survive: {stripped}");
-        assert_eq!(stripped.len(), src.len(), "byte length preserved");
-        let toks = lex(src);
+        // A line-oriented stripper treats the closing quote of 'é' as a
+        // fresh char-literal opener and swallows real code after it.
+        let toks = lex("let v = ['é', 'x']; y.unwrap()");
         assert_eq!(toks.iter().filter(|t| t.kind == TokKind::CharLit).count(), 2);
+        assert!(
+            toks.iter().any(|t| t.kind == TokKind::Ident && t.text == "unwrap"),
+            "code after a unicode char must survive: {toks:?}"
+        );
     }
 
     #[test]
-    fn strip_preserves_lines_and_blanks_literals() {
-        let src = "let a = 1; // unwrap() here\nlet b = \".expect(\"; /* panic!\nstill */ let c = r#\"todo!\"#;\n";
-        let out = strip_noncode(src);
-        assert_eq!(out.lines().count(), src.lines().count());
-        assert_eq!(out.len(), src.len());
-        for bad in ["unwrap", "expect", "panic", "todo"] {
-            assert!(!out.contains(bad), "{bad} leaked through: {out}");
-        }
-        assert!(out.contains("let a = 1;"));
-        assert!(out.contains("let c ="));
-    }
-
-    #[test]
-    fn lifetimes_survive_stripping() {
-        let src = "fn f<'a>(x: &'a str) -> &'a str { x }";
-        assert_eq!(strip_noncode(src), src);
+    fn lifetimes_are_not_char_literals() {
+        let toks = lex("fn f<'a>(x: &'a str) -> &'a str { x }");
+        assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Lifetime).count(), 3);
+        assert!(toks.iter().all(|t| t.kind != TokKind::CharLit));
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Whole-workspace architectural and determinism static analysis.
+//! Whole-workspace architectural and determinism static analysis: the
+//! workspace's one source gate.
 //!
-//! `csim-lint` (in `csim-check`) gates single files against token-level
-//! rules. This crate is the deeper layer: it parses the *whole*
-//! workspace into one model — every file lexed with the shared
-//! [`csim_check::lex`] lexer, every function indexed, every
-//! intra-workspace reference recorded — builds a name-based call graph,
-//! and runs eight passes over it:
+//! The crate parses the *whole* workspace into one model — every file
+//! lexed with the hand-rolled [`lex`] lexer, every function indexed,
+//! every intra-workspace reference recorded — builds a name-based call
+//! graph, and runs nine passes over it:
 //!
 //! 1. [`layering`] — the architecture DAG gate: each crate's observed
 //!    dependencies must stay inside an explicit allowlist, and the
@@ -39,10 +38,13 @@
 //!    closed-form equivalence DESIGN.md §16 argues) must only receive
 //!    provably integer-valued f64s, via a three-point value lattice
 //!    over the same dataflow engine.
+//! 9. [`source`] — token-level rules over every shipped line:
+//!    `no-panic`, `no-wallclock`, `no-hash-export` on the export paths,
+//!    and `forbid-unsafe` on every crate and binary root.
 //!
-//! Escapes use the same `// lint: allow(rule) — reason` markers as
-//! csim-lint (reasons mandatory, every suppression counted in the
-//! report); traversal boundaries use `// analyze: cold — reason`.
+//! Escapes are `// lint: allow(rule) — reason` markers (reasons
+//! mandatory, every suppression counted in the report); traversal
+//! boundaries use `// analyze: cold — reason`.
 //! The report serializes as `csim-analyze-report/v1`, byte-stable
 //! across runs, via [`csim_obs::json`]. The `csim-analyze` binary is
 //! the CI entry point, and [`baseline`] gives it a findings ratchet:
@@ -60,9 +62,11 @@ pub mod exactness;
 pub mod graph;
 pub mod hotpath;
 pub mod layering;
+pub mod lex;
 pub mod model;
 pub mod panicfree;
 pub mod report;
+pub mod source;
 pub mod taint;
 pub mod unwind;
 
@@ -74,7 +78,7 @@ pub use graph::CallGraph;
 pub use model::Workspace;
 pub use report::{AnalysisReport, Finding, Pass, Suppression, REPORT_SCHEMA};
 
-/// Loads the workspace at `root` and runs all eight passes.
+/// Loads the workspace at `root` and runs all nine passes.
 ///
 /// # Errors
 ///
@@ -140,6 +144,11 @@ pub fn analyze_model(ws: &Workspace) -> AnalysisReport {
     rep.exact_sites = ex.exact_sites;
     rep.findings.extend(ex.findings);
     rep.suppressions.extend(ex.suppressions);
+
+    let src = source::run(ws);
+    rep.source_files = src.files;
+    rep.findings.extend(src.findings);
+    rep.suppressions.extend(src.suppressions);
 
     rep.sort();
     rep

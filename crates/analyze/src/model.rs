@@ -3,7 +3,7 @@
 //! One walk of the source tree produces:
 //!
 //! * a [`SourceFile`] per `.rs` file — its lexed token stream (via the
-//!   shared [`csim_check::lex`] lexer), its crate, its section
+//!   [`crate::lex`] lexer), its crate, its section
 //!   (shipped `src/`, binary, tests, examples), its identifier index,
 //!   and its analysis markers;
 //! * a [`FnItem`] per function — name, impl qualifier, 1-based line,
@@ -26,7 +26,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use csim_check::lex::{lex, markers, Marker, MarkerKind, TokKind};
+use crate::lex::{lex, markers, Marker, MarkerKind, TokKind};
 
 /// Where a file sits in the workspace, which determines which passes
 /// cover it.

@@ -24,8 +24,8 @@
 //! `// analyze: total — reason` within three lines, a function-level
 //! `// analyze: total — reason` above the `fn`, a
 //! `// lint: allow(<rule>) — reason`, or (for `panic-path` only) an
-//! existing `// lint: allow(no-panic) — reason`, which csim-lint
-//! already vets for the same claim. Every discharge by contract is
+//! existing `// lint: allow(no-panic) — reason`, which the
+//! [`crate::source`] pass already vets for the same claim. Every discharge by contract is
 //! counted as a suppression in the report.
 //!
 //! Facts are must-facts: joined by intersection at CFG merges, killed
@@ -36,7 +36,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use csim_check::lex::TokKind;
+use crate::lex::TokKind;
 
 use crate::cfg::{Cfg, EdgeKind};
 use crate::dataflow::{fixpoint, Analysis};
@@ -1408,7 +1408,7 @@ mod tests {
         );
         assert_eq!(rules(&r), ["panic-path"], "{:?}", r.findings);
         // `not_reached` has no caller chain from main, so its panic is
-        // out of scope for this pass (csim-lint still bans it).
+        // out of scope for this pass (the source pass still bans it).
         assert_eq!(r.findings[0].line, 1);
         assert_eq!(r.findings[0].chain, ["main", "entry"]);
     }

@@ -33,6 +33,8 @@ pub enum Pass {
     PanicFree,
     /// f64 integer-exactness proof at `// analyze: exact` sites.
     Exactness,
+    /// Token-level source rules over every shipped line.
+    Source,
 }
 
 impl Pass {
@@ -47,6 +49,7 @@ impl Pass {
             Pass::Unwind => "unwind",
             Pass::PanicFree => "panic-free",
             Pass::Exactness => "exactness",
+            Pass::Source => "source",
         }
     }
 }
@@ -123,6 +126,8 @@ pub struct AnalysisReport {
     pub reachable_fns: usize,
     /// `// analyze: exact` statements verified by the exactness pass.
     pub exact_sites: usize,
+    /// Shipped files checked by the token-level source rules.
+    pub source_files: usize,
 }
 
 impl AnalysisReport {
@@ -192,6 +197,7 @@ impl AnalysisReport {
                     ("pub_items", Json::UInt(self.pub_items as u64)),
                     ("reachable_fns", Json::UInt(self.reachable_fns as u64)),
                     ("exact_sites", Json::UInt(self.exact_sites as u64)),
+                    ("source_files", Json::UInt(self.source_files as u64)),
                 ]),
             ),
             ("clean", Json::Bool(self.is_clean())),
@@ -226,9 +232,14 @@ impl AnalysisReport {
                 let _ = writeln!(out, "  {}:{}: {} — {}", c.file, c.line, c.func, c.reason);
             }
         }
+        let source_escapes = self
+            .suppressions
+            .iter()
+            .filter(|s| crate::source::RULES.contains(&s.rule.as_str()))
+            .count();
         let _ = writeln!(
             out,
-            "csim-analyze: {} findings, {} suppressed, {} cold boundaries; {} crates, {} files, {} fns, {} hot roots, {} pub items, {} panic-free reachable fns, {} exact sites",
+            "csim-analyze: {} findings, {} suppressed, {} cold boundaries; {} crates, {} files, {} fns, {} hot roots, {} pub items, {} panic-free reachable fns, {} exact sites, {} source-rule files ({} escapes)",
             self.findings.len(),
             self.suppressions.len(),
             self.cold_boundaries.len(),
@@ -239,6 +250,8 @@ impl AnalysisReport {
             self.pub_items,
             self.reachable_fns,
             self.exact_sites,
+            self.source_files,
+            source_escapes,
         );
         out
     }
@@ -273,6 +286,7 @@ mod tests {
             pub_items: 4,
             reachable_fns: 3,
             exact_sites: 2,
+            source_files: 2,
         };
         r.sort();
         r

@@ -1,9 +1,9 @@
 //! Pass 3 — interprocedural determinism taint.
 //!
 //! The workspace's contract is that every exported artifact (SimReport,
-//! JSON exports, sweep merges) is byte-stable across runs. The existing
-//! `csim-lint` gate bans hash-container *tokens* in export files; this
-//! pass goes further and tracks *flow*: a function that iterates a
+//! JSON exports, sweep merges) is byte-stable across runs. The
+//! [`crate::source`] pass bans hash-container *tokens* in export files;
+//! this pass goes further and tracks *flow*: a function that iterates a
 //! `HashMap`/`HashSet` (directly, via a type alias like `LineMap`, or
 //! via a hash-typed struct field) produces order-nondeterministic data,
 //! and so — transitively — does everything that calls it. Wall-clock
@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use csim_check::lex::TokKind;
+use crate::lex::TokKind;
 
 use crate::graph::CallGraph;
 use crate::model::{FnItem, Workspace};
@@ -30,8 +30,8 @@ use crate::report::{Finding, Pass, Suppression};
 const ITER_METHODS: &[&str] =
     &["iter", "iter_mut", "keys", "values", "values_mut", "into_iter", "drain", "into_keys", "into_values"];
 
-/// Files whose functions count as export sinks (mirrors the csim-lint
-/// export policy, plus the sweep merge path).
+/// Files whose functions count as export sinks: the source pass's
+/// [`crate::source::EXPORT_PATHS`], plus prof and the sweep merge path.
 const SINK_PATHS: &[&str] = &[
     "crates/obs/src/",
     "crates/stats/src/",

@@ -89,7 +89,7 @@ pub fn run_with_policy(
             .iter()
             .zip(body.iter().skip(1))
             .filter(|(t, next)| {
-                t.kind == csim_check::lex::TokKind::Ident
+                t.kind == crate::lex::TokKind::Ident
                     && file.text(**t) == "catch_unwind"
                     && file.text(**next) == "("
             })

@@ -14,7 +14,7 @@ use std::fs;
 use std::path::Path;
 
 use csim_analyze::model::{Section, Workspace};
-use csim_analyze::{analyze_model, AnalysisReport};
+use csim_analyze::{analyze_model, AnalysisReport, Pass};
 
 /// Reads a fixture from `tests/fixtures/`.
 fn fixture(name: &str) -> String {
@@ -314,5 +314,194 @@ fn reasoned_escape_suppresses_and_reasonless_escape_is_inert() {
             .any(|f| f.rule == "taint-export" && f.message.contains("fixture_unsorted_export")),
         "{:?}",
         rep.findings
+    );
+}
+
+/// The 1-based line of the first occurrence of `needle` in a fixture.
+fn line_of(fixture_name: &str, needle: &str) -> usize {
+    fixture(fixture_name)
+        .lines()
+        .position(|l| l.contains(needle))
+        .map(|i| i + 1)
+        .unwrap_or_else(|| panic!("{needle:?} not in {fixture_name}"))
+}
+
+/// `(line, rule)` of every source-rule finding, sorted.
+fn source_hits(rep: &AnalysisReport) -> Vec<(usize, &str)> {
+    let mut hits: Vec<(usize, &str)> = rep
+        .findings
+        .iter()
+        .filter(|f| f.pass == Pass::Source)
+        .map(|f| (f.line, f.rule.as_str()))
+        .collect();
+    hits.sort_unstable();
+    hits
+}
+
+#[test]
+fn no_panic_fires_on_every_panicking_call_but_not_on_unwrap_or() {
+    let rep = analyze_mounted(&[(
+        "crates/cache/src/scratch.rs",
+        "cache",
+        Section::Src,
+        "source_violations.rs",
+    )]);
+    let fix = "source_violations.rs";
+    let panics: Vec<usize> =
+        source_hits(&rep).into_iter().filter(|(_, r)| *r == "no-panic").map(|(l, _)| l).collect();
+    let expected: Vec<usize> = [
+        "x.unwrap()",
+        "x.expect(",
+        "panic!(",
+        "todo!(",
+        "unimplemented!(",
+        "unreachable!(",
+        "['é', y.unwrap()]",
+    ]
+    .iter()
+    .map(|n| line_of(fix, n))
+    .collect();
+    assert_eq!(panics, expected);
+    let f = rep.findings.iter().find(|f| f.rule == "no-panic").expect("a no-panic finding");
+    assert_eq!(f.file, "crates/cache/src/scratch.rs");
+    assert_eq!(f.excerpt, "x.unwrap()");
+}
+
+#[test]
+fn no_wallclock_fires_on_instant_now_and_system_time() {
+    let rep = analyze_mounted(&[(
+        "crates/cache/src/scratch.rs",
+        "cache",
+        Section::Src,
+        "source_violations.rs",
+    )]);
+    let fix = "source_violations.rs";
+    let clocks: Vec<(usize, &str)> =
+        source_hits(&rep).into_iter().filter(|(_, r)| *r == "no-wallclock").collect();
+    assert_eq!(
+        clocks,
+        [
+            (line_of(fix, "Instant::now()"), "no-wallclock"),
+            (line_of(fix, "-> std::time::SystemTime"), "no-wallclock"),
+        ]
+    );
+}
+
+#[test]
+fn no_hash_export_fires_only_on_export_paths() {
+    let fix = "source_violations.rs";
+    let export =
+        analyze_mounted(&[("crates/obs/src/json.rs", "obs", Section::Src, fix)]);
+    let hashes: Vec<usize> = source_hits(&export)
+        .into_iter()
+        .filter(|(_, r)| *r == "no-hash-export")
+        .map(|(l, _)| l)
+        .collect();
+    assert_eq!(
+        hashes,
+        [
+            line_of(fix, "use std::collections::HashMap;"),
+            line_of(fix, "-> HashMap<u8, u8>"),
+            line_of(fix, "HashMap::new()"),
+        ]
+    );
+    let plain = analyze_mounted(&[(
+        "crates/coherence/src/directory.rs",
+        "coherence",
+        Section::Src,
+        fix,
+    )]);
+    assert!(
+        source_hits(&plain).iter().all(|(_, r)| *r != "no-hash-export"),
+        "hash maps are fine off the export paths: {:?}",
+        source_hits(&plain)
+    );
+}
+
+#[test]
+fn forbid_unsafe_fires_on_a_lib_root_without_the_attribute() {
+    let rep = analyze_mounted(&[
+        ("crates/cache/src/lib.rs", "cache", Section::Src, "root_without_forbid.rs"),
+        ("crates/noc/src/lib.rs", "noc", Section::Src, "root_with_forbid.rs"),
+        ("crates/noc/src/model.rs", "noc", Section::Src, "root_without_forbid.rs"),
+    ]);
+    let f: Vec<(&str, usize, &str)> = rep
+        .findings
+        .iter()
+        .filter(|f| f.pass == Pass::Source)
+        .map(|f| (f.file.as_str(), f.line, f.rule.as_str()))
+        .collect();
+    assert_eq!(f, [("crates/cache/src/lib.rs", 1, "forbid-unsafe")]);
+}
+
+#[test]
+fn forbid_unsafe_fires_on_a_bin_root_without_the_attribute() {
+    let rep = analyze_mounted(&[
+        ("src/bin/tool.rs", "(root)", Section::Bin, "root_without_forbid.rs"),
+        ("crates/bench/src/bin/other.rs", "bench", Section::Bin, "root_with_forbid.rs"),
+        ("crates/bench/src/bin/other/helper.rs", "bench", Section::Bin, "root_without_forbid.rs"),
+    ]);
+    let f: Vec<(&str, usize, &str)> = rep
+        .findings
+        .iter()
+        .filter(|f| f.pass == Pass::Source)
+        .map(|f| (f.file.as_str(), f.line, f.rule.as_str()))
+        .collect();
+    assert_eq!(f, [("src/bin/tool.rs", 1, "forbid-unsafe")]);
+}
+
+#[test]
+fn banned_tokens_in_comments_strings_and_test_code_do_not_fire() {
+    let fix = "source_exempt.rs";
+    let rep = analyze_mounted(&[("crates/obs/src/json.rs", "obs", Section::Src, fix)]);
+    // Only the violation after the test module closes is real.
+    assert_eq!(source_hits(&rep), [(line_of(fix, "y.unwrap()"), "no-panic")]);
+}
+
+#[test]
+fn bench_files_may_unwrap_but_not_read_the_clock() {
+    let rep = analyze_mounted(&[(
+        "crates/bench/src/lib.rs",
+        "bench",
+        Section::Src,
+        "source_violations.rs",
+    )]);
+    let rules: BTreeSet<&str> = source_hits(&rep).into_iter().map(|(_, r)| r).collect();
+    // The fixture has no forbid attribute, and lib.rs is a crate root.
+    assert_eq!(rules, BTreeSet::from(["forbid-unsafe", "no-wallclock"]));
+}
+
+#[test]
+fn reasoned_markers_within_three_lines_suppress_source_rules() {
+    let fix = "source_escapes.rs";
+    let rep = analyze_mounted(&[("crates/config/src/system.rs", "config", Section::Src, fix)]);
+    let mut suppressed: Vec<(usize, &str)> = rep
+        .suppressions
+        .iter()
+        .map(|s| (s.line, s.rule.as_str()))
+        .collect();
+    suppressed.sort_unstable();
+    let stacked = line_of(fix, "(g.unwrap(), std::time::Instant::now())");
+    assert_eq!(
+        suppressed,
+        [
+            (line_of(fix, "— geometry") + 1, "no-panic"),
+            (line_of(fix, "— the wrapped call") + 3, "no-panic"),
+            (stacked, "no-panic"),
+            (stacked, "no-wallclock"),
+            (line_of(fix, "— exercised in a test") + 1, "no-panic"),
+        ]
+    );
+    let reason = &rep.suppressions.iter().find(|s| s.line == line_of(fix, "— geometry") + 1);
+    assert!(reason.is_some_and(|s| s.reason.contains("compile-time")), "{reason:?}");
+    // Out of range, reasonless, and string-borne markers leave their
+    // findings in force.
+    assert_eq!(
+        source_hits(&rep),
+        [
+            (line_of(fix, "— four lines") + 4, "no-panic"),
+            (line_of(fix, "fn fixture_reasonless") + 2, "no-panic"),
+            (line_of(fix, "fake, inside a string") + 1, "no-panic"),
+        ]
     );
 }

@@ -1,21 +1,21 @@
-//! Property tests for the shared lexer every analysis tool stands on.
+//! Property tests for the lexer every analysis pass stands on.
 //!
-//! The lexer is the root of trust for `csim-lint` and `csim-analyze`:
-//! if it panics, the gates go down; if it drops bytes, offsets and line
-//! numbers lie. Two properties, each checked two ways:
+//! The lexer is the root of trust for `csim-analyze`: if it panics,
+//! the gate goes down; if it drops bytes, offsets and line numbers lie.
+//! Two properties, each checked two ways:
 //!
-//! * **Total** — `lex`, `strip_noncode`, and `markers` never panic, on
-//!   thousands of adversarial byte strings drawn from the workspace's
-//!   deterministic [`SimRng`] (no external fuzzing crates).
-//! * **Lossless** — token texts tile the input exactly, and
-//!   `strip_noncode` preserves byte length and newline positions — on
-//!   the same random inputs *and* on every real `.rs` file in the
-//!   workspace.
+//! * **Total** — `lex` and `markers` never panic, on thousands of
+//!   adversarial byte strings drawn from the workspace's deterministic
+//!   [`SimRng`] (no external fuzzing crates).
+//! * **Lossless** — token texts tile the input exactly, with gapless
+//!   offsets and line numbers that count the newlines before each
+//!   token — on the same random inputs *and* on every real `.rs` file
+//!   in the workspace.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use csim_check::lex::{lex, markers, strip_noncode};
+use csim_analyze::lex::{lex, markers};
 use csim_trace::SimRng;
 
 /// Characters the generator favors: the lexer's tricky alphabet —
@@ -44,20 +44,16 @@ fn check_invariants(src: &str) {
     // Losslessness: token slices tile the input exactly.
     let rebuilt: String = toks.iter().map(|t| t.text).collect();
     assert_eq!(rebuilt, src, "lex must tile the input");
-    // Offsets agree with the tiling.
+    // Offsets agree with the tiling, and each token's line counts the
+    // newlines before it.
     let mut at = 0usize;
+    let mut line = 1usize;
     for t in &toks {
         assert_eq!(t.start, at, "token offsets must be gapless");
+        assert_eq!(t.line, line, "token line must count the newlines before it");
         at += t.text.len();
+        line += t.text.bytes().filter(|&b| b == b'\n').count();
     }
-    // strip_noncode preserves byte length and newline structure.
-    let stripped = strip_noncode(src);
-    assert_eq!(stripped.len(), src.len(), "strip must preserve byte length");
-    let src_newlines: Vec<usize> =
-        src.bytes().enumerate().filter(|(_, b)| *b == b'\n').map(|(i, _)| i).collect();
-    let stripped_newlines: Vec<usize> =
-        stripped.bytes().enumerate().filter(|(_, b)| *b == b'\n').map(|(i, _)| i).collect();
-    assert_eq!(stripped_newlines, src_newlines, "strip must preserve newline positions");
     // markers() is total (it returns; content is input-dependent).
     let _ = markers(src);
 }

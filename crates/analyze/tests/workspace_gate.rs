@@ -58,6 +58,18 @@ fn the_workspace_is_ratchet_clean() {
         "only {} `analyze: exact` sites audited — the exactness pass lost its markers",
         rep.exact_sites
     );
+    assert!(
+        rep.source_files > 90,
+        "only {} shipped files under the source rules — the src/ walk lost files",
+        rep.source_files
+    );
+}
+
+#[test]
+fn a_root_without_crates_is_an_error() {
+    let err = analyze_workspace(&repo_root().join("crates/analyze/tests/fixtures"))
+        .expect_err("fixtures/ is not a workspace root");
+    assert!(err.to_string().contains("not the workspace root"), "{err}");
 }
 
 #[test]

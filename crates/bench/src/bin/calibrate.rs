@@ -5,6 +5,8 @@
 //! Usage: `cargo run --release -p csim-bench --bin calibrate [warm] [run]`
 //! (references per node, defaults 2M / 4M).
 
+#![forbid(unsafe_code)]
+
 use csim_config::{IntegrationLevel, SystemConfig};
 use csim_core::{SimReport, Simulation};
 use csim_stats::TextTable;

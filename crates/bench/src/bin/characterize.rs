@@ -6,6 +6,8 @@
 //!
 //! Usage: `cargo run --release -p csim-bench --bin characterize [refs_per_node]`
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, HashSet};
 
 use csim_cache::StackDistance;

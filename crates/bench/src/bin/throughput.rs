@@ -41,6 +41,8 @@
 //! simulation code; this harness measures the simulator from outside, so
 //! the readings never touch a report that must be deterministic.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use csim_cache::{Cache, ReferenceCache};

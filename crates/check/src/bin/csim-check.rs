@@ -9,6 +9,8 @@
 //! Exit status: 0 when every requested configuration verifies clean,
 //! 1 on a violation or truncated search, 2 on usage errors.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use csim_check::model::CheckConfig;

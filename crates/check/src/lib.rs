@@ -21,25 +21,16 @@
 //!    cross-checking every directory transition against a shadow copy.
 //!    Off by default with a zero-overhead contract: reports are
 //!    bit-identical with the sanitizer disabled.
-//!
-//! The crate also ships [`lint`], a dependency-free source gate for the
-//! workspace's determinism and no-panic contracts, exposed as the
-//! `csim-lint` binary, and [`lex`], the lossless hand-rolled Rust lexer
-//! that both `csim-lint` and the deeper `csim-analyze` workspace
-//! analyzer build on.
 
 #![forbid(unsafe_code)]
 
 pub mod explore;
 pub mod invariants;
-pub mod lex;
-pub mod lint;
 pub mod model;
 pub mod sanitizer;
 pub mod spec;
 
 pub use explore::{explore, replay, CheckReport, Counterexample};
 pub use invariants::{check_state, Invariant, Violation};
-pub use lint::{lint_workspace, LintReport, LintRule};
 pub use model::{Action, CacheState, CheckConfig, ModelState};
 pub use sanitizer::{Sanitizer, SanitizerError};

@@ -25,13 +25,14 @@
 //!
 //! Plans are built in code or loaded from a small TOML dialect (see
 //! [`FaultPlan::from_toml_str`]); `examples/fault_storm.toml` in the
-//! workspace root is a complete annotated example.
+//! workspace root is a complete annotated example. The dialect's reader,
+//! [`toml`], is shared with the sweep-plan loader.
 
 #![forbid(unsafe_code)]
 
 mod inject;
 mod plan;
-mod toml;
+pub mod toml;
 
 pub use inject::{FaultInjector, FaultStats, TransactionKind};
 pub use plan::{FaultPlan, FaultPlanError, LinkFault, McFault, NackPlan, NetworkParams, RetryPolicy};

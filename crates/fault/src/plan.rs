@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::toml::{self, TomlValue};
+use crate::toml::{self, TomlError};
 
 /// How a NACKed requester retries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -217,12 +217,13 @@ impl FaultPlan {
                 "nack" => {
                     let NackPlan { mut prob, mut retry } = plan.nack;
                     for (key, value, line) in item.entries {
+                        let v = value.as_scalar(line)?;
                         match key.as_str() {
-                            "prob" => prob = value.as_f64(line)?,
-                            "max_retries" => retry.max_retries = value.as_u64(line)? as u32,
-                            "backoff_base" => retry.backoff_base = value.as_u64(line)?,
-                            "backoff_cap" => retry.backoff_cap = value.as_u64(line)?,
-                            "exponential" => retry.exponential = value.as_bool(line)?,
+                            "prob" => prob = v.as_f64(line)?,
+                            "max_retries" => retry.max_retries = v.as_u64(line)? as u32,
+                            "backoff_base" => retry.backoff_base = v.as_u64(line)?,
+                            "backoff_cap" => retry.backoff_cap = v.as_u64(line)?,
+                            "exponential" => retry.exponential = v.as_bool(line)?,
                             other => return Err(unknown_key("nack", other, line)),
                         }
                     }
@@ -230,9 +231,10 @@ impl FaultPlan {
                 }
                 "network" => {
                     for (key, value, line) in item.entries {
+                        let v = value.as_scalar(line)?;
                         match key.as_str() {
-                            "mean_hops" => plan.network.mean_hops = value.as_f64(line)?,
-                            "line_cycles" => plan.network.line_cycles = value.as_f64(line)?,
+                            "mean_hops" => plan.network.mean_hops = v.as_f64(line)?,
+                            "line_cycles" => plan.network.line_cycles = v.as_f64(line)?,
                             other => return Err(unknown_key("network", other, line)),
                         }
                     }
@@ -240,10 +242,11 @@ impl FaultPlan {
                 "link_fault" => {
                     let mut f = LinkFault { start: 0, duration: 0, capacity: 1.0 };
                     for (key, value, line) in item.entries {
+                        let v = value.as_scalar(line)?;
                         match key.as_str() {
-                            "start" => f.start = value.as_u64(line)?,
-                            "duration" => f.duration = value.as_u64(line)?,
-                            "capacity" => f.capacity = value.as_f64(line)?,
+                            "start" => f.start = v.as_u64(line)?,
+                            "duration" => f.duration = v.as_u64(line)?,
+                            "capacity" => f.capacity = v.as_f64(line)?,
                             other => return Err(unknown_key("link_fault", other, line)),
                         }
                     }
@@ -252,10 +255,11 @@ impl FaultPlan {
                 "mc_fault" => {
                     let mut f = McFault { start: 0, duration: 0, extra_cycles: 0 };
                     for (key, value, line) in item.entries {
+                        let v = value.as_scalar(line)?;
                         match key.as_str() {
-                            "start" => f.start = value.as_u64(line)?,
-                            "duration" => f.duration = value.as_u64(line)?,
-                            "extra_cycles" => f.extra_cycles = value.as_u64(line)?,
+                            "start" => f.start = v.as_u64(line)?,
+                            "duration" => f.duration = v.as_u64(line)?,
+                            "extra_cycles" => f.extra_cycles = v.as_u64(line)?,
                             other => return Err(unknown_key("mc_fault", other, line)),
                         }
                     }
@@ -313,37 +317,9 @@ impl fmt::Display for FaultPlanError {
 
 impl Error for FaultPlanError {}
 
-// Re-exported here so `toml.rs` stays private.
-impl TomlValue {
-    pub(crate) fn as_f64(&self, line: usize) -> Result<f64, FaultPlanError> {
-        match self {
-            TomlValue::Float(v) => Ok(*v),
-            TomlValue::Integer(v) => Ok(*v as f64),
-            other => Err(FaultPlanError::Parse {
-                line,
-                message: format!("expected a number, found {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn as_u64(&self, line: usize) -> Result<u64, FaultPlanError> {
-        match self {
-            TomlValue::Integer(v) => Ok(*v),
-            other => Err(FaultPlanError::Parse {
-                line,
-                message: format!("expected an integer, found {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn as_bool(&self, line: usize) -> Result<bool, FaultPlanError> {
-        match self {
-            TomlValue::Bool(v) => Ok(*v),
-            other => Err(FaultPlanError::Parse {
-                line,
-                message: format!("expected true or false, found {other:?}"),
-            }),
-        }
+impl From<TomlError> for FaultPlanError {
+    fn from(e: TomlError) -> Self {
+        FaultPlanError::Parse { line: e.line, message: e.message }
     }
 }
 
@@ -470,6 +446,21 @@ mod tests {
         assert!(matches!(err, FaultPlanError::Parse { .. }), "{err}");
         let err = FaultPlan::from_toml_str("[nack]\nexponential = 3\n").unwrap_err();
         assert!(matches!(err, FaultPlanError::Parse { .. }), "{err}");
+    }
+
+    #[test]
+    fn toml_rejects_strings_and_lists() {
+        let err = FaultPlan::from_toml_str("[nack]\nprob = \"0.5\"\n").unwrap_err();
+        assert!(matches!(err, FaultPlanError::Parse { line: 2, .. }), "{err}");
+        let err = FaultPlan::from_toml_str("[[mc_fault]]\nstart = [1, 2]\n").unwrap_err();
+        assert!(matches!(err, FaultPlanError::Parse { line: 2, .. }), "{err}");
+    }
+
+    #[test]
+    fn toml_accepts_underscore_separators() {
+        let plan =
+            FaultPlan::from_toml_str("[[mc_fault]]\nstart = 100_000\nduration = 1_000\n").unwrap();
+        assert_eq!(plan.mc_faults, vec![McFault { start: 100_000, duration: 1000, extra_cycles: 0 }]);
     }
 
     #[test]

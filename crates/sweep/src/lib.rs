@@ -67,7 +67,6 @@ mod grid;
 mod merge;
 mod plan;
 mod shard;
-mod toml;
 
 pub use checkpoint::CHECKPOINT_SCHEMA;
 pub use engine::{

@@ -4,10 +4,9 @@ use std::error::Error;
 use std::fmt;
 
 use csim_config::IntegrationLevel;
+use csim_fault::toml::{self, TomlError};
 use csim_trace::SimRng;
 use csim_workload::OltpParams;
-
-use crate::toml;
 
 /// One L2 geometry of the grid: size, associativity, and the spec string
 /// it was written as (used verbatim in run labels).
@@ -184,6 +183,12 @@ impl SweepPlan {
         let mut base_seed: Option<u64> = None;
         let mut runs_per_config: Option<u64> = None;
         for item in toml::parse(input)? {
+            if item.array {
+                return Err(SweepError::Parse {
+                    line: item.line,
+                    message: format!("table arrays ([[{}]]) are not part of the sweep dialect", item.table),
+                });
+            }
             match item.table.as_str() {
                 "sweep" => {
                     for (key, value, line) in item.entries {
@@ -323,7 +328,13 @@ impl SweepPlan {
 }
 
 fn list_of_u64(value: &toml::TomlValue, line: usize) -> Result<Vec<u64>, SweepError> {
-    value.as_list(line)?.iter().map(|s| s.as_u64(line)).collect()
+    Ok(value.as_list(line)?.iter().map(|s| s.as_u64(line)).collect::<Result<_, _>>()?)
+}
+
+impl From<TomlError> for SweepError {
+    fn from(e: TomlError) -> Self {
+        SweepError::Parse { line: e.line, message: e.message }
+    }
 }
 
 fn unknown_key(table: &str, key: &str, line: usize) -> SweepError {
@@ -546,5 +557,12 @@ mod tests {
     fn errors_display_their_location() {
         let err = SweepPlan::from_toml_str("[grid]\nl2 = [\"2M3w\"]\n").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn table_arrays_are_rejected_at_their_header() {
+        let err = SweepPlan::from_toml_str("[sweep]\nmeas = 10\n[[grid]]\nnodes = [1]\n")
+            .unwrap_err();
+        assert!(matches!(err, SweepError::Parse { line: 3, .. }), "{err}");
     }
 }

@@ -96,6 +96,8 @@
 //!                        to a single-process run of the same plan
 //! ```
 
+#![forbid(unsafe_code)]
+
 use oltp_chip_integration::obs::{json, REPORT_QUANTILES};
 use oltp_chip_integration::prelude::*;
 use oltp_chip_integration::prof::chrome::TraceDoc;
