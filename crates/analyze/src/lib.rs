@@ -28,7 +28,7 @@
 //!    shared-state mutators (checkpoint log, merge accumulators,
 //!    hostprof stripes) without re-validation after the catch.
 //! 7. [`panicfree`] — panic-freedom for everything reachable from the
-//!    `csim`/`csim-sweep` entry points: per-function CFGs ([`cfg`])
+//!    `csim`/`csim-sweep` entry points: per-function CFGs ([`mod@cfg`])
 //!    plus a forward must-facts dataflow ([`dataflow`]) prove that
 //!    indexing is bounds-checked, `unwrap`/`expect` follow a dominating
 //!    `Some`/`Ok` check, and `.len() - k` can't underflow — or the site

@@ -45,7 +45,8 @@
 
 use std::time::Instant;
 
-use csim_cache::{Cache, ReferenceCache};
+use csim_bench::ReferenceCache;
+use csim_cache::Cache;
 use csim_config::{CacheGeometry, IntegrationLevel, SystemConfig};
 use csim_core::Simulation;
 use csim_prof::{HostSampler, RegionReport};

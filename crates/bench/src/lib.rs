@@ -15,8 +15,13 @@
 //!   `CSIM_WARM_MP` / `CSIM_MEAS_MP`, defaults 2.5M / 2M).
 //! * `CSIM_QUICK=1` — shrink everything ~5x for smoke testing.
 //! * `CSIM_STRICT=1` — panic when a paper claim fails to reproduce.
+//!
+//! [`ReferenceCache`] is the seed's cache kernel, kept here as the
+//! differential oracle and speed baseline for [`csim_cache::Cache`].
 
 #![forbid(unsafe_code)]
+
+mod reference;
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -25,6 +30,8 @@ use csim_config::SystemConfig;
 use csim_core::{SimReport, Simulation};
 use csim_stats::{BarChart, TextTable};
 use csim_workload::OltpParams;
+
+pub use reference::ReferenceCache;
 
 /// A labeled configuration in a figure's sweep.
 #[derive(Clone, Debug)]

@@ -1,20 +1,19 @@
 //! The retained *reference* cache implementation.
 //!
 //! This is the original struct-of-fields model the simulator shipped with
-//! before the packed-slot hot-path rewrite of [`crate::Cache`]. It is kept —
-//! unchanged in behaviour — as the oracle for differential testing: the
-//! optimized model must produce bit-identical outcomes, statistics, and
-//! resident-line sets on any operation stream. `tests/sweep_identity.rs`
+//! before the packed-slot hot-path rewrite of [`csim_cache::Cache`]. It is
+//! kept — unchanged in behaviour — as the oracle for differential testing:
+//! the optimized model must produce bit-identical outcomes, statistics,
+//! and resident-line sets on any operation stream. `tests/sweep_identity.rs`
 //! drives both implementations with one million `SimRng`-generated
 //! operations (including the non-power-of-two 1.25 MB geometry) and asserts
-//! exact agreement.
+//! exact agreement, and `throughput --check` gates the optimized kernel's
+//! speed against it.
 //!
 //! Do not optimize this file. Its value is that it stays simple and slow.
 
+use csim_cache::{CacheStats, Evicted, Outcome};
 use csim_config::CacheGeometry;
-
-use crate::model::{Evicted, Outcome};
-use crate::stats::CacheStats;
 
 #[derive(Clone, Copy, Debug)]
 struct Slot {
@@ -27,11 +26,11 @@ const EMPTY: Slot = Slot { tag: 0, valid: false, dirty: false };
 
 /// Straightforward set-associative, write-back, true-LRU cache — the seed
 /// engine's implementation, preserved as a differential-testing oracle for
-/// the optimized [`crate::Cache`].
+/// the optimized [`csim_cache::Cache`].
 ///
-/// Semantics are identical to [`crate::Cache`]: MRU→LRU slot order within a
-/// set, modulo set indexing (non-power-of-two set counts are legal), and the
-/// same statistics counters.
+/// Semantics are identical to [`csim_cache::Cache`]: MRU→LRU slot order
+/// within a set, modulo set indexing (non-power-of-two set counts are
+/// legal), and the same statistics counters.
 #[derive(Clone, Debug)]
 pub struct ReferenceCache {
     geometry: CacheGeometry,
@@ -76,7 +75,7 @@ impl ReferenceCache {
         (start, start + self.assoc)
     }
 
-    /// Looks a line up and updates LRU state. See [`crate::Cache::access`].
+    /// Looks a line up and updates LRU state. See [`csim_cache::Cache::access`].
     // analyze: total — set_range selects a window inside slots: the set index is reduced modulo n_sets and slots holds n_sets*assoc entries from construction
     pub fn access(&mut self, line: u64, write: bool) -> Outcome {
         let (start, end) = self.set_range(line);
@@ -90,11 +89,13 @@ impl ReferenceCache {
                 // Rotate to MRU position.
                 set.copy_within(0..i, 1);
                 set[0] = slot;
-                self.stats.record_hit(write);
+                self.stats.hits += 1;
+                self.stats.write_hits += u64::from(write);
                 return Outcome::Hit;
             }
         }
-        self.stats.record_miss(write);
+        self.stats.misses += 1;
+        self.stats.write_misses += u64::from(write);
         Outcome::Miss
     }
 
@@ -112,7 +113,7 @@ impl ReferenceCache {
         self.slots[start..end].iter().any(|s| s.valid && s.tag == line && s.dirty)
     }
 
-    /// Installs a line at the MRU position. See [`crate::Cache::insert`].
+    /// Installs a line at the MRU position. See [`csim_cache::Cache::insert`].
     // analyze: total — set_range selects a window inside slots: the set index is reduced modulo n_sets and slots holds n_sets*assoc entries from construction
     pub fn insert(&mut self, line: u64, dirty: bool) -> Option<Evicted> {
         debug_assert!(!self.contains(line), "inserting line {line:#x} that is already cached");
@@ -124,7 +125,8 @@ impl ReferenceCache {
         set.copy_within(0..victim_idx, 1);
         set[0] = Slot { tag: line, valid: true, dirty };
         if victim.valid {
-            self.stats.record_eviction(victim.dirty);
+            self.stats.evictions += 1;
+            self.stats.dirty_evictions += u64::from(victim.dirty);
             Some(Evicted { line: victim.tag, dirty: victim.dirty })
         } else {
             None
@@ -143,7 +145,7 @@ impl ReferenceCache {
                 set.copy_within(i + 1.., i);
                 let last = set.len() - 1;
                 set[last] = EMPTY;
-                self.stats.record_invalidation();
+                self.stats.invalidations += 1;
                 return Some(dirty);
             }
         }

@@ -28,11 +28,9 @@
 #![forbid(unsafe_code)]
 
 mod model;
-mod reference;
 mod stack_distance;
 mod stats;
 
 pub use model::{Cache, Evicted, Outcome};
-pub use reference::ReferenceCache;
 pub use stack_distance::StackDistance;
 pub use stats::CacheStats;

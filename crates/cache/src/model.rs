@@ -47,8 +47,8 @@
 //! handful of slots, too few for a `memmove` call to pay off.
 //!
 //! Semantics are bit-identical to the retained seed implementation
-//! ([`crate::ReferenceCache`]); `tests/sweep_identity.rs` proves it on a
-//! million-operation randomized stream per geometry.
+//! (`csim_bench::ReferenceCache`, in bench support); `tests/sweep_identity.rs`
+//! proves it on a million-operation randomized stream per geometry.
 
 use csim_config::CacheGeometry;
 

@@ -4,7 +4,7 @@
 //! depth — the counterexample trace is the *shortest* sequence of
 //! protocol events that breaks the invariant, which is what makes it
 //! readable. The visited set is keyed by the compact
-//! [`encode`](crate::model::encode) form; only keys, parent indices and
+//! [`encode`] form; only keys, parent indices and
 //! the arriving action are stored, so the frontier stays small and the
 //! trace is rebuilt by walking parent pointers.
 //!

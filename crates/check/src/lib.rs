@@ -10,7 +10,7 @@
 //!    implementation of the directory transition relation. A protocol
 //!    bug now has to be made twice, in two different shapes, to go
 //!    unnoticed.
-//! 2. **An explicit-state model checker** ([`explore`]) — exhaustively
+//! 2. **An explicit-state model checker** ([`mod@explore`]) — exhaustively
 //!    enumerates every reachable state of bounded configurations
 //!    (2–4 nodes, 1–4 lines, NACK/retry and RAC transitions included),
 //!    running the *real* [`csim_coherence::Directory`] and the spec side

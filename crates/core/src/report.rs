@@ -122,7 +122,8 @@ pub struct SimReport {
     pub upgrades: u64,
     /// Transactions committed during the measured window.
     pub transactions: u64,
-    /// References processed per node during the measured window.
+    /// Rounds run during the measured window: references per core, so a
+    /// node with several cores processes this many times its core count.
     pub refs_per_node: u64,
     /// Fault-injection counters (all zero when no injector is wired in
     /// or its plan is [`csim_fault::FaultPlan::none`]).

@@ -41,7 +41,7 @@ struct Core {
 /// line index (addresses are 46-bit, lines 40-bit).
 const NO_IFETCH_MEMO: u64 = u64::MAX;
 
-/// Column depth of the batched dispatch: how many packed references are
+/// Column depth of the dispatch loop: how many packed references are
 /// gathered from a stream per [`ReferenceStream::next_burst`] call, so
 /// per-burst dispatch overhead (virtual call, buffer bounds checks,
 /// stats flushes, loop setup) amortizes across the column. Sized a few
@@ -74,9 +74,6 @@ pub struct Simulation<S = NodeWorkload> {
     summary: String,
     latencies: LatencyTable,
     replicate_instructions: bool,
-    /// Stream index → (node, core), precomputed so the per-reference loop
-    /// in [`Simulation::advance`] avoids a 64-bit div/mod pair per access.
-    placement: Vec<(u32, u32)>,
     nodes: Vec<Node>,
     streams: Vec<S>,
     dir: Directory,
@@ -93,20 +90,16 @@ pub struct Simulation<S = NodeWorkload> {
     /// one without.
     attr: Option<Box<Attribution>>,
     sanitizer: Option<Box<Sanitizer>>,
-    /// Batched reference dispatch (the default): streams are drained in
-    /// [`BURST_COLS`]-deep packed columns instead of one `MemRef` at a
-    /// time. Bit-identical to single-step dispatch by the
-    /// [`ReferenceStream::next_burst`] contract;
-    /// `tests/batch_identity.rs` proves it differentially. The
-    /// single-step path is retained as the oracle.
-    batched: bool,
     /// Per-stream gathered columns (`streams.len() * BURST_COLS` packed
-    /// words), preallocated so the hot dispatch loop never touches the
-    /// heap. Empty (head == len per stream) between `advance` calls.
+    /// words, stream `s` at `s * BURST_COLS`), preallocated so the hot
+    /// dispatch loop never touches the heap. Empty (head == len per
+    /// stream) between `advance` calls, and moved out of `self` during
+    /// one.
     batch_cols: Vec<u64>,
-    /// One past the last valid word of each stream's column.
+    /// Index into `batch_cols` one past the last valid word of each
+    /// stream's column.
     batch_len: Vec<u32>,
-    /// Next word of each stream's column to dispatch.
+    /// Index into `batch_cols` of the next word of each stream's column.
     batch_head: Vec<u32>,
 }
 
@@ -166,16 +159,11 @@ impl<S: ReferenceStream> Simulation<S> {
                 upgrades: 0,
             })
             .collect();
-        let cores_per_node = cfg.cores_per_node();
-        let placement = (0..streams.len())
-            .map(|s| ((s / cores_per_node) as u32, (s % cores_per_node) as u32))
-            .collect();
         let n_streams = streams.len();
         Ok(Simulation {
             summary: cfg.summary(),
             latencies: cfg.latencies(),
             replicate_instructions: cfg.replicate_instructions(),
-            placement,
             nodes,
             streams,
             dir: Directory::new(cfg.n_nodes() as u8, LINE_SIZE, PAGE_SIZE),
@@ -186,19 +174,10 @@ impl<S: ReferenceStream> Simulation<S> {
             observer: Observer::disabled(),
             attr: None,
             sanitizer: None,
-            batched: true,
             batch_cols: vec![0; n_streams * BURST_COLS],
             batch_len: vec![0; n_streams],
             batch_head: vec![0; n_streams],
         })
-    }
-
-    /// Selects between batched reference dispatch (the default) and the
-    /// single-step oracle path. Both deliver bit-identical reports; the
-    /// switch exists so differential tests can drive one against the
-    /// other and so regressions can be bisected to the dispatch layer.
-    pub fn set_batched_dispatch(&mut self, on: bool) {
-        self.batched = on;
     }
 
     /// Wires a fault injector into the simulation (builder style). An
@@ -309,25 +288,26 @@ impl<S: ReferenceStream> Simulation<S> {
         self.nodes.len()
     }
 
-    /// Runs `refs_per_node` references per node to populate caches and
-    /// directory state, then clears all statistics.
+    /// Runs `refs_per_node` rounds (one reference per core each) to
+    /// populate caches and directory state, then clears all statistics.
     pub fn warm_up(&mut self, refs_per_node: u64) {
         self.advance(refs_per_node);
         self.reset_stats();
     }
 
-    /// Runs `refs_per_node` references per node (round-robin, one
-    /// reference per node per step) and reports what happened.
+    /// Runs `refs_per_node` rounds (one reference per core per round, so
+    /// each node runs `refs_per_node` times its core count) and reports
+    /// what happened.
     pub fn run(&mut self, refs_per_node: u64) -> SimReport {
         self.advance(refs_per_node);
         self.report(refs_per_node)
     }
 
     /// Strict mode: like [`Simulation::run`], but re-checks the
-    /// machine-wide coherence invariants every `check_every` references
-    /// per node (and once at the end), so a protocol bug is caught near
-    /// the reference that introduced it instead of at the end of a long
-    /// run. `check_every` is clamped to at least 1.
+    /// machine-wide coherence invariants every `check_every` rounds (and
+    /// once at the end), so a protocol bug is caught near the reference
+    /// that introduced it instead of at the end of a long run.
+    /// `check_every` is clamped to at least 1.
     ///
     /// # Errors
     ///
@@ -382,140 +362,123 @@ impl<S: ReferenceStream> Simulation<S> {
             self.txn_source.as_ref().map_or(0, |s| s.transactions_completed());
     }
 
+    /// Runs `rounds` dispatch rounds. A round hands every stream's next
+    /// reference to its core, in stream order (stream `n * cores_per_node
+    /// + c` is core `c` of node `n`), and then advances the logical clock
+    /// `refs_run` by one: the fault model and event timestamps read it.
+    ///
+    /// References are gathered a [`BURST_COLS`]-deep column per stream
+    /// ([`ReferenceStream::next_burst`]) and dispatched in spans: runs of
+    /// rounds in which no column runs dry and no epoch closes. At the
+    /// start of a span every empty column refills, in stream order,
+    /// capped at the rounds left in the call, so the scratch holds no
+    /// words between calls. A stream generates only when its own buffer
+    /// is empty, so it generates at the same positions as one `next_ref`
+    /// per round would; `tests/batch_identity.rs` proves it against a
+    /// stream whose bursts are one word long, which makes every round a
+    /// span of its own.
     // analyze: hot
-    fn advance(&mut self, refs_per_node: u64) {
+    // analyze: total — stream s owns batch_cols[s*BURST_COLS..][..BURST_COLS] and next_burst returns 1..=cap words by its trait contract, so every head and len stay inside that window and the span fits every column; try_new builds one stream per core on equal-sized nodes, so the node/core counters stay on the grid
+    fn advance(&mut self, rounds: u64) {
         // Publish the host profiler's region once per advance call (one
-        // relaxed store, amortized over `refs_per_node` references).
+        // relaxed store, amortized over the call's rounds).
         hostprof::set_region(Region::Advance);
-        if !self.batched {
-            self.advance_single_step(refs_per_node);
-        } else if self.streams.len() == 1 {
-            self.advance_batched_single(refs_per_node);
-        } else {
-            self.advance_batched_multi(refs_per_node);
-        }
-        hostprof::set_region(Region::Idle);
-    }
-
-    /// Single-step dispatch: one `next_ref` virtual call per reference.
-    /// Retained as the oracle the batched paths are differentially
-    /// tested against ([`Simulation::set_batched_dispatch`]).
-    // analyze: hot
-    // analyze: total — placement and streams have one entry per core: try_new checks streams.len() against the config's core total and placement is built from the same enumeration
-    fn advance_single_step(&mut self, refs_per_node: u64) {
-        let epoch = self.observer.epoch_len();
-        for _ in 0..refs_per_node {
-            for s in 0..self.streams.len() {
-                let word = self.streams[s].next_ref().pack();
-                let (n, c) = self.placement[s];
-                self.access(n as usize, c as usize, word);
-            }
-            // `refs_run` doubles as the fault model's logical clock, so
-            // it advances per round, not per batch.
-            self.refs_run += 1;
-            if epoch.is_some_and(|e| self.refs_run.is_multiple_of(e)) {
-                self.close_epoch();
-            }
-        }
-    }
-
-    /// Batched dispatch for the one-stream machine: drains the stream in
-    /// spans of at most [`BURST_COLS`] packed words on a stack buffer,
-    /// so the per-reference cost is one slice copy and one probe instead
-    /// of a virtual `next_ref` plus struct moves. One loop serves every
-    /// configuration: a span also ends at the next epoch boundary, so
-    /// the epoch close runs between spans, and `refs_run` is stored
-    /// before each access, so the fault clock and event timestamps read
-    /// what single-step dispatch shows them.
-    // analyze: hot
-    // analyze: total — the single-stream fast path: try_new rejects zero-core configs so streams[0]/placement[0] exist, and next_burst returns got <= col.len() by its trait contract
-    fn advance_batched_single(&mut self, refs_per_node: u64) {
-        let (n, c) = self.placement[0];
-        let (n, c) = (n as usize, c as usize);
-        let mut col = [0u64; BURST_COLS];
+        // The columns leave `self` for the call, so the span bodies read a
+        // local slice that `access` cannot alias (~2% less CPU on one
+        // stream than indexing `self.batch_cols`, 2-core x86-64 host).
+        let mut cols = std::mem::take(&mut self.batch_cols);
         let (period, mut to_epoch) = self.epoch_countdown();
-        let mut remaining = refs_per_node;
+        let mut remaining = rounds;
         while remaining > 0 {
-            let want = remaining.min(to_epoch).min(BURST_COLS as u64) as usize;
-            let got = self.streams[0].next_burst(&mut col[..want]);
-            let base = self.refs_run;
-            let mut i = 0;
-            while i < got {
-                let word = col[i];
-                // Straight-line code fetches back-to-back words of one
-                // line; `word >> 6` (line, access kind and mode together)
-                // being equal proves the whole run would take the fetch
-                // memo lane of `access`, so the run retires as one
-                // batched call. Exactness of the batch is the documented
-                // contract of `retire_instructions` /
-                // `record_repeat_read_hits`, and the lane reads no clock.
-                if word >> PACKED_ACCESS_SHIFT & 0x3 == 0 {
-                    let line = (word & PACKED_ADDR_MASK) / LINE_SIZE;
-                    if line == self.nodes[n].cores[c].last_ifetch_line {
-                        let key = word >> 6;
-                        let mut k = 1;
-                        while i + k < got && col[i + k] >> 6 == key {
-                            k += 1;
-                        }
-                        self.retire_ifetch_run(n, c, k as u64);
-                        i += k;
-                        continue;
-                    }
-                }
-                self.refs_run = base + i as u64;
-                self.access(n, c, word);
-                i += 1;
-            }
-            self.refs_run = base + got as u64;
-            remaining -= got as u64;
-            to_epoch -= got as u64;
-            if to_epoch == 0 {
-                self.close_epoch();
-                to_epoch = period;
-            }
-        }
-    }
-
-    /// Batched dispatch for multi-stream machines. Rounds stay strictly
-    /// interleaved (stream 0, 1, ... per round, exactly as single-step
-    /// dispatch orders them) but each stream's references are gathered a
-    /// column at a time into the preallocated `batch_cols` scratch, so
-    /// the virtual-call and buffer-management cost amortizes over the
-    /// column depth.
-    // analyze: hot
-    // analyze: total — cols holds streams.len()*BURST_COLS words with one window per stream, and next_burst keeps got <= BURST_COLS by its trait contract
-    fn advance_batched_multi(&mut self, refs_per_node: u64) {
-        let (period, mut to_epoch) = self.epoch_countdown();
-        for r in 0..refs_per_node {
-            // Refills are capped at the references left in this call so
-            // every gathered word is consumed before returning — the
-            // scratch holds no state between `advance` calls.
-            let cap = (refs_per_node - r).min(BURST_COLS as u64) as usize;
+            let cap = remaining.min(BURST_COLS as u64) as usize;
+            let mut span = remaining.min(to_epoch);
             for s in 0..self.streams.len() {
                 if self.batch_head[s] == self.batch_len[s] {
                     let base = s * BURST_COLS;
-                    let got = self.streams[s].next_burst(&mut self.batch_cols[base..base + cap]);
-                    self.batch_len[s] = got as u32;
-                    self.batch_head[s] = 0;
+                    let got = self.streams[s].next_burst(&mut cols[base..base + cap]);
+                    self.batch_head[s] = base as u32;
+                    self.batch_len[s] = (base + got) as u32;
                 }
-                let word = self.batch_cols[s * BURST_COLS + self.batch_head[s] as usize];
-                self.batch_head[s] += 1;
-                let (n, c) = self.placement[s];
-                self.access(n as usize, c as usize, word);
+                span = span.min(u64::from(self.batch_len[s] - self.batch_head[s]));
             }
-            // `refs_run` doubles as the fault model's logical clock, so
-            // it advances per round, not per batch.
-            self.refs_run += 1;
-            to_epoch -= 1;
+            let (base, span) = (self.refs_run, span as usize);
+            if self.streams.len() == 1 {
+                let head = self.batch_head[0] as usize;
+                self.span_one_stream(&cols[head..head + span]);
+            } else {
+                // Round by round, in stream order, with the node and core
+                // counters stepping along with `s` (nested node and core
+                // loops cost ~6% more CPU on 8 nodes, 2-core x86-64 host).
+                let cores_per_node = self.nodes[0].cores.len();
+                for i in 0..span {
+                    self.refs_run = base + i as u64;
+                    let (mut n, mut c) = (0, 0);
+                    for s in 0..self.streams.len() {
+                        let word = cols[self.batch_head[s] as usize + i];
+                        self.access(n, c, word);
+                        c += 1;
+                        if c == cores_per_node {
+                            c = 0;
+                            n += 1;
+                        }
+                    }
+                }
+            }
+            for head in &mut self.batch_head {
+                *head += span as u32;
+            }
+            self.refs_run = base + span as u64;
+            remaining -= span as u64;
+            to_epoch -= span as u64;
             if to_epoch == 0 {
                 self.close_epoch();
                 to_epoch = period;
             }
+        }
+        self.batch_cols = cols;
+        hostprof::set_region(Region::Idle);
+    }
+
+    /// One span on the one-stream machine, which adds the repeat-fetch
+    /// run scanner: straight-line code fetches back-to-back words of one
+    /// line, and such a run retires as one batched call. Kept out of
+    /// line so the uniprocessor loop's code generation does not depend
+    /// on the interleaved body beside it: inlined there, it has measured
+    /// from flat to about 7% slower on one stream.
+    // analyze: hot
+    // analyze: total — try_new rejects zero-core configs, so node 0 has core 0; col is indexed below col.len()
+    #[inline(never)]
+    fn span_one_stream(&mut self, col: &[u64]) {
+        let base = self.refs_run;
+        let mut i = 0;
+        while i < col.len() {
+            let word = col[i];
+            // `word >> 6` (line, access kind and mode together) being
+            // equal proves the whole run would take the fetch memo lane
+            // of `access`. Exactness of the batch is the documented
+            // contract of `retire_instructions` /
+            // `record_repeat_read_hits`, and the lane reads no clock.
+            if word >> PACKED_ACCESS_SHIFT & 0x3 == 0 {
+                let line = (word & PACKED_ADDR_MASK) / LINE_SIZE;
+                if line == self.nodes[0].cores[0].last_ifetch_line {
+                    let key = word >> 6;
+                    let mut k = 1;
+                    while i + k < col.len() && col[i + k] >> 6 == key {
+                        k += 1;
+                    }
+                    self.retire_ifetch_run(0, 0, k as u64);
+                    i += k;
+                    continue;
+                }
+            }
+            self.refs_run = base + i as u64;
+            self.access(0, 0, word);
+            i += 1;
         }
     }
 
     /// The epoch length and the references left until the next epoch
-    /// boundary: the batched loops count down instead of dividing every
+    /// boundary: the dispatch loop counts down instead of dividing every
     /// round. Without epochs the length is `u64::MAX`, a boundary no run
     /// reaches.
     fn epoch_countdown(&self) -> (u64, u64) {
@@ -632,7 +595,7 @@ impl<S: ReferenceStream> Simulation<S> {
                 kind: EventKind::Miss { class: obs, latency },
             });
         }
-        // analyze: total — node and core ids come from placement entries validated against the node grid in try_new
+        // analyze: total — node and core ids come from the dispatch loop's walk over the node grid built in try_new
         let core = &mut self.nodes[n].cores[c];
         core.timing.stall(class, latency, &mut core.bd);
     }
@@ -725,7 +688,7 @@ impl<S: ReferenceStream> Simulation<S> {
     // analyze: cold — same per-reference timing boundary as `access`; the closed-form retire's float exactness is proven at `InOrderTiming::retire_instructions`
     #[inline]
     fn retire_ifetch_run(&mut self, n: usize, c: usize, k: u64) {
-        // analyze: total — node and core ids come from placement entries validated against the node grid in try_new
+        // analyze: total — node and core ids come from the dispatch loop's walk over the node grid built in try_new
         let core = &mut self.nodes[n].cores[c];
         // analyze: exact — the batched retire feeds the closed form an integer run length
         core.timing.retire_instructions(k, &mut core.bd);
@@ -737,10 +700,10 @@ impl<S: ReferenceStream> Simulation<S> {
     /// hierarchy never looks at the mode). Split for inlining: this
     /// front half — the retire, the fetch memo and the L1 probe, which
     /// together resolve the vast majority of references — inlines into
-    /// the dispatch loops, while everything past the L1 (ownership
-    /// walks, the L2 and the miss machinery) stays behind the
-    /// [`Simulation::access_below_l1`] call so the loop body keeps only
-    /// the code that usually runs.
+    /// both span bodies of the dispatch loop, while everything past the
+    /// L1 (ownership walks, the L2 and the miss machinery) stays behind
+    /// the [`Simulation::access_below_l1`] call so the loop body keeps
+    /// only the code that usually runs.
     // analyze: cold — the per-reference timing model is float CPI arithmetic by design (the paper's analytical overlap model); reproducibility is guarded by the bit-identity tests, not by integer-only arithmetic
     #[inline(always)]
     fn access(&mut self, n: usize, c: usize, word: u64) {
@@ -750,7 +713,7 @@ impl<S: ReferenceStream> Simulation<S> {
         // Retire + L1 probe share one bounds-checked core borrow: this
         // runs once per reference, so the double index was measurable.
         let (l1_hit, owned) = {
-            // analyze: total — node and core ids come from placement entries validated against the node grid in try_new
+            // analyze: total — node and core ids come from the dispatch loop's walk over the node grid built in try_new
             let core = &mut self.nodes[n].cores[c];
             if is_ifetch {
                 core.timing.retire_instruction(&mut core.bd);
@@ -795,7 +758,7 @@ impl<S: ReferenceStream> Simulation<S> {
     /// hit still needing the ownership walk, or an L1 miss heading into
     /// the L2 and the coherence machinery.
     // analyze: cold — the per-reference timing model is float CPI arithmetic by design (the paper's analytical overlap model); reproducibility is guarded by the bit-identity tests, not by integer-only arithmetic
-    // analyze: total — node ids are validated placement entries (try_new) or directory-reported homes/owners/sharers, which the directory reduces modulo the node count
+    // analyze: total — node ids come from the dispatch loop's walk over the node grid (try_new) or are directory-reported homes/owners/sharers, which the directory reduces modulo the node count
     #[inline(never)]
     fn access_below_l1(
         &mut self,
@@ -852,7 +815,7 @@ impl<S: ReferenceStream> Simulation<S> {
     /// invalidate) is free; otherwise the store stalls for a local or
     /// 2-hop directory transaction. Upgrades are counted separately from
     /// L2 misses, as in the paper.
-    // analyze: total — node ids are validated placement entries (try_new) or directory-reported homes/owners/sharers, which the directory reduces modulo the node count
+    // analyze: total — node ids come from the dispatch loop's walk over the node grid (try_new) or are directory-reported homes/owners/sharers, which the directory reduces modulo the node count
     fn ensure_ownership(&mut self, n: usize, c: usize, line: u64) {
         if self.nodes[n].l2.is_dirty(line) {
             return;
@@ -883,7 +846,7 @@ impl<S: ReferenceStream> Simulation<S> {
         self.charge(n, c, class, latency, MissClass::Upgrade, line);
     }
 
-    // analyze: total — node ids are validated placement entries (try_new) or directory-reported homes/owners/sharers, which the directory reduces modulo the node count
+    // analyze: total — node ids come from the dispatch loop's walk over the node grid (try_new) or are directory-reported homes/owners/sharers, which the directory reduces modulo the node count
     fn l2_miss(&mut self, n: usize, c: usize, line: u64, is_ifetch: bool, write: bool) {
         // OS-replicated instruction pages: every node has a private local
         // copy; no coherence involvement, so only the local memory
@@ -994,7 +957,7 @@ impl<S: ReferenceStream> Simulation<S> {
 
     /// Service an L2 miss from the node's own RAC (data lives in local
     /// memory: local-latency, counted as a local miss).
-    // analyze: total — node ids are validated placement entries (try_new) or directory-reported homes/owners/sharers, which the directory reduces modulo the node count
+    // analyze: total — node ids come from the dispatch loop's walk over the node grid (try_new) or are directory-reported homes/owners/sharers, which the directory reduces modulo the node count
     fn rac_hit(&mut self, n: usize, c: usize, line: u64, is_ifetch: bool, write: bool) {
         let parked_dirty = matches!(
             self.dir.state(line),
@@ -1044,7 +1007,7 @@ impl<S: ReferenceStream> Simulation<S> {
 
     /// Install a line into the L2 (and requesting L1), handling the L2
     /// victim: inclusion invalidations, dirty writeback or RAC parking.
-    // analyze: total — node ids are validated placement entries (try_new) or directory-reported homes/owners/sharers, which the directory reduces modulo the node count
+    // analyze: total — node ids come from the dispatch loop's walk over the node grid (try_new) or are directory-reported homes/owners/sharers, which the directory reduces modulo the node count
     fn fill(&mut self, n: usize, c: usize, line: u64, dirty: bool, is_ifetch: bool, write: bool) {
         let victim = self.nodes[n].l2.insert(line, dirty);
         if let Some(v) = victim {
@@ -1092,7 +1055,7 @@ impl<S: ReferenceStream> Simulation<S> {
 
     /// Install a clean copy of a freshly fetched remote line into the RAC.
     fn rac_fill(&mut self, n: usize, line: u64) {
-        // analyze: total — node ids are validated placement entries (try_new) or directory-reported homes/owners/sharers, which the directory reduces modulo the node count
+        // analyze: total — node ids come from the dispatch loop's walk over the node grid (try_new) or are directory-reported homes/owners/sharers, which the directory reduces modulo the node count
         let Some(rac) = self.nodes[n].rac.as_mut() else { return };
         // The caller's RAC probe just missed, and the fill in between
         // can only park the L2's victim, never this line.
@@ -1109,7 +1072,7 @@ impl<S: ReferenceStream> Simulation<S> {
     /// transaction).
     fn downgrade_owner(&mut self, owner: NodeId, line: u64, source: FillSource) {
         let in_rac = matches!(source, FillSource::OwnerCache { in_rac: true, .. });
-        // analyze: total — node ids are validated placement entries (try_new) or directory-reported homes/owners/sharers, which the directory reduces modulo the node count
+        // analyze: total — node ids come from the dispatch loop's walk over the node grid (try_new) or are directory-reported homes/owners/sharers, which the directory reduces modulo the node count
         let node = &mut self.nodes[owner as usize];
         if in_rac {
             let cleaned = node.rac.as_mut().map(|r| r.clean(line)).unwrap_or(false);
@@ -1151,7 +1114,7 @@ impl<S: ReferenceStream> Simulation<S> {
     /// # Errors
     ///
     /// The first violated invariant, with the line and location.
-    // analyze: total — node ids are validated placement entries (try_new) or directory-reported homes/owners/sharers, which the directory reduces modulo the node count
+    // analyze: total — node ids come from the dispatch loop's walk over the node grid (try_new) or are directory-reported homes/owners/sharers, which the directory reduces modulo the node count
     pub fn verify_coherence(&self) -> Result<(), CoherenceViolation> {
         for (line, state) in self.dir.iter() {
             match state {
@@ -1220,7 +1183,7 @@ impl<S: ReferenceStream> Simulation<S> {
     }
 
     fn invalidate_all_at(&mut self, m: usize, line: u64) {
-        // analyze: total — node ids are validated placement entries (try_new) or directory-reported homes/owners/sharers, which the directory reduces modulo the node count
+        // analyze: total — node ids come from the dispatch loop's walk over the node grid (try_new) or are directory-reported homes/owners/sharers, which the directory reduces modulo the node count
         let node = &mut self.nodes[m];
         for core in &mut node.cores {
             core.l1i.invalidate(line);

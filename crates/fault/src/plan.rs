@@ -53,8 +53,8 @@ impl Default for NackPlan {
 }
 
 /// A transient window during which NoC links run below nominal
-/// bandwidth. Windows are expressed in per-node reference counts since
-/// the last statistics reset (the simulator's logical clock).
+/// bandwidth. Windows are expressed in rounds (one reference per core
+/// each) since the last statistics reset (the simulator's logical clock).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkFault {
     /// First reference index the fault is active at.

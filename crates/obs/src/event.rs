@@ -76,7 +76,8 @@ impl EventKind {
 /// One simulation event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
-    /// Logical time: references per node since the last stats reset.
+    /// Logical time: rounds (one reference per core each) since the last
+    /// stats reset.
     pub at: u64,
     /// Node (chip) the event happened at or was requested by.
     pub node: u16,

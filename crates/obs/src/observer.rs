@@ -36,7 +36,8 @@ impl Default for TraceConfig {
 pub struct ObsConfig {
     /// Record per-class latency histograms.
     pub histograms: bool,
-    /// Close an epoch sample every this many references per node.
+    /// Close an epoch sample every this many rounds (one reference per
+    /// core each).
     pub epoch: Option<u64>,
     /// Record a structured event trace.
     pub trace: Option<TraceConfig>,

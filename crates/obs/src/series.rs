@@ -1,7 +1,7 @@
 //! Epoch time-series: per-interval samples of the run's vital signs.
 //!
-//! An epoch is a fixed number of references per node. At each epoch
-//! boundary the simulator hands the sampler a cumulative
+//! An epoch is a fixed number of rounds (one reference per core each).
+//! At each epoch boundary the simulator hands the sampler a cumulative
 //! [`EpochSnapshot`] of its counters; the sampler diffs it against the
 //! previous snapshot and appends one [`EpochSample`], so warmup drift,
 //! steady state and fault-storm windows become visible as curves
@@ -16,7 +16,7 @@ use crate::class::MissClass;
 /// aggregates them. Plain data: the sampler owns the diffing.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EpochSnapshot {
-    /// References processed per node so far.
+    /// Rounds run so far (references per core).
     pub refs_per_node: u64,
     /// Execution-time breakdown summed over all nodes.
     pub breakdown: ExecBreakdown,
@@ -39,7 +39,7 @@ pub struct EpochSnapshot {
 pub struct EpochSample {
     /// Epoch number, starting at 0 after the last stats reset.
     pub index: u64,
-    /// References per node at the end of this epoch.
+    /// Rounds run at the end of this epoch.
     pub end_ref: u64,
     /// Instructions retired during the epoch.
     pub instructions: u64,
@@ -67,7 +67,7 @@ pub struct EpochSample {
 }
 
 impl EpochSample {
-    /// NACKs per 1000 references per node over the epoch.
+    /// NACKs per 1000 rounds over the epoch.
     pub fn nack_rate_per_kref(&self, epoch_len: u64) -> f64 {
         if epoch_len == 0 {
             0.0
@@ -98,7 +98,7 @@ impl EpochSeries {
         }
     }
 
-    /// The configured epoch length in references per node.
+    /// The configured epoch length in rounds.
     pub fn epoch_len(&self) -> u64 {
         self.epoch_len
     }

@@ -1,8 +1,11 @@
 //! Reference-stream abstractions.
 //!
 //! A [`ReferenceStream`] produces an unbounded sequence of [`MemRef`]s for
-//! one processor. The simulator pulls one reference at a time so that
-//! multiprocessor runs can interleave the streams of all nodes.
+//! one processor. The simulator gathers each stream's references a burst
+//! at a time ([`ReferenceStream::next_burst`]) and dispatches them round
+//! by round, one reference per stream per round, so multiprocessor runs
+//! interleave the streams of all cores exactly as pulling one reference
+//! at a time would.
 
 use crate::mem_ref::MemRef;
 
@@ -38,7 +41,7 @@ pub trait ReferenceStream {
     // analyze: hot
     #[inline]
     fn next_burst(&mut self, out: &mut [u64]) -> usize {
-        // analyze: total — the trait contract requires a non-empty out buffer (documented panic); engine call sites pass BURST_COLS-sized columns
+        // analyze: total — the trait contract requires a non-empty out buffer (documented panic); the engine's dispatch loop passes columns of 1..=BURST_COLS words
         out[0] = self.next_ref().pack();
         1
     }

@@ -145,7 +145,7 @@ impl AddressMap {
     /// Precomputes the scatter base for one region. The inner
     /// `mix(region.tag())` of the page hash depends only on the region, so
     /// hot callers (the workload's background-reference generator) hoist it
-    /// out of the per-reference path; [`RegionHandle::line_addr`] then
+    /// out of the per-reference path; `RegionHandle::line_addr` then
     /// produces addresses identical to [`AddressMap::line_addr`] at half
     /// the mixing cost.
     #[inline]

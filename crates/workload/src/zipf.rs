@@ -101,7 +101,7 @@ impl ZipfTable {
     /// Maps a uniform variate `u` in `[0, 1)` to an item index.
     ///
     /// Bit-identical to a binary search of the full cdf: the coarse index
-    /// only narrows the window the search runs in (see [`COARSE_BINS`]).
+    /// only narrows the window the search runs in (see `COARSE_BINS`).
     #[inline]
     pub fn sample(&self, u: f64) -> u64 {
         debug_assert!((0.0..=1.0).contains(&u));

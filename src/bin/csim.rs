@@ -15,12 +15,13 @@
 //!   --rac                add the paper's 8M8w remote access cache
 //!   --replicate          OS instruction-page replication
 //!   --ooo                4-wide out-of-order core (default in-order)
-//!   --warm N / --meas N  references per node (default 2M / 2M)
+//!   --warm N / --meas N  rounds, one reference per core each (default
+//!                        2M / 2M)
 //!   --seed N             workload seed
 //!   --fault-plan FILE    TOML fault plan (see examples/fault_storm.toml)
 //!   --fault-seed N       fault-injection seed (default 0, independent
 //!                        of the workload seed)
-//!   --strict N           re-verify coherence every N refs/node
+//!   --strict N           re-verify coherence every N rounds
 //!   --sanitize           cross-check every directory transition against
 //!                        the executable protocol spec (csim-check); the
 //!                        report stays bit-identical to a run without it
@@ -28,7 +29,7 @@
 //! observability (all off by default; see crates/obs):
 //!   --histograms         per-class latency histograms: quantile table on
 //!                        stdout and full buckets in the JSON report
-//!   --epoch N            close a time-series sample every N refs/node
+//!   --epoch N            close a time-series sample every N rounds
 //!   --trace-out FILE     write a JSONL event trace to FILE
 //!   --trace-filter SPEC  keep only classes SPEC = CLASS[,CLASS] in the
 //!                        trace (l2-hit local remote-clean remote-dirty

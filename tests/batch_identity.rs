@@ -1,35 +1,49 @@
 //! Bit-identity contract of the batched reference dispatch.
 //!
-//! The simulator's default hot path gathers references from each stream
-//! in 512-deep packed columns ([`ReferenceStream::next_burst`]) instead
-//! of one virtual `next_ref` call per reference. The contract is that this
-//! is *pure mechanism*: every counter of every report — misses,
-//! breakdowns, histograms, epoch series, fault statistics — must be
-//! bit-identical to the retained single-step oracle path
-//! ([`Simulation::set_batched_dispatch`]).
+//! The simulator gathers references from each stream in 512-deep packed
+//! columns ([`ReferenceStream::next_burst`]) and dispatches them in
+//! spans of rounds. The contract is that this is *pure mechanism*: every
+//! counter of every report — misses, breakdowns, histograms, epoch
+//! series, fault statistics, traced events — must be bit-identical to
+//! single-step dispatch, one `next_ref` per stream per round.
+//!
+//! The single-step oracle lives here, as a stream adapter
+//! ([`SingleStep`]) that implements only `next_ref`: the trait's default
+//! `next_burst` then hands out one word per call, so the simulator's one
+//! dispatch loop runs every round as a span of its own.
 //!
 //! The drives here are adversarial about burst boundaries on purpose:
 //! run lengths that are not multiples of the 512-word column, epochs that
 //! close mid-burst, a fault storm whose injector reads the logical clock
-//! between references, and a multi-node machine whose streams must stay
+//! between references, and multi-stream machines whose streams must stay
 //! strictly round-interleaved.
 //!
 //! [`ReferenceStream::next_burst`]: oltp_chip_integration::trace::ReferenceStream::next_burst
-//! [`Simulation::set_batched_dispatch`]: oltp_chip_integration::sim::Simulation::set_batched_dispatch
 
 use oltp_chip_integration::config::{IntegrationLevel, OooParams, SystemConfig};
 use oltp_chip_integration::fault::{FaultInjector, FaultPlan};
 use oltp_chip_integration::obs::{ObsConfig, Observer, TraceConfig};
 use oltp_chip_integration::sim::Simulation;
 use oltp_chip_integration::trace::{
-    Access, ExecMode, MemRef, PACKED_ACCESS_SHIFT, PACKED_ADDR_MASK, PACKED_MODE_BIT,
+    Access, ExecMode, MemRef, ReferenceStream, PACKED_ACCESS_SHIFT, PACKED_ADDR_MASK,
+    PACKED_MODE_BIT,
 };
-use oltp_chip_integration::workload::{NodeWorkload, OltpParams};
+use oltp_chip_integration::workload::{NodeWorkload, OltpParams, OltpWorkload};
 
-/// Builds the batched/single-step pair for one configuration and drives
-/// both through the same chunk schedule, comparing the full report, the
-/// observer's JSON (histograms, epochs, trace counts) and the traced
-/// events themselves after every chunk.
+/// The single-step oracle: a workload stream seen one reference at a
+/// time. Only `next_ref` is implemented, so every burst is one word long.
+struct SingleStep(NodeWorkload);
+
+impl ReferenceStream for SingleStep {
+    fn next_ref(&mut self) -> MemRef {
+        self.0.next_ref()
+    }
+}
+
+/// Builds the batched simulation and its single-step oracle for one
+/// configuration and drives both through the same chunk schedule,
+/// comparing the full report, the observer's JSON (histograms, epochs,
+/// trace counts) and the traced events themselves after every chunk.
 fn assert_dispatch_identity(
     cfg: &SystemConfig,
     seed: u64,
@@ -40,23 +54,29 @@ fn assert_dispatch_identity(
 ) {
     let params = OltpParams { seed, ..OltpParams::default() };
     let mut batched = Simulation::with_oltp(cfg, params.clone()).expect("valid workload");
-    let mut oracle = Simulation::with_oltp(cfg, params).expect("valid workload");
-    oracle.set_batched_dispatch(false);
-    for sim in [&mut batched, &mut oracle] {
-        if let Some(obs) = &obs {
-            sim.set_observer(Observer::new(obs.clone()));
-        }
-        if let Some(plan) = fault_plan {
-            sim.set_fault_injector(
-                FaultInjector::new(plan.clone(), 5).expect("valid fault plan"),
-            );
-        }
+    let streams = OltpWorkload::build(params, cfg.total_cores()).expect("valid workload");
+    let shared = streams[0].shared_handle();
+    let streams = streams.into_iter().map(SingleStep).collect();
+    let mut oracle = Simulation::try_new(cfg, streams).expect("one stream per core");
+    if let Some(obs) = &obs {
+        batched.set_observer(Observer::new(obs.clone()));
+        oracle.set_observer(Observer::new(obs.clone()));
+    }
+    if let Some(plan) = fault_plan {
+        let injector = || FaultInjector::new(plan.clone(), 5).expect("valid fault plan");
+        batched.set_fault_injector(injector());
+        oracle.set_fault_injector(injector());
     }
     batched.warm_up(warm);
     oracle.warm_up(warm);
+    // `try_new` knows nothing of the workload's transaction counter, so
+    // the oracle's count is taken from the shared handle, as `with_oltp`
+    // would: completions since the warm-up's statistics reset.
+    let txn_baseline = shared.transactions_completed();
     for (i, &chunk) in chunks.iter().enumerate() {
         let a = batched.run(chunk);
-        let b = oracle.run(chunk);
+        let mut b = oracle.run(chunk);
+        b.transactions = shared.transactions_completed() - txn_baseline;
         assert_eq!(a, b, "batched report diverges from single-step at chunk {i} ({chunk} refs)");
         let oa = batched.observer().to_json().to_string();
         let ob = oracle.observer().to_json().to_string();
@@ -151,6 +171,35 @@ fn batched_dispatch_matches_single_step_single_stream_observed() {
 }
 
 #[test]
+fn batched_dispatch_matches_single_step_multi_stream_clock() {
+    // The interleaved loop must advance the logical clock once per round.
+    // Four streams (2 nodes x 2 cores) under a plan whose link and
+    // memory-controller windows open and close inside the run, at offsets
+    // coprime with the column depth, plus epochs and timestamped events:
+    // a clock that lags or leads inside a span moves a window edge, an
+    // epoch snapshot or an event timestamp.
+    let plan = FaultPlan::from_toml_str(
+        "[nack]\nprob = 0.02\n\n\
+         [[link_fault]]\nstart = 1001\nduration = 3001\ncapacity = 0.25\n\n\
+         [[mc_fault]]\nstart = 2999\nduration = 5003\nextra_cycles = 40\n",
+    )
+    .expect("the inline fault plan parses");
+    let mut b = SystemConfig::builder();
+    b.nodes(2)
+        .cores_per_node(2)
+        .integration(IntegrationLevel::FullyIntegrated)
+        .l2_sram(2 << 20, 8);
+    let cfg = b.build().expect("valid config");
+    let obs = ObsConfig {
+        histograms: true,
+        epoch: Some(777),
+        trace: Some(TraceConfig::default()),
+    };
+    let chunks = [1, 511, 513, 4_097, 9_001];
+    assert_dispatch_identity(&cfg, 31, Some(obs), Some(&plan), 2_003, &chunks);
+}
+
+#[test]
 fn packed_word_layout_is_pinned() {
     // The packed-word layout is shared between the workload's burst
     // buffer and the dispatch fast lane; pin the bit positions so a
@@ -173,9 +222,6 @@ fn next_burst_is_a_view_of_the_same_stream() {
     // Interleaving burst and single-reference pulls from the workload
     // generator must see one stream, not two: pull a prefix through
     // `next_burst` on one clone and `next_ref` on the other.
-    use oltp_chip_integration::trace::ReferenceStream;
-    use oltp_chip_integration::workload::OltpWorkload;
-
     let build = || -> Vec<NodeWorkload> {
         OltpWorkload::build(OltpParams { seed: 99, ..OltpParams::default() }, 1)
             .expect("valid workload")

@@ -10,11 +10,12 @@
 //!   [`Cache`] (power-of-two index masks, branch-light probes,
 //!   specialized direct-mapped / 2-way paths) must agree decision-for-
 //!   decision and counter-for-counter with [`ReferenceCache`], the
-//!   retained copy of the original implementation — including on the
-//!   paper's non-power-of-two 1.25 MB geometry, which exercises the
-//!   modulo set-index path.
+//!   retained copy of the original implementation in bench support —
+//!   including on the paper's non-power-of-two 1.25 MB geometry, which
+//!   exercises the modulo set-index path.
 
-use oltp_chip_integration::cache::{Cache, Evicted, ReferenceCache};
+use csim_bench::ReferenceCache;
+use oltp_chip_integration::cache::{Cache, Evicted};
 use oltp_chip_integration::config::CacheGeometry;
 use oltp_chip_integration::sweep::{run_sweep, SweepPlan, SWEEP_REPORT_SCHEMA};
 use oltp_chip_integration::trace::SimRng;
