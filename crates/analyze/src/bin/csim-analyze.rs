@@ -1,7 +1,7 @@
 //! Whole-workspace static-analysis gate.
 //!
 //! ```text
-//! csim-analyze [workspace-root] [--json [PATH]] [--baseline PATH [--update-baseline]]
+//! csim-analyze [workspace-root] [--json [PATH]]
 //! ```
 //!
 //! Runs the nine `csim-analyze` passes (layering gate, hot-path lints,
@@ -12,32 +12,22 @@
 //! written to PATH (or stdout when PATH is omitted) — two runs over the
 //! same tree produce byte-identical output, and CI asserts that.
 //!
-//! `--baseline PATH` diffs the findings against a committed
-//! `csim-analyze-baseline/v1` file by stable fingerprint: only findings
-//! *not* in the baseline fail the gate, so strict new rules land
-//! without a big-bang sweep while the deferred count can only ratchet
-//! down. `--update-baseline` rewrites PATH byte-stably from the current
-//! findings instead of diffing.
-//!
-//! Exit status 0 when clean (or ratchet-clean under `--baseline`), 1
-//! when new findings remain, 2 on usage or I/O errors.
+//! Exit status 0 when clean, 1 on any finding, 2 on usage or I/O
+//! errors.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use csim_analyze::{analyze_workspace, Baseline};
+use csim_analyze::analyze_workspace;
 
-const USAGE: &str =
-    "usage: csim-analyze [workspace-root] [--json [PATH]] [--baseline PATH [--update-baseline]]";
+const USAGE: &str = "usage: csim-analyze [workspace-root] [--json [PATH]]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root = PathBuf::from(".");
     let mut json: Option<Option<PathBuf>> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut update_baseline = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -51,32 +41,17 @@ fn main() -> ExitCode {
                 }
                 json = Some(path);
             }
-            "--baseline" => match args.get(i + 1).filter(|a| !a.starts_with("--")) {
-                Some(p) => {
-                    baseline = Some(PathBuf::from(p));
-                    i += 1;
-                }
-                None => {
-                    eprintln!("csim-analyze: --baseline requires a PATH\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--update-baseline" => update_baseline = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other if !other.starts_with("--") => root = PathBuf::from(other),
             other => {
-                eprintln!("csim-analyze: unknown flag {other}");
+                eprintln!("csim-analyze: unknown flag {other}\n{USAGE}");
                 return ExitCode::from(2);
             }
         }
         i += 1;
-    }
-    if update_baseline && baseline.is_none() {
-        eprintln!("csim-analyze: --update-baseline requires --baseline PATH\n{USAGE}");
-        return ExitCode::from(2);
     }
 
     let report = match analyze_workspace(&root) {
@@ -89,53 +64,8 @@ fn main() -> ExitCode {
 
     print!("{}", report.render_human());
 
-    // Capture mode: rewrite the baseline from the current findings and
-    // succeed — the debt is now on the books, not hidden.
-    if let (true, Some(path)) = (update_baseline, &baseline) {
-        let captured = Baseline::from_findings(&report.findings);
-        if let Err(e) = std::fs::write(path, captured.to_bytes()) {
-            eprintln!("csim-analyze: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "baseline: captured {} entries to {}",
-            captured.entries.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Ratchet mode: diff against the committed baseline; only findings
-    // outside it fail the gate.
-    let diff = match &baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("csim-analyze: reading {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match Baseline::parse(&text) {
-                Ok(b) => Some(b.diff(&report.findings)),
-                Err(e) => {
-                    eprintln!("csim-analyze: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => None,
-    };
-    if let Some(d) = &diff {
-        print!("{}", d.render_human());
-    }
-
     if let Some(dest) = json {
-        let mut doc = report.to_json();
-        if let Some(d) = &diff {
-            doc.push("baseline", d.to_json());
-        }
-        let doc = doc.to_string();
+        let doc = report.to_json().to_string();
         match dest {
             Some(path) => {
                 if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
@@ -147,11 +77,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let clean = match &diff {
-        Some(d) => d.is_ratchet_clean(),
-        None => report.is_clean(),
-    };
-    if clean {
+    if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -9,6 +9,7 @@
 //! reach X" — and `// analyze: cold` markers give humans a counted,
 //! reasoned way to cut edges the approximation gets wrong.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::model::{extract_calls, Call, Workspace};
@@ -103,50 +104,13 @@ impl CallGraph {
     where
         F: Fn(usize) -> bool,
     {
-        let mut pred: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for &r in roots {
-            if pred.insert(r, r).is_none() {
-                queue.push(r);
-            }
-        }
-        let mut qi = 0;
-        while qi < queue.len() {
-            let f = queue[qi];
-            qi += 1;
-            for &g in &self.callees[f] {
-                if cut(g) {
-                    continue;
-                }
-                if pred.insert(g, f).is_none() {
-                    queue.push(g);
-                }
-            }
-        }
-        pred
+        bfs(roots, &self.callees, cut)
     }
 
     /// BFS backward from `roots` over caller edges: everything that can
     /// (transitively) call a root. Roots map to themselves.
     pub(crate) fn reach_backward(&self, roots: &[usize]) -> BTreeMap<usize, usize> {
-        let mut pred: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for &r in roots {
-            if pred.insert(r, r).is_none() {
-                queue.push(r);
-            }
-        }
-        let mut qi = 0;
-        while qi < queue.len() {
-            let f = queue[qi];
-            qi += 1;
-            for &g in &self.callers[f] {
-                if pred.insert(g, f).is_none() {
-                    queue.push(g);
-                }
-            }
-        }
-        pred
+        bfs(roots, &self.callers, |_| false)
     }
 
     /// The chain `f → … → root` implied by a predecessor map, rendered
@@ -165,6 +129,38 @@ impl CallGraph {
         chain.reverse();
         chain
     }
+}
+
+/// Breadth-first search from `roots` over `edges`, not entering fns
+/// for which `cut` returns true. Each reached fn maps to the fn it was
+/// *first* reached from (roots to themselves), so following the map
+/// walks a shortest path back to a root and never cycles.
+fn bfs<F>(roots: &[usize], edges: &[Vec<usize>], cut: F) -> BTreeMap<usize, usize>
+where
+    F: Fn(usize) -> bool,
+{
+    let mut pred: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut queue: Vec<usize> = Vec::new();
+    for &r in roots {
+        if let Entry::Vacant(slot) = pred.entry(r) {
+            slot.insert(r);
+            queue.push(r);
+        }
+    }
+    let mut qi = 0;
+    while let Some(&f) = queue.get(qi) {
+        qi += 1;
+        for &g in &edges[f] {
+            if cut(g) {
+                continue;
+            }
+            if let Entry::Vacant(slot) = pred.entry(g) {
+                slot.insert(f);
+                queue.push(g);
+            }
+        }
+    }
+    pred
 }
 
 /// Transitive closure of the observed import edges; every crate sees
@@ -255,5 +251,27 @@ mod tests {
         assert!(cut.contains_key(&run) && !cut.contains_key(&probe) && !cut.contains_key(&helper));
         let chain = CallGraph::chain(&ws, &all, helper);
         assert_eq!(chain, ["run", "probe", "helper"]);
+    }
+
+    #[test]
+    fn chains_are_shortest_paths_through_cycles() {
+        // `step` and `visit` call each other and `visit` calls back into
+        // the root: each fn keeps the caller it was first reached from,
+        // so every chain ends at the root instead of looping.
+        let mut ws = Workspace { crates: vec!["core".into()], ..Workspace::default() };
+        ws.hash_names.insert("core".into(), BTreeSet::new());
+        ws.add_file(
+            "crates/core/src/lib.rs".into(),
+            "core".into(),
+            Section::Src,
+            "pub fn run() { step(); }\nfn step() { visit(); }\nfn visit() { step(); run(); }\n"
+                .into(),
+        );
+        let g = CallGraph::build(&ws);
+        let id = |name: &str| ws.fns.iter().find(|f| f.name == name).unwrap().id;
+        let fwd = g.reach_forward(&[id("run")], |_| false);
+        assert_eq!(CallGraph::chain(&ws, &fwd, id("visit")), ["run", "step", "visit"]);
+        let back = g.reach_backward(&[id("visit")]);
+        assert_eq!(CallGraph::chain(&ws, &back, id("run")), ["visit", "step", "run"]);
     }
 }

@@ -11,8 +11,7 @@
 //!    simulation substrate (`cache`/`coherence`/`noc`) must never see
 //!    the upper layers.
 //! 2. [`hotpath`] — functions marked `// analyze: hot` must
-//!    transitively avoid heap allocation, float arithmetic, and
-//!    panicking operations.
+//!    transitively avoid heap allocation and float arithmetic.
 //! 3. [`taint`] — nondeterminism sources (hash-order iteration,
 //!    wall-clock, thread identity, environment) must not flow into
 //!    export paths (SimReport, JSON writers, sweep merges).
@@ -28,10 +27,9 @@
 //!    shared-state mutators (checkpoint log, merge accumulators,
 //!    hostprof stripes) without re-validation after the catch.
 //! 7. [`panicfree`] — panic-freedom for everything reachable from the
-//!    `csim`/`csim-sweep` entry points: per-function CFGs ([`mod@cfg`])
-//!    plus a forward must-facts dataflow ([`dataflow`]) prove that
-//!    indexing is bounds-checked, `unwrap`/`expect` follow a dominating
-//!    `Some`/`Ok` check, and `.len() - k` can't underflow — or the site
+//!    `csim` entry point: per-function CFGs ([`mod@cfg`]) plus a
+//!    forward must-facts dataflow ([`dataflow`]) prove that indexing is
+//!    bounds-checked and `.len() - k` can't underflow — or the site
 //!    carries an `// analyze: total — reason` contract.
 //! 8. [`exactness`] — f64 integer-exactness: statements marked
 //!    `// analyze: exact` (the batched-retire accumulators whose
@@ -39,21 +37,19 @@
 //!    provably integer-valued f64s, via a three-point value lattice
 //!    over the same dataflow engine.
 //! 9. [`source`] — token-level rules over every shipped line:
-//!    `no-panic`, `no-wallclock`, `no-hash-export` on the export paths,
-//!    and `forbid-unsafe` on every crate and binary root.
+//!    `no-panic` (the workspace's one ban on panicking calls),
+//!    `no-wallclock`, `no-hash-export` on the export paths, and
+//!    `forbid-unsafe` on every crate and binary root.
 //!
 //! Escapes are `// lint: allow(rule) — reason` markers (reasons
 //! mandatory, every suppression counted in the report); traversal
 //! boundaries use `// analyze: cold — reason`.
 //! The report serializes as `csim-analyze-report/v1`, byte-stable
 //! across runs, via [`csim_obs::json`]. The `csim-analyze` binary is
-//! the CI entry point, and [`baseline`] gives it a findings ratchet:
-//! strict rules land against a committed `analyze-baseline.json` whose
-//! fingerprinted entries may only be fixed, never silently grown.
+//! the CI entry point: any finding fails it.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod cfg;
 pub mod concurrency;
 pub mod dataflow;
@@ -73,7 +69,6 @@ pub mod unwind;
 use std::io;
 use std::path::Path;
 
-pub use baseline::{Baseline, BaselineDiff, BASELINE_SCHEMA};
 pub use graph::CallGraph;
 pub use model::Workspace;
 pub use report::{AnalysisReport, Finding, Pass, Suppression, REPORT_SCHEMA};

@@ -3,14 +3,13 @@
 //! The crash-safe sweep engine (DESIGN.md §13) isolates worker panics
 //! at one boundary, and the paper's methodology stands on cycle
 //! accounting that never aborts mid-run — so shipped code reachable
-//! from the simulator entry points (`main` in `src/bin/csim.rs` /
-//! `src/bin/csim-sweep.rs`) must not reach a panic site at all. Three
-//! rules:
+//! from the simulator entry point (`main` in `src/bin/csim.rs`) must
+//! not reach a partial operation at all. Panicking calls (`.unwrap()`,
+//! `panic!`, ...) are [`crate::source`]'s `no-panic` rule, which bans
+//! them in every shipped file outside the bench harness (a superset of
+//! this cone) with no dataflow discharge; this pass proves the two
+//! properties only a dataflow can:
 //!
-//! * **`panic-path`** — `panic!`/`todo!`/`unimplemented!`/
-//!   `unreachable!`, `.unwrap()`, `.expect(..)` (assertion macros stay
-//!   exempt: workspace policy treats them as executable documentation,
-//!   and their arguments are the check itself);
 //! * **`unchecked-index`** — `v[i]`, `v[0]`, and range slices whose
 //!   bound the forward dataflow cannot prove in range;
 //! * **`underflow-sub`** — `.len() - k` where emptiness has not been
@@ -19,13 +18,10 @@
 //! A site is discharged by a *dominating check the dataflow can see*
 //! (`if i < v.len()`, `for i in 0..v.len()`, `.enumerate()` indices,
 //! `!v.is_empty()` with early return, `assert!`, `.min(K)` against a
-//! `[T; K]` buffer, `x.is_some()` / `if let Some(..)` before
-//! `.unwrap()`), or by an explicit contract: a site-level
+//! `[T; K]` buffer), or by an explicit contract: a site-level
 //! `// analyze: total — reason` within three lines, a function-level
-//! `// analyze: total — reason` above the `fn`, a
-//! `// lint: allow(<rule>) — reason`, or (for `panic-path` only) an
-//! existing `// lint: allow(no-panic) — reason`, which the
-//! [`crate::source`] pass already vets for the same claim. Every discharge by contract is
+//! `// analyze: total — reason` above the `fn`, or a
+//! `// lint: allow(<rule>) — reason`. Every discharge by contract is
 //! counted as a suppression in the report.
 //!
 //! Facts are must-facts: joined by intersection at CFG merges, killed
@@ -52,8 +48,6 @@ const SIM_CRATES: &[&str] = &[
     "stats", "sweep", "trace", "workload",
 ];
 
-/// Panicking macros (assertions exempt by policy).
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
 /// Assertion macros: fact generators, not findings.
 const ASSERT_MACROS: &[&str] = &["assert", "debug_assert", "assert_eq", "assert_ne", "debug_assert_eq", "debug_assert_ne"];
 /// Methods that change a container's length (kill its facts).
@@ -81,10 +75,7 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> PanicFreeResult {
             f.name == "main"
                 && !f.in_test
                 && ws.files[f.file].section == Section::Bin
-                && {
-                    let rel = &ws.files[f.file].rel;
-                    rel.ends_with("src/bin/csim.rs") || rel.ends_with("src/bin/csim-sweep.rs")
-                }
+                && ws.files[f.file].rel.ends_with("src/bin/csim.rs")
         })
         .map(|f| f.id)
         .collect();
@@ -137,7 +128,6 @@ fn emit(
 ) {
     let contract = file
         .allow_for(rule, line)
-        .or_else(|| if rule == "panic-path" { file.allow_for("no-panic", line) } else { None })
         .or_else(|| file.total_for(line))
         .or(f.total.as_deref());
     if let Some(reason) = contract {
@@ -166,7 +156,6 @@ fn emit(
 //   lt:I:P        ident I < P.len()
 //   le_len:I:P    ident I <= P.len()
 //   len_gt:P:K    P.len() > K            (K a decimal literal)
-//   some:P        P is Some(..) / Ok(..)
 //   eqlen:I:P     ident I == P.len()  (lets `i < n` rewrite to lt:i:P)
 //   ltc:I:K       ident I < K         (K literal or const ident)
 //   lec:I:K       ident I <= K
@@ -537,36 +526,21 @@ fn conjunct_facts(
     if s >= e {
         return;
     }
-    // `let Some(..) = P` / `let Ok(..) = P` (true edge only).
-    if pos && txt(file, s) == "let" && s + 1 < e {
-        let ctor = txt(file, s + 1);
-        if (ctor == "Some" || ctor == "Ok") && s + 2 < e && txt(file, s + 2) == "(" {
-            let close = matching(file, s + 2, e);
-            if close + 2 < e && txt(file, close + 1) == "=" {
-                if let Some((p, ps)) = path_back(file, e - 1) {
-                    if ps == close + 2 {
-                        out.push(format!("some:{p}"));
-                    }
-                }
-            }
-        }
+    // A `let` pattern on the true edge binds names; it bounds nothing.
+    if pos && txt(file, s) == "let" {
         return;
     }
-    // Predicate methods: `P.is_empty()`, `P.is_some()`, ...
-    if e >= 4 && txt(file, e - 1) == ")" && txt(file, e - 2) == "(" {
-        let m = txt(file, e - 3);
-        if matches!(m, "is_empty" | "is_some" | "is_none" | "is_ok" | "is_err")
-            && txt(file, e - 4) == "."
-        {
-            if let Some((p, ps)) = path_back(file, e - 5) {
-                if ps == s {
-                    match (m, pos) {
-                        ("is_empty", false) => out.push(format!("len_gt:{p}:0")),
-                        ("is_some", true) | ("is_none", false) => out.push(format!("some:{p}")),
-                        ("is_ok", true) | ("is_err", false) => out.push(format!("some:{p}")),
-                        _ => {}
-                    }
-                }
+    // `P.is_empty()` on its false edge: `P` is non-empty.
+    if !pos
+        && e >= s + 5
+        && txt(file, e - 1) == ")"
+        && txt(file, e - 2) == "("
+        && txt(file, e - 3) == "is_empty"
+        && txt(file, e - 4) == "."
+    {
+        if let Some((p, ps)) = path_back(file, e - 5) {
+            if ps == s {
+                out.push(format!("len_gt:{p}:0"));
             }
         }
         // fall through: a comparison may still end in `)` (e.g.
@@ -930,33 +904,6 @@ fn scan_stmt(
                 cond_facts(st, file, i + 3, close, true);
             }
             i = close + 1;
-            continue;
-        }
-        // Panic macros.
-        if kind == TokKind::Ident && PANIC_MACROS.contains(&t) && i + 1 < e && txt(file, i + 1) == "!" {
-            sink("panic-path", line, format!("`{t}!` reachable from a simulator entry point"));
-            i += 2;
-            continue;
-        }
-        // `.unwrap()` / `.expect(`.
-        if kind == TokKind::Ident
-            && (t == "unwrap" || t == "expect")
-            && i >= 1
-            && txt(file, i - 1) == "."
-            && i + 1 < e
-            && txt(file, i + 1) == "("
-        {
-            let discharged = i >= 2
-                && path_back(file, i - 2)
-                    .is_some_and(|(p, _)| st.contains(&format!("some:{p}")));
-            if !discharged {
-                sink(
-                    "panic-path",
-                    line,
-                    format!("`.{t}(..)` without a dominating `is_some`/`is_ok` check"),
-                );
-            }
-            i += 1;
             continue;
         }
         // `let` bindings: eqlen / arraylen / min-bound facts, plus the
@@ -1400,29 +1347,27 @@ mod tests {
     }
 
     #[test]
-    fn reachable_panic_fires_and_unreachable_does_not() {
+    fn reachable_site_fires_and_unreachable_does_not() {
         let r = run_on(
-            "entry(1);",
-            "pub fn entry(x: u64) -> u64 { if x > 9 { panic!(\"boom\") } x }\n\
-             pub fn not_reached() { panic!(\"quiet\") }\n",
+            "entry(&[1]);",
+            "pub fn entry(v: &[u64]) -> u64 { v[9] }\n\
+             pub fn not_reached(v: &[u64]) -> u64 { v[9] }\n",
         );
-        assert_eq!(rules(&r), ["panic-path"], "{:?}", r.findings);
-        // `not_reached` has no caller chain from main, so its panic is
-        // out of scope for this pass (the source pass still bans it).
+        assert_eq!(rules(&r), ["unchecked-index"], "{:?}", r.findings);
+        // `not_reached` has no caller chain from main, so its index is
+        // out of scope for this pass.
         assert_eq!(r.findings[0].line, 1);
         assert_eq!(r.findings[0].chain, ["main", "entry"]);
     }
 
     #[test]
-    fn dominating_checks_discharge_index_and_unwrap() {
+    fn dominating_checks_discharge_indexing() {
         let r = run_on(
             "entry(&[1, 2]);",
             "pub fn entry(v: &[u64]) -> u64 {\n\
                  let mut s = 0;\n\
                  for i in 0..v.len() { s += v[i]; }\n\
                  if !v.is_empty() { s += v[0]; }\n\
-                 let o = v.first();\n\
-                 if o.is_some() { s += o.unwrap(); }\n\
                  s\n\
              }\n",
         );
@@ -1504,15 +1449,15 @@ mod tests {
             "pub fn entry(v: &[u64], i: usize) -> u64 {\n\
                  // analyze: total — caller guarantees i < v.len() by construction\n\
                  let a = v[i];\n\
-                 // lint: allow(panic-path) — startup-only, fails loudly before the run\n\
-                 let b = v.first().unwrap();\n\
-                 a + b\n\
+                 // lint: allow(underflow-sub) — startup-only, callers pass a non-empty slice\n\
+                 let b = v.len() - 1;\n\
+                 a + b as u64\n\
              }\n",
         );
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.suppressions.len(), 2, "{:?}", r.suppressions);
         assert!(r.suppressions.iter().any(|s| s.rule == "unchecked-index"));
-        assert!(r.suppressions.iter().any(|s| s.rule == "panic-path"));
+        assert!(r.suppressions.iter().any(|s| s.rule == "underflow-sub"));
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub const REPORT_SCHEMA: &str = "csim-analyze-report/v1";
 pub enum Pass {
     /// Architecture DAG enforcement.
     Layering,
-    /// Hot-path allocation/float/panic lint.
+    /// Hot-path allocation/float lint.
     HotPath,
     /// Determinism taint propagation.
     Taint,
@@ -59,8 +59,8 @@ impl Pass {
 pub struct Finding {
     /// Producing pass.
     pub pass: Pass,
-    /// Rule name (`layering`, `hot-alloc`, `hot-float`, `hot-panic`,
-    /// `taint-export`, `dead-pub`) — also the `lint: allow(..)` key.
+    /// Rule name (`layering`, `hot-alloc`, `no-panic`, `unchecked-index`,
+    /// ...) — also the `lint: allow(..)` key.
     pub rule: String,
     /// Workspace-relative file.
     pub file: String,
@@ -121,8 +121,8 @@ pub struct AnalysisReport {
     pub hot_roots: usize,
     /// `pub` items audited.
     pub pub_items: usize,
-    /// Shipped fns reachable from the binary entry points and proven
-    /// (or contracted) panic-free.
+    /// Shipped fns reachable from the `csim` entry point and proven
+    /// (or contracted) free of unchecked indexing and underflow.
     pub reachable_fns: usize,
     /// `// analyze: exact` statements verified by the exactness pass.
     pub exact_sites: usize,

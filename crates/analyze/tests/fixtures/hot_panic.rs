@@ -1,8 +1,9 @@
 //! Fixture: a panicking operation on a declared hot path.
 //!
-//! `.unwrap()` and `panic!` are findings on hot paths; `assert!` and
-//! `debug_assert!` are workspace policy and stay allowed — the second
-//! function proves the pass does not overreach.
+//! `.unwrap()` is one `no-panic` finding, hot or not — the hot-path
+//! pass adds no second rule for it. `debug_assert!` is workspace policy
+//! and stays allowed: the second function proves the ban does not
+//! overreach.
 
 // analyze: hot
 pub fn fixture_hot_lookup(table: &[u64], i: usize) -> u64 {

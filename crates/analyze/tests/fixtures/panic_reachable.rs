@@ -1,6 +1,10 @@
-//! Negative fixture for the panic-freedom pass: the unguarded sites
-//! must fire, the dataflow-proved one must stay silent, and both
+//! Negative fixture for the panic-freedom rules: the unguarded sites
+//! must fire, the dataflow-proved index must stay silent, and both
 //! contract levels (site and function) must suppress with a reason.
+//! Panicking calls are `no-panic` findings whether or not a check
+//! dominates them: the one panic ban accepts no dataflow discharge.
+
+#![forbid(unsafe_code)]
 
 /// Reachable from the mounted `src/bin/csim.rs` entry point via the
 /// name-based call graph.
@@ -8,6 +12,7 @@ pub fn entry() {
     let v = vec![1u64, 2];
     let i = pick();
     bad_unwrap(&v);
+    checked_unwrap(&v);
     bad_index(&v, i);
     guarded_index(&v, i);
     contracted_site(&v, i);
@@ -19,7 +24,16 @@ fn pick() -> usize {
 }
 
 fn bad_unwrap(v: &[u64]) -> u64 {
-    *v.first().unwrap() // expected finding: panic-path
+    *v.first().unwrap() // expected finding: no-panic (unchecked)
+}
+
+fn checked_unwrap(v: &[u64]) -> u64 {
+    let o = v.first();
+    if o.is_some() {
+        *o.unwrap() // expected finding: no-panic (dominated by is_some)
+    } else {
+        0
+    }
 }
 
 fn bad_index(v: &[u64], i: usize) -> u64 {

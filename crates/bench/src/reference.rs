@@ -76,7 +76,6 @@ impl ReferenceCache {
     }
 
     /// Looks a line up and updates LRU state. See [`csim_cache::Cache::access`].
-    // analyze: total — set_range selects a window inside slots: the set index is reduced modulo n_sets and slots holds n_sets*assoc entries from construction
     pub fn access(&mut self, line: u64, write: bool) -> Outcome {
         let (start, end) = self.set_range(line);
         let set = &mut self.slots[start..end];
@@ -102,19 +101,16 @@ impl ReferenceCache {
     /// Checks for presence without touching LRU state or statistics.
     pub fn contains(&self, line: u64) -> bool {
         let (start, end) = self.set_range(line);
-        // analyze: total — set_range selects a window inside slots: the set index is reduced modulo n_sets and slots holds n_sets*assoc entries from construction
         self.slots[start..end].iter().any(|s| s.valid && s.tag == line)
     }
 
     /// Whether the line is present and modified. `false` when absent.
     pub fn is_dirty(&self, line: u64) -> bool {
         let (start, end) = self.set_range(line);
-        // analyze: total — set_range selects a window inside slots: the set index is reduced modulo n_sets and slots holds n_sets*assoc entries from construction
         self.slots[start..end].iter().any(|s| s.valid && s.tag == line && s.dirty)
     }
 
     /// Installs a line at the MRU position. See [`csim_cache::Cache::insert`].
-    // analyze: total — set_range selects a window inside slots: the set index is reduced modulo n_sets and slots holds n_sets*assoc entries from construction
     pub fn insert(&mut self, line: u64, dirty: bool) -> Option<Evicted> {
         debug_assert!(!self.contains(line), "inserting line {line:#x} that is already cached");
         let (start, end) = self.set_range(line);
@@ -134,7 +130,6 @@ impl ReferenceCache {
     }
 
     /// Removes a line. Returns `Some(dirty)` when it was present.
-    // analyze: total — set_range selects a window inside slots: the set index is reduced modulo n_sets and slots holds n_sets*assoc entries from construction
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
         let (start, end) = self.set_range(line);
         let set = &mut self.slots[start..end];
@@ -155,7 +150,6 @@ impl ReferenceCache {
     /// Clears the dirty bit of a present line (coherence downgrade M→S).
     pub fn clean(&mut self, line: u64) -> bool {
         let (start, end) = self.set_range(line);
-        // analyze: total — set_range selects a window inside slots: the set index is reduced modulo n_sets and slots holds n_sets*assoc entries from construction
         for s in &mut self.slots[start..end] {
             if s.valid && s.tag == line {
                 s.dirty = false;
@@ -168,7 +162,6 @@ impl ReferenceCache {
     /// Marks a present line dirty without an access.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
         let (start, end) = self.set_range(line);
-        // analyze: total — set_range selects a window inside slots: the set index is reduced modulo n_sets and slots holds n_sets*assoc entries from construction
         for s in &mut self.slots[start..end] {
             if s.valid && s.tag == line {
                 s.dirty = true;

@@ -27,14 +27,12 @@
 #![forbid(unsafe_code)]
 
 mod addr;
-mod codec;
 pub mod hostprof;
 mod mem_ref;
 mod rng;
 mod stream;
 
 pub use addr::{line_addr, page_addr, Addr, DEFAULT_LINE_SIZE, DEFAULT_PAGE_SIZE};
-pub use codec::{ReplayStream, TraceReader, TraceWriter};
 pub use mem_ref::{
     Access, ExecMode, MemRef, PACKED_ACCESS_SHIFT, PACKED_ADDR_MASK, PACKED_MODE_BIT,
 };

@@ -812,7 +812,6 @@ impl ReferenceStream for NodeWorkload {
     fn next_ref(&mut self) -> MemRef {
         loop {
             if self.buf_head < self.buf_len {
-                // analyze: total — buf_head <= buf_len <= buf.len() is the burst-buffer invariant: refill resets both and each burst emits at most the buffer's capacity
                 let word = self.buf[self.buf_head];
                 self.buf_head += 1;
                 return MemRef::unpack(word);
