@@ -163,7 +163,7 @@ pub struct DirectoryStats {
     pub nacks: u64,
 }
 
-// A fast, deterministic hasher for u64 line addresses (FxHash-style
+// A fast, deterministic hasher for u64 block numbers (FxHash-style
 // multiply; the std SipHash is needlessly slow for this hot path and we do
 // not face adversarial keys).
 #[derive(Default)]
@@ -187,14 +187,90 @@ impl Hasher for LineHasher {
     }
 }
 
-type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+/// log2 of the lines per directory block: a block is 32 aligned lines.
+const BLOCK_SHIFT: u32 = 5;
+/// Lines per directory block.
+const BLOCK_LINES: usize = 1 << BLOCK_SHIFT;
+
+/// One block of the directory: its block number and its line slots.
+#[derive(Debug)]
+struct Slab {
+    /// `line >> BLOCK_SHIFT` for every line of the block.
+    block: u64,
+    /// The block's lines in order. `None` marks a line the directory has
+    /// never tracked; `Some(Uncached)` is a tombstone.
+    lines: [Option<LineState>; BLOCK_LINES],
+}
+
+/// Per-line directory storage as a block table: a small map from block
+/// number (`line >> BLOCK_SHIFT`) to a slab index, and one flat vector
+/// of slabs.
+///
+/// OLTP footprints are clustered: an 8-node run tracks tens of
+/// thousands of lines in a few thousand blocks, so one map bucket per
+/// block plus a dense slab costs less than one hash bucket per line,
+/// and a fresh directory climbs a much shorter rehash ladder. Home
+/// pages are scattered over a 2^46-byte space, so a dense radix over
+/// page numbers is not an option.
+#[derive(Debug, Default)]
+struct BlockTable {
+    index: HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
+    slabs: Vec<Slab>,
+    /// Lines with a `Some` slot (tombstones included).
+    tracked: usize,
+}
+
+impl BlockTable {
+    /// The state of a tracked line; `None` when the line was never
+    /// tracked, whether or not its block exists.
+    fn get(&self, line: u64) -> Option<LineState> {
+        let slab = self.slabs.get(*self.index.get(&(line >> BLOCK_SHIFT))?)?;
+        slab.lines[line as usize % slab.lines.len()]
+    }
+
+    /// The state of a tracked line, for an in-place transition.
+    fn get_mut(&mut self, line: u64) -> Option<&mut LineState> {
+        let slab = self.slabs.get_mut(*self.index.get(&(line >> BLOCK_SHIFT))?)?;
+        slab.lines[line as usize % slab.lines.len()].as_mut()
+    }
+
+    /// The state of `line`, tracking it as `Uncached` (and allocating its
+    /// block) on first touch; the flag reports that first touch.
+    fn slot_or_insert(&mut self, line: u64) -> (&mut LineState, bool) {
+        let block = line >> BLOCK_SHIFT;
+        let fresh = self.slabs.len();
+        let b = *self.index.entry(block).or_insert(fresh);
+        if b == fresh {
+            self.slabs.push(Slab { block, lines: [None; BLOCK_LINES] });
+        }
+        // Every index entry names a slab: it is the slab count at insertion.
+        assert!(b < self.slabs.len());
+        let lines = &mut self.slabs[b].lines;
+        let slot = &mut lines[line as usize % lines.len()];
+        let cold = slot.is_none();
+        self.tracked += usize::from(cold);
+        (slot.get_or_insert(LineState::Uncached), cold)
+    }
+
+    /// Every tracked line in ascending order: the slabs are sorted by
+    /// block number, then each is walked in line order. The hash index
+    /// is never iterated, so the order cannot depend on its layout.
+    fn iter(&self) -> impl Iterator<Item = (u64, LineState)> + '_ {
+        let mut slabs: Vec<&Slab> = self.slabs.iter().collect();
+        slabs.sort_unstable_by_key(|slab| slab.block);
+        slabs.into_iter().flat_map(|slab| {
+            let base = slab.block << BLOCK_SHIFT;
+            slab.lines.iter().zip(0..).filter_map(move |(slot, k)| Some((base | k, (*slot)?)))
+        })
+    }
+}
 
 /// The full-map invalidation directory for one simulated machine.
 ///
-/// Entries are kept per line address; home nodes are assigned by
-/// interleaving pages across nodes (round-robin on the page index), the
-/// scheme the paper assumes when it observes that OLTP data has a 1-in-8
-/// chance of being local on an 8-node machine.
+/// Entries are kept per line address in 32-line blocks; home nodes are
+/// assigned by interleaving pages across nodes (round-robin on the page
+/// index), the scheme the paper assumes when it observes that OLTP data
+/// has a 1-in-8 chance of being local on an 8-node machine.
 ///
 /// Lines that revert to `Uncached` keep a tombstone entry so cold misses
 /// remain distinguishable from re-fetches.
@@ -202,7 +278,7 @@ type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 pub struct Directory {
     n_nodes: u8,
     lines_per_page_shift: u32,
-    entries: LineMap<LineState>,
+    entries: BlockTable,
     stats: DirectoryStats,
 }
 
@@ -223,7 +299,7 @@ impl Directory {
         Directory {
             n_nodes,
             lines_per_page_shift: (page_size / line_size).trailing_zeros(),
-            entries: LineMap::default(),
+            entries: BlockTable::default(),
             stats: DirectoryStats::default(),
         }
     }
@@ -252,7 +328,7 @@ impl Directory {
 
     /// Current directory state of a line (absent lines are `Uncached`).
     pub fn state(&self, line: u64) -> LineState {
-        self.entries.get(&line).copied().unwrap_or(LineState::Uncached)
+        self.entries.get(line).unwrap_or(LineState::Uncached)
     }
 
     /// Protocol counters accumulated so far.
@@ -281,9 +357,7 @@ impl Directory {
         debug_assert!(requester < self.n_nodes);
         self.stats.read_misses += 1;
         let home = self.home(line);
-        let entry = self.entries.entry(line);
-        let cold = matches!(entry, std::collections::hash_map::Entry::Vacant(_));
-        let state = entry.or_insert(LineState::Uncached);
+        let (state, cold) = self.entries.slot_or_insert(line);
         match *state {
             LineState::Uncached => {
                 *state = LineState::Shared(NodeSet::single(requester));
@@ -320,9 +394,7 @@ impl Directory {
         debug_assert!(requester < self.n_nodes);
         self.stats.write_misses += 1;
         let home = self.home(line);
-        let entry = self.entries.entry(line);
-        let cold = matches!(entry, std::collections::hash_map::Entry::Vacant(_));
-        let state = entry.or_insert(LineState::Uncached);
+        let (state, cold) = self.entries.slot_or_insert(line);
         let outcome = match *state {
             LineState::Uncached => WriteOutcome {
                 source: FillSource::Home,
@@ -380,7 +452,7 @@ impl Directory {
     /// A refused writeback leaves the directory state untouched, so an
     /// erroneous caller cannot lose the real owner's dirty copy.
     pub fn writeback(&mut self, line: u64, node: NodeId) -> Result<(), ProtocolError> {
-        let Some(state) = self.entries.get_mut(&line) else {
+        let Some(state) = self.entries.get_mut(line) else {
             return Err(ProtocolError::UntrackedLine { op: "writeback", line });
         };
         match *state {
@@ -403,7 +475,7 @@ impl Directory {
     /// or `node` was not in the sharer set. Stale notifications are legal
     /// and leave the directory untouched.
     pub fn drop_sharer(&mut self, line: u64, node: NodeId) -> bool {
-        let Some(state) = self.entries.get_mut(&line) else { return false };
+        let Some(state) = self.entries.get_mut(line) else { return false };
         let LineState::Shared(sharers) = state else { return false };
         if !sharers.contains(node) {
             return false;
@@ -443,7 +515,7 @@ impl Directory {
         in_rac: bool,
         op: &'static str,
     ) -> Result<(), ProtocolError> {
-        let Some(state) = self.entries.get_mut(&line) else {
+        let Some(state) = self.entries.get_mut(line) else {
             return Err(ProtocolError::UntrackedLine { op, line });
         };
         match *state {
@@ -479,14 +551,14 @@ impl Directory {
         if !valid {
             return Err(ProtocolError::InvalidSeed { line, state });
         }
-        self.entries.insert(line, state);
+        *self.entries.slot_or_insert(line).0 = state;
         Ok(())
     }
 
     /// Number of tracked lines (including `Uncached` tombstones); for
     /// reporting and tests.
     pub fn tracked_lines(&self) -> usize {
-        self.entries.len()
+        self.entries.tracked
     }
 
     /// Iterates over every tracked line and its state in ascending line
@@ -495,10 +567,7 @@ impl Directory {
     /// guarantee makes "the first violation found" a stable, meaningful
     /// notion rather than an accident of hash layout.
     pub fn iter(&self) -> impl Iterator<Item = (u64, LineState)> + '_ {
-        let mut lines: Vec<(u64, LineState)> =
-            self.entries.iter().map(|(&line, &state)| (line, state)).collect();
-        lines.sort_unstable_by_key(|&(line, _)| line);
-        lines.into_iter()
+        self.entries.iter()
     }
 }
 

@@ -8,7 +8,12 @@
 //! * [`Directory`] — the protocol state machine. For every cache line it
 //!   tracks `Uncached` / `Shared(sharers)` / `Modified(owner)` state, plus
 //!   whether a modified line currently lives in the owner's L2 or has been
-//!   parked in the owner's remote access cache (RAC).
+//!   parked in the owner's remote access cache (RAC). The states live in
+//!   a block table: a small hash index from block number (32 aligned
+//!   lines) to one slab of 32 slots in a flat vector, so the storage
+//!   grows with the few thousand blocks a run touches rather than with
+//!   one hash bucket per line, and [`Directory::iter`] walks the lines
+//!   in ascending order by sorting only the slabs.
 //! * [`NodeSet`] — a bitmap of node ids (used for sharer sets and
 //!   invalidation targets).
 //! * Home-node assignment by page interleaving ([`Directory::home`]),
