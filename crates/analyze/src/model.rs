@@ -512,6 +512,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
     let mut pubs: Vec<PubItem> = Vec::new();
     let mut imports: BTreeMap<String, usize> = BTreeMap::new();
     let mut hash_extra: BTreeSet<String> = BTreeSet::new();
+    let mut struct_bodies: Vec<(usize, usize)> = Vec::new();
 
     let text = |k: usize| file.text(file.toks[k]);
     let line = |k: usize| file.toks[k].line as usize;
@@ -771,7 +772,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                         "{" if angle == 0 => {
                             let end = skip_group(i, "{", "}");
                             if t == "struct" {
-                                harvest_hash_fields(file, i + 1, end, &mut hash_extra);
+                                struct_bodies.push((i + 1, end));
                             }
                             i = end;
                             break;
@@ -956,6 +957,12 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
             ws.imports.push(ImportEdge { from: from.clone(), to, file: file_idx, line: l });
         }
     }
+    // Fields are harvested once every alias in the file is known, so a
+    // field typed through an alias declared below its struct counts too.
+    let aliases = hash_extra.clone();
+    for (start, end) in struct_bodies {
+        harvest_hash_fields(file, start, end, &aliases, &mut hash_extra);
+    }
     if let Some(set) = ws.hash_names.get_mut(&crate_name) {
         set.extend(hash_extra);
     }
@@ -963,9 +970,16 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
     ws.pub_items.extend(pubs);
 }
 
-/// Collects field names typed `HashMap`/`HashSet` from a record-struct
-/// body (token range `start..end`, excluding the braces).
-fn harvest_hash_fields(file: &SourceFile, start: usize, end: usize, out: &mut BTreeSet<String>) {
+/// Collects field names typed `HashMap`/`HashSet`, or one of the file's
+/// hash `aliases`, from a record-struct body (token range `start..end`,
+/// excluding the braces).
+fn harvest_hash_fields(
+    file: &SourceFile,
+    start: usize,
+    end: usize,
+    aliases: &BTreeSet<String>,
+    out: &mut BTreeSet<String>,
+) {
     let mut i = start;
     while i < end.min(file.toks.len()) {
         // field pattern: ident `:` type-tokens (to `,` at depth 0)
@@ -984,6 +998,7 @@ fn harvest_hash_fields(file: &SourceFile, start: usize, end: usize, out: &mut BT
                     ">" | ")" | "]" => depth = depth.saturating_sub(1),
                     "," if depth == 0 => break,
                     "HashMap" | "HashSet" => is_hash = true,
+                    alias if aliases.contains(alias) => is_hash = true,
                     _ => {}
                 }
                 j += 1;
@@ -1144,8 +1159,9 @@ pub struct Directory { lines: LineMap<u8>, order: HashMap<u64, u64>, count: u64 
         assert!(names.contains("LineMap"), "{names:?}");
         assert!(names.contains("order"), "{names:?}");
         assert!(!names.contains("count"), "{names:?}");
-        // `lines` is typed by the alias — hash field via alias text.
         assert!(names.contains("HashMap"));
+        // `lines` is typed by the alias, so it is a hash field too.
+        assert!(names.contains("lines"), "{names:?}");
     }
 
     #[test]

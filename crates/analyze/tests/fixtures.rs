@@ -171,6 +171,21 @@ fn taint_export_fires_on_hash_iteration_reaching_a_sink() {
 }
 
 #[test]
+fn taint_export_sees_a_field_typed_through_a_hash_alias() {
+    let rep = analyze_mounted(&[(
+        "crates/obs/src/export.rs",
+        "obs",
+        Section::Src,
+        "taint_alias_field.rs",
+    )]);
+    let taint: Vec<_> = rep.findings.iter().filter(|f| f.rule == "taint-export").collect();
+    assert!(
+        taint.iter().any(|f| f.message.contains("fixture_tracked_lines")),
+        "{taint:?}"
+    );
+}
+
+#[test]
 fn dead_pub_fires_on_an_unconsumed_item() {
     let rep = analyze_mounted(&[(
         "crates/noc/src/orphan.rs",

@@ -7,6 +7,7 @@
 //! filtered trace keeps a full ring's worth of the events that matter.
 
 use crate::class::MissClass;
+use crate::json::Json;
 
 /// What happened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,29 +94,25 @@ impl Event {
     /// Serializes the event as one compact JSON object (no trailing
     /// newline) — one line of the JSONL export.
     pub(crate) fn to_json_line(self) -> String {
-        let mut s = format!(
-            "{{\"at\":{},\"node\":{},\"core\":{},\"line\":{},\"kind\":\"{}\"",
-            self.at,
-            self.node,
-            self.core,
-            self.line,
-            self.kind.as_str()
-        );
+        let mut o = Json::obj([
+            ("at", Json::UInt(self.at)),
+            ("node", Json::UInt(self.node.into())),
+            ("core", Json::UInt(self.core.into())),
+            ("line", Json::UInt(self.line)),
+            ("kind", Json::str(self.kind.as_str())),
+        ]);
         if let Some(class) = self.kind.class() {
-            s.push_str(&format!(",\"class\":\"{class}\""));
+            o.push("class", Json::str(class.as_str()));
         }
         match self.kind {
-            EventKind::Miss { latency, .. } => s.push_str(&format!(",\"latency\":{latency}")),
+            EventKind::Miss { latency, .. } => o.push("latency", Json::UInt(latency)),
             EventKind::Nack { count } | EventKind::Retry { count } => {
-                s.push_str(&format!(",\"count\":{count}"));
+                o.push("count", Json::UInt(count.into()));
             }
-            EventKind::Invalidation { targets } => {
-                s.push_str(&format!(",\"targets\":{targets}"));
-            }
+            EventKind::Invalidation { targets } => o.push("targets", Json::UInt(targets.into())),
             EventKind::Watchdog | EventKind::Writeback | EventKind::Downgrade => {}
         }
-        s.push('}');
-        s
+        o.to_string()
     }
 }
 
@@ -313,11 +310,14 @@ mod tests {
         let jsonl = r.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"kind\":\"miss\""));
-        assert!(lines[0].contains("\"class\":\"remote-clean\""));
-        assert!(lines[0].contains("\"latency\":100"));
-        assert!(lines[1].contains("\"targets\":3"));
-        assert!(!lines[1].contains("\"class\""));
+        assert_eq!(
+            lines[0],
+            r#"{"at":7,"node":2,"core":0,"line":64,"kind":"miss","class":"remote-clean","latency":100}"#
+        );
+        assert_eq!(
+            lines[1],
+            r#"{"at":8,"node":1,"core":0,"line":128,"kind":"invalidation","targets":3}"#
+        );
     }
 
     #[test]

@@ -8,16 +8,15 @@
 //!   Rust's shortest-round-trip `Display`, so identical inputs always
 //!   produce byte-identical output (the export-determinism tests rely
 //!   on this).
-//! * [`validate`] / [`validate_jsonl`] — a minimal recursive-descent
-//!   well-formedness checker used by the CI smoke run and the export
-//!   tests. It checks syntax only; it does not build a tree.
-//! * [`parse`] — a tree-building reader for documents this writer
-//!   produced. For writer-canonical input (no whitespace, no exponent
+//! * [`parse`] — the one reader: a tree-building recursive-descent
+//!   parser. For writer-canonical input (no whitespace, no exponent
 //!   notation, shortest-round-trip floats, minimal escapes) the
 //!   round-trip `parse(s)?.to_string() == s` holds byte-for-byte — the
 //!   property the sweep shard-merge and checkpoint-resume paths rely
 //!   on to reassemble reports that are indistinguishable from an
-//!   uninterrupted single-process run.
+//!   uninterrupted single-process run. [`validate`] / [`validate_jsonl`]
+//!   are the well-formedness checks the CI smoke run and the export
+//!   tests use; they accept exactly what [`parse`] accepts.
 
 /// An ordered JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -185,11 +184,11 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Maximum nesting depth the checker accepts (guards its own stack).
+/// Maximum nesting depth the parser accepts (guards its own stack).
 const MAX_DEPTH: usize = 128;
 
 /// Checks that `text` is exactly one well-formed JSON value (plus
-/// surrounding whitespace).
+/// surrounding whitespace): [`parse`] without keeping the tree.
 ///
 /// # Errors
 ///
@@ -201,14 +200,7 @@ const MAX_DEPTH: usize = 128;
 /// assert!(validate("{\"a\":}").is_err());
 /// ```
 pub fn validate(text: &str) -> Result<(), JsonError> {
-    let b = text.as_bytes();
-    let mut pos = skip_ws(b, 0);
-    pos = value(b, pos, 0)?;
-    pos = skip_ws(b, pos);
-    if pos != b.len() {
-        return Err(err(pos, "trailing characters after the document"));
-    }
-    Ok(())
+    parse(text).map(|_| ())
 }
 
 /// Checks that every non-empty line of `text` is a well-formed JSON
@@ -241,60 +233,6 @@ fn skip_ws(b: &[u8], mut pos: usize) -> usize {
     pos
 }
 
-/// Parses one value starting at `pos`, returning the position after it.
-fn value(b: &[u8], pos: usize, depth: usize) -> Result<usize, JsonError> {
-    if depth > MAX_DEPTH {
-        return Err(err(pos, "nesting too deep"));
-    }
-    match b.get(pos) {
-        None => Err(err(pos, "expected a value, found end of input")),
-        Some(b'{') => {
-            let mut pos = skip_ws(b, pos + 1);
-            if b.get(pos) == Some(&b'}') {
-                return Ok(pos + 1);
-            }
-            loop {
-                if b.get(pos) != Some(&b'"') {
-                    return Err(err(pos, "expected an object key string"));
-                }
-                pos = string(b, pos)?;
-                pos = skip_ws(b, pos);
-                if b.get(pos) != Some(&b':') {
-                    return Err(err(pos, "expected ':' after object key"));
-                }
-                pos = value(b, skip_ws(b, pos + 1), depth + 1)?;
-                pos = skip_ws(b, pos);
-                match b.get(pos) {
-                    Some(b',') => pos = skip_ws(b, pos + 1),
-                    Some(b'}') => return Ok(pos + 1),
-                    _ => return Err(err(pos, "expected ',' or '}' in object")),
-                }
-            }
-        }
-        Some(b'[') => {
-            let mut pos = skip_ws(b, pos + 1);
-            if b.get(pos) == Some(&b']') {
-                return Ok(pos + 1);
-            }
-            loop {
-                pos = value(b, pos, depth + 1)?;
-                pos = skip_ws(b, pos);
-                match b.get(pos) {
-                    Some(b',') => pos = skip_ws(b, pos + 1),
-                    Some(b']') => return Ok(pos + 1),
-                    _ => return Err(err(pos, "expected ',' or ']' in array")),
-                }
-            }
-        }
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, "true"),
-        Some(b'f') => literal(b, pos, "false"),
-        Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(c) => Err(err(pos, format!("unexpected byte 0x{c:02x}"))),
-    }
-}
-
 fn literal(b: &[u8], pos: usize, lit: &str) -> Result<usize, JsonError> {
     // analyze: total — pos <= b.len() is the parser cursor invariant and a start-bound slice at the end is empty, not out of range
     if b[pos..].starts_with(lit.as_bytes()) {
@@ -302,32 +240,6 @@ fn literal(b: &[u8], pos: usize, lit: &str) -> Result<usize, JsonError> {
     } else {
         Err(err(pos, format!("expected '{lit}'")))
     }
-}
-
-fn string(b: &[u8], pos: usize) -> Result<usize, JsonError> {
-    debug_assert_eq!(b[pos], b'"');
-    let mut pos = pos + 1;
-    while let Some(&c) = b.get(pos) {
-        match c {
-            b'"' => return Ok(pos + 1),
-            b'\\' => match b.get(pos + 1) {
-                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => pos += 2,
-                Some(b'u') => {
-                    let hex = b.get(pos + 2..pos + 6).ok_or_else(|| {
-                        err(pos, "truncated \\u escape")
-                    })?;
-                    if !hex.iter().all(u8::is_ascii_hexdigit) {
-                        return Err(err(pos, "bad \\u escape"));
-                    }
-                    pos += 6;
-                }
-                _ => return Err(err(pos, "bad escape sequence")),
-            },
-            c if c < 0x20 => return Err(err(pos, "raw control character in string")),
-            _ => pos += 1,
-        }
-    }
-    Err(err(pos, "unterminated string"))
 }
 
 fn number(b: &[u8], pos: usize) -> Result<usize, JsonError> {
@@ -599,41 +511,50 @@ mod tests {
         validate(&s).unwrap();
     }
 
+    /// Standard documents the reader must accept.
+    const ACCEPT: [&str; 8] = [
+        "null",
+        "true",
+        "-12.5e+3",
+        "0",
+        "[]",
+        "{}",
+        "  [1, 2, {\"a\": [null]}]  ",
+        "\"\\u00e9\\t\"",
+    ];
+
+    /// Malformed documents the reader must reject.
+    const REJECT: [&str; 18] = [
+        "",
+        "{",
+        "[1,]",
+        "{\"a\":}",
+        "{\"a\" 1}",
+        "{a:1}",
+        "01",
+        "1.",
+        "1e",
+        "\"unterminated",
+        "\"bad\\q\"",
+        "\"\\u12g4\"",
+        "nulL",
+        "[1] extra",
+        "\"raw\u{1}\"",
+        "\"\\ud800\"",
+        "\"\\udc00\"",
+        "\"\\ud83dA\"",
+    ];
+
     #[test]
     fn validator_accepts_standard_documents() {
-        for doc in [
-            "null",
-            "true",
-            "-12.5e+3",
-            "0",
-            "[]",
-            "{}",
-            "  [1, 2, {\"a\": [null]}]  ",
-            "\"\\u00e9\\t\"",
-        ] {
+        for doc in ACCEPT {
             validate(doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
         }
     }
 
     #[test]
     fn validator_rejects_malformed_documents() {
-        for doc in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "{a:1}",
-            "01",
-            "1.",
-            "1e",
-            "\"unterminated",
-            "\"bad\\q\"",
-            "\"\\u12g4\"",
-            "nulL",
-            "[1] extra",
-            "\"raw\u{1}\"",
-        ] {
+        for doc in REJECT {
             assert!(validate(doc).is_err(), "accepted: {doc:?}");
         }
     }
@@ -717,8 +638,8 @@ mod tests {
 
     #[test]
     fn parse_rejects_what_validate_rejects() {
-        for doc in ["", "{", "[1,]", "{\"a\":}", "01", "1.", "nulL", "[1] extra"] {
-            assert!(parse(doc).is_err(), "accepted: {doc:?}");
+        for doc in ACCEPT.into_iter().chain(REJECT) {
+            assert_eq!(parse(doc).is_ok(), validate(doc).is_ok(), "disagree on {doc:?}");
         }
         let deep = format!("{}1{}", "[".repeat(500), "]".repeat(500));
         assert!(parse(&deep).is_err(), "deep nesting must be bounded");

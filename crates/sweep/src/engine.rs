@@ -410,20 +410,9 @@ fn execute(index: usize, spec: &RunSpec) -> Result<RunOutcome, SweepError> {
         tool: "csim-sweep".to_string(),
         version: version_string(env!("CARGO_PKG_VERSION")),
         config_summary: cfg.summary(),
-        config: vec![
-            ("label".to_string(), spec.label()),
-            ("nodes".to_string(), spec.nodes.to_string()),
-            ("cores_per_node".to_string(), spec.cores.to_string()),
-            ("integration".to_string(), format!("{:?}", spec.integration)),
-            ("l2_bytes".to_string(), spec.l2_bytes.to_string()),
-            ("l2_assoc".to_string(), spec.l2_assoc.to_string()),
-            ("l2_dram".to_string(), spec.dram.to_string()),
-            ("rac".to_string(), spec.rac.to_string()),
-            ("replicate_instructions".to_string(), spec.replicate.to_string()),
-            ("out_of_order".to_string(), spec.ooo.to_string()),
-            ("warm_refs_per_node".to_string(), spec.warm.to_string()),
-            ("meas_refs_per_node".to_string(), spec.meas.to_string()),
-        ],
+        config: std::iter::once(("label".to_string(), spec.label()))
+            .chain(spec.manifest_config())
+            .collect(),
         seeds: vec![("workload".to_string(), spec.seed)],
     };
     // `profile: None` keeps the per-run document wall-clock-free and

@@ -1,12 +1,16 @@
-//! Grid expansion: a [`SweepPlan`] becomes an ordered list of
-//! [`RunSpec`]s, one per grid point.
+//! Design points: a [`RunSpec`] is one fully-resolved run, and a
+//! [`SweepPlan`] expands into an ordered list of them. This module is
+//! the one place that maps a design point to its machine, its default
+//! L2 and its manifest echo; the sweep engine and the `csim` front end
+//! both go through it.
 
-use csim_config::{IntegrationLevel, OooParams, RacConfig, SystemConfig};
+use csim_config::{ConfigError, IntegrationLevel, OooParams, RacConfig, SystemConfig};
+use csim_workload::OltpParams;
 
 use crate::plan::{integration_short_name, L2Spec, SweepError, SweepPlan};
 
-/// One fully-resolved grid point: everything needed to build and run a
-/// single simulation, independent of every other run.
+/// One fully-resolved design point: everything needed to build and run
+/// a single simulation, independent of every other run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunSpec {
     /// Integration level of this run.
@@ -39,6 +43,31 @@ pub struct RunSpec {
     pub meas: u64,
 }
 
+impl Default for RunSpec {
+    /// The default plan's one run, and `csim` without flags: one Base
+    /// chip with one in-order core, the 8M1w off-chip L2, the default
+    /// workload seed, 2M warm-up and 2M measured references per node.
+    fn default() -> Self {
+        let l2 = default_l2(IntegrationLevel::Base);
+        RunSpec {
+            integration: IntegrationLevel::Base,
+            l2_bytes: l2.bytes,
+            l2_assoc: l2.assoc,
+            l2_label: l2.label,
+            nodes: 1,
+            cores: 1,
+            seed_index: 0,
+            seed: OltpParams::default().seed,
+            dram: false,
+            rac: false,
+            replicate: false,
+            ooo: false,
+            warm: 2_000_000,
+            meas: 2_000_000,
+        }
+    }
+}
+
 impl RunSpec {
     /// The run's stable label, e.g. `l2/2M8w/8n1c/s0`: integration
     /// level, L2 geometry, topology, and position on the seed axis.
@@ -55,14 +84,15 @@ impl RunSpec {
         )
     }
 
-    /// Builds the [`SystemConfig`] for this grid point — the same
-    /// mapping the `csim` front end applies to its flags.
+    /// Maps this design point to its [`SystemConfig`]: an on-chip level
+    /// gets an SRAM (or, with `dram`, embedded-DRAM) L2, an off-chip one
+    /// a board-level L2, plus the paper's RAC and OOO core when asked.
     ///
     /// # Errors
     ///
-    /// [`SweepError::Run`] when the configuration is rejected (e.g. an
-    /// on-chip L2 too large for the die).
-    pub fn build_config(&self) -> Result<SystemConfig, SweepError> {
+    /// The config builder's [`ConfigError`] when the machine is
+    /// impossible (e.g. an on-chip L2 too large for the die).
+    pub fn system_config(&self) -> Result<SystemConfig, ConfigError> {
         let mut b = SystemConfig::builder();
         b.nodes(self.nodes)
             .cores_per_node(self.cores)
@@ -83,14 +113,47 @@ impl RunSpec {
         if self.ooo {
             b.out_of_order(OooParams::paper());
         }
-        b.build().map_err(|e| SweepError::Run { label: self.label(), message: e.to_string() })
+        b.build()
+    }
+
+    /// [`RunSpec::system_config`] with the error tagged by this run's
+    /// label, as the sweep engine reports it.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::Run`] when the configuration is rejected.
+    pub fn build_config(&self) -> Result<SystemConfig, SweepError> {
+        self.system_config()
+            .map_err(|e| SweepError::Run { label: self.label(), message: e.to_string() })
+    }
+
+    /// The run manifest's configuration echo: the design point as
+    /// ordered key/value pairs, `nodes` through `meas_refs_per_node`.
+    pub fn manifest_config(&self) -> Vec<(String, String)> {
+        [
+            ("nodes", self.nodes.to_string()),
+            ("cores_per_node", self.cores.to_string()),
+            ("integration", format!("{:?}", self.integration)),
+            ("l2_bytes", self.l2_bytes.to_string()),
+            ("l2_assoc", self.l2_assoc.to_string()),
+            ("l2_dram", self.dram.to_string()),
+            ("rac", self.rac.to_string()),
+            ("replicate_instructions", self.replicate.to_string()),
+            ("out_of_order", self.ooo.to_string()),
+            ("warm_refs_per_node", self.warm.to_string()),
+            ("meas_refs_per_node", self.meas.to_string()),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
     }
 }
 
-/// The default L2 geometry of an integration level when the plan leaves
-/// the `l2` axis empty: the paper's 8M1w off-chip, 2M8w on-chip (the
-/// rule `csim` applies when `--l2` is not given).
-fn default_l2(level: IntegrationLevel) -> L2Spec {
+/// The L2 geometry a run gets when none is given: the paper's 8M1w
+/// off-chip, 2M8w on-chip, because the off-chip default does not fit on
+/// a die. Used for a plan's empty `l2` axis and for `csim` without
+/// `--l2`.
+pub fn default_l2(level: IntegrationLevel) -> L2Spec {
     if level.l2_on_chip() {
         L2Spec { bytes: 2 << 20, assoc: 8, label: "2M8w".to_string() }
     } else {

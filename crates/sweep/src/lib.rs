@@ -74,10 +74,9 @@ pub use engine::{
     PointOutcome, PointTiming, RunOutcome, RunSummary, SweepConfig, SweepOutcome, SweepTiming,
     SWEEP_REPORT_SCHEMA, SWEEP_SHARD_SCHEMA,
 };
-pub use grid::RunSpec;
+pub use grid::{default_l2, RunSpec};
 pub use merge::{merge_shard_docs, merge_shard_files};
 pub use plan::{
-    derive_seeds, integration_short_name, parse_integration, parse_l2_spec, L2Spec, SweepError,
-    SweepPlan,
+    derive_seeds, integration_short_name, parse_integration, L2Spec, SweepError, SweepPlan,
 };
 pub use shard::Shard;

@@ -21,48 +21,41 @@ pub struct L2Spec {
 }
 
 impl L2Spec {
-    /// Parses a `2M8w` / `1.25M4w`-style spec.
+    /// Parses a cache-geometry spec of the form `<size>M<assoc>w`, e.g.
+    /// `8M1w`, `2M8w` or `1.25M4w`: the language of a plan's `l2` axis
+    /// and of the `csim --l2` flag.
     ///
     /// # Errors
     ///
     /// A human-readable message naming what is wrong with the spec.
+    // analyze: total — m and w are byte offsets from find() on this same ASCII spec string with m < w enforced, so both cuts are in-range char boundaries
     pub fn parse(spec: &str) -> Result<L2Spec, String> {
-        let (bytes, assoc) = parse_l2_spec(spec)?;
-        Ok(L2Spec { bytes, assoc, label: spec.trim().to_string() })
+        let spec = spec.trim();
+        let m = spec.find(['M', 'm']).ok_or_else(|| format!("bad L2 spec '{spec}': missing M"))?;
+        let w = spec
+            .rfind(['w', 'W'])
+            .filter(|&w| w > m)
+            .ok_or_else(|| format!("bad L2 spec '{spec}': missing w"))?;
+        if w + 1 != spec.len() {
+            return Err(format!("bad L2 spec '{spec}': trailing characters after 'w'"));
+        }
+        let mb: f64 = spec[..m].parse().map_err(|_| format!("bad L2 size in '{spec}'"))?;
+        let assoc: u32 =
+            spec[m + 1..w].parse().map_err(|_| format!("bad associativity in '{spec}'"))?;
+        if !mb.is_finite() || mb <= 0.0 {
+            return Err(format!("bad L2 spec '{spec}': size must be positive"));
+        }
+        if assoc == 0 {
+            return Err(format!("bad L2 spec '{spec}': associativity must be at least 1"));
+        }
+        if !assoc.is_power_of_two() {
+            return Err(format!(
+                "bad L2 spec '{spec}': associativity {assoc} is not a power of two"
+            ));
+        }
+        let bytes = (mb * (1u64 << 20) as f64).round() as u64;
+        Ok(L2Spec { bytes, assoc, label: spec.to_string() })
     }
-}
-
-/// Parses a cache-geometry spec of the form `<size>M<assoc>w`, e.g.
-/// `8M1w`, `2M8w` or `1.25M4w`. Shared by the sweep loader and the
-/// `csim --l2` flag so both accept exactly the same language.
-///
-/// # Errors
-///
-/// A human-readable message naming what is wrong with the spec.
-// analyze: total — m and w are byte offsets from find() on this same ASCII spec string with m < w enforced, so both cuts are in-range char boundaries
-pub fn parse_l2_spec(spec: &str) -> Result<(u64, u32), String> {
-    let spec = spec.trim();
-    let m = spec.find(['M', 'm']).ok_or_else(|| format!("bad L2 spec '{spec}': missing M"))?;
-    let w = spec
-        .rfind(['w', 'W'])
-        .filter(|&w| w > m)
-        .ok_or_else(|| format!("bad L2 spec '{spec}': missing w"))?;
-    if w + 1 != spec.len() {
-        return Err(format!("bad L2 spec '{spec}': trailing characters after 'w'"));
-    }
-    let mb: f64 = spec[..m].parse().map_err(|_| format!("bad L2 size in '{spec}'"))?;
-    let assoc: u32 = spec[m + 1..w].parse().map_err(|_| format!("bad associativity in '{spec}'"))?;
-    if !mb.is_finite() || mb <= 0.0 {
-        return Err(format!("bad L2 spec '{spec}': size must be positive"));
-    }
-    if assoc == 0 {
-        return Err(format!("bad L2 spec '{spec}': associativity must be at least 1"));
-    }
-    if !assoc.is_power_of_two() {
-        return Err(format!("bad L2 spec '{spec}': associativity {assoc} is not a power of two"));
-    }
-    let bytes = (mb * (1u64 << 20) as f64).round() as u64;
-    Ok((bytes, assoc))
 }
 
 /// Parses an integration-level name as used on the `csim` command line
@@ -119,8 +112,7 @@ pub struct SweepPlan {
     /// Integration-level axis.
     pub integration: Vec<IntegrationLevel>,
     /// L2 geometry axis. Empty means "the default geometry of each
-    /// integration level": 8M1w off-chip, 2M8w on-chip — the same rule
-    /// `csim` applies when `--l2` is not given.
+    /// integration level", [`default_l2`](crate::default_l2).
     pub l2: Vec<L2Spec>,
     /// Node-count axis.
     pub nodes: Vec<usize>,
@@ -438,25 +430,37 @@ mod tests {
         plan.validate().unwrap();
         assert_eq!(plan.run_count(), 1);
         assert_eq!(plan.seeds, vec![OltpParams::default().seed]);
+        assert_eq!(plan.expand(), vec![crate::RunSpec::default()]);
     }
 
     #[test]
     fn l2_spec_parses_the_paper_geometries() {
-        assert_eq!(parse_l2_spec("8M1w").unwrap(), (8 << 20, 1));
-        assert_eq!(parse_l2_spec("2M8w").unwrap(), (2 << 20, 8));
-        assert_eq!(parse_l2_spec("1.25M4w").unwrap(), ((5 << 20) / 4, 4));
-        assert_eq!(parse_l2_spec(" 16m2W ").unwrap(), (16 << 20, 2));
-        let s = L2Spec::parse("2M8w").unwrap();
+        let parse = |spec| L2Spec::parse(spec).map(|s| (s.bytes, s.assoc)).unwrap();
+        assert_eq!(parse("8M1w"), (8 << 20, 1));
+        assert_eq!(parse("2M8w"), (2 << 20, 8));
+        assert_eq!(parse("1.25M4w"), ((5 << 20) / 4, 4));
+        assert_eq!(parse(" 16m2W "), (16 << 20, 2));
+        let s = L2Spec::parse(" 2M8w ").unwrap();
         assert_eq!((s.bytes, s.assoc, s.label.as_str()), (2 << 20, 8, "2M8w"));
     }
 
     #[test]
     fn l2_spec_rejects_malformed_input() {
-        assert!(parse_l2_spec("0M4w").unwrap_err().contains("positive"));
-        assert!(parse_l2_spec("2M0w").unwrap_err().contains("at least 1"));
-        assert!(parse_l2_spec("2M3w").unwrap_err().contains("power of two"));
-        assert!(parse_l2_spec("2M8wx").unwrap_err().contains("trailing"));
-        assert!(parse_l2_spec("8w").unwrap_err().contains("missing M"));
+        for (spec, why) in [
+            ("0M4w", "positive"),
+            ("-2M4w", "positive"),
+            ("infM4w", "positive"),
+            ("2M0w", "at least 1"),
+            ("2M3w", "power of two"),
+            ("2M6w", "power of two"),
+            ("2M8", "missing w"),
+            ("w2M", "missing w"),
+            ("2M8wx", "trailing"),
+            ("8w", "missing M"),
+        ] {
+            let err = L2Spec::parse(spec).unwrap_err();
+            assert!(err.contains(why), "{spec}: {err}");
+        }
     }
 
     #[test]

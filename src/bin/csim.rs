@@ -61,6 +61,7 @@
 //!                        (implied diagnostics stay on stderr)
 //!   --validate-json FILE   check FILE is well-formed JSON and exit
 //!   --validate-jsonl FILE  check FILE is well-formed JSONL and exit
+//!                        (validate mode takes no other flag)
 //!
 //! sweep mode (see crates/sweep and examples/fig09_sweep.toml):
 //!   --sweep PLAN         run the declarative parameter grid in PLAN
@@ -103,23 +104,41 @@ use oltp_chip_integration::obs::{json, REPORT_QUANTILES};
 use oltp_chip_integration::prelude::*;
 use oltp_chip_integration::prof::chrome::TraceDoc;
 use oltp_chip_integration::stats::svg;
-use oltp_chip_integration::sweep::{parse_integration, parse_l2_spec};
+use oltp_chip_integration::sweep::{
+    default_l2, parse_integration, L2Spec, RunSpec, Shard, SweepConfig, SweepPlan,
+};
 
+/// What one invocation asks for. The mode is chosen by its flag —
+/// `--sweep-merge` over `--sweep` over `--validate-json(l)` — and each
+/// mode rejects every flag it does not use.
 #[derive(Debug)]
+enum Cli {
+    /// Simulate one design point.
+    Run(Box<Args>),
+    /// Run a sweep plan's grid.
+    Sweep(SweepArgs),
+    /// Merge shard reports into one sweep report.
+    Merge { out: String, shards: Vec<String>, quiet: bool },
+    /// Check that a file is well-formed JSON (or JSONL) and exit.
+    Validate { path: String, jsonl: bool },
+    /// Point at the usage text.
+    Help,
+}
+
+/// Output flags that single runs and sweeps share.
+#[derive(Debug, Default)]
+struct Outputs {
+    json_report: Option<String>,
+    trace_events: Option<String>,
+    profile: bool,
+    quiet: bool,
+}
+
+/// A single run: the design point plus what to observe and export.
+#[derive(Debug, Default)]
 struct Args {
-    nodes: usize,
-    cores: usize,
-    integration: IntegrationLevel,
-    l2_bytes: u64,
-    l2_assoc: u32,
-    l2_explicit: bool,
-    dram: bool,
-    rac: bool,
-    replicate: bool,
-    ooo: bool,
-    warm: u64,
-    meas: u64,
-    seed: Option<u64>,
+    spec: RunSpec,
+    out: Outputs,
     fault_plan: Option<String>,
     fault_seed: u64,
     strict: Option<u64>,
@@ -129,50 +148,65 @@ struct Args {
     trace_out: Option<String>,
     trace_filter: Option<TraceFilter>,
     trace_cap: Option<usize>,
-    json_report: Option<String>,
     epoch_svg: Option<String>,
-    quiet: bool,
-    profile: bool,
     prof: Option<String>,
     prof_svg: Option<String>,
     prof_sample_hz: Option<u32>,
-    trace_events: Option<String>,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            nodes: 1,
-            cores: 1,
-            integration: IntegrationLevel::Base,
-            l2_bytes: 8 << 20,
-            l2_assoc: 1,
-            l2_explicit: false,
-            dram: false,
-            rac: false,
-            replicate: false,
-            ooo: false,
-            warm: 2_000_000,
-            meas: 2_000_000,
-            seed: None,
-            fault_plan: None,
-            fault_seed: 0,
-            strict: None,
-            sanitize: false,
-            histograms: false,
-            epoch: None,
-            trace_out: None,
-            trace_filter: None,
-            trace_cap: None,
-            json_report: None,
-            epoch_svg: None,
-            quiet: false,
-            profile: false,
-            prof: None,
-            prof_svg: None,
-            prof_sample_hz: None,
-            trace_events: None,
+/// Sweep mode's flags; per-run parameters live in the plan file.
+#[derive(Debug)]
+struct SweepArgs {
+    plan: String,
+    jobs: usize,
+    shard: Option<Shard>,
+    checkpoint: Option<String>,
+    watchdog: Option<f64>,
+    out: Outputs,
+}
+
+/// Which [`Cli`] the command line asks for.
+#[derive(Clone, Copy)]
+enum Mode {
+    Run,
+    Sweep,
+    Merge,
+    Validate,
+}
+
+impl Mode {
+    /// The mode a command line selects.
+    fn of(argv: &[String]) -> Mode {
+        let has = |flag: &str| argv.iter().any(|a| a == flag);
+        if has("--sweep-merge") {
+            Mode::Merge
+        } else if has("--sweep") {
+            Mode::Sweep
+        } else if has("--validate-json") || has("--validate-jsonl") {
+            Mode::Validate
+        } else {
+            Mode::Run
         }
+    }
+
+    /// Why this mode refuses `flag`.
+    fn reject(self, flag: &str) -> String {
+        let takes = match self {
+            Mode::Run => return format!("unknown flag '{flag}'"),
+            Mode::Sweep => {
+                "--sweep (sweep mode accepts only --sweep, --jobs, --shard, --checkpoint, \
+                 --watchdog, --profile, --trace-events, --json-report and --quiet; per-run \
+                 parameters belong in the plan file)"
+            }
+            Mode::Merge => {
+                "--sweep-merge (merge mode takes an output path, shard report files, and \
+                 optionally --quiet)"
+            }
+            Mode::Validate => {
+                "--validate-json/--validate-jsonl (validate mode takes only the file to check)"
+            }
+        };
+        format!("flag '{flag}' cannot be combined with {takes}")
     }
 }
 
@@ -191,135 +225,136 @@ fn parse_jobs(text: &str) -> Result<usize, String> {
     Ok(jobs)
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--nodes" => args.nodes = value("--nodes")?.parse().map_err(|e| format!("{e}"))?,
-            "--cores" => args.cores = value("--cores")?.parse().map_err(|e| format!("{e}"))?,
-            "--integration" => {
-                args.integration = parse_integration(&value("--integration")?)?
-            }
-            "--l2" => {
-                let (bytes, assoc) = parse_l2_spec(&value("--l2")?)?;
-                args.l2_bytes = bytes;
-                args.l2_assoc = assoc;
-                args.l2_explicit = true;
-            }
-            "--dram" => args.dram = true,
-            "--rac" => args.rac = true,
-            "--replicate" => args.replicate = true,
-            "--ooo" => args.ooo = true,
-            "--warm" => args.warm = value("--warm")?.parse().map_err(|e| format!("{e}"))?,
-            "--meas" => args.meas = value("--meas")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = Some(value("--seed")?.parse().map_err(|e| format!("{e}"))?),
-            "--fault-plan" => args.fault_plan = Some(value("--fault-plan")?),
-            "--fault-seed" => {
-                args.fault_seed = value("--fault-seed")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--strict" => {
-                args.strict = Some(value("--strict")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--sanitize" => args.sanitize = true,
-            "--histograms" => args.histograms = true,
-            "--epoch" => {
-                let n: u64 = value("--epoch")?.parse().map_err(|e| format!("{e}"))?;
-                if n == 0 {
-                    return Err("--epoch must be at least 1".into());
-                }
-                args.epoch = Some(n);
-            }
-            "--trace-out" => args.trace_out = Some(value("--trace-out")?),
-            "--trace-filter" => {
-                args.trace_filter = Some(TraceFilter::parse_classes(&value("--trace-filter")?)?)
-            }
-            "--trace-cap" => {
-                args.trace_cap =
-                    Some(value("--trace-cap")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--json-report" => args.json_report = Some(value("--json-report")?),
-            "--epoch-svg" => args.epoch_svg = Some(value("--epoch-svg")?),
-            "--quiet" => args.quiet = true,
-            "--profile" => args.profile = true,
-            "--prof" => args.prof = Some(value("--prof")?),
-            "--prof-svg" => args.prof_svg = Some(value("--prof-svg")?),
-            "--prof-sample-hz" => {
-                let hz: u32 =
-                    value("--prof-sample-hz")?.parse().map_err(|e| format!("{e}"))?;
-                if hz == 0 {
-                    return Err("--prof-sample-hz must be at least 1".into());
-                }
-                args.prof_sample_hz = Some(hz);
-            }
-            "--trace-events" => args.trace_events = Some(value("--trace-events")?),
-            "--validate-json" | "--validate-jsonl" => {
-                let path = value(&flag)?;
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read '{path}': {e}"))?;
-                let checked = if flag == "--validate-json" {
-                    json::validate(&text)
-                } else {
-                    json::validate_jsonl(&text)
-                };
-                match checked {
-                    Ok(()) => {
-                        println!("{path}: ok");
-                        std::process::exit(0);
-                    }
-                    Err(e) => return Err(format!("{path}: {e}")),
-                }
-            }
-            "--help" | "-h" => {
-                println!("see the module docs at the top of src/bin/csim.rs for usage");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
+/// Parses the `--watchdog` straggler multiple: a finite number strictly
+/// above 1 (a point can hardly be flagged for being faster than, or
+/// equal to, the median).
+fn parse_watchdog(text: &str) -> Result<f64, String> {
+    let mult: f64 = text
+        .trim()
+        .parse()
+        .map_err(|_| format!("bad --watchdog value '{text}': not a number"))?;
+    if !mult.is_finite() || mult <= 1.0 {
+        return Err(format!(
+            "bad --watchdog value '{text}': the straggler multiple must be a finite number \
+             greater than 1 (e.g. --watchdog 3 flags points 3x slower than the median)"
+        ));
     }
-    if args.trace_out.is_none() && (args.trace_filter.is_some() || args.trace_cap.is_some()) {
-        return Err("--trace-filter/--trace-cap require --trace-out".into());
-    }
-    if args.epoch_svg.is_some() && args.epoch.is_none() {
-        return Err("--epoch-svg requires --epoch".into());
-    }
-    if args.prof_svg.is_some() && args.prof.is_none() {
-        return Err("--prof-svg requires --prof".into());
-    }
-    if !args.l2_explicit && args.integration.l2_on_chip() {
-        // The off-chip default (8M1w) does not fit on a die; fall back
-        // to the paper's on-chip geometry unless the user chose one.
-        args.l2_bytes = 2 << 20;
-        args.l2_assoc = 8;
-    }
-    Ok(args)
+    Ok(mult)
 }
 
-fn build_config(a: &Args) -> Result<SystemConfig, Box<dyn std::error::Error>> {
-    let mut b = SystemConfig::builder();
-    b.nodes(a.nodes)
-        .cores_per_node(a.cores)
-        .integration(a.integration)
-        .replicate_instructions(a.replicate);
-    if a.integration.l2_on_chip() {
-        if a.dram {
-            b.l2_dram(a.l2_bytes, a.l2_assoc);
-        } else {
-            b.l2_sram(a.l2_bytes, a.l2_assoc);
+/// Parses a numeric flag value.
+fn number<T: std::str::FromStr>(text: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("{e}"))
+}
+
+/// Parses a count that must be at least 1.
+fn positive<T: std::str::FromStr + Default + PartialEq>(flag: &str, text: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let n: T = number(text)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
+}
+
+/// Parses the command line (without the program name) in one pass.
+fn parse_cli(argv: &[String]) -> Result<Cli, String> {
+    use Mode::{Merge, Run, Sweep, Validate};
+    let mode = Mode::of(argv);
+    let mut args = Args::default();
+    let mut l2: Option<L2Spec> = None;
+    let mut plan: Option<String> = None;
+    let (mut jobs, mut shard, mut checkpoint, mut watchdog) = (1, None, None, None);
+    let mut merge_out: Option<String> = None;
+    let mut shards: Vec<String> = Vec::new();
+    let mut validate: Option<(String, bool)> = None;
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
+        let spec = &mut args.spec;
+        match (mode, flag.as_str()) {
+            (Run, "--nodes") => spec.nodes = number(&value()?)?,
+            (Run, "--cores") => spec.cores = number(&value()?)?,
+            (Run, "--integration") => spec.integration = parse_integration(&value()?)?,
+            (Run, "--l2") => l2 = Some(L2Spec::parse(&value()?)?),
+            (Run, "--dram") => spec.dram = true,
+            (Run, "--rac") => spec.rac = true,
+            (Run, "--replicate") => spec.replicate = true,
+            (Run, "--ooo") => spec.ooo = true,
+            (Run, "--warm") => spec.warm = number(&value()?)?,
+            (Run, "--meas") => spec.meas = number(&value()?)?,
+            (Run, "--seed") => spec.seed = number(&value()?)?,
+            (Run, "--fault-plan") => args.fault_plan = Some(value()?),
+            (Run, "--fault-seed") => args.fault_seed = number(&value()?)?,
+            (Run, "--strict") => args.strict = Some(number(&value()?)?),
+            (Run, "--sanitize") => args.sanitize = true,
+            (Run, "--histograms") => args.histograms = true,
+            (Run, "--epoch") => args.epoch = Some(positive(flag, &value()?)?),
+            (Run, "--trace-out") => args.trace_out = Some(value()?),
+            (Run, "--trace-filter") => {
+                args.trace_filter = Some(TraceFilter::parse_classes(&value()?)?)
+            }
+            (Run, "--trace-cap") => args.trace_cap = Some(number(&value()?)?),
+            (Run, "--epoch-svg") => args.epoch_svg = Some(value()?),
+            (Run, "--prof") => args.prof = Some(value()?),
+            (Run, "--prof-svg") => args.prof_svg = Some(value()?),
+            (Run, "--prof-sample-hz") => args.prof_sample_hz = Some(positive(flag, &value()?)?),
+            (Run, "--help" | "-h") => return Ok(Cli::Help),
+            (Run | Sweep, "--json-report") => args.out.json_report = Some(value()?),
+            (Run | Sweep, "--trace-events") => args.out.trace_events = Some(value()?),
+            (Run | Sweep, "--profile") => args.out.profile = true,
+            (Run | Sweep | Merge, "--quiet") => args.out.quiet = true,
+            (Sweep, "--sweep") => plan = Some(value()?),
+            (Sweep, "--jobs") => jobs = parse_jobs(&value()?)?,
+            (Sweep, "--shard") => shard = Some(Shard::parse(&value()?)?),
+            (Sweep, "--checkpoint") => checkpoint = Some(value()?),
+            (Sweep, "--watchdog") => watchdog = Some(parse_watchdog(&value()?)?),
+            (Merge, "--sweep-merge") => merge_out = Some(value()?),
+            (Merge, file) if !file.starts_with("--") => shards.push(file.to_string()),
+            (Validate, "--validate-json") => validate = Some((value()?, false)),
+            (Validate, "--validate-jsonl") => validate = Some((value()?, true)),
+            (_, other) => return Err(mode.reject(other)),
         }
-    } else {
-        b.l2_off_chip(a.l2_bytes, a.l2_assoc);
     }
-    if a.rac {
-        b.rac(RacConfig::paper());
+    match mode {
+        Merge => {
+            let out = merge_out.ok_or("merge mode needs --sweep-merge <out.json>")?;
+            if shards.is_empty() {
+                return Err("--sweep-merge needs at least one shard report file".into());
+            }
+            Ok(Cli::Merge { out, shards, quiet: args.out.quiet })
+        }
+        Sweep => {
+            let plan = plan.ok_or("sweep mode needs --sweep <plan.toml>")?;
+            Ok(Cli::Sweep(SweepArgs { plan, jobs, shard, checkpoint, watchdog, out: args.out }))
+        }
+        Validate => {
+            let (path, jsonl) = validate.ok_or("validate mode needs a file")?;
+            Ok(Cli::Validate { path, jsonl })
+        }
+        Run => {
+            if args.trace_out.is_none() && (args.trace_filter.is_some() || args.trace_cap.is_some())
+            {
+                return Err("--trace-filter/--trace-cap require --trace-out".into());
+            }
+            if args.epoch_svg.is_some() && args.epoch.is_none() {
+                return Err("--epoch-svg requires --epoch".into());
+            }
+            if args.prof_svg.is_some() && args.prof.is_none() {
+                return Err("--prof-svg requires --prof".into());
+            }
+            let l2 = l2.unwrap_or_else(|| default_l2(args.spec.integration));
+            args.spec.l2_bytes = l2.bytes;
+            args.spec.l2_assoc = l2.assoc;
+            args.spec.l2_label = l2.label;
+            Ok(Cli::Run(Box::new(args)))
+        }
     }
-    if a.ooo {
-        b.out_of_order(OooParams::paper());
-    }
-    Ok(b.build()?)
 }
 
 fn main() {
@@ -350,28 +385,13 @@ fn obs_config(args: &Args) -> ObsConfig {
     }
 }
 
-/// The reproduction manifest for the JSON report: configuration echo
-/// plus every seed the run consumed.
-fn run_manifest(args: &Args, cfg: &SystemConfig, workload_seed: u64) -> RunManifest {
-    let kv = |v: String| v;
-    let mut config = vec![
-        ("nodes".to_string(), kv(args.nodes.to_string())),
-        ("cores_per_node".to_string(), kv(args.cores.to_string())),
-        ("integration".to_string(), kv(format!("{:?}", args.integration))),
-        ("l2_bytes".to_string(), kv(args.l2_bytes.to_string())),
-        ("l2_assoc".to_string(), kv(args.l2_assoc.to_string())),
-        ("l2_dram".to_string(), kv(args.dram.to_string())),
-        ("rac".to_string(), kv(args.rac.to_string())),
-        ("replicate_instructions".to_string(), kv(args.replicate.to_string())),
-        ("out_of_order".to_string(), kv(args.ooo.to_string())),
-        ("warm_refs_per_node".to_string(), kv(args.warm.to_string())),
-        ("meas_refs_per_node".to_string(), kv(args.meas.to_string())),
-    ];
+/// The reproduction manifest for the JSON report: the design point's
+/// configuration echo plus every seed the run consumed.
+fn run_manifest(args: &Args, cfg: &SystemConfig) -> RunManifest {
+    let mut config = args.spec.manifest_config();
+    let mut seeds = vec![("workload".to_string(), args.spec.seed)];
     if let Some(plan) = &args.fault_plan {
         config.push(("fault_plan".to_string(), plan.clone()));
-    }
-    let mut seeds = vec![("workload".to_string(), workload_seed)];
-    if args.fault_plan.is_some() {
         seeds.push(("fault".to_string(), args.fault_seed));
     }
     RunManifest {
@@ -402,66 +422,11 @@ fn epoch_chart(samples: &[oltp_chip_integration::obs::EpochSample], epoch_len: u
         .with_series(nacks)
 }
 
-/// Parses the `--watchdog` straggler multiple: a finite number strictly
-/// above 1 (a point can hardly be flagged for being faster than, or
-/// equal to, the median).
-fn parse_watchdog(text: &str) -> Result<f64, String> {
-    let mult: f64 = text
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad --watchdog value '{text}': not a number"))?;
-    if !mult.is_finite() || mult <= 1.0 {
-        return Err(format!(
-            "bad --watchdog value '{text}': the straggler multiple must be a finite number \
-             greater than 1 (e.g. --watchdog 3 flags points 3x slower than the median)"
-        ));
-    }
-    Ok(mult)
-}
+/// Sweep mode: runs the plan's grid and writes its report.
+fn run_sweep(args: SweepArgs) -> Result<(), Box<dyn std::error::Error>> {
+    use oltp_chip_integration::sweep::run_sweep_cfg;
 
-/// Sweep mode: `--sweep PLAN [--jobs N] [--shard K/N] [--checkpoint F]
-/// [--watchdog M] [--profile] [--json-report FILE] [--quiet]`.
-/// Per-run parameters come from the plan file, so every other flag is
-/// rejected rather than silently ignored.
-fn run_sweep_cli(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use oltp_chip_integration::sweep::{run_sweep_cfg, Shard, SweepConfig, SweepPlan};
-
-    let mut plan_path: Option<String> = None;
-    let mut json_report: Option<String> = None;
-    let mut quiet = false;
-    let mut profile = false;
-    let mut shard: Option<Shard> = None;
-    let mut checkpoint: Option<String> = None;
-    let mut watchdog: Option<f64> = None;
-    let mut trace_events: Option<String> = None;
-    let mut jobs = 1usize;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--sweep" => plan_path = Some(value("--sweep")?),
-            "--jobs" => jobs = parse_jobs(&value("--jobs")?)?,
-            "--shard" => shard = Some(Shard::parse(&value("--shard")?)?),
-            "--checkpoint" => checkpoint = Some(value("--checkpoint")?),
-            "--watchdog" => watchdog = Some(parse_watchdog(&value("--watchdog")?)?),
-            "--trace-events" => trace_events = Some(value("--trace-events")?),
-            "--json-report" => json_report = Some(value("--json-report")?),
-            "--profile" => profile = true,
-            "--quiet" => quiet = true,
-            other => {
-                return Err(format!(
-                    "flag '{other}' cannot be combined with --sweep (sweep mode accepts \
-                     only --sweep, --jobs, --shard, --checkpoint, --watchdog, --profile, \
-                     --trace-events, --json-report and --quiet; per-run parameters belong \
-                     in the plan file)"
-                )
-                .into())
-            }
-        }
-    }
-    let path = plan_path.ok_or("sweep mode needs --sweep <plan.toml>")?;
+    let SweepArgs { plan: path, jobs, shard, checkpoint, watchdog, out } = args;
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read sweep plan '{path}': {e}"))?;
     let plan = SweepPlan::from_toml_str(&text)?;
@@ -471,7 +436,7 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         checkpoint,
         // Timing stays off — and the engine deterministic — unless the
         // watchdog, the profile, or the trace timeline asks for it.
-        time_points: watchdog.is_some() || profile || trace_events.is_some(),
+        time_points: watchdog.is_some() || out.profile || out.trace_events.is_some(),
         straggler_mult: watchdog,
         ..SweepConfig::default()
     };
@@ -509,7 +474,7 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    if let Some(path) = &trace_events {
+    if let Some(path) = &out.trace_events {
         // One timeline track per worker thread (tid = worker + 1; tid 0
         // is reserved for whole-run markers), each point a complete
         // span at its measured offset. Resumed points never executed,
@@ -532,11 +497,11 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             .map_err(|e| format!("cannot write trace events '{path}': {e}"))?;
         eprintln!("trace events: {path} ({} event(s))", doc.len());
     }
-    if let Some(path) = &json_report {
+    if let Some(path) = &out.json_report {
         // A shard writes the shard document (input to --sweep-merge);
         // only a whole-grid sweep writes the final report directly.
         let mut doc = if shard.is_some() { outcome.to_shard_json() } else { outcome.to_json() };
-        if profile {
+        if out.profile {
             if let Some(timing) = &outcome.timing {
                 // Deliberately opt-in: wall clock makes the document
                 // nondeterministic, exactly like --profile on a single run.
@@ -548,7 +513,7 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("report: {path}");
     }
     let failures = outcome.failures().count();
-    if !quiet {
+    if !out.quiet {
         let mut t = TextTable::new(vec!["run", "CPI", "MPKI", "L2 misses", "transactions"]);
         for p in &outcome.points {
             match p.as_run() {
@@ -589,40 +554,11 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Merge mode: `--sweep-merge OUT SHARD1 SHARD2 ... [--quiet]`. Reads
-/// `csim-sweep-shard/v1` files and writes the merged
-/// `csim-sweep-report/v1` to OUT.
-fn run_sweep_merge_cli(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use oltp_chip_integration::sweep::merge_shard_files;
-
-    let mut out: Option<String> = None;
-    let mut shards: Vec<String> = Vec::new();
-    let mut quiet = false;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--sweep-merge" => {
-                out = Some(
-                    it.next().cloned().ok_or("--sweep-merge needs an output path")?,
-                );
-            }
-            "--quiet" => quiet = true,
-            flag if flag.starts_with("--") => {
-                return Err(format!(
-                    "flag '{flag}' cannot be combined with --sweep-merge (merge mode takes \
-                     an output path, shard report files, and optionally --quiet)"
-                )
-                .into())
-            }
-            shard_file => shards.push(shard_file.to_string()),
-        }
-    }
-    let out = out.ok_or("merge mode needs --sweep-merge <out.json>")?;
-    if shards.is_empty() {
-        return Err("--sweep-merge needs at least one shard report file".into());
-    }
-    let doc = merge_shard_files(&shards)?;
-    std::fs::write(&out, format!("{doc}\n"))
+/// Merge mode: reads `csim-sweep-shard/v1` files and writes the merged
+/// `csim-sweep-report/v1` to `out`.
+fn run_merge(out: &str, shards: &[String], quiet: bool) -> Result<(), Box<dyn std::error::Error>> {
+    let doc = oltp_chip_integration::sweep::merge_shard_files(shards)?;
+    std::fs::write(out, format!("{doc}\n"))
         .map_err(|e| format!("cannot write merged report '{out}': {e}"))?;
     if !quiet {
         eprintln!("merged {} shard report(s) into {out}", shards.len());
@@ -630,27 +566,36 @@ fn run_sweep_merge_cli(argv: &[String]) -> Result<(), Box<dyn std::error::Error>
     Ok(())
 }
 
+/// Validate mode: checks `path` holds one JSON document, or one per line.
+fn run_validate(path: &str, jsonl: bool) -> Result<(), Box<dyn std::error::Error>> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
+    let checked = if jsonl { json::validate_jsonl(&text) } else { json::validate(&text) };
+    checked.map_err(|e| format!("{path}: {e}"))?;
+    println!("{path}: ok");
+    Ok(())
+}
+
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--sweep-merge") {
-        return run_sweep_merge_cli(&argv).map_err(|e| -> Box<dyn std::error::Error> {
-            format!("{e} (try --help)").into()
-        });
+    match parse_cli(&argv).map_err(|e| format!("{e} (try --help)"))? {
+        Cli::Run(args) => run_single(&args),
+        Cli::Sweep(args) => run_sweep(args),
+        Cli::Merge { out, shards, quiet } => run_merge(&out, &shards, quiet),
+        Cli::Validate { path, jsonl } => run_validate(&path, jsonl),
+        Cli::Help => {
+            println!("see the module docs at the top of src/bin/csim.rs for usage");
+            Ok(())
+        }
     }
-    if argv.iter().any(|a| a == "--sweep") {
-        return run_sweep_cli(&argv).map_err(|e| -> Box<dyn std::error::Error> {
-            format!("{e} (try --help)").into()
-        });
-    }
-    let args = parse_args().map_err(|e| -> Box<dyn std::error::Error> {
-        format!("{e} (try --help)").into()
-    })?;
-    let cfg = build_config(&args)?;
-    let mut params = OltpParams::default();
-    if let Some(seed) = args.seed {
-        params.seed = seed;
-    }
-    let workload_seed = params.seed;
+}
+
+/// Single-run mode: simulates one design point and exports what the
+/// flags ask for.
+fn run_single(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = &args.spec;
+    let cfg = spec.system_config()?;
+    let params = OltpParams { seed: spec.seed, ..OltpParams::default() };
 
     eprintln!("config: {}", cfg.summary());
     let lat = cfg.latencies();
@@ -658,11 +603,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "latencies: L2 hit {}, local {}, remote {}, remote dirty {} cycles",
         lat.l2_hit, lat.local, lat.remote_clean, lat.remote_dirty
     );
-    eprintln!("warming {} refs/node, measuring {} refs/node ...", args.warm, args.meas);
+    eprintln!("warming {} refs/node, measuring {} refs/node ...", spec.warm, spec.meas);
 
     let mut profile = PhaseProfile::new();
     let mut sim = profile.time("build", || Simulation::with_oltp(&cfg, params))?;
-    let obs_cfg = obs_config(&args);
+    let obs_cfg = obs_config(args);
     if !obs_cfg.is_off() {
         sim.set_observer(Observer::new(obs_cfg));
     }
@@ -692,10 +637,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // The host sampler brackets exactly the phases whose wall time the
     // region markers describe (warmup + measure).
     let sampler = args.prof_sample_hz.map(HostSampler::start);
-    profile.time("warmup", || sim.warm_up(args.warm));
+    profile.time("warmup", || sim.warm_up(spec.warm));
     let rep = match args.strict {
-        Some(every) => profile.time("measure", || sim.run_verified(args.meas, every))?,
-        None => profile.time("measure", || sim.run(args.meas)),
+        Some(every) => profile.time("measure", || sim.run_verified(spec.meas, every))?,
+        None => profile.time("measure", || sim.run(spec.meas)),
     };
     let regions = sampler.map(HostSampler::stop);
     if let Some(regions) = &regions {
@@ -727,7 +672,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(path) = &args.prof {
         // lint: allow(no-panic) — attribution was enabled from this same flag a few lines up
         let attr = sim.attribution().expect("--prof enables attribution");
-        let manifest = run_manifest(&args, &cfg, workload_seed);
+        let manifest = run_manifest(args, &cfg);
         let doc = prof_report_json(attr, &manifest);
         std::fs::write(path, format!("{doc}\n"))
             .map_err(|e| format!("cannot write prof report '{path}': {e}"))?;
@@ -749,16 +694,16 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             eprintln!("prof chart: {svg_path}");
         }
     }
-    if let Some(path) = &args.trace_events {
+    if let Some(path) = &args.out.trace_events {
         let doc = TraceDoc::from_phases(&profile, "csim");
         std::fs::write(path, format!("{}\n", doc.to_json()))
             .map_err(|e| format!("cannot write trace events '{path}': {e}"))?;
         eprintln!("trace events: {path} ({} span(s))", doc.len());
     }
-    if let Some(path) = &args.json_report {
-        let manifest = run_manifest(&args, &cfg, workload_seed);
+    if let Some(path) = &args.out.json_report {
+        let manifest = run_manifest(args, &cfg);
         // Wall clock only enters the report when explicitly asked for.
-        let host = (args.profile || regions.is_some()).then(|| HostProfile {
+        let host = (args.out.profile || regions.is_some()).then(|| HostProfile {
             phases: profile.clone(),
             regions: regions.clone(),
         });
@@ -767,7 +712,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             .map_err(|e| format!("cannot write report '{path}': {e}"))?;
         eprintln!("report: {path}");
     }
-    if args.quiet {
+    if args.out.quiet {
         return Ok(());
     }
 
@@ -847,39 +792,86 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
 #[cfg(test)]
 mod tests {
-    // The L2 spec parser lives in csim-sweep so the plan loader and this
-    // front end accept exactly the same language; these tests pin the
-    // behavior `--l2` relies on.
-    use super::{parse_jobs, parse_l2_spec, parse_watchdog};
+    use super::{parse_cli, parse_jobs, parse_watchdog, Args, Cli};
 
-    #[test]
-    fn parse_l2_accepts_the_paper_geometries() {
-        assert_eq!(parse_l2_spec("8M1w").unwrap(), (8 << 20, 1));
-        assert_eq!(parse_l2_spec("2M8w").unwrap(), (2 << 20, 8));
-        assert_eq!(parse_l2_spec("1.25M4w").unwrap(), ((5 << 20) / 4, 4));
-        assert_eq!(parse_l2_spec(" 16m2W ").unwrap(), (16 << 20, 2));
+    fn cli(line: &str) -> Result<Cli, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_cli(&argv)
+    }
+
+    fn run_args(line: &str) -> Args {
+        match cli(line) {
+            Ok(Cli::Run(args)) => *args,
+            other => panic!("{line}: not a single run: {other:?}"),
+        }
     }
 
     #[test]
-    fn parse_l2_rejects_degenerate_sizes() {
-        assert!(parse_l2_spec("0M4w").unwrap_err().contains("positive"));
-        assert!(parse_l2_spec("-2M4w").unwrap_err().contains("positive"));
-        assert!(parse_l2_spec("infM4w").unwrap_err().contains("positive"));
+    fn the_mode_flag_selects_the_mode() {
+        assert!(matches!(cli(""), Ok(Cli::Run(_))));
+        assert!(matches!(cli("--nodes 8 --rac"), Ok(Cli::Run(_))));
+        assert!(matches!(cli("--help"), Ok(Cli::Help)));
+        match cli("--sweep p.toml --jobs 4 --shard 1/2 --quiet") {
+            Ok(Cli::Sweep(s)) => {
+                assert_eq!((s.plan.as_str(), s.jobs), ("p.toml", 4));
+                assert!(s.shard.is_some() && s.out.quiet);
+            }
+            other => panic!("{other:?}"),
+        }
+        match cli("--sweep-merge out.json a.json b.json --quiet") {
+            Ok(Cli::Merge { out, shards, quiet }) => {
+                assert_eq!((out.as_str(), shards.len(), quiet), ("out.json", 2, true));
+            }
+            other => panic!("{other:?}"),
+        }
+        // `--sweep-merge` outranks `--sweep`, which merge mode rejects.
+        assert!(cli("--sweep-merge o a --sweep p").unwrap_err().contains("--sweep-merge"));
+        assert!(matches!(cli("--sweep-merge o a"), Ok(Cli::Merge { .. })));
+        assert!(matches!(cli("--validate-json r.json"), Ok(Cli::Validate { jsonl: false, .. })));
+        assert!(matches!(cli("--validate-jsonl t.jsonl"), Ok(Cli::Validate { jsonl: true, .. })));
     }
 
     #[test]
-    fn parse_l2_rejects_degenerate_associativity() {
-        assert!(parse_l2_spec("2M0w").unwrap_err().contains("at least 1"));
-        assert!(parse_l2_spec("2M3w").unwrap_err().contains("power of two"));
-        assert!(parse_l2_spec("2M6w").unwrap_err().contains("power of two"));
+    fn each_mode_rejects_the_flags_it_does_not_use() {
+        let err = cli("--sweep examples/sweep_smoke.toml --nodes 2").unwrap_err();
+        assert!(err.contains("'--nodes' cannot be combined with --sweep"), "{err}");
+        let err = cli("--sweep-merge out.json a.json --jobs 2").unwrap_err();
+        assert!(err.contains("'--jobs' cannot be combined with --sweep-merge"), "{err}");
+        let err = cli("--sweep-merge out.json").unwrap_err();
+        assert!(err.contains("at least one shard report file"), "{err}");
+        let err = cli("--validate-json r.json --quiet").unwrap_err();
+        assert!(err.contains("'--quiet' cannot be combined with --validate-json"), "{err}");
+        assert!(cli("--jobs 2").unwrap_err().contains("unknown flag '--jobs'"));
+        assert!(cli("stray").unwrap_err().contains("unknown flag 'stray'"));
+        assert!(cli("--nodes").unwrap_err().contains("--nodes needs a value"));
     }
 
     #[test]
-    fn parse_l2_rejects_malformed_specs() {
-        assert!(parse_l2_spec("2M8").unwrap_err().contains("missing w"));
-        assert!(parse_l2_spec("8w").unwrap_err().contains("missing M"));
-        assert!(parse_l2_spec("2M8wx").unwrap_err().contains("trailing"));
-        assert!(parse_l2_spec("w2M").unwrap_err().contains("missing w"));
+    fn an_absent_l2_takes_the_integration_levels_default() {
+        let off = run_args("--integration base").spec;
+        assert_eq!((off.l2_bytes, off.l2_assoc), (8 << 20, 1));
+        let on = run_args("--integration all").spec;
+        assert_eq!((on.l2_bytes, on.l2_assoc), (2 << 20, 8));
+        let given = run_args("--integration all --l2 1M4w").spec;
+        assert_eq!((given.l2_bytes, given.l2_assoc), (1 << 20, 4));
+        assert!(cli("--l2 2M3w").unwrap_err().contains("power of two"));
+    }
+
+    #[test]
+    fn zero_epochs_and_sample_rates_are_rejected() {
+        assert!(cli("--epoch 0").unwrap_err().contains("--epoch must be at least 1"));
+        let err = cli("--prof-sample-hz 0").unwrap_err();
+        assert!(err.contains("--prof-sample-hz must be at least 1"), "{err}");
+        assert_eq!(run_args("--epoch 5").epoch, Some(5));
+    }
+
+    #[test]
+    fn dependent_flags_require_their_base() {
+        assert!(cli("--trace-cap 8").unwrap_err().contains("require --trace-out"));
+        assert!(cli("--trace-filter local").unwrap_err().contains("require --trace-out"));
+        assert!(cli("--epoch-svg e.svg").unwrap_err().contains("requires --epoch"));
+        assert!(cli("--prof-svg p.svg").unwrap_err().contains("requires --prof"));
+        assert!(matches!(cli("--prof p.json --prof-svg p.svg"), Ok(Cli::Run(_))));
     }
 
     #[test]
