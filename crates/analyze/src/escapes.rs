@@ -1,0 +1,44 @@
+//! Pass 10 — stale escapes.
+//!
+//! Runs after every other pass, over their suppressions. A
+//! `// lint: allow(rule) — reason` marker in shipped code that
+//! suppressed no `rule` finding on its own line or the three below it
+//! (the reach every pass binds a marker to) is itself a finding: an
+//! escape that outlived the code it excused would silently cover the
+//! next violation written within its reach. A reasonless marker never
+//! suppresses, so it is always stale. Markers outside shipped code are
+//! consulted by no pass and are not checked. `stale-escape` has no
+//! escape.
+
+use crate::model::{Section, Workspace};
+use crate::report::{Finding, Pass, Suppression};
+
+/// Reports every shipped `lint: allow` marker that no suppression used.
+pub fn run(ws: &Workspace, suppressions: &[Suppression]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for file in &ws.files {
+        if !matches!(file.section, Section::Src | Section::Bin) {
+            continue;
+        }
+        for (line, rule, _) in &file.allows {
+            let used = suppressions.iter().any(|s| {
+                s.file == file.rel && s.rule == *rule && (*line..=line + 3).contains(&s.line)
+            });
+            if !used {
+                findings.push(Finding {
+                    pass: Pass::Escape,
+                    rule: "stale-escape".into(),
+                    file: file.rel.clone(),
+                    line: *line,
+                    message: format!(
+                        "`lint: allow({rule})` suppresses no `{rule}` finding within its reach; \
+                         delete it"
+                    ),
+                    excerpt: file.line_text(*line).to_string(),
+                    chain: Vec::new(),
+                });
+            }
+        }
+    }
+    findings
+}

@@ -48,10 +48,7 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     ("analyze", &["obs"]),
     (
         "bench",
-        &[
-            "cache", "check", "coherence", "config", "core", "fault", "noc", "obs", "proc",
-            "prof", "stats", "sweep", "trace", "workload",
-        ],
+        &["cache", "coherence", "config", "core", "noc", "stats", "trace", "workload"],
     ),
 ];
 

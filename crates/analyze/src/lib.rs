@@ -4,7 +4,7 @@
 //! The crate parses the *whole* workspace into one model — every file
 //! lexed with the hand-rolled [`lex`] lexer, every function indexed,
 //! every intra-workspace reference recorded — builds a name-based call
-//! graph, and runs nine passes over it:
+//! graph, and runs ten passes over it:
 //!
 //! 1. [`layering`] — the architecture DAG gate: each crate's observed
 //!    dependencies must stay inside an explicit allowlist, and the
@@ -40,6 +40,9 @@
 //!    `no-panic` (the workspace's one ban on panicking calls),
 //!    `no-wallclock`, `no-hash-export` on the export paths, and
 //!    `forbid-unsafe` on every crate and binary root.
+//! 10. [`escapes`] — every shipped `lint: allow` marker must have
+//!     suppressed a finding of its rule within its reach; a marker that
+//!     suppressed nothing is a `stale-escape` finding.
 //!
 //! Escapes are `// lint: allow(rule) — reason` markers (reasons
 //! mandatory, every suppression counted in the report); traversal
@@ -54,6 +57,7 @@ pub mod cfg;
 pub mod concurrency;
 pub mod dataflow;
 pub mod deadpub;
+pub mod escapes;
 pub mod exactness;
 pub mod graph;
 pub mod hotpath;
@@ -73,7 +77,7 @@ pub use graph::CallGraph;
 pub use model::Workspace;
 pub use report::{AnalysisReport, Finding, Pass, Suppression, REPORT_SCHEMA};
 
-/// Loads the workspace at `root` and runs all nine passes.
+/// Loads the workspace at `root` and runs all ten passes.
 ///
 /// # Errors
 ///
@@ -144,6 +148,8 @@ pub fn analyze_model(ws: &Workspace) -> AnalysisReport {
     rep.source_files = src.files;
     rep.findings.extend(src.findings);
     rep.suppressions.extend(src.suppressions);
+
+    rep.findings.extend(escapes::run(ws, &rep.suppressions));
 
     rep.sort();
     rep

@@ -35,6 +35,8 @@ pub enum Pass {
     Exactness,
     /// Token-level source rules over every shipped line.
     Source,
+    /// `lint: allow` markers that suppressed nothing.
+    Escape,
 }
 
 impl Pass {
@@ -50,6 +52,7 @@ impl Pass {
             Pass::PanicFree => "panic-free",
             Pass::Exactness => "exactness",
             Pass::Source => "source",
+            Pass::Escape => "escape",
         }
     }
 }

@@ -212,13 +212,17 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> (Vec<Finding>, Vec<Suppression>
         }
         let mut live = Vec::new();
         for (line, kind) in sources_in(ws, f) {
-            let allow =
-                file.allow_for("taint-export", line).or_else(|| file.allow_for("taint-export", f.line));
-            if let Some(reason) = allow {
+            // A marker above the `fn` covers its whole body; the
+            // suppression is recorded at the line the marker bound to.
+            let allow = file
+                .allow_for("taint-export", line)
+                .map(|why| (line, why))
+                .or_else(|| file.allow_for("taint-export", f.line).map(|why| (f.line, why)));
+            if let Some((at, reason)) = allow {
                 suppressions.push(Suppression {
                     rule: "taint-export".into(),
                     file: file.rel.clone(),
-                    line,
+                    line: at,
                     reason: reason.to_string(),
                 });
             } else {

@@ -520,3 +520,27 @@ fn reasoned_markers_within_three_lines_suppress_source_rules() {
         ]
     );
 }
+
+#[test]
+fn markers_that_suppress_nothing_are_stale_escapes() {
+    let fix = "stale_escape.rs";
+    let stale = |rep: &AnalysisReport| -> Vec<usize> {
+        rep.findings.iter().filter(|f| f.rule == "stale-escape").map(|f| f.line).collect()
+    };
+    let rep = analyze_mounted(&[("crates/config/src/system.rs", "config", Section::Src, fix)]);
+    assert_eq!(
+        stale(&rep),
+        [
+            line_of(fix, "— names a rule"),
+            line_of(fix, "— four lines"),
+            line_of(fix, "fn fixture_reasonless") + 1,
+        ],
+        "{:?}",
+        rep.findings
+    );
+    assert!(rep.suppressions.iter().any(|s| s.line == line_of(fix, "— the live escape") + 1));
+    assert!(rep.suppressions.iter().any(|s| s.rule == "taint-export"), "{:?}", rep.suppressions);
+    // No pass consults markers outside shipped code, so none is stale.
+    let rep = analyze_mounted(&[("crates/config/tests/system.rs", "config", Section::Tests, fix)]);
+    assert_eq!(stale(&rep), Vec::<usize>::new());
+}

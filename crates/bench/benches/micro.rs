@@ -4,26 +4,24 @@
 //!
 //! Hand-rolled harness (no external benchmarking crate, so the workspace
 //! builds hermetically): each benchmark is timed over a fixed operation
-//! count after a short warm-up, reporting ns/op and Mops/s. Set
-//! `CSIM_BENCH_QUICK=1` to cut iteration counts by 10x.
+//! count after a short warm-up, reporting ns/op and Mops/s.
+//!
+//! The run ends with the cache-kernel race: the slot-word [`Cache`]
+//! against [`ReferenceCache`], the implementation it replaced, on one
+//! access stream in alternating rounds. The process exits 1 when the
+//! slot-word kernel's median rate falls below the reference's: the
+//! optimized probe must never lose to the code it replaced.
 
 use std::hint::black_box;
 use std::time::Instant;
 
+use csim_bench::ReferenceCache;
 use csim_cache::Cache;
 use csim_coherence::Directory;
 use csim_config::{CacheGeometry, SystemConfig};
 use csim_core::Simulation;
-use csim_trace::ReferenceStream;
+use csim_trace::{ReferenceStream, SimRng};
 use csim_workload::{OltpParams, OltpWorkload};
-
-fn iterations(base: u64) -> u64 {
-    if std::env::var("CSIM_BENCH_QUICK").is_ok_and(|v| v != "0") {
-        (base / 10).max(1)
-    } else {
-        base
-    }
-}
 
 /// Times `f` over `n` calls (after `n / 10` warm-up calls) and prints one
 /// result line.
@@ -48,13 +46,13 @@ fn bench_cache() {
 
     let mut cache = Cache::new(geom);
     cache.insert(42, false);
-    bench("cache/l2_hit", iterations(10_000_000), || {
+    bench("cache/l2_hit", 10_000_000, || {
         black_box(cache.access(black_box(42), false));
     });
 
     let mut cache = Cache::new(geom);
     let mut line = 0u64;
-    bench("cache/l2_miss_insert_evict", iterations(10_000_000), || {
+    bench("cache/l2_miss_insert_evict", 10_000_000, || {
         line = line.wrapping_add(4096); // new set each time
         if !cache.access(line, false).is_hit() {
             black_box(cache.insert(line, false));
@@ -65,7 +63,7 @@ fn bench_cache() {
 fn bench_directory() {
     let mut dir = Directory::new(8, 64, 8192);
     let mut line = 0u64;
-    bench("directory/read_miss_cold", iterations(2_000_000), || {
+    bench("directory/read_miss_cold", 2_000_000, || {
         black_box(dir.read_miss(line, (line % 8) as u8));
         line += 1;
     });
@@ -73,7 +71,7 @@ fn bench_directory() {
     let mut dir = Directory::new(8, 64, 8192);
     let mut node = 0u8;
     dir.write_miss(7, 0);
-    bench("directory/migratory_write", iterations(5_000_000), || {
+    bench("directory/migratory_write", 5_000_000, || {
         node = (node + 1) % 8;
         black_box(dir.write_miss(7, node));
     });
@@ -82,7 +80,7 @@ fn bench_directory() {
 fn bench_workload() {
     let mut nodes = OltpWorkload::build(OltpParams::default(), 1).expect("default params valid");
     let stream = &mut nodes[0];
-    bench("workload/next_ref", iterations(10_000_000), || {
+    bench("workload/next_ref", 10_000_000, || {
         black_box(stream.next_ref());
     });
 }
@@ -91,16 +89,101 @@ fn bench_simulation() {
     let cfg = SystemConfig::paper_base_uni();
     let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).expect("default params valid");
     sim.warm_up(200_000);
-    bench("simulation/uni_10k_refs", iterations(50), || {
+    bench("simulation/uni_10k_refs", 50, || {
         black_box(sim.run(10_000));
     });
 
     let cfg = SystemConfig::paper_base_mp8();
     let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).expect("default params valid");
     sim.warm_up(100_000);
-    bench("simulation/mp8_10k_refs_per_node", iterations(20), || {
+    bench("simulation/mp8_10k_refs_per_node", 20, || {
         black_box(sim.run(10_000));
     });
+}
+
+/// Timed rounds of the cache-kernel race; the kernel that runs first
+/// alternates, so neither always gets the warmer machine.
+const RACE_ROUNDS: usize = 10;
+
+/// Accesses per kernel per round.
+const RACE_OPS: u64 = 4_000_000;
+
+/// Ops/sec of one cache kernel over the `SimRng(0xCAFE)` access stream.
+/// Generic so both kernels run literally the same loop; `inline(never)`
+/// gives each instantiation its own codegen context, so the optimizer
+/// cannot specialize one kernel against the surrounding race.
+#[inline(never)]
+fn cache_kernel_rate(line_mask: u64, mut access: impl FnMut(u64, bool)) -> f64 {
+    let mut rng = SimRng::seed_from_u64(0xCAFE);
+    let start = Instant::now();
+    for _ in 0..RACE_OPS {
+        let r = rng.next_u64();
+        access(r >> 32 & line_mask, r & 1 == 0);
+    }
+    RACE_OPS as f64 / start.elapsed().as_secs_f64()
+}
+
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len().is_multiple_of(2) {
+        (values[mid - 1] + values[mid]) / 2.0
+    } else {
+        values[mid]
+    }
+}
+
+/// Races the slot-word [`Cache`] against [`ReferenceCache`] and returns
+/// whether the slot-word median rate is at least the reference's.
+fn race_cache_kernels() -> bool {
+    // The default configuration's 8 MB direct-mapped off-chip L2: the
+    // largest slot array the simulator probes.
+    let geometry = CacheGeometry::new(8 << 20, 1, 64).expect("valid geometry");
+    // 2x the line capacity keeps hits, misses and evictions all
+    // frequent, so both the probe and the insert/evict paths weigh in.
+    let line_mask = 2 * geometry.lines() - 1;
+    let mut fast = Cache::new(geometry);
+    let mut slow = ReferenceCache::new(geometry);
+    let mut time_fast = || {
+        cache_kernel_rate(line_mask, |line, write| {
+            if !fast.access(line, write).is_hit() {
+                fast.insert(line, write);
+            }
+        })
+    };
+    let mut time_slow = || {
+        cache_kernel_rate(line_mask, |line, write| {
+            if !slow.access(line, write).is_hit() {
+                slow.insert(line, write);
+            }
+        })
+    };
+    let (mut fast_rates, mut slow_rates) = (Vec::new(), Vec::new());
+    for round in 0..RACE_ROUNDS {
+        let (f, s) = if round.is_multiple_of(2) {
+            let f = time_fast();
+            (f, time_slow())
+        } else {
+            let s = time_slow();
+            (time_fast(), s)
+        };
+        fast_rates.push(f);
+        slow_rates.push(s);
+    }
+    // Read after timing: a differential check on the timed work, and the
+    // optimization barrier that keeps the compiler from stripping the
+    // statistics out of whichever loop it can fully analyze.
+    assert_eq!(fast.stats(), slow.stats(), "both kernels must do identical logical work");
+    let wins = fast_rates.iter().zip(&slow_rates).filter(|(f, s)| f > s).count();
+    let (fast_median, slow_median) = (median(&mut fast_rates), median(&mut slow_rates));
+    println!(
+        "cache kernel race (8M1w, {RACE_ROUNDS} rounds of {RACE_OPS} ops): slot-word {:.2} Mops/s, \
+         reference {:.2} Mops/s median ({:.2}x), slot-word wins {wins}/{RACE_ROUNDS}",
+        fast_median / 1e6,
+        slow_median / 1e6,
+        fast_median / slow_median,
+    );
+    fast_median >= slow_median
 }
 
 fn main() {
@@ -109,4 +192,8 @@ fn main() {
     bench_directory();
     bench_workload();
     bench_simulation();
+    if !race_cache_kernels() {
+        eprintln!("FAIL: the slot-word cache kernel is slower than ReferenceCache");
+        std::process::exit(1);
+    }
 }

@@ -7,8 +7,8 @@
 //! and resident-line sets on any operation stream. `tests/sweep_identity.rs`
 //! drives both implementations with one million `SimRng`-generated
 //! operations (including the non-power-of-two 1.25 MB geometry) and asserts
-//! exact agreement, and `throughput --check` gates the optimized kernel's
-//! speed against it.
+//! exact agreement, and the cache-kernel race in `benches/micro.rs`
+//! fails when the optimized kernel's median speed falls below it.
 //!
 //! Do not optimize this file. Its value is that it stays simple and slow.
 

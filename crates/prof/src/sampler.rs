@@ -164,21 +164,21 @@ mod tests {
     #[test]
     fn sampler_observes_a_published_region() {
         let sampler = HostSampler::start(2000);
-        set_region(Region::PackedProbe);
+        set_region(Region::BurstRefill);
         // Busy-publish long enough for several ticks to land.
         let until = Instant::now() + Duration::from_millis(50);
         while Instant::now() < until {
-            set_region(Region::PackedProbe);
+            set_region(Region::BurstRefill);
         }
         set_region(Region::Idle);
         let report = sampler.stop();
         assert!(report.ticks > 0);
         assert!(
-            report.samples(Region::PackedProbe) > 0,
-            "expected packed-probe samples, got {report:?}"
+            report.samples(Region::BurstRefill) > 0,
+            "expected burst-refill samples, got {report:?}"
         );
-        assert!(report.share(Region::PackedProbe) > 0.0);
-        assert!(report.total_samples() >= report.samples(Region::PackedProbe));
+        assert!(report.share(Region::BurstRefill) > 0.0);
+        assert!(report.total_samples() >= report.samples(Region::BurstRefill));
     }
 
     #[test]
@@ -186,7 +186,7 @@ mod tests {
         let report = RegionReport {
             hz: 997,
             ticks: 10,
-            counts: [3, 7, 0, 0, 0, 0],
+            counts: [3, 7, 0],
             elapsed_ms: 10.5,
         };
         let s = report.to_json().to_string();

@@ -588,7 +588,6 @@ pub fn run_sweep_with(
     // read when timing is opted into; like the per-point durations the
     // offsets stay out of the deterministic report.
     // lint: allow(no-wallclock) — start offsets feed the opt-in trace-event timeline, never the byte-stable report
-    // lint: allow(taint-export) — quarantined in SweepTiming, which deterministic exports exclude by contract
     let epoch = cfg.time_points.then(std::time::Instant::now);
     if !to_run.is_empty() {
         let queue: Mutex<VecDeque<(usize, &RunSpec)>> =
