@@ -4,10 +4,10 @@
 //! csim-analyze [workspace-root] [--json [PATH]]
 //! ```
 //!
-//! Runs the ten `csim-analyze` passes (layering gate, hot-path lints,
+//! Runs the nine `csim-analyze` passes (layering gate, hot-path lints,
 //! determinism taint, dead-pub audit, concurrency discipline, unwind
-//! safety, panic-freedom, f64 exactness, token-level source rules,
-//! stale escapes) over the workspace and prints the human report. With
+//! safety, panic-freedom, token-level source rules, stale escapes and
+//! unknown directives) over the workspace and prints the human report. With
 //! `--json` the byte-stable `csim-analyze-report/v1` document is
 //! written to PATH (or stdout when PATH is omitted) — two runs over the
 //! same tree produce byte-identical output, and CI asserts that.

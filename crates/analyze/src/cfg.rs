@@ -5,8 +5,7 @@
 //! edges: branches (`if`/`if let`, `while`, `for`), `match` arms, loop
 //! back-edges, `break`/`continue`, early `return`, and `?` early exits.
 //! The dataflow framework in [`crate::dataflow`] runs lattice fixpoints
-//! over these graphs; the panic-freedom and exactness passes are its
-//! clients.
+//! over these graphs; the panic-freedom pass is its client.
 //!
 //! The builder is structured recursive descent over tokens, not a real
 //! parser, and it over-approximates on purpose (DESIGN.md §17 lists the

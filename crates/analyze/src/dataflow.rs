@@ -16,11 +16,11 @@
 //! the guard survive.
 //!
 //! Termination is the client's obligation (joins must be monotone:
-//! must-sets only shrink, value lattices only climb). A generous
-//! iteration cap backstops the engine against a non-monotone client;
-//! hitting it is a defect in the client, not an input condition, and
-//! the partial result is still a sound over-approximation for the
-//! shipped clients because their joins only ever discard facts.
+//! must-sets only shrink). A generous iteration cap backstops the
+//! engine against a non-monotone client; hitting it is a defect in the
+//! client, not an input condition, and the partial result is still a
+//! sound over-approximation for the shipped client, the panic-freedom
+//! pass, because its join only ever discards facts.
 
 use crate::cfg::{Cfg, EdgeKind};
 use crate::model::SourceFile;

@@ -1,4 +1,4 @@
-//! Pass 10 — stale escapes.
+//! Pass 9 — stale escapes and unknown directives.
 //!
 //! Runs after every other pass, over their suppressions. A
 //! `// lint: allow(rule) — reason` marker in shipped code that
@@ -6,14 +6,21 @@
 //! (the reach every pass binds a marker to) is itself a finding: an
 //! escape that outlived the code it excused would silently cover the
 //! next violation written within its reach. A reasonless marker never
-//! suppresses, so it is always stale. Markers outside shipped code are
-//! consulted by no pass and are not checked. `stale-escape` has no
-//! escape.
+//! suppresses, so it is always stale.
+//!
+//! A shipped `// analyze: <kind>` directive whose kind is not `hot`,
+//! `cold`, `publish`, `unwind` or `total` is an `unknown-directive`
+//! finding: no pass reads it, so a misspelt or retired directive would
+//! otherwise read as a claim that nothing checks.
+//!
+//! Markers outside shipped code are consulted by no pass and are not
+//! checked. Neither rule has an escape.
 
 use crate::model::{Section, Workspace};
 use crate::report::{Finding, Pass, Suppression};
 
-/// Reports every shipped `lint: allow` marker that no suppression used.
+/// Reports every shipped `lint: allow` marker that no suppression used
+/// and every shipped `analyze:` directive of no known kind.
 pub fn run(ws: &Workspace, suppressions: &[Suppression]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in &ws.files {
@@ -38,6 +45,20 @@ pub fn run(ws: &Workspace, suppressions: &[Suppression]) -> Vec<Finding> {
                     chain: Vec::new(),
                 });
             }
+        }
+        for (line, directive) in &file.unknown_directives {
+            findings.push(Finding {
+                pass: Pass::Escape,
+                rule: "unknown-directive".into(),
+                file: file.rel.clone(),
+                line: *line,
+                message: format!(
+                    "`analyze: {directive}` is no known directive (hot, cold, publish, unwind, \
+                     total); no pass reads it"
+                ),
+                excerpt: file.line_text(*line).to_string(),
+                chain: Vec::new(),
+            });
         }
     }
     findings

@@ -400,14 +400,12 @@ pub enum MarkerKind {
         /// Why the partial operation is total here (empty ⇒ inert).
         reason: String,
     },
-    /// `// analyze: exact` — the f64 accumulation on (or just below)
-    /// this line claims integer-exactness: every value it receives must
-    /// be statically provable as integer-valued (`Int-exact` in the
-    /// exactness pass's domain). An optional reason may follow.
-    Exact {
-        /// Optional commentary (not required — the claim itself is the
-        /// contract, and the pass *verifies* rather than trusts it).
-        reason: String,
+    /// `// analyze: <kind>` where `<kind>` is none of the above. No
+    /// pass consults it, so the escape pass reports it rather than let
+    /// a misspelt or retired directive sit inert.
+    Unknown {
+        /// The first word after `analyze:` (empty when there is none).
+        directive: String,
     },
 }
 
@@ -445,31 +443,22 @@ pub fn markers(source: &str) -> Vec<Marker> {
             }
         } else if let Some(rest) = body.strip_prefix("analyze:") {
             let rest = rest.trim_start();
-            if rest == "hot" || rest.starts_with("hot ") || rest.starts_with("hot —") {
-                out.push(Marker { line: tok.line, kind: MarkerKind::Hot });
-            } else if let Some(r) = rest.strip_prefix("cold") {
-                out.push(Marker { line: tok.line, kind: MarkerKind::Cold { reason: trim_reason(r) } });
-            } else if let Some(r) = rest.strip_prefix("publish") {
-                out.push(Marker {
-                    line: tok.line,
-                    kind: MarkerKind::Publish { reason: trim_reason(r) },
-                });
-            } else if let Some(r) = rest.strip_prefix("unwind") {
-                out.push(Marker {
-                    line: tok.line,
-                    kind: MarkerKind::Unwind { reason: trim_reason(r) },
-                });
-            } else if let Some(r) = rest.strip_prefix("total") {
-                out.push(Marker {
-                    line: tok.line,
-                    kind: MarkerKind::Total { reason: trim_reason(r) },
-                });
-            } else if let Some(r) = rest.strip_prefix("exact") {
-                out.push(Marker {
-                    line: tok.line,
-                    kind: MarkerKind::Exact { reason: trim_reason(r) },
-                });
-            }
+            let reason = |kind: &str| rest.strip_prefix(kind).map(trim_reason);
+            let kind = if rest == "hot" || rest.starts_with("hot ") || rest.starts_with("hot —") {
+                MarkerKind::Hot
+            } else if let Some(reason) = reason("cold") {
+                MarkerKind::Cold { reason }
+            } else if let Some(reason) = reason("publish") {
+                MarkerKind::Publish { reason }
+            } else if let Some(reason) = reason("unwind") {
+                MarkerKind::Unwind { reason }
+            } else if let Some(reason) = reason("total") {
+                MarkerKind::Total { reason }
+            } else {
+                let directive = rest.split_whitespace().next().unwrap_or("").to_string();
+                MarkerKind::Unknown { directive }
+            };
+            out.push(Marker { line: tok.line, kind });
         }
     }
     out
@@ -589,28 +578,29 @@ y.store(2, Ordering::Relaxed);
     }
 
     #[test]
-    fn total_and_exact_markers_parse() {
+    fn total_markers_parse() {
         let src = "\
 // analyze: total — index derived from pow2 mask, invariant held by new()
 let t = tags[idx];
-// analyze: exact
-bd.busy_cycles += n as f64;
-// analyze: exact — closed-form retire, argument proven integer-valued
-bd.busy_cycles += 1.0;
 // analyze: total
 let u = tags[other];
 ";
         let m = markers(src);
-        assert_eq!(m.len(), 4, "{m:?}");
+        assert_eq!(m.len(), 2, "{m:?}");
         assert!(matches!(&m[0].kind, MarkerKind::Total { reason }
             if reason.contains("pow2 mask")));
         assert_eq!(m[0].line, 1);
-        assert!(matches!(&m[1].kind, MarkerKind::Exact { reason } if reason.is_empty()));
-        assert!(matches!(&m[2].kind, MarkerKind::Exact { reason }
-            if reason.contains("closed-form")));
         // A reasonless total parses but carries an empty reason — the
         // model treats that as inert, like reasonless cold/publish.
-        assert!(matches!(&m[3].kind, MarkerKind::Total { reason } if reason.is_empty()));
+        assert!(matches!(&m[1].kind, MarkerKind::Total { reason } if reason.is_empty()));
+    }
+
+    #[test]
+    fn directives_of_no_known_kind_parse_as_unknown() {
+        let src = "// analyze: pure — no such kind\n// analyze:\n// analyze: hotter\n";
+        let kinds: Vec<MarkerKind> = markers(src).into_iter().map(|m| m.kind).collect();
+        let unknown = |d: &str| MarkerKind::Unknown { directive: d.to_string() };
+        assert_eq!(kinds, [unknown("pure"), unknown(""), unknown("hotter")]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The crate parses the *whole* workspace into one model — every file
 //! lexed with the hand-rolled [`lex`] lexer, every function indexed,
 //! every intra-workspace reference recorded — builds a name-based call
-//! graph, and runs ten passes over it:
+//! graph, and runs nine passes over it:
 //!
 //! 1. [`layering`] — the architecture DAG gate: each crate's observed
 //!    dependencies must stay inside an explicit allowlist, and the
@@ -31,18 +31,15 @@
 //!    forward must-facts dataflow ([`dataflow`]) prove that indexing is
 //!    bounds-checked and `.len() - k` can't underflow — or the site
 //!    carries an `// analyze: total — reason` contract.
-//! 8. [`exactness`] — f64 integer-exactness: statements marked
-//!    `// analyze: exact` (the batched-retire accumulators whose
-//!    closed-form equivalence DESIGN.md §16 argues) must only receive
-//!    provably integer-valued f64s, via a three-point value lattice
-//!    over the same dataflow engine.
-//! 9. [`source`] — token-level rules over every shipped line:
+//! 8. [`source`] — token-level rules over every shipped line:
 //!    `no-panic` (the workspace's one ban on panicking calls),
 //!    `no-wallclock`, `no-hash-export` on the export paths, and
 //!    `forbid-unsafe` on every crate and binary root.
-//! 10. [`escapes`] — every shipped `lint: allow` marker must have
-//!     suppressed a finding of its rule within its reach; a marker that
-//!     suppressed nothing is a `stale-escape` finding.
+//! 9. [`escapes`] — every shipped `lint: allow` marker must have
+//!    suppressed a finding of its rule within its reach; a marker that
+//!    suppressed nothing is a `stale-escape` finding, and an
+//!    `analyze:` directive of no known kind is an `unknown-directive`
+//!    finding.
 //!
 //! Escapes are `// lint: allow(rule) — reason` markers (reasons
 //! mandatory, every suppression counted in the report); traversal
@@ -58,7 +55,6 @@ pub mod concurrency;
 pub mod dataflow;
 pub mod deadpub;
 pub mod escapes;
-pub mod exactness;
 pub mod graph;
 pub mod hotpath;
 pub mod layering;
@@ -77,7 +73,7 @@ pub use graph::CallGraph;
 pub use model::Workspace;
 pub use report::{AnalysisReport, Finding, Pass, Suppression, REPORT_SCHEMA};
 
-/// Loads the workspace at `root` and runs all ten passes.
+/// Loads the workspace at `root` and runs all nine passes.
 ///
 /// # Errors
 ///
@@ -138,11 +134,6 @@ pub fn analyze_model(ws: &Workspace) -> AnalysisReport {
     rep.reachable_fns = pf.reachable_fns;
     rep.findings.extend(pf.findings);
     rep.suppressions.extend(pf.suppressions);
-
-    let ex = exactness::run(ws);
-    rep.exact_sites = ex.exact_sites;
-    rep.findings.extend(ex.findings);
-    rep.suppressions.extend(ex.suppressions);
 
     let src = source::run(ws);
     rep.source_files = src.files;

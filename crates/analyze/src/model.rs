@@ -94,9 +94,9 @@ pub struct SourceFile {
     /// a marker above a `fn` contracts the whole function (see
     /// [`FnItem::total`]).
     pub total_lines: Vec<(usize, String)>,
-    /// `// analyze: exact` marker lines (integer-exactness claims for
-    /// the exactness pass), by line. The reason is optional.
-    pub exact_lines: Vec<usize>,
+    /// `// analyze: <kind>` directives of no known kind, by line, with
+    /// the kind word as written.
+    pub unknown_directives: Vec<(usize, String)>,
 }
 
 impl SourceFile {
@@ -139,12 +139,6 @@ impl SourceFile {
     /// three lines above it (site-level totality contract).
     pub(crate) fn total_for(&self, line: usize) -> Option<&str> {
         nearest_marker(&self.total_lines, line)
-    }
-
-    /// True when an `analyze: exact` marker sits on `line` or up to
-    /// three lines above it.
-    pub(crate) fn exact_for(&self, line: usize) -> bool {
-        self.exact_lines.iter().any(|&l| l <= line && line - l <= 3)
     }
 }
 
@@ -404,32 +398,29 @@ impl Workspace {
         let mut publish_lines = Vec::new();
         let mut unwind_lines = Vec::new();
         let mut total_lines = Vec::new();
-        let mut exact_lines = Vec::new();
+        let mut unknown_directives = Vec::new();
         for Marker { line, kind } in markers(&source) {
+            // Reasonless cold, publish, unwind and total markers are inert.
             match kind {
                 MarkerKind::Allow { rule, reason } => allows.push((line, rule, reason)),
                 MarkerKind::Hot => hot_lines.push(line),
-                MarkerKind::Cold { reason } => {
-                    if !reason.is_empty() {
-                        cold_lines.push((line, reason));
-                    }
+                MarkerKind::Cold { reason } if !reason.is_empty() => {
+                    cold_lines.push((line, reason))
                 }
-                MarkerKind::Publish { reason } => {
-                    if !reason.is_empty() {
-                        publish_lines.push((line, reason));
-                    }
+                MarkerKind::Publish { reason } if !reason.is_empty() => {
+                    publish_lines.push((line, reason))
                 }
-                MarkerKind::Unwind { reason } => {
-                    if !reason.is_empty() {
-                        unwind_lines.push((line, reason));
-                    }
+                MarkerKind::Unwind { reason } if !reason.is_empty() => {
+                    unwind_lines.push((line, reason))
                 }
-                MarkerKind::Total { reason } => {
-                    if !reason.is_empty() {
-                        total_lines.push((line, reason));
-                    }
+                MarkerKind::Total { reason } if !reason.is_empty() => {
+                    total_lines.push((line, reason))
                 }
-                MarkerKind::Exact { .. } => exact_lines.push(line),
+                MarkerKind::Unknown { directive } => unknown_directives.push((line, directive)),
+                MarkerKind::Cold { .. }
+                | MarkerKind::Publish { .. }
+                | MarkerKind::Unwind { .. }
+                | MarkerKind::Total { .. } => {}
             }
         }
         let file_idx = self.files.len();
@@ -446,7 +437,7 @@ impl Workspace {
             publish_lines,
             unwind_lines,
             total_lines,
-            exact_lines,
+            unknown_directives,
         });
         parse_items(self, file_idx);
     }

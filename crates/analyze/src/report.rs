@@ -31,11 +31,10 @@ pub enum Pass {
     Unwind,
     /// CFG/dataflow panic-freedom proof (entry-point reachability).
     PanicFree,
-    /// f64 integer-exactness proof at `// analyze: exact` sites.
-    Exactness,
     /// Token-level source rules over every shipped line.
     Source,
-    /// `lint: allow` markers that suppressed nothing.
+    /// `lint: allow` markers that suppressed nothing, and `analyze:`
+    /// directives of no known kind.
     Escape,
 }
 
@@ -50,7 +49,6 @@ impl Pass {
             Pass::Concurrency => "concurrency",
             Pass::Unwind => "unwind",
             Pass::PanicFree => "panic-free",
-            Pass::Exactness => "exactness",
             Pass::Source => "source",
             Pass::Escape => "escape",
         }
@@ -127,8 +125,6 @@ pub struct AnalysisReport {
     /// Shipped fns reachable from the `csim` entry point and proven
     /// (or contracted) free of unchecked indexing and underflow.
     pub reachable_fns: usize,
-    /// `// analyze: exact` statements verified by the exactness pass.
-    pub exact_sites: usize,
     /// Shipped files checked by the token-level source rules.
     pub source_files: usize,
 }
@@ -199,7 +195,6 @@ impl AnalysisReport {
                     ("hot_roots", Json::UInt(self.hot_roots as u64)),
                     ("pub_items", Json::UInt(self.pub_items as u64)),
                     ("reachable_fns", Json::UInt(self.reachable_fns as u64)),
-                    ("exact_sites", Json::UInt(self.exact_sites as u64)),
                     ("source_files", Json::UInt(self.source_files as u64)),
                 ]),
             ),
@@ -242,7 +237,7 @@ impl AnalysisReport {
             .count();
         let _ = writeln!(
             out,
-            "csim-analyze: {} findings, {} suppressed, {} cold boundaries; {} crates, {} files, {} fns, {} hot roots, {} pub items, {} panic-free reachable fns, {} exact sites, {} source-rule files ({} escapes)",
+            "csim-analyze: {} findings, {} suppressed, {} cold boundaries; {} crates, {} files, {} fns, {} hot roots, {} pub items, {} panic-free reachable fns, {} source-rule files ({} escapes)",
             self.findings.len(),
             self.suppressions.len(),
             self.cold_boundaries.len(),
@@ -252,7 +247,6 @@ impl AnalysisReport {
             self.hot_roots,
             self.pub_items,
             self.reachable_fns,
-            self.exact_sites,
             self.source_files,
             source_escapes,
         );
@@ -288,7 +282,6 @@ mod tests {
             hot_roots: 1,
             pub_items: 4,
             reachable_fns: 3,
-            exact_sites: 2,
             source_files: 2,
         };
         r.sort();

@@ -1,7 +1,7 @@
 //! Structural properties of the per-function CFG builder under
 //! SimRng-generated bodies, plus end-to-end negative fixtures for the
-//! intraprocedural passes (panic-freedom and f64 exactness) and the
-//! one panic ban they sit beside.
+//! intraprocedural panic-freedom pass and the one panic ban it sits
+//! beside.
 //!
 //! The property tests feed the builder randomly nested `if`/`while`/
 //! `for`/`match` bodies with early exits and assert the invariants the
@@ -188,25 +188,4 @@ fn panic_freedom_fires_on_reachable_sites_and_honors_contracts() {
         .filter(|s| s.rule == "unchecked-index" && s.reason.contains("fixture"))
         .count();
     assert_eq!(totals, 2, "site- and fn-level contracts must both be recorded");
-}
-
-#[test]
-fn exactness_fires_on_fractions_verifies_integers_and_honors_allows() {
-    let rep = analyze_with_entry(&fixture("exact_fraction.rs"));
-    let ex: Vec<(&str, usize)> = rep
-        .findings
-        .iter()
-        .filter(|f| f.pass.name() == "exactness")
-        .map(|f| (f.rule.as_str(), f.line))
-        .collect();
-    let src = fixture("exact_fraction.rs");
-    let bad = src.lines().position(|l| l.contains("expected finding: exact-rhs")).unwrap() + 1;
-    assert_eq!(ex, vec![("exact-rhs", bad)], "only the fractional accumulation fires: {ex:?}");
-    assert_eq!(rep.exact_sites, 3, "all three marked sites must be audited");
-    assert!(
-        rep.suppressions
-            .iter()
-            .any(|s| s.rule == "exact-rhs" && s.reason.contains("fixture")),
-        "the lint: allow escape must be recorded as a suppression"
-    );
 }

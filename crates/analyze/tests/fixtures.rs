@@ -544,3 +544,28 @@ fn markers_that_suppress_nothing_are_stale_escapes() {
     let rep = analyze_mounted(&[("crates/config/tests/system.rs", "config", Section::Tests, fix)]);
     assert_eq!(stale(&rep), Vec::<usize>::new());
 }
+
+#[test]
+fn directives_of_no_known_kind_are_findings() {
+    let fix = "unknown_directive.rs";
+    let unknown = |rep: &AnalysisReport| -> Vec<(usize, String)> {
+        rep.findings
+            .iter()
+            .filter(|f| f.rule == "unknown-directive")
+            .map(|f| (f.line, f.message.clone()))
+            .collect()
+    };
+    let rep = analyze_mounted(&[("crates/config/src/system.rs", "config", Section::Src, fix)]);
+    let found = unknown(&rep);
+    assert_eq!(
+        found.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
+        [line_of(fix, "— a kind no pass reads"), line_of(fix, "— a misspelt")],
+        "{:?}",
+        rep.findings
+    );
+    assert!(found[0].1.contains("`analyze: pure`"), "{}", found[0].1);
+    assert!(rep.findings.iter().all(|f| f.pass == Pass::Escape), "{:?}", rep.findings);
+    // No pass consults directives outside shipped code.
+    let rep = analyze_mounted(&[("crates/config/tests/system.rs", "config", Section::Tests, fix)]);
+    assert_eq!(unknown(&rep), Vec::new());
+}

@@ -455,7 +455,7 @@ impl<S: ReferenceStream> Simulation<S> {
             let word = col[i];
             // `word >> 6` (line, access kind and mode together) being
             // equal proves the whole run would take the fetch memo lane
-            // of `access`. Exactness of the batch is the documented
+            // of `access`. Bit-identity of the batch is the documented
             // contract of `retire_instructions` /
             // `record_repeat_read_hits`, and the lane reads no clock.
             if word >> PACKED_ACCESS_SHIFT & 0x3 == 0 {
@@ -685,12 +685,11 @@ impl<S: ReferenceStream> Simulation<S> {
     /// fetch memo lane of [`Simulation::access`] (the contracts of
     /// [`TimingModel::retire_instructions`] and
     /// [`Cache::record_repeat_read_hits`](csim_cache::Cache)).
-    // analyze: cold — same per-reference timing boundary as `access`; the closed-form retire's float exactness is proven at `InOrderTiming::retire_instructions`
+    // analyze: cold — same per-reference timing boundary as `access`; the closed-form retire's bit-identity with single-step retire is gated by tests/batch_identity.rs
     #[inline]
     fn retire_ifetch_run(&mut self, n: usize, c: usize, k: u64) {
         // analyze: total — node and core ids come from the dispatch loop's walk over the node grid built in try_new
         let core = &mut self.nodes[n].cores[c];
-        // analyze: exact — the batched retire feeds the closed form an integer run length
         core.timing.retire_instructions(k, &mut core.bd);
         core.l1i.record_repeat_read_hits(k);
     }

@@ -45,28 +45,32 @@ impl TimingModel for InOrderTiming {
     #[inline]
     fn retire_instruction(&mut self, bd: &mut ExecBreakdown) {
         bd.instructions += 1;
-        // analyze: exact — unit increment of an integer-valued accumulator
         bd.busy_cycles += 1.0;
     }
 
     /// Closed form of `n` unit retires. Exact, not approximate: under
     /// this model `busy_cycles` only ever grows by `1.0` (stalls charge
-    /// the other buckets), so it is an integer-valued f64, and integer
-    /// additions below 2^53 never round — `n` separate `+= 1.0` steps
-    /// and one `+= n as f64` produce the same bits. This is what lets
-    /// the simulator's batched dispatch retire a run of back-to-back
-    /// instruction fetches in one call without breaking bit-identity
-    /// with the per-reference oracle path.
+    /// the other buckets), so it holds an integer-valued f64. As long as
+    /// `busy_cycles + n < 2^53`, every integer on the way is exact in f64:
+    /// neither `n as f64` nor any of the additions rounds, so `n`
+    /// separate `+= 1.0` steps and one `+= n as f64` produce the same
+    /// bits. A run would have to retire about 9·10^15 instructions to
+    /// reach the bound. This is what lets the simulator's batched
+    /// dispatch retire a run of back-to-back instruction fetches in one
+    /// call without breaking bit-identity with the per-reference oracle
+    /// path. `tests/batch_identity.rs` checks that identity end to end,
+    /// and `crates/proc/tests/closed_form.rs` checks this method against
+    /// `n` calls of [`retire_instruction`] directly.
+    ///
+    /// [`retire_instruction`]: TimingModel::retire_instruction
     #[inline]
     fn retire_instructions(&mut self, n: u64, bd: &mut ExecBreakdown) {
         bd.instructions += n;
-        // analyze: exact — the closed form the doc comment argues: an integer count cast to f64
         bd.busy_cycles += n as f64;
     }
 
     #[inline]
     fn stall(&mut self, class: StallClass, latency_cycles: u64, bd: &mut ExecBreakdown) {
-        // analyze: exact — in-order stalls charge whole cycles; the bucket stays integer-valued
         bd.charge(class, latency_cycles as f64);
     }
 }

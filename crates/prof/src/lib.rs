@@ -6,7 +6,7 @@
 //! * **Simulated time** — [`Attribution`] splits every charged latency
 //!   into per-component contributions ([`Component`]: L1 probe, L2
 //!   array, directory, NoC hops, MC queue, fault extra) per
-//!   [`csim_obs::MissClass`], with an exactness invariant (components
+//!   [`csim_obs::MissClass`], with a conservation invariant (components
 //!   sum to the charged cycles) that makes the breakdown reconcile
 //!   cycle-for-cycle with the observer's histograms.
 //!   [`prof_report_json`] exports it as byte-stable

@@ -58,8 +58,8 @@ fn every_split_is_exact_across_reference_mixes() {
             expected_count,
             "seed {seed}: counts leaked"
         );
-        // Per-class totals are the component sums, so they inherit the
-        // exactness reference by reference.
+        // Per-class totals are the component sums, so they reconcile
+        // exactly, reference by reference.
         for class in MissClass::ALL {
             let by_component: u128 =
                 Component::ALL.iter().map(|&comp| attr.cell(class, comp)).sum();

@@ -4,7 +4,10 @@
 //! L2 and its manifest echo; the sweep engine and the `csim` front end
 //! both go through it.
 
-use csim_config::{ConfigError, IntegrationLevel, OooParams, RacConfig, SystemConfig};
+use csim_config::{
+    CacheGeometry, ConfigError, IntegrationLevel, L2Config, L2Kind, OooParams, RacConfig,
+    SystemConfig, LINE_SIZE,
+};
 use csim_workload::OltpParams;
 
 use crate::plan::{integration_short_name, L2Spec, SweepError, SweepPlan};
@@ -91,22 +94,21 @@ impl RunSpec {
     /// # Errors
     ///
     /// The config builder's [`ConfigError`] when the machine is
-    /// impossible (e.g. an on-chip L2 too large for the die).
+    /// impossible (e.g. an on-chip L2 too large for the die, or an L2
+    /// size that is not a whole number of sets).
     pub fn system_config(&self) -> Result<SystemConfig, ConfigError> {
+        let geometry = CacheGeometry::new(self.l2_bytes, self.l2_assoc, LINE_SIZE)?;
+        let kind = match (self.integration.l2_on_chip(), self.dram) {
+            (false, _) => L2Kind::OffChip,
+            (true, false) => L2Kind::OnChipSram,
+            (true, true) => L2Kind::OnChipDram,
+        };
         let mut b = SystemConfig::builder();
         b.nodes(self.nodes)
             .cores_per_node(self.cores)
             .integration(self.integration)
-            .replicate_instructions(self.replicate);
-        if self.integration.l2_on_chip() {
-            if self.dram {
-                b.l2_dram(self.l2_bytes, self.l2_assoc);
-            } else {
-                b.l2_sram(self.l2_bytes, self.l2_assoc);
-            }
-        } else {
-            b.l2_off_chip(self.l2_bytes, self.l2_assoc);
-        }
+            .replicate_instructions(self.replicate)
+            .l2(L2Config::new(geometry, kind));
         if self.rac {
             b.rac(RacConfig::paper());
         }
@@ -283,5 +285,10 @@ mod tests {
         let err = spec.build_config().unwrap_err();
         assert!(matches!(err, SweepError::Run { .. }), "{err}");
         assert!(err.to_string().contains("all/64M8w/1n1c/s0"), "{err}");
+        // A spec built field by field, past `L2Spec::parse`, with a size
+        // that is no whole number of sets is an error, not a panic.
+        let spec = RunSpec { l2_bytes: 1049, l2_assoc: 1, ..RunSpec::default() };
+        let err = spec.build_config().unwrap_err();
+        assert!(err.to_string().contains("whole number of 1-way sets"), "{err}");
     }
 }

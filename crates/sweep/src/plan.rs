@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use csim_config::IntegrationLevel;
+use csim_config::{CacheGeometry, IntegrationLevel, LINE_SIZE};
 use csim_fault::toml::{self, TomlError};
 use csim_trace::SimRng;
 use csim_workload::OltpParams;
@@ -24,6 +24,10 @@ impl L2Spec {
     /// Parses a cache-geometry spec of the form `<size>M<assoc>w`, e.g.
     /// `8M1w`, `2M8w` or `1.25M4w`: the language of a plan's `l2` axis
     /// and of the `csim --l2` flag.
+    ///
+    /// The size must come to a whole number of sets of 64-byte lines
+    /// (the check [`CacheGeometry::new`] makes), so a parsed spec always
+    /// builds a cache.
     ///
     /// # Errors
     ///
@@ -54,6 +58,8 @@ impl L2Spec {
             ));
         }
         let bytes = (mb * (1u64 << 20) as f64).round() as u64;
+        CacheGeometry::new(bytes, assoc, LINE_SIZE)
+            .map_err(|e| format!("bad L2 spec '{spec}': {e}"))?;
         Ok(L2Spec { bytes, assoc, label: spec.to_string() })
     }
 }
@@ -457,6 +463,8 @@ mod tests {
             ("w2M", "missing w"),
             ("2M8wx", "trailing"),
             ("8w", "missing M"),
+            ("0.001M1w", "whole number of 1-way sets"),
+            ("99999999999999999999M1w", "whole number of 1-way sets"),
         ] {
             let err = L2Spec::parse(spec).unwrap_err();
             assert!(err.contains(why), "{spec}: {err}");
@@ -561,6 +569,10 @@ mod tests {
     fn errors_display_their_location() {
         let err = SweepPlan::from_toml_str("[grid]\nl2 = [\"2M3w\"]\n").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
+        // A size that is no whole number of sets fails at parse time,
+        // before any point runs.
+        let err = SweepPlan::from_toml_str("[grid]\nl2 = [\"0.001M1w\"]\n").unwrap_err();
+        assert!(err.to_string().contains("line 2: bad L2 spec '0.001M1w'"), "{err}");
     }
 
     #[test]

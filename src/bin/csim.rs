@@ -792,6 +792,10 @@ fn run_single(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use oltp_chip_integration::trace::SimRng;
+
     use super::{parse_cli, parse_jobs, parse_watchdog, Args, Cli};
 
     fn cli(line: &str) -> Result<Cli, String> {
@@ -904,5 +908,113 @@ mod tests {
         assert!(parse_watchdog("inf").unwrap_err().contains("greater than 1"));
         assert!(parse_watchdog("nan").unwrap_err().contains("greater than 1"));
         assert!(parse_watchdog("fast").unwrap_err().contains("not a number"));
+    }
+
+    /// Valid command lines for all four modes: the mutation seeds.
+    const SEED_LINES: [&str; 6] = [
+        "--nodes 8 --cores 2 --integration all --l2 2M8w --dram --rac --replicate --ooo \
+         --warm 100 --meas 200 --seed 7 --fault-plan f.toml --fault-seed 3 --strict 50 \
+         --sanitize --histograms --epoch 10 --epoch-svg e.svg --trace-out t.jsonl \
+         --trace-filter local,remote-dirty --trace-cap 64 --prof p.json --prof-svg p.svg \
+         --prof-sample-hz 99 --json-report r.json --trace-events te.json --profile --quiet",
+        "--integration l2 --l2 1M4w --nodes 2",
+        "--l2 8M1w --warm 0 --meas 1",
+        "--sweep p.toml --jobs 4 --shard 1/2 --checkpoint c.log --watchdog 3 --profile \
+         --trace-events te.json --json-report r.json --quiet",
+        "--sweep-merge out.json a.json b.json --quiet",
+        "--validate-jsonl t.jsonl",
+    ];
+
+    /// Values at and past the edges of every numeric and spec parser.
+    const EXTREMES: [&str; 24] = [
+        "0", "1", "-1", "18446744073709551615", "18446744073709551616", "1e400", "-1e400",
+        "NaN", "inf", "0.5", "", " ", "0.001M1w", "99999999999999999999M1w", "1e400M1w",
+        "NaNM1w", "2M18446744073709551616w", "2M2147483648w", "0/0", "1/0",
+        "18446744073709551616/2", "--", "-", "\u{e9}",
+    ];
+
+    /// Applies one random mutation to `argv`: a token flipped to an
+    /// extreme, a bit flipped inside a token, a truncation, a splice
+    /// from another seed, a duplicated flag, or a flag's value set to
+    /// an extreme.
+    fn mutate(rng: &mut SimRng, argv: &mut Vec<String>, seeds: &[Vec<String>]) {
+        let pick = |rng: &mut SimRng, n: usize| rng.gen_range_usize(0..n.max(1));
+        let extreme = |rng: &mut SimRng| EXTREMES[pick(rng, EXTREMES.len())].to_string();
+        let flags: Vec<usize> = (0..argv.len()).filter(|&i| argv[i].starts_with("--")).collect();
+        match rng.gen_range(0..6) {
+            0 if !argv.is_empty() => {
+                let i = pick(rng, argv.len());
+                argv[i] = extreme(rng);
+            }
+            1 if !argv.is_empty() => {
+                let i = pick(rng, argv.len());
+                let mut bytes = argv[i].clone().into_bytes();
+                if !bytes.is_empty() {
+                    let j = pick(rng, bytes.len());
+                    bytes[j] ^= 1 << rng.gen_range(0..7);
+                }
+                argv[i] = String::from_utf8_lossy(&bytes).into_owned();
+            }
+            2 => argv.truncate(pick(rng, argv.len() + 1)),
+            3 => {
+                let other = &seeds[pick(rng, seeds.len())];
+                let from = pick(rng, other.len());
+                let to = from + pick(rng, other.len() - from + 1);
+                let at = pick(rng, argv.len() + 1);
+                argv.splice(at..at, other[from..to].iter().cloned());
+            }
+            4 if !flags.is_empty() => {
+                let i = flags[pick(rng, flags.len())];
+                let dup: Vec<String> = argv[i..argv.len().min(i + 2)].to_vec();
+                let at = pick(rng, argv.len() + 1);
+                argv.splice(at..at, dup);
+            }
+            5 if !flags.is_empty() => {
+                let i = flags[pick(rng, flags.len())];
+                let value = extreme(rng);
+                match argv.get_mut(i + 1) {
+                    Some(v) => *v = value,
+                    None => argv.push(value),
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Adversarial driver: mutated command lines for every mode must make
+    /// `parse_cli` return a value or an error, never panic, and every
+    /// single run it accepts must map to a machine or a config error.
+    #[test]
+    fn mutated_command_lines_parse_or_fail_without_panicking() {
+        let seeds: Vec<Vec<String>> = SEED_LINES
+            .iter()
+            .map(|l| l.split_whitespace().map(String::from).collect())
+            .collect();
+        for argv in &seeds {
+            let parsed = parse_cli(argv);
+            assert!(parsed.is_ok(), "seed {argv:?} must parse: {parsed:?}");
+        }
+        let mut rng = SimRng::seed_from_u64(0x0C11_F022);
+        let (mut accepted, mut rejected, mut unbuildable) = (0, 0, 0);
+        for case in 0..20_000 {
+            let mut argv = seeds[rng.gen_range_usize(0..seeds.len())].clone();
+            for _ in 0..1 + rng.gen_range(0..4) {
+                mutate(&mut rng, &mut argv, &seeds);
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| match parse_cli(&argv) {
+                Ok(Cli::Run(args)) => Some(args.spec.system_config().is_ok()),
+                Ok(_) => Some(true),
+                Err(_) => None,
+            }));
+            match outcome {
+                Ok(Some(true)) => accepted += 1,
+                Ok(Some(false)) => unbuildable += 1,
+                Ok(None) => rejected += 1,
+                Err(_) => panic!("case {case}: {argv:?} panicked"),
+            }
+        }
+        // Each outcome class is reached, so the driver is not vacuous.
+        let counts = (accepted, rejected, unbuildable);
+        assert!(accepted > 0 && rejected > 0 && unbuildable > 0, "{counts:?}");
     }
 }
