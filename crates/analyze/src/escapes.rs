@@ -1,4 +1,4 @@
-//! Pass 9 — stale escapes and unknown directives.
+//! Pass 7 — stale escapes and unknown directives.
 //!
 //! Runs after every other pass, over their suppressions. A
 //! `// lint: allow(rule) — reason` marker in shipped code that
@@ -9,7 +9,7 @@
 //! suppresses, so it is always stale.
 //!
 //! A shipped `// analyze: <kind>` directive whose kind is not `hot`,
-//! `cold`, `publish`, `unwind` or `total` is an `unknown-directive`
+//! `cold` or `total` is an `unknown-directive`
 //! finding: no pass reads it, so a misspelt or retired directive would
 //! otherwise read as a claim that nothing checks.
 //!
@@ -53,8 +53,8 @@ pub fn run(ws: &Workspace, suppressions: &[Suppression]) -> Vec<Finding> {
                 file: file.rel.clone(),
                 line: *line,
                 message: format!(
-                    "`analyze: {directive}` is no known directive (hot, cold, publish, unwind, \
-                     total); no pass reads it"
+                    "`analyze: {directive}` is no known directive (hot, cold, total); no pass \
+                     reads it"
                 ),
                 excerpt: file.line_text(*line).to_string(),
                 chain: Vec::new(),

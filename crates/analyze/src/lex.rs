@@ -22,10 +22,10 @@
 //!
 //! On top of the lexer sits [`markers`], which extracts
 //! `// lint: allow(rule) — reason` and the `// analyze:` directives
-//! (`hot`, `cold`, `publish`, `unwind`, `total`, `exact`) from *comment
-//! tokens only*: a marker spelled inside a string literal cannot
-//! fabricate an escape and suppress a real finding; a directive is only
-//! a directive when it is actually a comment.
+//! (`hot`, `cold`, `total`) from *comment tokens only*: a marker
+//! spelled inside a string literal cannot fabricate an escape and
+//! suppress a real finding; a directive is only a directive when it is
+//! actually a comment.
 
 /// Control-flow keyword classes, for CFG construction.
 ///
@@ -373,23 +373,6 @@ pub enum MarkerKind {
         /// Why the boundary is legitimate (empty ⇒ marker is inert).
         reason: String,
     },
-    /// `// analyze: publish — reason` — the relaxed atomic store on (or
-    /// just below) this line is a declared publication stripe: a value
-    /// intentionally published without ordering because no reader
-    /// derives cross-field invariants from it. The reason is mandatory;
-    /// a bare `publish` declares nothing.
-    Publish {
-        /// Why relaxed publication is sound here (empty ⇒ inert).
-        reason: String,
-    },
-    /// `// analyze: unwind — reason` — the `catch_unwind` on (or just
-    /// below) this line is a declared panic boundary: the comment states
-    /// what state the catch protects and why resuming is sound. The
-    /// reason is mandatory; a bare `unwind` declares nothing.
-    Unwind {
-        /// Why the panic boundary is sound (empty ⇒ inert).
-        reason: String,
-    },
     /// `// analyze: total — reason` — a totality contract for the
     /// panic-freedom pass: the partial operation on (or just below) this
     /// line — or, when placed above a `fn`, every partial operation in
@@ -448,10 +431,6 @@ pub fn markers(source: &str) -> Vec<Marker> {
                 MarkerKind::Hot
             } else if let Some(reason) = reason("cold") {
                 MarkerKind::Cold { reason }
-            } else if let Some(reason) = reason("publish") {
-                MarkerKind::Publish { reason }
-            } else if let Some(reason) = reason("unwind") {
-                MarkerKind::Unwind { reason }
             } else if let Some(reason) = reason("total") {
                 MarkerKind::Total { reason }
             } else {
@@ -555,29 +534,6 @@ fn refill() {}
     }
 
     #[test]
-    fn publish_and_unwind_markers_parse_with_reasons() {
-        let src = "\
-// analyze: publish — monotonic counter, readers tolerate staleness
-x.store(1, Ordering::Relaxed);
-// analyze: unwind — worker boundary; queue state has no cross-field invariants
-let r = std::panic::catch_unwind(|| run());
-// analyze: publish
-y.store(2, Ordering::Relaxed);
-";
-        let m = markers(src);
-        assert_eq!(m.len(), 3, "{m:?}");
-        assert!(matches!(&m[0].kind, MarkerKind::Publish { reason }
-            if reason.contains("monotonic counter")));
-        assert_eq!(m[0].line, 1);
-        assert!(matches!(&m[1].kind, MarkerKind::Unwind { reason }
-            if reason.contains("worker boundary")));
-        assert_eq!(m[1].line, 3);
-        // Reasonless markers parse but carry an empty reason — callers
-        // treat that as inert, exactly like reasonless `cold`.
-        assert!(matches!(&m[2].kind, MarkerKind::Publish { reason } if reason.is_empty()));
-    }
-
-    #[test]
     fn total_markers_parse() {
         let src = "\
 // analyze: total — index derived from pow2 mask, invariant held by new()
@@ -591,16 +547,20 @@ let u = tags[other];
             if reason.contains("pow2 mask")));
         assert_eq!(m[0].line, 1);
         // A reasonless total parses but carries an empty reason — the
-        // model treats that as inert, like reasonless cold/publish.
+        // model treats that as inert, like reasonless cold.
         assert!(matches!(&m[1].kind, MarkerKind::Total { reason } if reason.is_empty()));
     }
 
     #[test]
     fn directives_of_no_known_kind_parse_as_unknown() {
-        let src = "// analyze: pure — no such kind\n// analyze:\n// analyze: hotter\n";
+        let src = "// analyze: pure — no such kind\n// analyze:\n// analyze: hotter\n\
+                   // analyze: publish — retired\n// analyze: unwind — retired\n";
         let kinds: Vec<MarkerKind> = markers(src).into_iter().map(|m| m.kind).collect();
         let unknown = |d: &str| MarkerKind::Unknown { directive: d.to_string() };
-        assert_eq!(kinds, [unknown("pure"), unknown(""), unknown("hotter")]);
+        assert_eq!(
+            kinds,
+            [unknown("pure"), unknown(""), unknown("hotter"), unknown("publish"), unknown("unwind")]
+        );
     }
 
     #[test]

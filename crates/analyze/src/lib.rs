@@ -4,7 +4,7 @@
 //! The crate parses the *whole* workspace into one model — every file
 //! lexed with the hand-rolled [`lex`] lexer, every function indexed,
 //! every intra-workspace reference recorded — builds a name-based call
-//! graph, and runs nine passes over it:
+//! graph, and runs seven passes over it:
 //!
 //! 1. [`layering`] — the architecture DAG gate: each crate's observed
 //!    dependencies must stay inside an explicit allowlist, and the
@@ -17,25 +17,16 @@
 //!    export paths (SimReport, JSON writers, sweep merges).
 //! 4. [`deadpub`] — every unrestricted `pub` item must have a consumer
 //!    outside its own crate's shipped sources, or a reasoned escape.
-//! 5. [`concurrency`] — cross-thread discipline: a name-based
-//!    lock-order graph (cycles are potential deadlocks), declared
-//!    relaxed-atomic publication stripes (`// analyze: publish`),
-//!    a `SeqCst`-in-shipped-code ban, and lock-held-across-spawn/join
-//!    detection over the call graph.
-//! 6. [`unwind`] — every `catch_unwind` must carry an
-//!    `// analyze: unwind — reason` contract, and must not reach
-//!    shared-state mutators (checkpoint log, merge accumulators,
-//!    hostprof stripes) without re-validation after the catch.
-//! 7. [`panicfree`] — panic-freedom for everything reachable from the
+//! 5. [`panicfree`] — panic-freedom for everything reachable from the
 //!    `csim` entry point: per-function CFGs ([`mod@cfg`]) plus a
 //!    forward must-facts dataflow ([`dataflow`]) prove that indexing is
 //!    bounds-checked and `.len() - k` can't underflow — or the site
 //!    carries an `// analyze: total — reason` contract.
-//! 8. [`source`] — token-level rules over every shipped line:
+//! 6. [`source`] — token-level rules over every shipped line:
 //!    `no-panic` (the workspace's one ban on panicking calls),
 //!    `no-wallclock`, `no-hash-export` on the export paths, and
 //!    `forbid-unsafe` on every crate and binary root.
-//! 9. [`escapes`] — every shipped `lint: allow` marker must have
+//! 7. [`escapes`] — every shipped `lint: allow` marker must have
 //!    suppressed a finding of its rule within its reach; a marker that
 //!    suppressed nothing is a `stale-escape` finding, and an
 //!    `analyze:` directive of no known kind is an `unknown-directive`
@@ -51,7 +42,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cfg;
-pub mod concurrency;
 pub mod dataflow;
 pub mod deadpub;
 pub mod escapes;
@@ -64,7 +54,6 @@ pub mod panicfree;
 pub mod report;
 pub mod source;
 pub mod taint;
-pub mod unwind;
 
 use std::io;
 use std::path::Path;
@@ -73,7 +62,7 @@ pub use graph::CallGraph;
 pub use model::Workspace;
 pub use report::{AnalysisReport, Finding, Pass, Suppression, REPORT_SCHEMA};
 
-/// Loads the workspace at `root` and runs all nine passes.
+/// Loads the workspace at `root` and runs all seven passes.
 ///
 /// # Errors
 ///
@@ -119,14 +108,6 @@ pub fn analyze_model(ws: &Workspace) -> AnalysisReport {
     rep.suppressions.extend(s);
 
     let (f, s) = deadpub::run(ws);
-    rep.findings.extend(f);
-    rep.suppressions.extend(s);
-
-    let (f, s) = concurrency::run(ws, &graph);
-    rep.findings.extend(f);
-    rep.suppressions.extend(s);
-
-    let (f, s) = unwind::run(ws, &graph);
     rep.findings.extend(f);
     rep.suppressions.extend(s);
 

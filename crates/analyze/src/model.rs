@@ -82,12 +82,6 @@ pub struct SourceFile {
     pub hot_lines: Vec<usize>,
     /// `// analyze: cold — reason` markers, by line.
     pub cold_lines: Vec<(usize, String)>,
-    /// `// analyze: publish — reason` markers (declared relaxed-store
-    /// publication stripes), by line. Reasonless markers are dropped.
-    pub publish_lines: Vec<(usize, String)>,
-    /// `// analyze: unwind — reason` markers (declared panic
-    /// boundaries), by line. Reasonless markers are dropped.
-    pub unwind_lines: Vec<(usize, String)>,
     /// `// analyze: total — reason` markers (totality contracts for the
     /// panic-freedom pass), by line. Reasonless markers are dropped.
     /// A marker inside a function body contracts the site at/below it;
@@ -121,18 +115,6 @@ impl SourceFile {
             })
             .max_by_key(|(l, _, _)| *l)
             .map(|(_, _, why)| why.as_str())
-    }
-
-    /// The nearest `analyze: publish — reason` marker on `line` or up to
-    /// three lines above it (same binding distance as [`allow_for`]).
-    pub(crate) fn publish_for(&self, line: usize) -> Option<&str> {
-        nearest_marker(&self.publish_lines, line)
-    }
-
-    /// The nearest `analyze: unwind — reason` marker on `line` or up to
-    /// three lines above it.
-    pub(crate) fn unwind_for(&self, line: usize) -> Option<&str> {
-        nearest_marker(&self.unwind_lines, line)
     }
 
     /// The nearest `analyze: total — reason` marker on `line` or up to
@@ -395,32 +377,21 @@ impl Workspace {
         let mut allows = Vec::new();
         let mut hot_lines = Vec::new();
         let mut cold_lines = Vec::new();
-        let mut publish_lines = Vec::new();
-        let mut unwind_lines = Vec::new();
         let mut total_lines = Vec::new();
         let mut unknown_directives = Vec::new();
         for Marker { line, kind } in markers(&source) {
-            // Reasonless cold, publish, unwind and total markers are inert.
+            // Reasonless cold and total markers are inert.
             match kind {
                 MarkerKind::Allow { rule, reason } => allows.push((line, rule, reason)),
                 MarkerKind::Hot => hot_lines.push(line),
                 MarkerKind::Cold { reason } if !reason.is_empty() => {
                     cold_lines.push((line, reason))
                 }
-                MarkerKind::Publish { reason } if !reason.is_empty() => {
-                    publish_lines.push((line, reason))
-                }
-                MarkerKind::Unwind { reason } if !reason.is_empty() => {
-                    unwind_lines.push((line, reason))
-                }
                 MarkerKind::Total { reason } if !reason.is_empty() => {
                     total_lines.push((line, reason))
                 }
                 MarkerKind::Unknown { directive } => unknown_directives.push((line, directive)),
-                MarkerKind::Cold { .. }
-                | MarkerKind::Publish { .. }
-                | MarkerKind::Unwind { .. }
-                | MarkerKind::Total { .. } => {}
+                MarkerKind::Cold { .. } | MarkerKind::Total { .. } => {}
             }
         }
         let file_idx = self.files.len();
@@ -434,8 +405,6 @@ impl Workspace {
             allows,
             hot_lines,
             cold_lines,
-            publish_lines,
-            unwind_lines,
             total_lines,
             unknown_directives,
         });
@@ -1185,24 +1154,5 @@ fn f() {
         let ws = ws_with("crates/core/src/x.rs", "core", src);
         assert!(ws.fns[0].cold.is_none(), "reasonless cold is inert");
         assert_eq!(ws.fns[1].cold.as_deref(), Some("slow path"));
-    }
-
-    #[test]
-    fn publish_and_unwind_markers_bind_within_three_lines() {
-        let src = "\
-// analyze: publish — stripe readers tolerate staleness
-x.store(1, Relaxed);
-// analyze: unwind — worker boundary, no cross-field invariants
-// (two comment lines between marker and site are fine)
-let r = catch_unwind(|| {});
-// analyze: publish
-y.store(2, Relaxed);
-";
-        let ws = ws_with("crates/core/src/x.rs", "core", src);
-        let file = &ws.files[0];
-        assert_eq!(file.publish_for(2), Some("stripe readers tolerate staleness"));
-        assert_eq!(file.unwind_for(5), Some("worker boundary, no cross-field invariants"));
-        assert_eq!(file.publish_for(7), None, "reasonless publish is inert");
-        assert_eq!(file.publish_for(6), None, "distance cap: no marker ≤3 lines above");
     }
 }

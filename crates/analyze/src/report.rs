@@ -25,10 +25,6 @@ pub enum Pass {
     Taint,
     /// Dead-`pub` audit.
     DeadPub,
-    /// Concurrency-discipline pass (lock order, atomics, spawn hygiene).
-    Concurrency,
-    /// Unwind-safety pass (`catch_unwind` contracts and shared state).
-    Unwind,
     /// CFG/dataflow panic-freedom proof (entry-point reachability).
     PanicFree,
     /// Token-level source rules over every shipped line.
@@ -46,8 +42,6 @@ impl Pass {
             Pass::HotPath => "hot-path",
             Pass::Taint => "taint",
             Pass::DeadPub => "dead-pub",
-            Pass::Concurrency => "concurrency",
-            Pass::Unwind => "unwind",
             Pass::PanicFree => "panic-free",
             Pass::Source => "source",
             Pass::Escape => "escape",

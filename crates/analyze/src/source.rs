@@ -1,4 +1,4 @@
-//! Pass 8 — the token-level source rules.
+//! Pass 6 — the token-level source rules.
 //!
 //! Four contracts that hold for every line of shipped code (`src/` and
 //! `src/bin/` of each crate and of the root package), reachable from an

@@ -202,113 +202,6 @@ fn dead_pub_fires_on_an_unconsumed_item() {
 }
 
 #[test]
-fn lock_order_cycle_fires_and_fails_the_gate() {
-    let rep = analyze_mounted(&[(
-        "crates/sweep/src/scratch.rs",
-        "sweep",
-        Section::Src,
-        "lock_order_cycle.rs",
-    )]);
-    let f = rep
-        .findings
-        .iter()
-        .find(|f| f.rule == "lock-order")
-        .unwrap_or_else(|| panic!("no lock-order finding: {:?}", rules_of(&rep)));
-    assert!(f.message.contains("alpha -> beta -> alpha"), "{}", f.message);
-    assert!(f.chain.iter().any(|c| c.contains("fixture_forward")), "{:?}", f.chain);
-    assert!(f.chain.iter().any(|c| c.contains("fixture_backward")), "{:?}", f.chain);
-    // A deliberate inversion must fail the gate.
-    assert!(!rep.is_clean());
-}
-
-#[test]
-fn unreasoned_relaxed_store_fires_and_the_declared_one_does_not() {
-    let rep = analyze_mounted(&[(
-        "crates/trace/src/scratch.rs",
-        "trace",
-        Section::Src,
-        "relaxed_store.rs",
-    )]);
-    let stores: Vec<_> =
-        rep.findings.iter().filter(|f| f.rule == "atomic-relaxed-store").collect();
-    assert_eq!(stores.len(), 1, "{stores:?}");
-    assert!(
-        stores[0].chain.iter().any(|c| c.contains("fixture_unreasoned_publish")),
-        "{:?}",
-        stores[0].chain
-    );
-}
-
-#[test]
-fn seqcst_in_shipped_code_fires() {
-    let rep =
-        analyze_mounted(&[("crates/core/src/scratch.rs", "core", Section::Src, "seqcst.rs")]);
-    let f = rep
-        .findings
-        .iter()
-        .find(|f| f.rule == "atomic-seqcst")
-        .unwrap_or_else(|| panic!("no atomic-seqcst finding: {:?}", rules_of(&rep)));
-    assert!(f.excerpt.contains("SeqCst"), "{}", f.excerpt);
-}
-
-#[test]
-fn lock_held_across_spawn_fires() {
-    let rep = analyze_mounted(&[(
-        "crates/sweep/src/scratch.rs",
-        "sweep",
-        Section::Src,
-        "lock_across_spawn.rs",
-    )]);
-    let f = rep
-        .findings
-        .iter()
-        .find(|f| f.rule == "lock-across-spawn")
-        .unwrap_or_else(|| panic!("no lock-across-spawn finding: {:?}", rules_of(&rep)));
-    assert!(f.message.contains("`shared`"), "{}", f.message);
-    assert!(f.message.contains("spawn"), "{}", f.message);
-}
-
-#[test]
-fn uncontracted_catch_unwind_fires() {
-    let rep = analyze_mounted(&[(
-        "crates/sweep/src/scratch.rs",
-        "sweep",
-        Section::Src,
-        "unwind_contract.rs",
-    )]);
-    let f = rep
-        .findings
-        .iter()
-        .find(|f| f.rule == "unwind-contract")
-        .unwrap_or_else(|| panic!("no unwind-contract finding: {:?}", rules_of(&rep)));
-    assert!(f.message.contains("fixture_bare_catch"), "{}", f.message);
-}
-
-#[test]
-fn shared_state_mutation_behind_a_catch_fires_with_a_chain() {
-    let rep = analyze_mounted(&[(
-        "crates/trace/src/scratch.rs",
-        "trace",
-        Section::Src,
-        "unwind_shared.rs",
-    )]);
-    // The contract comment satisfies rule (i)...
-    assert!(
-        rep.findings.iter().all(|f| f.rule != "unwind-contract"),
-        "{:?}",
-        rules_of(&rep)
-    );
-    // ...but the reachable stripe mutation still violates rule (ii).
-    let f = rep
-        .findings
-        .iter()
-        .find(|f| f.rule == "unwind-shared-state")
-        .unwrap_or_else(|| panic!("no unwind-shared-state finding: {:?}", rules_of(&rep)));
-    assert!(f.message.contains("hostprof-stripes"), "{}", f.message);
-    assert_eq!(f.chain, ["fixture_catch_reaches_stripes", "fixture_step", "set_region"]);
-}
-
-#[test]
 fn reasoned_escape_suppresses_and_reasonless_escape_is_inert() {
     let rep = analyze_mounted(&[(
         "crates/obs/src/export.rs",

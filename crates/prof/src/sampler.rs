@@ -70,7 +70,8 @@ impl HostSampler {
     /// died, an empty report is returned rather than propagating the
     /// panic into the caller.
     pub fn stop(self) -> RegionReport {
-        // analyze: publish — stop flag for the watcher loop; the join below is the real synchronization, the flag only needs to become visible eventually
+        // Relaxed is enough: the join below is the real synchronization,
+        // and the stop flag only needs to become visible eventually.
         self.stop.store(true, Ordering::Relaxed);
         match self.handle.join() {
             Ok(report) => report,

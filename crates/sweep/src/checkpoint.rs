@@ -185,8 +185,8 @@ pub(crate) struct LoadedCheckpoint {
 /// The open, append-only checkpoint log.
 pub(crate) struct CheckpointLog {
     path: String,
-    /// `None` once writing has been disabled after an append failure —
-    /// the sweep keeps running without checkpoints rather than dying.
+    /// `None` once an append has failed — the sweep keeps running
+    /// without checkpoints rather than dying.
     file: Option<std::fs::File>,
 }
 
@@ -315,26 +315,27 @@ impl CheckpointLog {
         Ok(LoadedCheckpoint { log: CheckpointLog { path: path.to_string(), file: Some(file) }, points, damage })
     }
 
-    /// Appends one completed point.
+    /// Appends one completed point. Once a write has failed the log is
+    /// disabled and later appends write nothing.
     ///
     /// # Errors
     ///
-    /// [`SweepError::Checkpoint`] when the write fails; the caller
-    /// disables the log and keeps sweeping.
+    /// [`SweepError::Checkpoint`] for the write that fails, once; the
+    /// caller reports it and keeps sweeping.
     // analyze: cold — one small write per completed simulation, amortized over millions of simulated references
     pub(crate) fn append(&mut self, point: &PointOutcome) -> Result<(), SweepError> {
         let Some(file) = &mut self.file else { return Ok(()) };
         let line = encode_line(&record_json(point).to_string());
-        file.write_all(line.as_bytes()).map_err(|e| SweepError::Checkpoint {
-            path: self.path.clone(),
-            line: 0,
-            message: format!("append failed: {e}; checkpointing disabled for the rest of the sweep"),
+        file.write_all(line.as_bytes()).map_err(|e| {
+            self.file = None;
+            SweepError::Checkpoint {
+                path: self.path.clone(),
+                line: 0,
+                message: format!(
+                    "append failed: {e}; checkpointing disabled for the rest of the sweep"
+                ),
+            }
         })
-    }
-
-    /// Stops writing (after an append failure) without ending the sweep.
-    pub(crate) fn disable(&mut self) {
-        self.file = None;
     }
 }
 
@@ -411,5 +412,23 @@ mod tests {
         assert_eq!((f.attempts, f.error.as_str()), (3, "panicked: \"quoted\""));
         // Out-of-range indices are damage, not trust.
         assert!(decode_record(&doc, 3).unwrap_err().contains("out of range"));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_append_disables_the_log_once() {
+        let file = OpenOptions::new().append(true).open("/dev/full").unwrap();
+        let mut log = CheckpointLog { path: "/dev/full".to_string(), file: Some(file) };
+        let point = PointOutcome::Failed(PointFailure {
+            index: 0,
+            label: "base/8M1w/1n1c/s0".to_string(),
+            seed: 42,
+            attempts: 1,
+            error: "x".to_string(),
+        });
+        let err = log.append(&point).unwrap_err();
+        assert!(err.to_string().contains("checkpointing disabled"), "{err}");
+        assert!(log.file.is_none(), "the failed write closes the log");
+        log.append(&point).expect("a disabled log accepts appends and writes nothing");
     }
 }

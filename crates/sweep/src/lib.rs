@@ -11,7 +11,8 @@
 //! * [`RunSpec`] — one fully-resolved grid point, expanded in a
 //!   documented deterministic order ([`SweepPlan::expand`]).
 //! * [`run_sweep`] — executes the grid on `jobs` scoped worker threads
-//!   pulling from a shared queue; results are merged by grid index. The
+//!   that hand each outcome to the calling thread; results are merged
+//!   by grid index. The
 //!   merged [`SweepOutcome::to_json`] report is byte-identical for any
 //!   worker count (enforced by `tests/sweep_identity.rs`).
 //!

@@ -115,24 +115,29 @@ fn schema_tags_are_pinned() {
 fn clean_checkpointed_run_matches_an_uncheckpointed_one() {
     let plan = plan();
     let bare = run_sweep_with(&plan, &SweepConfig::default(), &fake_exec).unwrap();
-    let path = temp_path("clean");
-    let logged = run_sweep_with(&plan, &cfg_with(&path), &fake_exec).unwrap();
-    assert_eq!(bare.to_json().to_string(), logged.to_json().to_string());
-    assert!(logged.warnings.is_empty(), "{:?}", logged.warnings);
-    assert_eq!(logged.resumed, 0);
+    // One worker, and several workers whose outcomes reach the log in
+    // completion order rather than grid order.
+    for jobs in [1, 4] {
+        let path = temp_path(&format!("clean-j{jobs}"));
+        let cfg = SweepConfig { jobs, ..cfg_with(&path) };
+        let logged = run_sweep_with(&plan, &cfg, &fake_exec).unwrap();
+        assert_eq!(bare.to_json().to_string(), logged.to_json().to_string(), "jobs {jobs}");
+        assert!(logged.warnings.is_empty(), "jobs {jobs}: {:?}", logged.warnings);
+        assert_eq!(logged.resumed, 0);
 
-    // An immediate re-run restores everything and executes nothing.
-    let resumed = run_sweep_with(
-        &plan,
-        &cfg_with(&path),
-        &|_, spec: &RunSpec| -> Result<RunOutcome, SweepError> {
-            panic!("point {} must not re-execute on a complete log", spec.label())
-        },
-    )
-    .unwrap();
-    assert_eq!(resumed.resumed, plan.run_count());
-    assert_eq!(resumed.to_json().to_string(), bare.to_json().to_string());
-    let _ = std::fs::remove_file(&path);
+        // An immediate re-run restores everything and executes nothing.
+        let resumed = run_sweep_with(
+            &plan,
+            &cfg,
+            &|_, spec: &RunSpec| -> Result<RunOutcome, SweepError> {
+                panic!("point {} must not re-execute on a complete log", spec.label())
+            },
+        )
+        .unwrap();
+        assert_eq!(resumed.resumed, plan.run_count(), "jobs {jobs}");
+        assert_eq!(resumed.to_json().to_string(), bare.to_json().to_string(), "jobs {jobs}");
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]

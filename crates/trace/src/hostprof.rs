@@ -99,7 +99,8 @@ fn stripe_index() -> usize {
 // analyze: hot
 #[inline]
 pub fn set_region(region: Region) {
-    // analyze: publish — per-thread region stripe; the sampler tolerates stale reads by design and the stripe is never read back for control flow
+    // Relaxed is enough: the sampler tolerates stale reads of this
+    // per-thread stripe, and nothing reads it back for control flow.
     // analyze: total — stripe_index masks the stripe counter with STRIPES - 1, and SLOTS holds STRIPES entries
     SLOTS[stripe_index()].0.store(region as u8, Ordering::Relaxed);
 }

@@ -46,10 +46,12 @@ impl SharedOltpState {
         self.txns_completed.load(Relaxed)
     }
 
-    // The dirty queue is a bounded ring of addresses with no cross-field
-    // invariants, so a poisoned lock (another stream thread panicked while
-    // holding it) leaves it perfectly usable: recover the guard instead of
-    // propagating the panic into every surviving stream.
+    // The streams of one `Simulation` all run on its one thread, so this
+    // lock is never contended; it exists because the streams are `Send`
+    // and share this state through `Arc`. The dirty queue is a bounded
+    // ring of addresses with no cross-field invariants, so even a
+    // poisoned lock (a panic that unwound out of a push or pop) leaves it
+    // usable: recover the guard rather than add a panic path.
     fn push_dirty(&self, addr: Addr) {
         let mut q = self.recent_dirty.lock().unwrap_or_else(|e| e.into_inner());
         if q.len() >= 256 {
@@ -723,7 +725,9 @@ impl NodeWorkload {
             self.emit_data(addr, true, ExecMode::Kernel);
         }
         self.touch_lock(LockKind::LogControl, 0);
-        // analyze: publish — commit-batch counter reset; peers only compare it against the batch threshold, so a stale read merely delays one lgwr burst
+        // Relaxed is enough: this resets the commit-batch counter, and
+        // peers only compare it against the batch threshold, so a stale
+        // read merely delays one lgwr burst.
         self.shared.pending_commits.store(0, Relaxed);
     }
 
