@@ -111,6 +111,9 @@ pub enum SimError {
     /// The runtime sanitizer found a directory transition that diverges
     /// from the executable protocol spec.
     Sanitizer(SanitizerError),
+    /// The operating system could not start the workload's producer
+    /// thread.
+    Spawn(String),
 }
 
 impl fmt::Display for SimError {
@@ -127,6 +130,7 @@ impl fmt::Display for SimError {
             SimError::FaultPlan(e) => write!(f, "{e}"),
             SimError::Coherence(v) => write!(f, "coherence violated: {v}"),
             SimError::Sanitizer(e) => write!(f, "protocol spec divergence: {e}"),
+            SimError::Spawn(e) => write!(f, "cannot start the workload producer thread: {e}"),
         }
     }
 }

@@ -1,7 +1,5 @@
 //! The simulation engine.
 
-use std::sync::Arc;
-
 use csim_cache::Cache;
 use csim_check::Sanitizer;
 use csim_coherence::{Directory, FillSource, LineState, NodeId, NodeSet};
@@ -11,8 +9,9 @@ use csim_obs::{EpochSnapshot, Event, EventKind, MissClass, Observer};
 use csim_proc::{ExecBreakdown, StallClass, Timing, TimingModel};
 use csim_prof::Attribution;
 use csim_trace::hostprof::{self, Region};
+use csim_trace::pipeline::{pipeline, PipeStream, CHUNK_WORDS};
 use csim_trace::{ReferenceStream, PACKED_ACCESS_SHIFT, PACKED_ADDR_MASK};
-use csim_workload::{NodeWorkload, OltpParams, OltpWorkload, SharedOltpState};
+use csim_workload::{NodeWorkload, OltpParams, OltpWorkload};
 
 use crate::error::{CoherenceViolation, SimError};
 use crate::report::{MissBreakdown, RacStats, SimReport};
@@ -43,13 +42,16 @@ const NO_IFETCH_MEMO: u64 = u64::MAX;
 
 /// Column depth of the dispatch loop: how many packed references are
 /// gathered from a stream per [`ReferenceStream::next_burst`] call, so
-/// per-burst dispatch overhead (virtual call, buffer bounds checks,
-/// stats flushes, loop setup) amortizes across the column. Sized a few
-/// multiples above the workload's scheduling bursts — deeper columns
-/// also let the repeat-fetch run scanner see whole runs instead of
-/// splitting them at column boundaries (measured ~1% end-to-end over a
-/// 64-deep column; flat beyond this depth).
-const BURST_COLS: usize = 512;
+/// per-call dispatch overhead (the call, buffer bounds checks, stats
+/// flushes, loop setup) amortizes across the column. The workload's
+/// scheduling bursts are thousands of references, far deeper than the
+/// column, so the depth is set by measurement, not by the bursts: 512
+/// beat a 64-deep column by ~1% end-to-end, mostly because the
+/// repeat-fetch run scanner splits fewer runs at column boundaries,
+/// and deeper columns measured flat. It is also the pipeline's chunk
+/// size ([`csim_trace::pipeline::CHUNK_WORDS`]), so one pull fills one
+/// column.
+const BURST_COLS: usize = CHUNK_WORDS;
 
 /// Per-node (per-chip) simulation state: the cores, the shared L2/RAC,
 /// and miss counters. With `cores_per_node = 1` this is exactly the
@@ -70,7 +72,7 @@ struct Node {
 ///
 /// Generic over the reference stream so unit tests can drive it with
 /// hand-built traces; experiments use [`Simulation::with_oltp`].
-pub struct Simulation<S = NodeWorkload> {
+pub struct Simulation<S = PipeStream> {
     summary: String,
     latencies: LatencyTable,
     replicate_instructions: bool,
@@ -78,7 +80,9 @@ pub struct Simulation<S = NodeWorkload> {
     streams: Vec<S>,
     dir: Directory,
     refs_run: u64,
-    txn_source: Option<Arc<SharedOltpState>>,
+    /// Reads the workload's transaction count as of the dispatch
+    /// position from the streams (set by [`Simulation::with_oltp`]).
+    txn_source: Option<fn(&[S]) -> u64>,
     txn_baseline: u64,
     injector: Option<FaultInjector>,
     observer: Observer,
@@ -103,21 +107,48 @@ pub struct Simulation<S = NodeWorkload> {
     batch_head: Vec<u32>,
 }
 
-impl Simulation<NodeWorkload> {
-    /// Builds a simulation of `cfg` running the synthetic OLTP workload.
+impl Simulation<PipeStream> {
+    /// Builds a simulation of `cfg` running the synthetic OLTP workload,
+    /// generated on a producer thread ahead of the dispatch loop
+    /// ([`csim_trace::pipeline`]). The reports are bit-identical to a
+    /// [`Simulation::try_new`] run over the same [`OltpWorkload::build`]
+    /// streams with the transaction count read from their shared state.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Params`] when the workload parameters are
-    /// invalid and [`SimError::TooManyNodes`] when the configuration
-    /// exceeds the directory's machine-size limit.
+    /// invalid, [`SimError::TooManyNodes`] when the configuration
+    /// exceeds the directory's machine-size limit, and
+    /// [`SimError::Spawn`] when the producer thread cannot start.
     pub fn with_oltp(cfg: &SystemConfig, params: OltpParams) -> Result<Self, SimError> {
         let streams = OltpWorkload::build(params, cfg.total_cores())?;
-        // A zero-core config can't reach here (try_new rejects it), but
-        // the handle lookup stays total regardless.
-        let shared = streams.first().map(|s| s.shared_handle());
+        // build() makes at least one stream, but the handle lookup stays
+        // total regardless.
+        let shared = streams.first().map(NodeWorkload::shared_handle);
+        let piped = pipeline(streams, move || {
+            shared.as_ref().map_or(0, |s| s.transactions_completed())
+        })
+        .map_err(|e| SimError::Spawn(e.to_string()))?;
+        let mut sim = Simulation::try_new(cfg, piped)?;
+        sim.txn_source = Some(PipeStream::latest_tag);
+        Ok(sim)
+    }
+}
+
+impl Simulation<NodeWorkload> {
+    /// [`Simulation::with_oltp`] without the pipeline: the workload
+    /// generates on the simulator's own thread. Same reports; for
+    /// callers that already keep every core busy, like a sweep with a
+    /// worker per core.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulation::with_oltp`], less the producer thread's.
+    pub fn with_oltp_direct(cfg: &SystemConfig, params: OltpParams) -> Result<Self, SimError> {
+        let streams = OltpWorkload::build(params, cfg.total_cores())?;
         let mut sim = Simulation::try_new(cfg, streams)?;
-        sim.txn_source = shared;
+        sim.txn_source =
+            Some(|s| s.first().map_or(0, |w| w.shared().transactions_completed()));
         Ok(sim)
     }
 }
@@ -358,8 +389,7 @@ impl<S: ReferenceStream> Simulation<S> {
             **attr = Attribution::new(self.latencies.l2_hit);
         }
         self.refs_run = 0;
-        self.txn_baseline =
-            self.txn_source.as_ref().map_or(0, |s| s.transactions_completed());
+        self.txn_baseline = self.txn_source.map_or(0, |count| count(&self.streams));
     }
 
     /// Runs `rounds` dispatch rounds. A round hands every stream's next
@@ -372,11 +402,19 @@ impl<S: ReferenceStream> Simulation<S> {
     /// rounds in which no column runs dry and no epoch closes. At the
     /// start of a span every empty column refills, in stream order,
     /// capped at the rounds left in the call, so the scratch holds no
-    /// words between calls. A stream generates only when its own buffer
-    /// is empty, so it generates at the same positions as one `next_ref`
-    /// per round would; `tests/batch_identity.rs` proves it against a
-    /// stream whose bursts are one word long, which makes every round a
-    /// span of its own.
+    /// words between calls. A column is pulled only when its round needs
+    /// the stream's next word, so the pulls happen in (round, stream)
+    /// order, and a stream that generates only when its own buffer is
+    /// empty generates at the same positions, in the same order across
+    /// streams, as one `next_ref` per round would;
+    /// `tests/batch_identity.rs` proves it against a stream whose
+    /// bursts are one word long, which makes every round a span of its
+    /// own. With [`Simulation::with_oltp`] the streams are pipeline
+    /// consumers: the generation runs ahead on a producer thread that
+    /// keeps that same order without knowing the run length
+    /// ([`csim_trace::pipeline`]), and a pull here only copies words
+    /// out of a ring; `tests/pipeline_identity.rs` proves the reports
+    /// equal to the direct streams'.
     // analyze: hot
     // analyze: total — stream s owns batch_cols[s*BURST_COLS..][..BURST_COLS] and next_burst returns 1..=cap words by its trait contract, so every head and len stay inside that window and the span fits every column; try_new builds one stream per core on equal-sized nodes, so the node/core counters stay on the grid
     fn advance(&mut self, rounds: u64) {
@@ -533,10 +571,8 @@ impl<S: ReferenceStream> Simulation<S> {
             rac.merge(&node.rac_stats);
             upgrades += node.upgrades;
         }
-        let transactions = self
-            .txn_source
-            .as_ref()
-            .map_or(0, |s| s.transactions_completed() - self.txn_baseline);
+        let transactions =
+            self.txn_source.map_or(0, |count| count(&self.streams) - self.txn_baseline);
         SimReport {
             config_summary: self.summary.clone(),
             breakdown,

@@ -14,7 +14,7 @@
 //!   paper-style stacked charts.
 //! * **Host time** — [`HostSampler`] is a hand-rolled, `unsafe`-free
 //!   sampling profiler over the region markers in
-//!   `csim_trace::hostprof`, yielding a wall-time-by-region
+//!   `csim_trace::hostprof`, yielding a per-thread samples-by-region
 //!   [`RegionReport`]; [`chrome::TraceDoc`] exports run/sweep phase
 //!   timelines as Chrome trace-event JSON for `chrome://tracing` and
 //!   Perfetto.

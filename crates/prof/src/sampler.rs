@@ -5,10 +5,14 @@
 //! stripe currently inside an instrumented region contributes one
 //! sample to that region's tally, and a tick on which *no* stripe is
 //! active counts as one idle sample (so "the process was mostly not in
-//! a hot loop" is visible instead of silently dropped). The result is a
-//! wall-time-by-region table — the measurement that answers *where the
-//! host CPU spends its time*, e.g. how the packed-cache probe kernel
-//! splits between RNG work and the probe itself.
+//! a hot loop" is visible instead of silently dropped). The result is
+//! a table of samples per region, counted per thread: with the
+//! simulator and its workload producer both active, each tick adds a
+//! sample for each of them, so the tally can exceed `ticks` and a
+//! region's share is a share of thread-samples, not of wall time. It
+//! answers *where the host threads spend their time*, e.g. whether the
+//! simulator waits for its workload (`workload-wait`) while the
+//! producer refills bursts (`burst-refill`).
 //!
 //! Everything here is wall-clock by nature and therefore explicitly
 //! nondeterministic: region reports only ever ride in the run report's
@@ -139,7 +143,8 @@ impl RegionReport {
         ])
     }
 
-    /// A human-readable wall-time-by-region table.
+    /// A human-readable table of samples per region (per thread, so
+    /// the samples may add up to more than the ticks).
     pub fn to_table(&self) -> String {
         let mut out = format!(
             "host sampling profile ({} Hz, {} ticks, {:.0} ms)\n",
@@ -187,7 +192,7 @@ mod tests {
         let report = RegionReport {
             hz: 997,
             ticks: 10,
-            counts: [3, 7, 0],
+            counts: [3, 7, 0, 0],
             elapsed_ms: 10.5,
         };
         let s = report.to_json().to_string();

@@ -40,10 +40,12 @@ use std::panic::RefUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use csim_core::{run_report_json, Simulation};
+use csim_config::SystemConfig;
+use csim_core::{run_report_json, SimError, Simulation};
 use csim_fault::RetryPolicy;
 use csim_obs::json::Json;
 use csim_obs::{version_string, PhaseProfile, RunManifest};
+use csim_trace::ReferenceStream;
 use csim_workload::OltpParams;
 
 use crate::checkpoint::CheckpointLog;
@@ -393,12 +395,28 @@ impl SweepOutcome {
 }
 
 /// Executes one grid point: build the configuration, build the workload,
-/// warm up, measure, and export the per-run report document.
-fn execute(index: usize, spec: &RunSpec) -> Result<RunOutcome, SweepError> {
+/// warm up, measure, and export the per-run report document. With
+/// `pipelined`, the point's workload generates on a producer thread of
+/// its own ([`Simulation::with_oltp`]); without, on the worker
+/// ([`Simulation::with_oltp_direct`]). The documents are the same.
+fn execute(index: usize, spec: &RunSpec, pipelined: bool) -> Result<RunOutcome, SweepError> {
     let cfg = spec.build_config()?;
     let params = OltpParams { seed: spec.seed, ..OltpParams::default() };
-    let mut sim = Simulation::with_oltp(&cfg, params)
-        .map_err(|e| SweepError::Run { label: spec.label(), message: e.to_string() })?;
+    let failed = |e: SimError| SweepError::Run { label: spec.label(), message: e.to_string() };
+    if pipelined {
+        measure(index, spec, &cfg, Simulation::with_oltp(&cfg, params).map_err(failed)?)
+    } else {
+        measure(index, spec, &cfg, Simulation::with_oltp_direct(&cfg, params).map_err(failed)?)
+    }
+}
+
+/// Warms up and measures a point's simulation and exports its document.
+fn measure<S: ReferenceStream>(
+    index: usize,
+    spec: &RunSpec,
+    cfg: &SystemConfig,
+    mut sim: Simulation<S>,
+) -> Result<RunOutcome, SweepError> {
     sim.warm_up(spec.warm);
     let report = sim.run(spec.meas);
     let manifest = RunManifest {
@@ -512,7 +530,13 @@ pub fn run_sweep(plan: &SweepPlan, jobs: usize) -> Result<SweepOutcome, SweepErr
 /// abort the sweep — see [`SweepOutcome::warnings`] and
 /// [`SweepOutcome::failures`].
 pub fn run_sweep_cfg(plan: &SweepPlan, cfg: &SweepConfig) -> Result<SweepOutcome, SweepError> {
-    run_sweep_with(plan, cfg, &execute)
+    // A pipelined point keeps two cores busy. Once the workers alone
+    // fill the host, a second thread per point only adds switching: a
+    // 2-worker Fig. 9 sweep on a 2-core host ran ~35% slower with the
+    // pipeline than without.
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let pipelined = cfg.jobs < cores;
+    run_sweep_with(plan, cfg, &|index, spec| execute(index, spec, pipelined))
 }
 
 /// [`run_sweep_cfg`] with an injected point executor (the test seam for
@@ -787,7 +811,7 @@ mod tests {
             if spec.label() == poison {
                 panic!("deliberate test panic");
             }
-            execute(index, spec)
+            execute(index, spec, true)
         };
         let cfg = SweepConfig { jobs: 3, retry: instant_retry(2), ..SweepConfig::default() };
         let out = run_sweep_with(&plan, &cfg, &exec).unwrap();
@@ -796,6 +820,43 @@ mod tests {
         assert_eq!(failure.label, poison);
         assert_eq!(failure.attempts, 3);
         assert_eq!(failure.error, "panicked: deliberate test panic");
+        assert_eq!(out.points.iter().filter(|p| p.as_run().is_some()).count(), 3);
+    }
+
+    #[test]
+    fn a_failing_workload_producer_fails_only_its_point() {
+        // The poisoned point's workload runs on a pipeline producer that
+        // panics on its third pull: the simulation raises the panic on
+        // the worker, `run_point` records the point as failed with the
+        // producer's message, and the other points complete.
+        use csim_trace::pipeline::pipeline;
+        use csim_trace::{ExecMode, MemRef};
+        struct Failing(u32);
+        impl ReferenceStream for Failing {
+            fn next_ref(&mut self) -> MemRef {
+                self.0 += 1;
+                assert!(self.0 != 3, "workload pull {} failed", self.0);
+                MemRef::load(u64::from(self.0) * 64, ExecMode::User)
+            }
+        }
+        let plan = small_plan();
+        let poison = "l2/2M8w/1n1c/s1";
+        let exec = |index: usize, spec: &RunSpec| {
+            if spec.label() != poison {
+                return execute(index, spec, true);
+            }
+            let cfg = spec.build_config()?;
+            let streams = pipeline(vec![Failing(0)], || 0).expect("the producer starts");
+            let sim = Simulation::try_new(&cfg, streams).expect("one stream per core");
+            measure(index, spec, &cfg, sim)
+        };
+        let cfg = SweepConfig { jobs: 2, retry: instant_retry(1), ..SweepConfig::default() };
+        let out = run_sweep_with(&plan, &cfg, &exec).unwrap();
+        assert_eq!(out.points.len(), 4);
+        let failure = out.failures().next().expect("the poisoned point fails");
+        assert_eq!(failure.label, poison);
+        assert_eq!(failure.attempts, 2);
+        assert_eq!(failure.error, "panicked: workload pull 3 failed");
         assert_eq!(out.points.iter().filter(|p| p.as_run().is_some()).count(), 3);
     }
 
@@ -813,7 +874,7 @@ mod tests {
                     message: "transient".to_string(),
                 });
             }
-            execute(index, spec)
+            execute(index, spec, true)
         };
         let cfg = SweepConfig { retry: instant_retry(2), ..SweepConfig::default() };
         let out = run_sweep_with(&plan, &cfg, &exec).unwrap();

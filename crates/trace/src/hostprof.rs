@@ -9,12 +9,13 @@
 //! sampling profiler with per-sample cost of one relaxed load per
 //! stripe and per-marker cost of one relaxed store.
 //!
-//! The markers live in this leaf crate so both publishers (the
-//! workload's burst refill and the core advance loop) can publish
-//! without new dependency edges. Marker stores never touch simulation
-//! state: a run with a sampler attached is bit-identical to a run
-//! without one, and when nobody samples, the stores are dead traffic to
-//! a thread-striped cache line nothing else reads.
+//! The markers live in this leaf crate so every publisher (the
+//! workload's burst refill, the core advance loop and the pipeline's
+//! wait for words) can publish without new dependency edges. Marker
+//! stores never touch simulation state: a run with a sampler attached
+//! is bit-identical to a run without one, and when nobody samples, the
+//! stores are dead traffic to a thread-striped cache line nothing else
+//! reads.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -29,15 +30,21 @@ pub enum Region {
     /// The simulator's per-reference advance loop (`Simulation::advance`).
     Advance = 1,
     /// The workload's amortized scheduling-burst refill (a burst is
-    /// thousands of references; the simulator then drains the buffer up
-    /// to 512 at a time).
+    /// thousands of references, then pulled up to 512 at a time). It
+    /// runs on the workload pipeline's producer thread under
+    /// `Simulation::with_oltp`.
     BurstRefill = 2,
+    /// The simulator waiting for its workload: a pipelined stream's
+    /// ring is empty, and the consumer spins and yields its core until
+    /// the producer publishes words (`csim_trace::pipeline`).
+    WorkloadWait = 3,
 }
 
 impl Region {
     /// Every region, in id order. Samplers and reports iterate in this
     /// order so exports are stable.
-    pub const ALL: [Region; 3] = [Region::Idle, Region::Advance, Region::BurstRefill];
+    pub const ALL: [Region; 4] =
+        [Region::Idle, Region::Advance, Region::BurstRefill, Region::WorkloadWait];
 
     /// Number of regions (array-index domain for per-region tallies).
     pub const COUNT: usize = Self::ALL.len();
@@ -48,6 +55,7 @@ impl Region {
             Region::Idle => "idle",
             Region::Advance => "advance",
             Region::BurstRefill => "burst-refill",
+            Region::WorkloadWait => "workload-wait",
         }
     }
 
@@ -57,6 +65,7 @@ impl Region {
         match v {
             1 => Region::Advance,
             2 => Region::BurstRefill,
+            3 => Region::WorkloadWait,
             _ => Region::Idle,
         }
     }

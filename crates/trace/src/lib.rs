@@ -29,6 +29,7 @@
 mod addr;
 pub mod hostprof;
 mod mem_ref;
+pub mod pipeline;
 mod rng;
 mod stream;
 

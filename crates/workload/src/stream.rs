@@ -46,9 +46,11 @@ impl SharedOltpState {
         self.txns_completed.load(Relaxed)
     }
 
-    // The streams of one `Simulation` all run on its one thread, so this
-    // lock is never contended; it exists because the streams are `Send`
-    // and share this state through `Arc`. The dirty queue is a bounded
+    // The streams of one `Simulation` all generate on one thread (the
+    // workload pipeline's producer under `Simulation::with_oltp`, the
+    // simulator's own thread otherwise), so this lock is never
+    // contended; it exists because the streams are `Send` and share
+    // this state through `Arc`. The dirty queue is a bounded
     // ring of addresses with no cross-field invariants, so even a
     // poisoned lock (a panic that unwound out of a push or pop) leaves it
     // usable: recover the guard rather than add a panic path.
@@ -763,9 +765,10 @@ impl NodeWorkload {
     #[inline(never)]
     fn refill(&mut self) {
         // Publish the host profiler's burst-refill region for the
-        // duration of the burst, restoring the enclosing region (the
-        // advance loop, usually) on exit. Two relaxed stores per burst
-        // of thousands of references.
+        // duration of the burst, restoring the enclosing region on exit
+        // (idle on the workload pipeline's producer thread, the advance
+        // loop when the simulator pulls the stream directly). Two
+        // relaxed stores per burst of thousands of references.
         let enclosing = csim_trace::hostprof::current_region();
         csim_trace::hostprof::set_region(csim_trace::hostprof::Region::BurstRefill);
         self.refill_burst();

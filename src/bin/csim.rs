@@ -51,8 +51,10 @@
 //!                        attribution bars (the paper's breakdown-figure
 //!                        style) as an SVG
 //!   --prof-sample-hz N   run the host sampling profiler at N Hz during
-//!                        warmup+measure; prints the wall-time-by-region
-//!                        table on stderr and rides in the JSON report's
+//!                        warmup+measure; prints the samples-by-region
+//!                        table (one sample per busy thread per tick:
+//!                        the simulator and its workload producer) on
+//!                        stderr and rides in the JSON report's
 //!                        nondeterministic host_profile section
 //!   --trace-events FILE  write the run's phase timeline as Chrome
 //!                        trace-event JSON (chrome://tracing, Perfetto);
