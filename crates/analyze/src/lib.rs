@@ -28,9 +28,10 @@
 //!    `forbid-unsafe` on every crate and binary root.
 //! 7. [`escapes`] — every shipped `lint: allow` marker must have
 //!    suppressed a finding of its rule within its reach; a marker that
-//!    suppressed nothing is a `stale-escape` finding, and an
-//!    `analyze:` directive of no known kind is an `unknown-directive`
-//!    finding.
+//!    suppressed nothing is a `stale-escape` finding, an
+//!    `analyze: total` contract that discharged no panic-freedom site
+//!    is a `stale-total` finding, and an `analyze:` directive of no
+//!    known kind is an `unknown-directive` finding.
 //!
 //! Escapes are `// lint: allow(rule) — reason` markers (reasons
 //! mandatory, every suppression counted in the report); traversal
@@ -112,6 +113,7 @@ pub fn analyze_model(ws: &Workspace) -> AnalysisReport {
     rep.suppressions.extend(s);
 
     let pf = panicfree::run(ws, &graph);
+    let totals_used = pf.totals_used;
     rep.reachable_fns = pf.reachable_fns;
     rep.findings.extend(pf.findings);
     rep.suppressions.extend(pf.suppressions);
@@ -121,7 +123,7 @@ pub fn analyze_model(ws: &Workspace) -> AnalysisReport {
     rep.findings.extend(src.findings);
     rep.suppressions.extend(src.suppressions);
 
-    rep.findings.extend(escapes::run(ws, &rep.suppressions));
+    rep.findings.extend(escapes::run(ws, &rep.suppressions, &totals_used));
 
     rep.sort();
     rep

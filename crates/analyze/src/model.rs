@@ -118,19 +118,14 @@ impl SourceFile {
     }
 
     /// The nearest `analyze: total — reason` marker on `line` or up to
-    /// three lines above it (site-level totality contract).
-    pub(crate) fn total_for(&self, line: usize) -> Option<&str> {
-        nearest_marker(&self.total_lines, line)
+    /// three lines above it (site-level totality contract): its line and
+    /// its reason.
+    pub(crate) fn total_for(&self, line: usize) -> Option<&(usize, String)> {
+        self.total_lines
+            .iter()
+            .filter(|(l, _)| *l <= line && line - *l <= 3)
+            .max_by_key(|(l, _)| *l)
     }
-}
-
-/// The closest `(marker line, reason)` entry at or ≤3 lines above `line`.
-fn nearest_marker(entries: &[(usize, String)], line: usize) -> Option<&str> {
-    entries
-        .iter()
-        .filter(|(l, _)| *l <= line && line - *l <= 3)
-        .max_by_key(|(l, _)| *l)
-        .map(|(_, why)| why.as_str())
 }
 
 /// A call site extracted from a function body.
@@ -170,7 +165,8 @@ pub struct FnItem {
     /// `// analyze: total — reason` function-level totality contract,
     /// when a reasoned total marker sits above the `fn` (outside any
     /// body): every partial operation in this function is contracted.
-    pub total: Option<String>,
+    /// The marker's line and its reason.
+    pub total: Option<(usize, String)>,
     /// Token index range of the signature (`fn` keyword up to the body
     /// brace or `;`, half-open) — the taint pass reads parameter types
     /// from here.
@@ -907,7 +903,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
             .filter(|f| f.line > *ml)
             .min_by_key(|f| f.line)
         {
-            f.total = Some(why.clone());
+            f.total = Some((*ml, why.clone()));
         }
     }
 

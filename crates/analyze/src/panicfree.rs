@@ -62,6 +62,9 @@ pub struct PanicFreeResult {
     pub findings: Vec<Finding>,
     /// Contract/allow discharges consumed.
     pub suppressions: Vec<Suppression>,
+    /// `(file, marker line)` of every `analyze: total` contract that
+    /// discharged a site: the escape pass reports the others.
+    pub totals_used: BTreeSet<(String, usize)>,
     /// Shipped fns scanned (reachable from the entry points, in scope).
     pub reachable_fns: usize,
 }
@@ -85,6 +88,7 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> PanicFreeResult {
 
     let mut findings = Vec::new();
     let mut suppressions = Vec::new();
+    let mut totals_used = BTreeSet::new();
     let mut reachable_fns = 0usize;
     for &fid in pred.keys() {
         let f = &ws.fns[fid];
@@ -106,15 +110,17 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> PanicFreeResult {
             let mut st = st;
             for &r in &blk.stmts {
                 scan_stmt(&mut st, file, r, fields, &mut |rule, line, msg| {
-                    emit(file, f, &chain, rule, line, msg, &mut findings, &mut suppressions);
+                    let (fs, ss, ts) = (&mut findings, &mut suppressions, &mut totals_used);
+                    emit(file, f, &chain, rule, line, msg, fs, ss, ts);
                 });
             }
         }
     }
-    PanicFreeResult { findings, suppressions, reachable_fns }
+    PanicFreeResult { findings, suppressions, totals_used, reachable_fns }
 }
 
-/// Routes one undischarged site to a finding or a contract suppression.
+/// Routes one undischarged site to a finding or a contract suppression,
+/// recording the `analyze: total` marker that discharged it, if any.
 #[allow(clippy::too_many_arguments)]
 fn emit(
     file: &SourceFile,
@@ -125,11 +131,13 @@ fn emit(
     msg: String,
     findings: &mut Vec<Finding>,
     suppressions: &mut Vec<Suppression>,
+    totals_used: &mut BTreeSet<(String, usize)>,
 ) {
-    let contract = file
-        .allow_for(rule, line)
-        .or_else(|| file.total_for(line))
-        .or(f.total.as_deref());
+    let contract = file.allow_for(rule, line).or_else(|| {
+        let (marker, reason) = file.total_for(line).or(f.total.as_ref())?;
+        totals_used.insert((file.rel.clone(), *marker));
+        Some(reason.as_str())
+    });
     if let Some(reason) = contract {
         suppressions.push(Suppression {
             rule: rule.to_string(),

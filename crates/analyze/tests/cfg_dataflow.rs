@@ -189,3 +189,32 @@ fn panic_freedom_fires_on_reachable_sites_and_honors_contracts() {
         .count();
     assert_eq!(totals, 2, "site- and fn-level contracts must both be recorded");
 }
+
+#[test]
+fn totality_contracts_that_discharge_nothing_are_stale() {
+    let src = fixture("stale_total.rs");
+    let rep = analyze_with_entry(&src);
+    let line_of = |needle: &str| {
+        src.lines().position(|l| l.contains(needle)).expect("marker line present") + 1
+    };
+    let lines_of = |rule: &str| -> Vec<usize> {
+        rep.findings.iter().filter(|f| f.rule == rule).map(|f| f.line).collect()
+    };
+    assert_eq!(
+        lines_of("stale-total"),
+        [
+            line_of("— over a site the dataflow"),
+            line_of("— four lines"),
+            line_of("— above a fn with nothing"),
+            line_of("— above a fn nothing reaches"),
+        ],
+        "{:?}",
+        rep.findings
+    );
+    // The live contracts discharged their sites, the fn-level one from
+    // beyond a site contract's reach; the site out of reach still fires.
+    for live in ["the live site contract", "the live fn contract"] {
+        assert!(rep.suppressions.iter().any(|s| s.reason.contains(live)), "{live}");
+    }
+    assert_eq!(lines_of("unchecked-index"), [line_of("— four lines") + 4]);
+}

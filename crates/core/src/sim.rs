@@ -314,6 +314,12 @@ impl<S: ReferenceStream> Simulation<S> {
         &self.observer
     }
 
+    /// Ends the simulation, keeping only its observer: the machine, the
+    /// streams and the workload's producer thread are freed here.
+    pub fn into_observer(self) -> Observer {
+        self.observer
+    }
+
     /// Number of simulated nodes.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()

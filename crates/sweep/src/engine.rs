@@ -419,6 +419,12 @@ fn measure<S: ReferenceStream>(
 ) -> Result<RunOutcome, SweepError> {
     sim.warm_up(spec.warm);
     let report = sim.run(spec.meas);
+    // Free the machine before building the document that outlives the
+    // point. Built first, the document lands above the machine's memory
+    // on the worker's heap, and the allocator cannot hand that memory
+    // back: every point's high-water mark then stays resident until the
+    // process exits, whose teardown it slows (DESIGN.md §18).
+    let observer = sim.into_observer();
     let manifest = RunManifest {
         tool: "csim-sweep".to_string(),
         version: version_string(env!("CARGO_PKG_VERSION")),
@@ -430,7 +436,7 @@ fn measure<S: ReferenceStream>(
     };
     // `profile: None` keeps the per-run document wall-clock-free and
     // therefore byte-stable.
-    let doc = run_report_json(&report, sim.observer(), &manifest, None);
+    let doc = run_report_json(&report, &observer, &manifest, None);
     let summary = RunSummary {
         cpi: report.breakdown.cpi(),
         mpki: report.mpki(),

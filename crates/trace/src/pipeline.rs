@@ -44,6 +44,17 @@
 //! of another, so a consumer that drains one stream far ahead of the
 //! others waits for words that never come.
 //!
+//! # Ring depth
+//!
+//! A consumer stream lives on its ring while the producer is away: while
+//! it builds the stream's next burst, and on a multi-stream machine while
+//! it builds the other streams' bursts, which fall due together because
+//! the streams start aligned. That stretch does not shrink as streams are
+//! added, so each stream gets a ring of its own depth (`ring_words`):
+//! `LONE_RING_WORDS` for a lone stream, `MIN_RING_WORDS` for each of
+//! several. Any depth of two chunks or more keeps the order and tag rules
+//! above, so the depth changes speed and memory, never the words.
+//!
 //! # Waiting and shutdown
 //!
 //! A side that cannot go on — the producer when the ring it must write
@@ -79,23 +90,42 @@ use crate::stream::ReferenceStream;
 /// words at a time, the dispatch loop's column depth.
 pub const CHUNK_WORDS: usize = 512;
 
-/// Look-ahead of one pipeline, in packed words (8 bytes each) across
-/// all its streams, split evenly among them with at least
-/// [`MIN_RING_WORDS`] per stream.
+/// Ring of a lone stream, in packed words (8 bytes each): the
+/// look-ahead of a uniprocessor run.
 ///
-/// One stream needs the deepest ring. The OLTP generator emits whole
-/// scheduling bursts, eight transaction-execute bursts of about 17k
-/// words in a row, and it starts the next burst only once the last word
-/// of the current one is in the ring; the consumer then lives on what
-/// the ring holds until the new burst is built. Every word of ring is
-/// also peak resident memory, and the single-stream run is the smallest
-/// process the benchmark measures. DESIGN.md's pipeline section has the
-/// measured speed and peak-RSS trade-off behind this size.
-const RING_BUDGET_WORDS: usize = 12 << 10;
+/// The OLTP generator emits whole scheduling bursts, eight
+/// transaction-execute bursts of about 17k words in a row, and it starts
+/// the next burst only once the last word of the current one is in the
+/// ring; the consumer then lives on what the ring holds until the new
+/// burst is built. Every word of ring is also peak resident memory, and
+/// the single-stream run is the smallest process the benchmark measures.
+/// DESIGN.md's pipeline section has the measured speed and peak-RSS
+/// trade-off behind this size.
+const LONE_RING_WORDS: usize = 12 << 10;
 
-/// Smallest ring: two whole chunks with their headers, so the producer
-/// can write one while the consumer reads the other.
-const MIN_RING_WORDS: usize = 2 * (CHUNK_WORDS + HEADER_WORDS as usize);
+/// Smallest ring of any stream, in packed words: the look-ahead each
+/// stream of a multi-stream machine keeps.
+///
+/// One producer serves every stream, so while it builds one stream's
+/// burst the others live on their rings, and the streams of one machine
+/// start aligned, so their bursts fall due together. The depth a stream
+/// needs is set by how long the producer can be busy with the other
+/// streams' bursts, which does not shrink as streams are added: the ring
+/// is sized per stream, not split from a budget. 8Ki words rides out the
+/// 8-node machine's aligned bursts (DESIGN.md's pipeline section has the
+/// wait counts).
+const MIN_RING_WORDS: usize = 8 << 10;
+
+// Two whole chunks with their headers, so the producer can write one
+// while the consumer reads the other: the least depth the order and tag
+// rules need.
+const _: () = assert!(MIN_RING_WORDS >= 2 * (CHUNK_WORDS + HEADER_WORDS as usize));
+
+/// The ring of each stream of a pipeline of `streams` streams:
+/// [`LONE_RING_WORDS`] shared out, with at least [`MIN_RING_WORDS`] each.
+fn ring_words(streams: usize) -> usize {
+    (LONE_RING_WORDS / streams.max(1)).max(MIN_RING_WORDS)
+}
 
 /// Words in front of every chunk in a ring: its length and its tag.
 const HEADER_WORDS: u64 = 2;
@@ -178,7 +208,7 @@ impl Ring {
 
     /// The word at position `at`.
     fn load(&self, at: u64) -> u64 {
-        // analyze: total — at % len is below len, and pipeline() builds every ring non-empty (MIN_RING_WORDS)
+        // analyze: total — at % len is below len, and pipeline() builds every ring non-empty (ring_words)
         self.words[(at % self.capacity()) as usize].load(Ordering::Relaxed)
     }
 
@@ -292,7 +322,7 @@ where
     S: ReferenceStream + Send + 'static,
     T: FnMut() -> u64 + Send + 'static,
 {
-    let per = (RING_BUDGET_WORDS / streams.len().max(1)).max(MIN_RING_WORDS);
+    let per = ring_words(streams.len());
     let shared = Arc::new(Shared {
         rings: (0..streams.len()).map(|_| Ring::new(per)).collect(),
         stop: AtomicBool::new(false),
@@ -464,22 +494,55 @@ mod tests {
     type BurstLog = Arc<Mutex<Vec<(u64, usize)>>>;
 
     /// A stream of bursts of varying length (word `i` of the stream
-    /// encodes `i`) that logs each burst start.
+    /// encodes `i`) that logs each burst start and counts its drops.
     struct Bursty {
         id: usize,
         pos: u64,
         left: u64,
         bursts: u64,
+        /// Burst lengths run from `shortest` to `shortest + spread - 1`.
+        shortest: u64,
+        spread: u64,
         log: BurstLog,
+        dropped: Arc<AtomicUsize>,
     }
 
     impl Bursty {
+        /// `n` streams of bursts from 1 to 1,500 words, shorter than any
+        /// ring.
         fn set(n: usize) -> (Vec<Bursty>, BurstLog) {
+            Bursty::spanning(n, 1, 1_500)
+        }
+
+        /// `n` streams of bursts two to four rings long, as the OLTP
+        /// generator's execute bursts are on an 8-node machine.
+        fn long(n: usize) -> (Vec<Bursty>, BurstLog) {
+            let ring = ring_words(n) as u64;
+            Bursty::spanning(n, 2 * ring, 2 * ring)
+        }
+
+        fn spanning(n: usize, shortest: u64, spread: u64) -> (Vec<Bursty>, BurstLog) {
             let log = Arc::new(Mutex::new(Vec::new()));
+            let dropped = Arc::new(AtomicUsize::new(0));
             let streams = (0..n)
-                .map(|id| Bursty { id, pos: 0, left: 0, bursts: 0, log: Arc::clone(&log) })
+                .map(|id| Bursty {
+                    id,
+                    pos: 0,
+                    left: 0,
+                    bursts: 0,
+                    shortest,
+                    spread,
+                    log: Arc::clone(&log),
+                    dropped: Arc::clone(&dropped),
+                })
                 .collect();
             (streams, log)
+        }
+    }
+
+    impl Drop for Bursty {
+        fn drop(&mut self) {
+            self.dropped.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -493,9 +556,10 @@ mod tests {
         fn next_burst(&mut self, out: &mut [u64]) -> usize {
             if self.left == 0 {
                 self.log.lock().unwrap().push((self.pos, self.id));
-                // Lengths from 1 to 1,500 words, different per stream.
+                // Lengths different per stream and per burst.
                 self.bursts += 1;
-                self.left = (self.bursts * 7_919 + self.id as u64 * 104_729) % 1_500 + 1;
+                let mix = self.bursts * 7_919 + self.id as u64 * 104_729;
+                self.left = self.shortest + mix % self.spread;
             }
             let n = (self.left as usize).min(out.len());
             for (k, slot) in out[..n].iter_mut().enumerate() {
@@ -517,17 +581,98 @@ mod tests {
         }
     }
 
+    /// Checks that `log` crossed at least `bursts` burst starts, all in
+    /// (position, stream) order.
+    fn assert_generation_order(log: &BurstLog, bursts: usize) {
+        let log = log.lock().unwrap().clone();
+        assert!(log.len() > bursts, "the drive must cross many bursts");
+        let mut sorted = log.clone();
+        sorted.sort_unstable();
+        assert_eq!(log, sorted, "the producer generated out of (position, stream) order");
+    }
+
     #[test]
     fn bursts_start_in_position_then_stream_order() {
         let (streams, log) = Bursty::set(3);
         let mut piped = pipeline(streams, || 0).unwrap();
         consume(&mut piped, 0, 20_000);
         drop(piped);
-        let log = log.lock().unwrap().clone();
-        assert!(log.len() > 30, "the drive must cross many bursts");
-        let mut sorted = log.clone();
-        sorted.sort_unstable();
-        assert_eq!(log, sorted, "the producer generated out of (position, stream) order");
+        assert_generation_order(&log, 30);
+    }
+
+    #[test]
+    fn every_ring_holds_the_floor_and_a_lone_stream_keeps_its_depth() {
+        assert_eq!(ring_words(1), 12 << 10);
+        for n in 1..=64 {
+            let words = ring_words(n);
+            assert!(words >= MIN_RING_WORDS, "{n} streams: {words} words");
+            assert!(words >= 2 * (CHUNK_WORDS + HEADER_WORDS as usize), "{n} streams");
+        }
+        for n in [1, 2, 8, 64] {
+            let piped = pipeline(Bursty::set(n).0, || 0).unwrap();
+            let rings = &piped[0].shared.rings;
+            assert!(rings.iter().all(|r| r.capacity() == ring_words(n) as u64), "{n} streams");
+        }
+    }
+
+    /// The transaction count the direct dispatch loop reads after each
+    /// of `rounds` rounds over `streams`: each stream's column refilled
+    /// with one pull of at most [`CHUNK_WORDS`] words when it is empty,
+    /// in stream order within a round, and the count read between
+    /// rounds. Here the count is the bursts started machine-wide.
+    fn direct_counts(streams: &mut [Bursty], log: &BurstLog, rounds: u64) -> Vec<u64> {
+        let mut column = [0u64; CHUNK_WORDS];
+        let mut left = vec![0; streams.len()];
+        (0..rounds)
+            .map(|_| {
+                for (stream, left) in streams.iter_mut().zip(&mut left) {
+                    if *left == 0 {
+                        *left = stream.next_burst(&mut column);
+                    }
+                    *left -= 1;
+                }
+                log.lock().unwrap().len() as u64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bursts_several_rings_long_keep_the_order_and_the_tags() {
+        for n in [1, 8] {
+            let rounds = 10 * ring_words(n) as u64;
+            let (mut direct, direct_log) = Bursty::long(n);
+            let expected = direct_counts(&mut direct, &direct_log, rounds);
+            let (streams, log) = Bursty::long(n);
+            let count = Arc::clone(&log);
+            let mut piped = pipeline(streams, move || count.lock().unwrap().len() as u64).unwrap();
+            for (r, &want) in (0..rounds).zip(&expected) {
+                consume(&mut piped, r, 1);
+                assert_eq!(PipeStream::latest_tag(&piped), want, "{n} streams, round {r}");
+            }
+            drop(piped);
+            assert_generation_order(&log, 2 * n);
+            // The producer ran ahead of the consumer, through the same
+            // bursts in the same order.
+            let direct_log = direct_log.lock().unwrap();
+            assert!(log.lock().unwrap().starts_with(&direct_log), "{n} streams");
+        }
+    }
+
+    #[test]
+    fn a_drop_mid_burst_with_the_rings_full_joins_cleanly() {
+        for n in [1, 8] {
+            let (streams, log) = Bursty::long(n);
+            let dropped = Arc::clone(&streams[0].dropped);
+            let mut piped = pipeline(streams, || 0).unwrap();
+            // A few chunks into first bursts longer than the rings: the
+            // producer is mid-burst, once the rings fill waiting for room.
+            consume(&mut piped, 0, 3 * CHUNK_WORDS as u64 / 2);
+            drop(piped);
+            // The producer is joined and the streams came back: all of
+            // them dropped before `drop(piped)` returned.
+            assert_eq!(dropped.load(Ordering::SeqCst), n, "{n} streams");
+            assert_generation_order(&log, n - 1);
+        }
     }
 
     #[test]

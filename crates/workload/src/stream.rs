@@ -29,6 +29,16 @@ const REDO_BYTES_PER_UPDATE: u64 = 120;
 /// Number of dirty block lines one database-writer burst flushes.
 const DBWR_FLUSH_LINES: usize = 16;
 
+/// Most redo lines one log-writer burst harvests, so a long backlog
+/// cannot stall the stream.
+const LGWR_HARVEST_LINES: u64 = 64;
+
+/// Buffer-header lines one database-writer burst scans.
+const DBWR_SCAN_LINES: u64 = 40;
+
+/// I/O buffer lines one daemon burst stages.
+const DAEMON_IO_LINES: u64 = 8;
+
 /// State shared by every process on every node: the redo log tail, commit
 /// accounting, and the recently-dirtied block lines the database writer
 /// flushes.
@@ -230,18 +240,18 @@ pub struct NodeWorkload {
     daemon_db_cursor: CodeCursor,
     daemon_kernel_cursor: CodeCursor,
     daemon_recent: RecentLines,
-    /// The current scheduling burst, consumed by index. A preallocated
-    /// flat buffer plus write/read cursors: the emit path is an indexed
-    /// store and an increment — no capacity checks, no reallocation, no
-    /// heap traffic after construction (`refill_burst` is `analyze: hot`
-    /// and allocation-free). Entries are packed to one word each (see
+    /// The current scheduling burst, consumed by index. Allocated once,
+    /// in [`NodeWorkload::new`], with room for [`burst_bound`] words,
+    /// the most one refill can emit, and grown only by writing: `emit`
+    /// pushes, which never reallocates, and a refill starts from
+    /// `clear()`. Nothing zero-fills it, so only the pages a burst
+    /// writes become resident (DESIGN.md §18: a zeroed buffer taken
+    /// from recycled heap memory is cleared in full, on every sweep
+    /// point after the first). Entries are packed to one word each (see
     /// [`MemRef::pack`]): a burst is written once and read once, so
     /// halving its footprint halves the buffer's share of memory traffic
-    /// on the simulator's hottest path. Sized in [`NodeWorkload::new`] for
-    /// the largest burst any parameter set can emit.
+    /// on the simulator's hottest path.
     buf: Vec<u64>,
-    /// One past the last valid word in `buf`.
-    buf_len: usize,
     /// Next word of `buf` to hand out.
     buf_head: usize,
     // Precomputed mix thresholds, in the integer domain of
@@ -259,6 +269,39 @@ pub struct NodeWorkload {
     t_either: u64,
     t_reuse: u64,
     t_kshared: u64,
+}
+
+/// The most words one refill emits on a node that runs the log writer
+/// (`lgwr`) or the database writer (`dbwr`): its largest burst recipe
+/// plus the context switch that follows every recipe.
+///
+/// Each term is the recipe's own tally: `run_code(n)` emits at most two
+/// words per instruction (the fetch and one data reference), and a
+/// recipe's scripted references are counted as its body writes them. A
+/// refill runs exactly one recipe (a phase of the current server, or a
+/// daemon burst) before the switch.
+fn burst_bound(p: &OltpParams, lgwr: bool, dbwr: bool) -> usize {
+    let code = |instrs: u64| 2 * instrs;
+    // Lines `append_redo(bytes)` writes: `bytes` from the last byte of
+    // a line reach `(bytes + 62) / 64` further lines.
+    let redo = |bytes: u64| (bytes + 62) / 64 + 1;
+    let pipe = code(p.txn_pipe_instrs) + 4;
+    // Twelve chunks of code, each at least one instruction; the slot
+    // (2), account (7), teller (6), branch (6), history (5) and release
+    // (6) references; four row redo records.
+    let chunk = (p.txn_db_instrs / 12).max(1);
+    let execute = code(12 * chunk) + 32 + 4 * redo(REDO_BYTES_PER_UPDATE);
+    let commit = code(p.txn_commit_instrs) + redo(REDO_BYTES_PER_UPDATE / 2) + 2;
+    let mut most = pipe.max(execute).max(commit);
+    if lgwr {
+        most = most.max(code(p.lgwr_instrs) + LGWR_HARVEST_LINES + DAEMON_IO_LINES + 2);
+    }
+    if dbwr {
+        let scripted = DBWR_SCAN_LINES + DBWR_FLUSH_LINES as u64 + DAEMON_IO_LINES;
+        most = most.max(code(p.dbwr_instrs) + scripted);
+    }
+    let switch = code(p.switch_instrs) + 2;
+    (most + switch) as usize
 }
 
 /// The integer threshold equivalent to `gen_f64() < p`.
@@ -313,24 +356,15 @@ impl NodeWorkload {
         let daemon_db_cursor = db_code.entry(&mut rng);
         let daemon_kernel_cursor = kernel_code.entry(&mut rng);
         let servers_per_node = params.servers_per_node;
-        // Worst-case burst: `run_code(n)` emits at most 2 words per
-        // instruction (fetch + optional data), a refill runs one phase
-        // burst plus the context switch, and the scripted extras (locks,
-        // redo lines, lgwr harvest, dbwr flush) stay well under the slack.
-        let burst_cap = 2 * (params.txn_db_instrs
-            + params.txn_pipe_instrs
-            + params.txn_commit_instrs
-            + params.lgwr_instrs
-            + params.dbwr_instrs
-            + params.switch_instrs) as usize
-            + 2048;
+        let runs_lgwr = node == 0;
+        let runs_dbwr = node == if n_nodes > 1 { 1 } else { 0 };
         let per_server = |f: &dyn Fn(u16) -> Region| -> Vec<RegionHandle> {
             (0..servers_per_node).map(|s| map.handle(f(s as u16))).collect()
         };
         NodeWorkload {
             node,
-            runs_lgwr: node == 0,
-            runs_dbwr: node == if n_nodes > 1 { 1 } else { 0 },
+            runs_lgwr,
+            runs_dbwr,
             params: Arc::clone(&params),
             shared,
             schema,
@@ -360,8 +394,7 @@ impl NodeWorkload {
             daemon_db_cursor,
             daemon_kernel_cursor,
             daemon_recent: RecentLines::default(),
-            buf: vec![0; burst_cap],
-            buf_len: 0,
+            buf: Vec::with_capacity(burst_bound(&params, runs_lgwr, runs_dbwr)),
             buf_head: 0,
             uload_private: prob_threshold(params.w_uload_private / uload_total),
             uload_meta: prob_threshold(
@@ -406,16 +439,15 @@ impl NodeWorkload {
 
     // ---- low-level emission helpers -------------------------------------
 
-    /// Appends one packed word to the burst buffer: an indexed store into
-    /// preallocated storage, so the whole refill cone stays heap-free.
-    /// The buffer is sized for the largest possible burst, so the write
-    /// can never run past the end (the bounds check enforces it).
+    /// Appends one packed word to the burst buffer. The buffer was
+    /// allocated with room for the largest burst, so the push writes
+    /// into that room and the whole refill cone stays heap-free.
     // analyze: hot
     #[inline]
     fn emit(&mut self, word: u64) {
-        // analyze: total — each refill emits at most the buffer's capacity (the burst recipes are sized for it), so buf_len stays below buf.len() until the reset
-        self.buf[self.buf_len] = word;
-        self.buf_len += 1;
+        debug_assert!(self.buf.len() < self.buf.capacity(), "a burst outgrew burst_bound");
+        // lint: allow(hot-alloc) — never grows: the buffer is allocated at burst_bound words and no refill emits more (the bursts_stay_within_the_bound test drives every recipe, with every instruction taking a data reference)
+        self.buf.push(word);
     }
 
     #[inline]
@@ -712,8 +744,7 @@ impl NodeWorkload {
         let tail = self.shared.log_tail_bytes.load(Relaxed);
         let first_line = self.lgwr_flushed_bytes / 64;
         let last_line = tail / 64;
-        // Cap the harvest so a long backlog cannot stall the stream.
-        let span = (last_line - first_line).min(64);
+        let span = (last_line - first_line).min(LGWR_HARVEST_LINES);
         for l in 0..span {
             let ring_line = (first_line + l) % self.sga.log_ring_lines();
             let addr = self.h_log.line_addr(ring_line);
@@ -721,7 +752,7 @@ impl NodeWorkload {
         }
         self.lgwr_flushed_bytes = tail;
         self.run_code(true, u16::MAX, self.params.lgwr_instrs - half);
-        for _ in 0..8 {
+        for _ in 0..DAEMON_IO_LINES {
             let addr = self.map.line_addr(Region::IoBuffer { node: self.node }, self.io_seq);
             self.io_seq += 1;
             self.emit_data(addr, true, ExecMode::Kernel);
@@ -738,7 +769,7 @@ impl NodeWorkload {
     fn burst_dbwr(&mut self) {
         let half = self.params.dbwr_instrs / 2;
         self.run_code(false, u16::MAX, half);
-        for _ in 0..40 {
+        for _ in 0..DBWR_SCAN_LINES {
             let n = self.rng.next_u64() >> 11;
             let addr = self.meta_addr(self.meta_zipf.sample_u53(n));
             self.emit_data(addr, false, ExecMode::User);
@@ -750,7 +781,7 @@ impl NodeWorkload {
             self.emit_data(addr, false, ExecMode::User);
         }
         self.run_code(true, u16::MAX, self.params.dbwr_instrs - half);
-        for _ in 0..8 {
+        for _ in 0..DAEMON_IO_LINES {
             let addr = self.map.line_addr(Region::IoBuffer { node: self.node }, self.io_seq);
             self.io_seq += 1;
             self.emit_data(addr, true, ExecMode::Kernel);
@@ -783,7 +814,7 @@ impl NodeWorkload {
     // dbwr flush) — no allocation or float findings are deferred.
     // analyze: hot
     fn refill_burst(&mut self) {
-        debug_assert_eq!(self.buf_len, 0, "refill into a non-empty burst buffer");
+        debug_assert!(self.buf.is_empty(), "refill into a non-empty burst buffer");
         if self.runs_lgwr
             && self.shared.pending_commits.load(Relaxed) >= self.params.lgwr_batch
         {
@@ -818,12 +849,11 @@ impl ReferenceStream for NodeWorkload {
     #[inline]
     fn next_ref(&mut self) -> MemRef {
         loop {
-            if self.buf_head < self.buf_len {
-                let word = self.buf[self.buf_head];
+            if let Some(&word) = self.buf.get(self.buf_head) {
                 self.buf_head += 1;
                 return MemRef::unpack(word);
             }
-            self.buf_len = 0;
+            self.buf.clear();
             self.buf_head = 0;
             self.refill();
         }
@@ -841,14 +871,18 @@ impl ReferenceStream for NodeWorkload {
     #[inline]
     fn next_burst(&mut self, out: &mut [u64]) -> usize {
         debug_assert!(!out.is_empty());
-        while self.buf_head == self.buf_len {
-            self.buf_len = 0;
+        while self.buf_head == self.buf.len() {
+            self.buf.clear();
             self.buf_head = 0;
             self.refill();
         }
-        let n = (self.buf_len - self.buf_head).min(out.len());
-        // analyze: total — buf_head <= buf_len <= buf.len() is the burst-buffer invariant: refill resets both and each burst emits at most the buffer's capacity
-        out[..n].copy_from_slice(&self.buf[self.buf_head..self.buf_head + n]);
+        // The words not yet handed out: buf_head never passes buf.len(),
+        // since a refill starts from an empty buffer and buf_head only
+        // advances over words handed out.
+        let rest = self.buf.get(self.buf_head..).unwrap_or_default();
+        let n = rest.len().min(out.len());
+        // analyze: total — n is the smaller of the two slices' lengths
+        out[..n].copy_from_slice(&rest[..n]);
         self.buf_head += n;
         n
     }
@@ -962,6 +996,67 @@ mod tests {
             a.shared().transactions_completed(),
             b.shared().transactions_completed()
         );
+    }
+
+    /// Runs `refills` refills on each of `nodes` streams built from
+    /// `params`, round by round, checking every burst against its
+    /// stream's [`burst_bound`] and the buffer's capacity against its
+    /// first value. Each stream's longest burst and bound.
+    fn longest_bursts(params: &OltpParams, nodes: usize, refills: usize) -> Vec<(usize, usize)> {
+        let mut streams = OltpWorkload::build(params.clone(), nodes).unwrap();
+        let mut seen: Vec<(usize, usize)> =
+            streams.iter().map(|w| (0, burst_bound(params, w.runs_lgwr, w.runs_dbwr))).collect();
+        let caps: Vec<usize> = streams.iter().map(|w| w.buf.capacity()).collect();
+        for _ in 0..refills {
+            for ((w, (longest, bound)), &cap) in streams.iter_mut().zip(&mut seen).zip(&caps) {
+                w.buf.clear();
+                w.buf_head = 0;
+                w.refill();
+                assert!(
+                    w.buf.len() <= *bound,
+                    "node {}: {} words, bound {bound}",
+                    w.node,
+                    w.buf.len()
+                );
+                assert_eq!(w.buf.capacity(), cap, "node {}: the burst buffer grew", w.node);
+                *longest = (*longest).max(w.buf.len());
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn bursts_stay_within_the_bound() {
+        // The widest mix the validator accepts: every instruction takes a
+        // data reference, so every recipe emits its most words.
+        let wide = OltpParams { p_load: 0.6, p_store: 0.4, ..OltpParams::default() };
+        // Each recipe a handful of instructions, so the scripted
+        // references decide the bound: the execute burst's twelve chunks
+        // round up to one instruction each, the log writer harvests a
+        // full backlog, the database writer runs every round.
+        let tiny = OltpParams {
+            txn_db_instrs: 5,
+            txn_pipe_instrs: 0,
+            txn_commit_instrs: 3,
+            switch_instrs: 1,
+            lgwr_instrs: 1,
+            lgwr_batch: 16,
+            dbwr_instrs: 2,
+            dbwr_period: 1,
+            ..wide.clone()
+        };
+        for (params, refills) in [(wide, 800), (tiny, 4_000)] {
+            longest_bursts(&params, 1, refills);
+            // The bound is the recipes' exact tally, not a guess: on
+            // every node of the 8-node machine some burst meets it. (On
+            // one node the redo tail's offsets never let all four row
+            // records of a burst span three lines.)
+            for (node, (longest, bound)) in
+                longest_bursts(&params, 8, refills / 8).into_iter().enumerate()
+            {
+                assert_eq!(longest, bound, "node {node}");
+            }
+        }
     }
 
     #[test]
