@@ -1,4 +1,4 @@
-//! Pass 4 — the dead-`pub` audit.
+//! Pass 3 — the dead-`pub` audit.
 //!
 //! `pub` is a promise: someone outside the crate uses this. The audit
 //! checks the promise against reality. A `pub` item in shipped library
@@ -166,9 +166,6 @@ mod tests {
         let mut crates: BTreeSet<String> = files.iter().map(|(_, c, _, _)| c.to_string()).collect();
         crates.insert("(root)".into());
         ws.crates = crates.into_iter().collect();
-        for c in ws.crates.clone() {
-            ws.hash_names.insert(c, BTreeSet::new());
-        }
         for (rel, c, sec, src) in files {
             ws.add_file((*rel).into(), (*c).into(), *sec, (*src).into());
         }

@@ -1,4 +1,4 @@
-//! Pass 7 — stale escapes and unknown directives.
+//! Pass 6 — stale escapes and unknown directives.
 //!
 //! Runs after every other pass, over their suppressions. A
 //! `// lint: allow(rule) — reason` marker in shipped code that

@@ -5,9 +5,10 @@
 //! crate `core` can see (its transitive dependency closure plus
 //! itself). Qualified calls `Cache::insert(..)` narrow to functions
 //! whose impl target matches. Over-approximation is the right default
-//! for the hot-path and taint passes — both want "could this possibly
-//! reach X" — and `// analyze: cold` markers give humans a counted,
-//! reasoned way to cut edges the approximation gets wrong.
+//! for the hot-path and panic-freedom passes — both want "could this
+//! possibly reach X" — and `// analyze: cold` markers give humans a
+//! counted, reasoned way to cut hot-path edges the approximation gets
+//! wrong.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -20,8 +21,6 @@ pub struct CallGraph {
     /// `callees[f]` — resolved callee fn ids for each fn, deduplicated
     /// and sorted.
     pub callees: Vec<Vec<usize>>,
-    /// `callers[f]` — reverse edges.
-    pub callers: Vec<Vec<usize>>,
     /// Raw call sites per fn (for finding excerpts).
     pub sites: Vec<Vec<Call>>,
     /// Crate visibility closure: crate → crates it can see (transitive
@@ -82,35 +81,41 @@ impl CallGraph {
             sites[f.id] = calls;
         }
 
-        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); ws.fns.len()];
-        for (f, outs) in callees.iter().enumerate() {
-            for &g in outs {
-                callers[g].push(f);
-            }
-        }
-        for c in &mut callers {
-            c.sort_unstable();
-            c.dedup();
-        }
-
-        CallGraph { callees, callers, sites, visible }
+        CallGraph { callees, sites, visible }
     }
 
-    /// BFS forward from `roots`, not expanding through fns for which
-    /// `cut` returns true (the roots themselves are always included).
-    /// Returns `reached fn id → predecessor fn id` (roots map to
-    /// themselves), so findings can print a path back to a root.
+    /// Breadth-first search forward from `roots`, not entering fns for
+    /// which `cut` returns true (the roots themselves are always
+    /// included). Returns `reached fn id → predecessor fn id`: each
+    /// reached fn maps to the fn it was *first* reached from (roots to
+    /// themselves), so following the map walks a shortest path back to a
+    /// root and never cycles, and findings can print that path.
     pub fn reach_forward<F>(&self, roots: &[usize], cut: F) -> BTreeMap<usize, usize>
     where
         F: Fn(usize) -> bool,
     {
-        bfs(roots, &self.callees, cut)
-    }
-
-    /// BFS backward from `roots` over caller edges: everything that can
-    /// (transitively) call a root. Roots map to themselves.
-    pub(crate) fn reach_backward(&self, roots: &[usize]) -> BTreeMap<usize, usize> {
-        bfs(roots, &self.callers, |_| false)
+        let mut pred: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut queue: Vec<usize> = Vec::new();
+        for &r in roots {
+            if let Entry::Vacant(slot) = pred.entry(r) {
+                slot.insert(r);
+                queue.push(r);
+            }
+        }
+        let mut qi = 0;
+        while let Some(&f) = queue.get(qi) {
+            qi += 1;
+            for &g in &self.callees[f] {
+                if cut(g) {
+                    continue;
+                }
+                if let Entry::Vacant(slot) = pred.entry(g) {
+                    slot.insert(f);
+                    queue.push(g);
+                }
+            }
+        }
+        pred
     }
 
     /// The chain `f → … → root` implied by a predecessor map, rendered
@@ -129,38 +134,6 @@ impl CallGraph {
         chain.reverse();
         chain
     }
-}
-
-/// Breadth-first search from `roots` over `edges`, not entering fns
-/// for which `cut` returns true. Each reached fn maps to the fn it was
-/// *first* reached from (roots to themselves), so following the map
-/// walks a shortest path back to a root and never cycles.
-fn bfs<F>(roots: &[usize], edges: &[Vec<usize>], cut: F) -> BTreeMap<usize, usize>
-where
-    F: Fn(usize) -> bool,
-{
-    let mut pred: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut queue: Vec<usize> = Vec::new();
-    for &r in roots {
-        if let Entry::Vacant(slot) = pred.entry(r) {
-            slot.insert(r);
-            queue.push(r);
-        }
-    }
-    let mut qi = 0;
-    while let Some(&f) = queue.get(qi) {
-        qi += 1;
-        for &g in &edges[f] {
-            if cut(g) {
-                continue;
-            }
-            if let Entry::Vacant(slot) = pred.entry(g) {
-                slot.insert(f);
-                queue.push(g);
-            }
-        }
-    }
-    pred
 }
 
 /// Transitive closure of the observed import edges; every crate sees
@@ -201,16 +174,12 @@ fn visibility_closure(ws: &Workspace) -> BTreeMap<String, BTreeSet<String>> {
 mod tests {
     use super::*;
     use crate::model::Section;
-    use std::collections::BTreeSet;
 
     fn two_crate_ws() -> Workspace {
         let mut ws = Workspace {
             crates: vec!["(root)".into(), "cache".into(), "core".into()],
             ..Workspace::default()
         };
-        for c in ws.crates.clone() {
-            ws.hash_names.insert(c, BTreeSet::new());
-        }
         ws.add_file(
             "crates/cache/src/lib.rs".into(),
             "cache".into(),
@@ -259,7 +228,6 @@ mod tests {
         // the root: each fn keeps the caller it was first reached from,
         // so every chain ends at the root instead of looping.
         let mut ws = Workspace { crates: vec!["core".into()], ..Workspace::default() };
-        ws.hash_names.insert("core".into(), BTreeSet::new());
         ws.add_file(
             "crates/core/src/lib.rs".into(),
             "core".into(),
@@ -271,7 +239,5 @@ mod tests {
         let id = |name: &str| ws.fns.iter().find(|f| f.name == name).unwrap().id;
         let fwd = g.reach_forward(&[id("run")], |_| false);
         assert_eq!(CallGraph::chain(&ws, &fwd, id("visit")), ["run", "step", "visit"]);
-        let back = g.reach_backward(&[id("visit")]);
-        assert_eq!(CallGraph::chain(&ws, &back, id("run")), ["visit", "step", "run"]);
     }
 }

@@ -1,4 +1,4 @@
-//! Pass 2 — hot-path allocation / float lints.
+//! Pass 2 — the hot-path allocation lint.
 //!
 //! Functions marked `// analyze: hot` are the simulator's per-reference
 //! kernels (PR 4's packed-slot probe, the Lemire bounded RNG, the burst
@@ -6,15 +6,10 @@
 //! that work was that the inner loop does integer arithmetic on
 //! registers and touches no allocator — this pass makes the property
 //! checkable. From every hot root the call graph is walked forward;
-//! every reachable function must avoid:
-//!
-//! * **`hot-alloc`** — heap allocation: `Box::new`, `Rc::new`,
-//!   `String::from`, `format!`/`vec!`, growth methods (`push`,
-//!   `extend`, `collect`, `reserve`, `to_vec`, `to_string`,
-//!   `to_owned`, `clone`);
-//! * **`hot-float`** — `f32`/`f64` arithmetic or float literals (the
-//!   deterministic kernels replaced probability floats with integer
-//!   thresholds; a float creeping back in is a regression).
+//! every reachable function must avoid **`hot-alloc`** — heap
+//! allocation: `Box::new`, `Rc::new`, `String::from`, `format!`/`vec!`,
+//! growth methods (`push`, `extend`, `collect`, `reserve`, `to_vec`,
+//! `to_string`, `to_owned`, `clone`).
 //!
 //! Panicking calls are not this pass's concern: [`crate::source`]'s
 //! `no-panic` bans them in every shipped simulator file, hot or not.
@@ -69,7 +64,7 @@ pub struct HotPathResult {
     pub hot_roots: usize,
 }
 
-/// Runs the hot-path lints.
+/// Runs the hot-path lint.
 pub fn run(ws: &Workspace, graph: &CallGraph) -> HotPathResult {
     // Roots come from shipped code only: a hot marker inside a test,
     // example, or fixture file must not turn that file into a lint
@@ -113,28 +108,6 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> HotPathResult {
     HotPathResult { findings, suppressions, cold_boundaries: cold, hot_roots: roots.len() }
 }
 
-/// True for a numeric token that denotes a float.
-fn is_float_literal(text: &str) -> bool {
-    if text.starts_with("0x") || text.starts_with("0b") || text.starts_with("0o") {
-        return false;
-    }
-    if text.contains('.') {
-        return true;
-    }
-    if text.ends_with("f32") || text.ends_with("f64") {
-        return true;
-    }
-    // An integer suffix's letters are not a decimal exponent — `0usize`
-    // and `1isize` carry an `e` but denote integers. Strip the suffix
-    // (longest first, so `u128` wins over `u8`) before scanning for
-    // `1e9`-style forms.
-    const INT_SUFFIXES: [&str; 12] = [
-        "usize", "isize", "u128", "i128", "u64", "i64", "u32", "i32", "u16", "i16", "u8", "i8",
-    ];
-    let digits = INT_SUFFIXES.iter().find_map(|s| text.strip_suffix(s)).unwrap_or(text);
-    digits.bytes().any(|b| b == b'e' || b == b'E')
-}
-
 fn scan_fn(
     ws: &Workspace,
     pred: &BTreeMap<usize, usize>,
@@ -146,10 +119,10 @@ fn scan_fn(
     let body = ws.body_toks(f);
     let n = body.len();
     let chain = CallGraph::chain(ws, pred, f.id);
-    let mut emit = |rule: &str, line: usize, message: String| {
-        if let Some(reason) = file.allow_for(rule, line) {
+    let mut emit = |line: usize, message: String| {
+        if let Some(reason) = file.allow_for("hot-alloc", line) {
             suppressions.push(Suppression {
-                rule: rule.to_string(),
+                rule: "hot-alloc".to_string(),
                 file: file.rel.clone(),
                 line,
                 reason: reason.to_string(),
@@ -157,7 +130,7 @@ fn scan_fn(
         } else {
             findings.push(Finding {
                 pass: Pass::HotPath,
-                rule: rule.to_string(),
+                rule: "hot-alloc".to_string(),
                 file: file.rel.clone(),
                 line,
                 message,
@@ -169,94 +142,71 @@ fn scan_fn(
 
     for i in 0..n {
         let t = body[i];
+        if t.kind != TokKind::Ident {
+            continue;
+        }
         let text = file.text(t);
         let line = t.line as usize;
-        match t.kind {
-            TokKind::Ident => {
-                let next = body.get(i + 1).map(|u| file.text(*u));
-                let prev = i.checked_sub(1).map(|j| file.text(body[j]));
-                // macro! invocations
-                if next == Some("!") {
-                    if ALLOC_MACROS.contains(&text) {
-                        emit("hot-alloc", line, format!("`{text}!` allocates on a hot path"));
-                    }
-                    continue;
-                }
-                // .method( calls
-                if prev == Some(".") {
-                    // argument list may open after a turbofish
-                    let opens_call = {
-                        let mut j = i + 1;
-                        if j + 2 < n
-                            && file.text(body[j]) == ":"
-                            && file.text(body[j + 1]) == ":"
-                            && file.text(body[j + 2]) == "<"
-                        {
-                            let mut depth = 0usize;
-                            let mut m = j + 2;
-                            while m < n {
-                                match file.text(body[m]) {
-                                    "<" => depth += 1,
-                                    ">" => {
-                                        depth = depth.saturating_sub(1);
-                                        if depth == 0 {
-                                            m += 1;
-                                            break;
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                                m += 1;
-                            }
-                            j = m;
-                        }
-                        j < n && file.text(body[j]) == "("
-                    };
-                    if opens_call {
-                        if ALLOC_METHODS.contains(&text) {
-                            emit(
-                                "hot-alloc",
-                                line,
-                                format!("`.{text}(..)` allocates or grows heap storage on a hot path"),
-                            );
-                        }
-                        continue;
-                    }
-                }
-                // Type::ctor( calls
-                if (next == Some(":")
-                    || (prev == Some(":") && i >= 2 && file.text(body[i - 2]) == ":"))
-                    && prev == Some(":")
-                    && i >= 3
-                    && body[i - 3].kind == TokKind::Ident
+        let next = body.get(i + 1).map(|u| file.text(*u));
+        let prev = i.checked_sub(1).map(|j| file.text(body[j]));
+        // macro! invocations
+        if next == Some("!") {
+            if ALLOC_MACROS.contains(&text) {
+                emit(line, format!("`{text}!` allocates on a hot path"));
+            }
+            continue;
+        }
+        // .method( calls
+        if prev == Some(".") {
+            // argument list may open after a turbofish
+            let opens_call = {
+                let mut j = i + 1;
+                if j + 2 < n
+                    && file.text(body[j]) == ":"
+                    && file.text(body[j + 1]) == ":"
+                    && file.text(body[j + 2]) == "<"
                 {
-                    let qual = file.text(body[i - 3]);
-                    if ALLOC_PATHS.contains(&(qual, text)) {
-                        emit(
-                            "hot-alloc",
-                            line,
-                            format!("`{qual}::{text}` allocates on a hot path"),
-                        );
-                        continue;
+                    let mut depth = 0usize;
+                    let mut m = j + 2;
+                    while m < n {
+                        match file.text(body[m]) {
+                            "<" => depth += 1,
+                            ">" => {
+                                depth = depth.saturating_sub(1);
+                                if depth == 0 {
+                                    m += 1;
+                                    break;
+                                }
+                            }
+                            _ => {}
+                        }
+                        m += 1;
                     }
+                    j = m;
                 }
-                // float types
-                if text == "f32" || text == "f64" {
+                j < n && file.text(body[j]) == "("
+            };
+            if opens_call {
+                if ALLOC_METHODS.contains(&text) {
                     emit(
-                        "hot-float",
                         line,
-                        format!("`{text}` arithmetic on a hot path (deterministic kernels are integer-only)"),
+                        format!("`.{text}(..)` allocates or grows heap storage on a hot path"),
                     );
                 }
+                continue;
             }
-            TokKind::Num if is_float_literal(text) => {
-                emit(
-                    "hot-float",
-                    line,
-                    format!("float literal `{text}` on a hot path"),
-                );
+        }
+        // Type::ctor( calls
+        if (next == Some(":")
+            || (prev == Some(":") && i >= 2 && file.text(body[i - 2]) == ":"))
+            && prev == Some(":")
+            && i >= 3
+            && body[i - 3].kind == TokKind::Ident
+        {
+            let qual = file.text(body[i - 3]);
+            if ALLOC_PATHS.contains(&(qual, text)) {
+                emit(line, format!("`{qual}::{text}` allocates on a hot path"));
             }
-            _ => {}
         }
     }
 }
@@ -265,11 +215,9 @@ fn scan_fn(
 mod tests {
     use super::*;
     use crate::model::Section;
-    use std::collections::BTreeSet;
 
     fn ws_of(src: &str) -> (Workspace, CallGraph) {
         let mut ws = Workspace { crates: vec!["core".into()], ..Workspace::default() };
-        ws.hash_names.insert("core".into(), BTreeSet::new());
         ws.add_file("crates/core/src/lib.rs".into(), "core".into(), Section::Src, src.into());
         let g = CallGraph::build(&ws);
         (ws, g)
@@ -291,23 +239,21 @@ fn helper(v: &mut Vec<u64>) { v.push(1); }
     }
 
     #[test]
-    fn floats_fire_and_asserts_do_not() {
+    fn floats_asserts_and_unwraps_are_not_hot_rules() {
         let src = "\
 // analyze: hot
 pub fn kernel(x: u64) -> u64 {
     assert!(x > 0);
-    let y = x as f64;
-    let z = 1.5;
-    maybe(x).unwrap()
+    let y = x as f64 * 1.5;
+    maybe(y as u64).unwrap()
 }
 fn maybe(x: u64) -> Option<u64> { Some(x) }
 ";
         let (ws, g) = ws_of(src);
         let r = run(&ws, &g);
-        let rules: Vec<&str> = r.findings.iter().map(|f| f.rule.as_str()).collect();
-        // The `.unwrap()` is the source pass's `no-panic`, not a hot rule.
-        assert_eq!(rules, ["hot-float", "hot-float"]);
-        assert!(!r.findings.iter().any(|f| f.excerpt.contains("assert!")));
+        // The `.unwrap()` is the source pass's `no-panic`, and float
+        // arithmetic is no hot-path concern: the identity tests pin it.
+        assert!(r.findings.is_empty(), "{:?}", r.findings);
     }
 
     #[test]
@@ -329,29 +275,15 @@ fn refill(v: &mut Vec<u64>) { v.push(1); }
     fn allow_markers_suppress_with_reason() {
         let src = "\
 // analyze: hot
-pub fn kernel(x: u64) -> u64 {
-    // lint: allow(hot-float) — one conversion per report, not per reference
-    (x as f64).to_bits()
+pub fn kernel(v: &mut Vec<u64>, x: u64) {
+    // lint: allow(hot-alloc) — capacity is reserved at construction, so the push never reallocates
+    v.push(x);
 }
 ";
         let (ws, g) = ws_of(src);
         let r = run(&ws, &g);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.suppressions.len(), 1);
-        assert_eq!(r.suppressions[0].rule, "hot-float");
-    }
-
-    #[test]
-    fn hex_and_exponent_literals_classify_correctly() {
-        assert!(!is_float_literal("0xdeadbeef"));
-        assert!(!is_float_literal("1_000_000"));
-        assert!(is_float_literal("1.5"));
-        assert!(is_float_literal("1e9"));
-        assert!(is_float_literal("2f64"));
-        // The `e` in an integer suffix is not an exponent.
-        assert!(!is_float_literal("0usize"));
-        assert!(!is_float_literal("3isize"));
-        assert!(!is_float_literal("7u8"));
-        assert!(!is_float_literal("9u128"));
+        assert_eq!(r.suppressions[0].rule, "hot-alloc");
     }
 }

@@ -165,7 +165,6 @@ pub fn run(ws: &Workspace) -> (Vec<Finding>, Vec<Suppression>) {
 mod tests {
     use super::*;
     use crate::model::Section;
-    use std::collections::BTreeSet;
 
     #[test]
     fn table_is_a_dag() {
@@ -194,9 +193,6 @@ mod tests {
             ],
             ..Workspace::default()
         };
-        for c in ws.crates.clone() {
-            ws.hash_names.insert(c, BTreeSet::new());
-        }
         ws.add_file(
             format!("crates/{from}/src/lib.rs"),
             from.into(),

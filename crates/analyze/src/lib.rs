@@ -4,34 +4,35 @@
 //! The crate parses the *whole* workspace into one model — every file
 //! lexed with the hand-rolled [`lex`] lexer, every function indexed,
 //! every intra-workspace reference recorded — builds a name-based call
-//! graph, and runs seven passes over it:
+//! graph, and runs six passes over it:
 //!
 //! 1. [`layering`] — the architecture DAG gate: each crate's observed
 //!    dependencies must stay inside an explicit allowlist, and the
 //!    simulation substrate (`cache`/`coherence`/`noc`) must never see
 //!    the upper layers.
 //! 2. [`hotpath`] — functions marked `// analyze: hot` must
-//!    transitively avoid heap allocation and float arithmetic.
-//! 3. [`taint`] — nondeterminism sources (hash-order iteration,
-//!    wall-clock, thread identity, environment) must not flow into
-//!    export paths (SimReport, JSON writers, sweep merges).
-//! 4. [`deadpub`] — every unrestricted `pub` item must have a consumer
+//!    transitively avoid heap allocation.
+//! 3. [`deadpub`] — every unrestricted `pub` item must have a consumer
 //!    outside its own crate's shipped sources, or a reasoned escape.
-//! 5. [`panicfree`] — panic-freedom for everything reachable from the
+//! 4. [`panicfree`] — panic-freedom for everything reachable from the
 //!    `csim` entry point: per-function CFGs ([`mod@cfg`]) plus a
 //!    forward must-facts dataflow ([`dataflow`]) prove that indexing is
 //!    bounds-checked and `.len() - k` can't underflow — or the site
 //!    carries an `// analyze: total — reason` contract.
-//! 6. [`source`] — token-level rules over every shipped line:
+//! 5. [`source`] — token-level rules over every shipped line:
 //!    `no-panic` (the workspace's one ban on panicking calls),
 //!    `no-wallclock`, `no-hash-export` on the export paths, and
 //!    `forbid-unsafe` on every crate and binary root.
-//! 7. [`escapes`] — every shipped `lint: allow` marker must have
+//! 6. [`escapes`] — every shipped `lint: allow` marker must have
 //!    suppressed a finding of its rule within its reach; a marker that
 //!    suppressed nothing is a `stale-escape` finding, an
 //!    `analyze: total` contract that discharged no panic-freedom site
 //!    is a `stale-total` finding, and an `analyze:` directive of no
 //!    known kind is an `unknown-directive` finding.
+//!
+//! Report determinism is not a pass: the byte-identity tests compare
+//! same-seed exports, and `source`'s `no-wallclock` and
+//! `no-hash-export` rules keep clocks and hash containers out of them.
 //!
 //! Escapes are `// lint: allow(rule) — reason` markers (reasons
 //! mandatory, every suppression counted in the report); traversal
@@ -54,7 +55,6 @@ pub mod model;
 pub mod panicfree;
 pub mod report;
 pub mod source;
-pub mod taint;
 
 use std::io;
 use std::path::Path;
@@ -63,7 +63,7 @@ pub use graph::CallGraph;
 pub use model::Workspace;
 pub use report::{AnalysisReport, Finding, Pass, Suppression, REPORT_SCHEMA};
 
-/// Loads the workspace at `root` and runs all seven passes.
+/// Loads the workspace at `root` and runs all six passes.
 ///
 /// # Errors
 ///
@@ -103,10 +103,6 @@ pub fn analyze_model(ws: &Workspace) -> AnalysisReport {
     rep.findings.extend(hot.findings);
     rep.suppressions.extend(hot.suppressions);
     rep.cold_boundaries.extend(hot.cold_boundaries);
-
-    let (f, s) = taint::run(ws, &graph);
-    rep.findings.extend(f);
-    rep.suppressions.extend(s);
 
     let (f, s) = deadpub::run(ws);
     rep.findings.extend(f);

@@ -11,9 +11,7 @@
 //!   span of its body;
 //! * a [`PubItem`] per `pub` type/fn/const (for the dead-pub audit);
 //! * an [`ImportEdge`] per intra-workspace crate reference found in
-//!   shipped code (for the layering gate);
-//! * per-crate *hash names* — `HashMap`/`HashSet` plus type aliases and
-//!   struct fields of those types (for the determinism taint pass).
+//!   shipped code (for the layering gate).
 //!
 //! The parser is item-level only: it tracks module / impl / trait /
 //! `#[cfg(test)]` scopes and function boundaries, and treats function
@@ -167,10 +165,6 @@ pub struct FnItem {
     /// body): every partial operation in this function is contracted.
     /// The marker's line and its reason.
     pub total: Option<(usize, String)>,
-    /// Token index range of the signature (`fn` keyword up to the body
-    /// brace or `;`, half-open) — the taint pass reads parameter types
-    /// from here.
-    pub sig: (usize, usize),
     /// Token index range of the body in the owning file (half-open),
     /// `None` for bodyless signatures.
     pub body: Option<(usize, usize)>,
@@ -263,9 +257,6 @@ pub struct Workspace {
     pub pub_items: Vec<PubItem>,
     /// Deduplicated intra-workspace references from shipped code.
     pub imports: Vec<ImportEdge>,
-    /// Per-crate names that denote hash-ordered containers: the std
-    /// types plus local aliases and hash-typed struct fields.
-    pub hash_names: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl Workspace {
@@ -328,12 +319,6 @@ impl Workspace {
         let mut crates: BTreeSet<String> = crate_dirs.iter().map(|(n, _)| n.clone()).collect();
         crates.insert("(root)".to_string());
         ws.crates = crates.into_iter().collect();
-        for name in &ws.crates {
-            let mut base = BTreeSet::new();
-            base.insert("HashMap".to_string());
-            base.insert("HashSet".to_string());
-            ws.hash_names.insert(name.clone(), base);
-        }
 
         for (path, crate_name, section) in entries {
             let source = fs::read_to_string(&path)?;
@@ -344,9 +329,6 @@ impl Workspace {
                 .replace('\\', "/");
             ws.add_file(rel, crate_name, section, source);
         }
-        // Second pass: with every crate's hash names known (aliases and
-        // fields may be declared in a different file than they are
-        // iterated in), function bodies can be scanned by the passes.
         Ok(ws)
     }
 
@@ -420,11 +402,6 @@ impl Workspace {
             None => &[],
         }
     }
-
-    /// Signature token span of a function.
-    pub(crate) fn sig_toks<'a>(&'a self, f: &FnItem) -> &'a [OTok] {
-        &self.files[f.file].toks[f.sig.0..f.sig.1]
-    }
 }
 
 fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -467,8 +444,6 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
     let mut fns: Vec<FnItem> = Vec::new();
     let mut pubs: Vec<PubItem> = Vec::new();
     let mut imports: BTreeMap<String, usize> = BTreeMap::new();
-    let mut hash_extra: BTreeSet<String> = BTreeSet::new();
-    let mut struct_bodies: Vec<(usize, usize)> = Vec::new();
 
     let text = |k: usize| file.text(file.toks[k]);
     let line = |k: usize| file.toks[k].line as usize;
@@ -691,7 +666,6 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                         hot: false,
                         cold: None,
                         total: None,
-                        sig: (k, i),
                         body,
                     });
                 }
@@ -708,8 +682,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                     String::new()
                 };
                 let item_start = k;
-                // Walk to the body (or `;` for unit/tuple structs),
-                // harvesting hash-typed field names from record structs.
+                // Walk to the body (or `;` for unit/tuple structs).
                 let mut i = k + 1;
                 let mut angle = 0usize;
                 while i < n {
@@ -726,11 +699,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                             continue;
                         }
                         "{" if angle == 0 => {
-                            let end = skip_group(i, "{", "}");
-                            if t == "struct" {
-                                struct_bodies.push((i + 1, end));
-                            }
-                            i = end;
+                            i = skip_group(i, "{", "}");
                             break;
                         }
                         _ => {}
@@ -758,27 +727,19 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                 } else {
                     String::new()
                 };
-                // `type X = …HashMap…;` makes X a hash name.
                 let mut i = k + 1;
-                let mut is_hash = false;
                 while i < n && text(i) != ";" {
-                    if matches!(text(i), "HashMap" | "HashSet") {
-                        is_hash = true;
-                    }
                     i += 1;
                 }
                 if pending_pub && !in_test && section == Section::Src && !name.is_empty() {
                     pubs.push(PubItem {
                         file: file_idx,
                         crate_name: crate_name.clone(),
-                        name: name.clone(),
+                        name,
                         kind: PubKind::TypeAlias,
                         line: line(k),
                         span: (k, i),
                     });
-                }
-                if is_hash && !name.is_empty() {
-                    hash_extra.insert(name);
                 }
                 k = i + 1;
                 pending_pub = false;
@@ -913,60 +874,8 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
             ws.imports.push(ImportEdge { from: from.clone(), to, file: file_idx, line: l });
         }
     }
-    // Fields are harvested once every alias in the file is known, so a
-    // field typed through an alias declared below its struct counts too.
-    let aliases = hash_extra.clone();
-    for (start, end) in struct_bodies {
-        harvest_hash_fields(file, start, end, &aliases, &mut hash_extra);
-    }
-    if let Some(set) = ws.hash_names.get_mut(&crate_name) {
-        set.extend(hash_extra);
-    }
     ws.fns.extend(fns);
     ws.pub_items.extend(pubs);
-}
-
-/// Collects field names typed `HashMap`/`HashSet`, or one of the file's
-/// hash `aliases`, from a record-struct body (token range `start..end`,
-/// excluding the braces).
-fn harvest_hash_fields(
-    file: &SourceFile,
-    start: usize,
-    end: usize,
-    aliases: &BTreeSet<String>,
-    out: &mut BTreeSet<String>,
-) {
-    let mut i = start;
-    while i < end.min(file.toks.len()) {
-        // field pattern: ident `:` type-tokens (to `,` at depth 0)
-        if file.toks[i].kind == TokKind::Ident
-            && i + 1 < end
-            && file.text(file.toks[i + 1]) == ":"
-        {
-            let field = file.text(file.toks[i]).to_string();
-            let mut j = i + 2;
-            let mut depth = 0usize;
-            let mut is_hash = false;
-            while j < end {
-                let u = file.text(file.toks[j]);
-                match u {
-                    "<" | "(" | "[" => depth += 1,
-                    ">" | ")" | "]" => depth = depth.saturating_sub(1),
-                    "," if depth == 0 => break,
-                    "HashMap" | "HashSet" => is_hash = true,
-                    alias if aliases.contains(alias) => is_hash = true,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if is_hash {
-                out.insert(field);
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
 }
 
 /// Extracts call sites from a function body span.
@@ -1033,12 +942,6 @@ mod tests {
             crates: vec!["(root)".into(), "cache".into(), "core".into()],
             ..Workspace::default()
         };
-        for c in &ws.crates {
-            let mut base = BTreeSet::new();
-            base.insert("HashMap".to_string());
-            base.insert("HashSet".to_string());
-            ws.hash_names.insert(c.clone(), base);
-        }
         ws.add_file(rel.into(), crate_name.into(), Section::Src, src.into());
         ws
     }
@@ -1094,30 +997,10 @@ mod tests { use csim_workload::OltpParams; }
             crates: vec!["cache".into(), "config".into(), "core".into(), "workload".into()],
             ..Workspace::default()
         };
-        for c in ws.crates.clone() {
-            ws.hash_names.insert(c, BTreeSet::new());
-        }
         ws.add_file("crates/cache/src/lib.rs".into(), "cache".into(), Section::Src, src.into());
         let edges: Vec<(&str, &str)> =
             ws.imports.iter().map(|e| (e.from.as_str(), e.to.as_str())).collect();
         assert_eq!(edges, [("cache", "config"), ("cache", "core")], "{:?}", ws.imports);
-    }
-
-    #[test]
-    fn hash_aliases_and_fields_are_harvested() {
-        let src = "\
-use std::collections::HashMap;
-type LineMap<V> = HashMap<u64, V>;
-pub struct Directory { lines: LineMap<u8>, order: HashMap<u64, u64>, count: u64 }
-";
-        let ws = ws_with("crates/core/src/dir.rs", "core", src);
-        let names = &ws.hash_names["core"];
-        assert!(names.contains("LineMap"), "{names:?}");
-        assert!(names.contains("order"), "{names:?}");
-        assert!(!names.contains("count"), "{names:?}");
-        assert!(names.contains("HashMap"));
-        // `lines` is typed by the alias, so it is a hash field too.
-        assert!(names.contains("lines"), "{names:?}");
     }
 
     #[test]

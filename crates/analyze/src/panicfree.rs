@@ -1,4 +1,4 @@
-//! Pass 5 — interprocedural panic-freedom over the CFG/dataflow engine.
+//! Pass 4 — interprocedural panic-freedom over the CFG/dataflow engine.
 //!
 //! The crash-safe sweep engine (DESIGN.md §13) isolates worker panics
 //! at one boundary, and the paper's methodology stands on cycle

@@ -19,10 +19,8 @@ pub const REPORT_SCHEMA: &str = "csim-analyze-report/v1";
 pub enum Pass {
     /// Architecture DAG enforcement.
     Layering,
-    /// Hot-path allocation/float lint.
+    /// Hot-path allocation lint.
     HotPath,
-    /// Determinism taint propagation.
-    Taint,
     /// Dead-`pub` audit.
     DeadPub,
     /// CFG/dataflow panic-freedom proof (entry-point reachability).
@@ -40,7 +38,6 @@ impl Pass {
         match self {
             Pass::Layering => "layering",
             Pass::HotPath => "hot-path",
-            Pass::Taint => "taint",
             Pass::DeadPub => "dead-pub",
             Pass::PanicFree => "panic-free",
             Pass::Source => "source",
@@ -83,7 +80,7 @@ pub struct Suppression {
     pub reason: String,
 }
 
-/// One `// analyze: cold — reason` boundary that cut hot-path/taint
+/// One `// analyze: cold — reason` boundary that cut hot-path
 /// traversal (counted so escapes stay auditable).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ColdBoundary {

@@ -1,4 +1,4 @@
-//! Pass 6 — the token-level source rules.
+//! Pass 5 — the token-level source rules.
 //!
 //! Four contracts that hold for every line of shipped code (`src/` and
 //! `src/bin/` of each crate and of the root package), reachable from an
@@ -15,10 +15,11 @@
 //! * **no-wallclock** — no `SystemTime` or `Instant::now`: the same seed
 //!   must produce the same report forever.
 //! * **no-hash-export** — no `HashMap`/`HashSet` in the files that
-//!   serialize reports, traces or plots (obs, stats, analyze, and core's
-//!   report and export), whose bytes must be stable. [`crate::taint`]
-//!   follows hash iteration across calls into every export sink; this
-//!   rule keeps the containers out of the export files altogether.
+//!   serialize reports, traces, profiles or plots (obs, stats, analyze,
+//!   prof, core's report and export, and the sweep merge), whose bytes
+//!   must be stable. Hash iteration order varies run to run; keeping the
+//!   containers out of these files keeps it out of their bytes, and the
+//!   byte-identity tests catch whatever flows in from elsewhere.
 //! * **forbid-unsafe** — every crate root (`src/lib.rs`) and binary root
 //!   (`src/bin/*.rs`) carries `#![forbid(unsafe_code)]`, so the compiler
 //!   rejects `unsafe` in all shipped code.
@@ -45,12 +46,14 @@ pub(crate) const RULES: [&str; 4] = [
 ];
 
 /// Path prefixes of the deterministic-artifact files.
-pub(crate) const EXPORT_PATHS: [&str; 5] = [
+pub(crate) const EXPORT_PATHS: [&str; 7] = [
     "crates/obs/src/",
     "crates/stats/src/",
     "crates/analyze/src/",
+    "crates/prof/src/",
     "crates/core/src/report.rs",
     "crates/core/src/export.rs",
+    "crates/sweep/src/engine.rs",
 ];
 
 /// Macros whose invocation is a panic.

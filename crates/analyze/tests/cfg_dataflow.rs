@@ -146,9 +146,6 @@ fn analyze_with_entry(lib_src: &str) -> AnalysisReport {
         crates: vec!["(root)".into(), "core".into()],
         ..Workspace::default()
     };
-    for c in ws.crates.clone() {
-        ws.hash_names.insert(c, BTreeSet::new());
-    }
     ws.add_file(
         "src/bin/csim.rs".into(),
         "(root)".into(),

@@ -4,7 +4,7 @@
 //! gate — CI stays green while the property rots. Each test here mounts
 //! a fixture file from `tests/fixtures/` into a synthetic in-memory
 //! workspace at the path that makes it a violation (a cache-crate file,
-//! a sink-path file, …), runs the full pipeline via [`analyze_model`],
+//! an export-path file, …), runs the full pipeline via [`analyze_model`],
 //! and asserts the expected rule produces a finding. The escape test
 //! proves the suppression path works *and* that reasonless escapes stay
 //! inert.
@@ -32,12 +32,6 @@ fn analyze_mounted(files: &[(&str, &str, Section, &str)]) -> AnalysisReport {
     // synthetic workspace always carries the layering fixture's target.
     crates.insert("core".into());
     ws.crates = crates.into_iter().collect();
-    for c in ws.crates.clone() {
-        let mut base = BTreeSet::new();
-        base.insert("HashMap".to_string());
-        base.insert("HashSet".to_string());
-        ws.hash_names.insert(c, base);
-    }
     for (rel, c, sec, fix) in files {
         ws.add_file((*rel).into(), (*c).into(), *sec, fixture(fix));
     }
@@ -119,17 +113,6 @@ fn hot_alloc_fires_transitively_with_a_chain() {
 }
 
 #[test]
-fn hot_float_fires_and_names_the_arithmetic() {
-    let rep = analyze_mounted(&[(
-        "crates/cache/src/hot_float.rs",
-        "cache",
-        Section::Src,
-        "hot_float.rs",
-    )]);
-    assert!(rules_of(&rep).contains(&"hot-float"), "{:?}", rules_of(&rep));
-}
-
-#[test]
 fn a_hot_unwrap_is_one_no_panic_finding_and_debug_assert_is_none() {
     let rep = analyze_mounted(&[(
         "crates/cache/src/hot_panic.rs",
@@ -152,40 +135,6 @@ fn a_hot_unwrap_is_one_no_panic_finding_and_debug_assert_is_none() {
 }
 
 #[test]
-fn taint_export_fires_on_hash_iteration_reaching_a_sink() {
-    let rep = analyze_mounted(&[(
-        "crates/obs/src/export.rs",
-        "obs",
-        Section::Src,
-        "taint_export.rs",
-    )]);
-    // Both the iterating helper and the export wrapper live in the sink
-    // file and are tainted, so both must be flagged — the helper as the
-    // taint root, the wrapper transitively through the call edge.
-    let taint: Vec<_> = rep.findings.iter().filter(|f| f.rule == "taint-export").collect();
-    assert!(
-        taint.iter().any(|f| f.message.contains("fixture_sharer_list")),
-        "{taint:?}"
-    );
-    assert!(taint.iter().any(|f| f.message.contains("fixture_export")), "{taint:?}");
-}
-
-#[test]
-fn taint_export_sees_a_field_typed_through_a_hash_alias() {
-    let rep = analyze_mounted(&[(
-        "crates/obs/src/export.rs",
-        "obs",
-        Section::Src,
-        "taint_alias_field.rs",
-    )]);
-    let taint: Vec<_> = rep.findings.iter().filter(|f| f.rule == "taint-export").collect();
-    assert!(
-        taint.iter().any(|f| f.message.contains("fixture_tracked_lines")),
-        "{taint:?}"
-    );
-}
-
-#[test]
 fn dead_pub_fires_on_an_unconsumed_item() {
     let rep = analyze_mounted(&[(
         "crates/noc/src/orphan.rs",
@@ -204,25 +153,21 @@ fn dead_pub_fires_on_an_unconsumed_item() {
 #[test]
 fn reasoned_escape_suppresses_and_reasonless_escape_is_inert() {
     let rep = analyze_mounted(&[(
-        "crates/obs/src/export.rs",
-        "obs",
+        "crates/cache/src/escape.rs",
+        "cache",
         Section::Src,
         "escape_allow.rs",
     )]);
     // The reasoned allow becomes a counted suppression...
     assert!(
-        rep.suppressions.iter().any(|s| s.rule == "taint-export" && s.reason.contains("sorted")),
+        rep.suppressions.iter().any(|s| s.rule == "hot-alloc" && s.reason.contains("reserved")),
         "{:?}",
         rep.suppressions
     );
     // ...while the reasonless allow leaves its finding in force.
-    assert!(
-        rep.findings
-            .iter()
-            .any(|f| f.rule == "taint-export" && f.message.contains("fixture_unsorted_export")),
-        "{:?}",
-        rep.findings
-    );
+    let hot: Vec<_> = rep.findings.iter().filter(|f| f.rule == "hot-alloc").collect();
+    assert_eq!(hot.len(), 1, "{:?}", rep.findings);
+    assert_eq!(hot[0].chain, ["fixture_unreserved_push"]);
 }
 
 /// The 1-based line of the first occurrence of `needle` in a fixture.
@@ -298,21 +243,27 @@ fn no_wallclock_fires_on_instant_now_and_system_time() {
 #[test]
 fn no_hash_export_fires_only_on_export_paths() {
     let fix = "source_violations.rs";
-    let export =
-        analyze_mounted(&[("crates/obs/src/json.rs", "obs", Section::Src, fix)]);
-    let hashes: Vec<usize> = source_hits(&export)
-        .into_iter()
-        .filter(|(_, r)| *r == "no-hash-export")
-        .map(|(l, _)| l)
-        .collect();
-    assert_eq!(
-        hashes,
-        [
-            line_of(fix, "use std::collections::HashMap;"),
-            line_of(fix, "-> HashMap<u8, u8>"),
-            line_of(fix, "HashMap::new()"),
-        ]
-    );
+    for (rel, krate) in [
+        ("crates/obs/src/json.rs", "obs"),
+        ("crates/prof/src/report.rs", "prof"),
+        ("crates/sweep/src/engine.rs", "sweep"),
+    ] {
+        let export = analyze_mounted(&[(rel, krate, Section::Src, fix)]);
+        let hashes: Vec<usize> = source_hits(&export)
+            .into_iter()
+            .filter(|(_, r)| *r == "no-hash-export")
+            .map(|(l, _)| l)
+            .collect();
+        assert_eq!(
+            hashes,
+            [
+                line_of(fix, "use std::collections::HashMap;"),
+                line_of(fix, "-> HashMap<u8, u8>"),
+                line_of(fix, "HashMap::new()"),
+            ],
+            "{rel}"
+        );
+    }
     let plain = analyze_mounted(&[(
         "crates/coherence/src/directory.rs",
         "coherence",
@@ -432,7 +383,6 @@ fn markers_that_suppress_nothing_are_stale_escapes() {
         rep.findings
     );
     assert!(rep.suppressions.iter().any(|s| s.line == line_of(fix, "— the live escape") + 1));
-    assert!(rep.suppressions.iter().any(|s| s.rule == "taint-export"), "{:?}", rep.suppressions);
     // No pass consults markers outside shipped code, so none is stale.
     let rep = analyze_mounted(&[("crates/config/tests/system.rs", "config", Section::Tests, fix)]);
     assert_eq!(stale(&rep), Vec::<usize>::new());

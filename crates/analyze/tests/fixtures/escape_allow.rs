@@ -1,21 +1,19 @@
 //! Fixture: the escape hatch, in both its valid and invalid forms.
 //!
-//! The first function carries a reasoned `lint: allow` and must be
-//! *suppressed* (counted, not a finding). The second carries a
-//! reasonless allow, which the escape policy treats as inert: the
-//! finding must still fire. Reasons are the whole point — an escape
-//! nobody can audit is a hole, not an escape.
+//! Both functions are hot roots that grow a Vec. The first carries a
+//! reasoned `lint: allow` and must be *suppressed* (counted, not a
+//! finding). The second carries a reasonless allow, which the escape
+//! policy treats as inert: the finding must still fire. Reasons are the
+//! whole point — an escape nobody can audit is a hole, not an escape.
 
-use std::collections::HashMap;
-
-// lint: allow(taint-export) — keys are collected and sorted before export, so iteration order never reaches the output
-pub fn fixture_sorted_export(m: &HashMap<u64, u8>) -> Vec<u64> {
-    let mut v: Vec<u64> = m.keys().copied().collect();
-    v.sort_unstable();
-    v
+// analyze: hot
+pub fn fixture_reserved_push(v: &mut Vec<u64>, x: u64) {
+    // lint: allow(hot-alloc) — capacity is reserved at construction, so the push never reallocates
+    v.push(x);
 }
 
-// lint: allow(taint-export)
-pub fn fixture_unsorted_export(m: &HashMap<u64, u8>) -> Vec<u64> {
-    m.keys().copied().collect()
+// analyze: hot
+pub fn fixture_unreserved_push(v: &mut Vec<u64>, x: u64) {
+    // lint: allow(hot-alloc)
+    v.push(x);
 }

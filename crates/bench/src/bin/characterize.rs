@@ -33,7 +33,7 @@ fn main() {
             *counts.entry((r.access, r.mode)).or_insert(0) += 1;
             let line = r.line_addr(64);
             if n == 0 {
-                sd.access(line);
+                sd.visit(line);
             }
             *touched_by.entry(line).or_insert(0) |= 1 << n;
             if r.access.is_write() {

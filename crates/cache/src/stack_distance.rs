@@ -24,7 +24,7 @@
 //!
 //! let mut sd = StackDistance::new();
 //! for line in [1u64, 2, 3, 1, 2, 3] {
-//!     sd.access(line);
+//!     sd.visit(line);
 //! }
 //! // The second round of accesses all have distance 2 (two other
 //! // distinct lines in between): a 4-line cache captures everything...
@@ -82,7 +82,6 @@ impl StackDistance {
     fn tree_prefix(&self, mut i: usize) -> u64 {
         let mut s = 0;
         while i > 0 {
-            // analyze: total — Fenwick descent: i -= i & i.wrapping_neg() only ever clears bits, so i stays within the tree it was built against
             s += self.tree[i];
             i -= i & i.wrapping_neg();
         }
@@ -107,9 +106,7 @@ impl StackDistance {
 
     /// Records one access to `line` and returns its stack distance
     /// (`None` for a cold, first-ever access).
-    // analyze: cold — offline characterization tool (Mattson analysis of the workload footprint), used by the characterize bin and examples, never by the simulator loop; the name-based call graph conflates this `access` with the simulator's
-    // analyze: total — bits is grown past every recorded position before marking, and exact is resized to idx+1 on the cold path right before the increment
-    pub fn access(&mut self, line: u64) -> Option<u64> {
+    pub fn visit(&mut self, line: u64) -> Option<u64> {
         self.accesses += 1;
         let now = self.bits.len();
         self.bits.push(0);
@@ -192,7 +189,7 @@ mod tests {
     fn cold_misses_count_distinct_lines() {
         let mut sd = StackDistance::new();
         for line in [5u64, 6, 5, 7, 6, 5] {
-            sd.access(line);
+            sd.visit(line);
         }
         assert_eq!(sd.cold_misses(), 3);
         assert_eq!(sd.accesses(), 6);
@@ -201,19 +198,19 @@ mod tests {
     #[test]
     fn distances_match_hand_computation() {
         let mut sd = StackDistance::new();
-        assert_eq!(sd.access(1), None);
-        assert_eq!(sd.access(2), None);
-        assert_eq!(sd.access(1), Some(1)); // one distinct line (2) in between
-        assert_eq!(sd.access(1), Some(0)); // immediate re-reference
-        assert_eq!(sd.access(3), None);
-        assert_eq!(sd.access(2), Some(2)); // 1 and 3 in between
+        assert_eq!(sd.visit(1), None);
+        assert_eq!(sd.visit(2), None);
+        assert_eq!(sd.visit(1), Some(1)); // one distinct line (2) in between
+        assert_eq!(sd.visit(1), Some(0)); // immediate re-reference
+        assert_eq!(sd.visit(3), None);
+        assert_eq!(sd.visit(2), Some(2)); // 1 and 3 in between
     }
 
     #[test]
     fn capacity_one_misses_everything_but_repeats() {
         let mut sd = StackDistance::new();
         for line in [1u64, 1, 2, 2, 1] {
-            sd.access(line);
+            sd.visit(line);
         }
         // Distances: -, 0, -, 0, 1. Capacity 1 misses cold(2) + d>=1 (1).
         assert_eq!(sd.misses_at_capacity(1), 3);
@@ -227,7 +224,7 @@ mod tests {
         // A scan of 64 lines repeated 4 times.
         for _ in 0..4 {
             for line in 0..64u64 {
-                sd.access(line);
+                sd.visit(line);
             }
         }
         let curve = sd.curve(8);
@@ -255,7 +252,7 @@ mod tests {
 
         let mut sd = StackDistance::new();
         for &l in &lines {
-            sd.access(l);
+            sd.visit(l);
         }
 
         for cap in [16u64, 64, 128] {

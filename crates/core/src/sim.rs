@@ -727,7 +727,6 @@ impl<S: ReferenceStream> Simulation<S> {
     /// fetch memo lane of [`Simulation::access`] (the contracts of
     /// [`TimingModel::retire_instructions`] and
     /// [`Cache::record_repeat_read_hits`](csim_cache::Cache)).
-    // analyze: cold — same per-reference timing boundary as `access`; the closed-form retire's bit-identity with single-step retire is gated by tests/batch_identity.rs
     #[inline]
     fn retire_ifetch_run(&mut self, n: usize, c: usize, k: u64) {
         // analyze: total — node and core ids come from the dispatch loop's walk over the node grid built in try_new
@@ -745,7 +744,6 @@ impl<S: ReferenceStream> Simulation<S> {
     /// L1 (ownership walks, the L2 and the miss machinery) stays behind
     /// the [`Simulation::access_below_l1`] call so the loop body keeps
     /// only the code that usually runs.
-    // analyze: cold — the per-reference timing model is float CPI arithmetic by design (the paper's analytical overlap model); reproducibility is guarded by the bit-identity tests, not by integer-only arithmetic
     #[inline(always)]
     fn access(&mut self, n: usize, c: usize, word: u64) {
         let line = (word & PACKED_ADDR_MASK) / LINE_SIZE;
@@ -798,7 +796,7 @@ impl<S: ReferenceStream> Simulation<S> {
     /// The slow back half of [`Simulation::access`]: an L1 write
     /// hit still needing the ownership walk, or an L1 miss heading into
     /// the L2 and the coherence machinery.
-    // analyze: cold — the per-reference timing model is float CPI arithmetic by design (the paper's analytical overlap model); reproducibility is guarded by the bit-identity tests, not by integer-only arithmetic
+    // analyze: cold — the miss path runs once per L1 miss (or owned-store walk), not once per reference, and reaches the sanitizer's messages, observer events and directory slab growth on purpose
     // analyze: total — node ids come from the dispatch loop's walk over the node grid (try_new) or are directory-reported homes/owners/sharers, which the directory reduces modulo the node count
     #[inline(never)]
     fn access_below_l1(

@@ -16,7 +16,6 @@ use crate::json::Json;
 /// environment variable (set by release tooling; absent in hermetic
 /// builds, where the suffix is a stable placeholder).
 pub fn version_string(pkg_version: &str) -> String {
-    // lint: allow(taint-export) — provenance metadata by design: the suffix identifies the producing build and is a stable placeholder in hermetic runs; determinism tests compare reports from one build
     match std::env::var("CSIM_GIT_DESCRIBE") {
         Ok(desc) if !desc.trim().is_empty() => format!("{pkg_version}+{}", desc.trim()),
         _ => format!("{pkg_version}+unreleased"),
@@ -79,7 +78,6 @@ impl PhaseProfile {
     /// Times `f` and records it as phase `name`.
     pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
         // lint: allow(no-wallclock) — phase timings report host runtime to humans; they never feed simulation state
-        // lint: allow(taint-export) — the profile is opt-in and documented nondeterministic; byte-stable reports omit it
         let start = Instant::now();
         let out = f();
         self.push(name, start.elapsed().as_secs_f64() * 1e3);

@@ -47,7 +47,6 @@ impl HostSampler {
             let mut ticks = 0u64;
             let mut slots = [0u8; STRIPES];
             // lint: allow(no-wallclock) — the sampler measures host runtime by design; its output is quarantined in the nondeterministic host_profile section
-            // lint: allow(taint-export) — region reports are documented nondeterministic and never enter byte-stable documents
             let started = Instant::now();
             while !stop_flag.load(Ordering::Relaxed) {
                 read_regions(&mut slots);

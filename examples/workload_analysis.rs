@@ -22,11 +22,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..refs {
         let r = stream.next_ref();
         let line = r.line_addr(64);
-        all.access(line);
+        all.visit(line);
         if r.access.is_instruction() {
-            instr.access(line);
+            instr.visit(line);
         } else {
-            data.access(line);
+            data.visit(line);
         }
     }
 
