@@ -24,8 +24,12 @@
 //! names a different plan, grid size, or shard is a hard
 //! [`SweepError::CheckpointMismatch`] — resuming would mix sweeps.
 //!
-//! On open the log is compacted: the surviving records are rewritten in
-//! place so damage is healed once, then the file reopens for appends.
+//! The log is also a shard's result: `--shard k/N` runs write one, and
+//! [`crate::merge_logs`] reassembles the whole grid from the logs of
+//! every shard. [`read`] is the one decoder both paths use, and it never
+//! writes. A resume then opens the log for appending: the surviving
+//! records are rewritten in place so damage is healed once, and the file
+//! reopens for appends.
 
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -85,13 +89,18 @@ fn decode_line(line: &[u8]) -> Result<Json, String> {
     parse(payload).map_err(|e| format!("payload is not valid JSON: {e}"))
 }
 
+/// The `k/N` shard spec a header records, `-` for the whole grid.
+fn shard_name(shard: Option<Shard>) -> String {
+    shard.map_or_else(|| "-".to_string(), |s| s.to_string())
+}
+
 /// The header record binding a log to its sweep.
 fn header_json(plan: &SweepPlan, shard: Option<Shard>) -> Json {
     Json::obj([
         ("schema", Json::str(CHECKPOINT_SCHEMA)),
         ("plan", Json::str(plan_fingerprint(plan))),
         ("run_count", Json::UInt(plan.run_count() as u64)),
-        ("shard", Json::str(shard.map_or_else(|| "-".to_string(), |s| s.spec()))),
+        ("shard", Json::str(shard_name(shard))),
     ])
 }
 
@@ -171,15 +180,131 @@ fn decode_record(doc: &Json, run_count: usize) -> Result<PointOutcome, String> {
     }
 }
 
-/// A checkpoint log loaded (and healed) by [`CheckpointLog::open`].
-pub(crate) struct LoadedCheckpoint {
-    /// The log, compacted and reopened for appending.
-    pub log: CheckpointLog,
-    /// The point outcomes the log validly records.
+/// A problem with the log file as a whole.
+fn file_err(path: &str, message: String) -> SweepError {
+    SweepError::Checkpoint { path: path.to_string(), line: 0, message }
+}
+
+/// What a checkpoint log validly records, as decoded by [`read`].
+pub(crate) struct Recorded {
+    /// The slice the log's intact header binds: `Some(None)` for a
+    /// whole-grid sweep, `Some(Some(shard))` for one shard, and `None`
+    /// when the log has no intact header (missing, empty, or a damaged
+    /// first line) and so records no points either.
+    pub header: Option<Option<Shard>>,
+    /// The point outcomes the log validly records, in grid order.
     pub points: Vec<PointOutcome>,
     /// Typed reports of every damaged record that was detected and
-    /// recovered past.
+    /// skipped.
     pub damage: Vec<SweepError>,
+}
+
+/// Reads and validates the log at `path` without writing it: CRC-checks
+/// every line, classifies damage, and refuses an intact header recorded
+/// for another plan or grid. A missing file reads as an empty log.
+/// Resume ([`CheckpointLog::open`]) and `merge_logs` share this one
+/// decoder.
+///
+/// # Errors
+///
+/// [`SweepError::Checkpoint`] when the file cannot be read, and
+/// [`SweepError::CheckpointMismatch`] for an intact header that is not
+/// this plan's.
+pub(crate) fn read(path: &str, plan: &SweepPlan) -> Result<Recorded, SweepError> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(file_err(path, format!("cannot read: {e}"))),
+    };
+
+    let mut recorded = Recorded { header: None, points: Vec::new(), damage: Vec::new() };
+    // Index of the last line that holds any bytes: damage there is a
+    // torn tail (the expected SIGKILL artifact), not corruption.
+    let lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+    let last_nonempty = lines.iter().rposition(|l| !l.is_empty());
+    for (i, line) in lines.iter().enumerate() {
+        if line.is_empty() {
+            continue;
+        }
+        let lineno = i + 1;
+        let tail = Some(i) == last_nonempty;
+        let fail = |message: String| SweepError::Checkpoint {
+            path: path.to_string(),
+            line: lineno,
+            message: if tail {
+                format!("truncated tail: {message} (dropped; the point will re-run)")
+            } else {
+                format!("corrupt record: {message} (skipped; the point will re-run)")
+            },
+        };
+        let doc = match decode_line(line) {
+            Ok(doc) => doc,
+            Err(message) => {
+                if lineno == 1 {
+                    // An unreadable header orphans every record:
+                    // nothing ties them to this plan, so the whole
+                    // log is discarded and recomputed.
+                    recorded.damage.push(SweepError::Checkpoint {
+                        path: path.to_string(),
+                        line: 1,
+                        message: format!(
+                            "header damaged ({message}); discarding the whole log and recomputing"
+                        ),
+                    });
+                    break;
+                }
+                recorded.damage.push(fail(message));
+                continue;
+            }
+        };
+        if lineno == 1 {
+            // The header is intact: a mismatch now is the user
+            // pointing at the wrong sweep, not disk damage.
+            if doc.get("schema").and_then(Json::as_str) != Some(CHECKPOINT_SCHEMA) {
+                return Err(SweepError::CheckpointMismatch {
+                    path: path.to_string(),
+                    message: format!(
+                        "not a {CHECKPOINT_SCHEMA} log (is this really a checkpoint file?)"
+                    ),
+                });
+            }
+            // `-` (the whole grid) is no shard spec, and neither is a
+            // malformed one, whose header then fails the comparison.
+            let shard = doc.get("shard").and_then(Json::as_str).and_then(|s| Shard::parse(s).ok());
+            if doc.to_string() != header_json(plan, shard).to_string() {
+                return Err(SweepError::CheckpointMismatch {
+                    path: path.to_string(),
+                    message: format!(
+                        "recorded for plan {} ({} points, shard {}), expected plan {} ({} points)",
+                        doc.get("plan").and_then(Json::as_str).unwrap_or("?"),
+                        doc.get("run_count").and_then(Json::as_u64).unwrap_or(0),
+                        doc.get("shard").and_then(Json::as_str).unwrap_or("?"),
+                        plan_fingerprint(plan),
+                        plan.run_count(),
+                    ),
+                });
+            }
+            recorded.header = Some(shard);
+            continue;
+        }
+        if recorded.header.is_none() {
+            // A log whose first line is empty has no header: its
+            // records are tied to no plan.
+            recorded.damage.push(fail("record before any header".to_string()));
+            continue;
+        }
+        match decode_record(&doc, plan.run_count()) {
+            Ok(point) => recorded.points.push(point),
+            Err(message) => recorded.damage.push(fail(message)),
+        }
+    }
+    // Later records win: a compaction interrupted mid-write can
+    // legitimately leave the same point twice. The sort is stable, so
+    // after the reversal each point's latest record comes first.
+    recorded.points.reverse();
+    recorded.points.sort_by_key(PointOutcome::index);
+    recorded.points.dedup_by_key(|p| p.index());
+    Ok(recorded)
 }
 
 /// The open, append-only checkpoint log.
@@ -192,127 +317,36 @@ pub(crate) struct CheckpointLog {
 
 impl CheckpointLog {
     /// Opens (or creates) the log at `path` for the given plan/shard:
-    /// validates every record, classifies damage, compacts the
+    /// [`read`]s it, refuses a header of another shard, compacts the
     /// surviving records back to disk, and reopens for appending.
     // analyze: cold — checkpoint open/replay happens once per sweep process, never on the per-reference simulation path
     pub(crate) fn open(
         path: &str,
         plan: &SweepPlan,
         shard: Option<Shard>,
-    ) -> Result<LoadedCheckpoint, SweepError> {
-        let io_err = |message: String| SweepError::Checkpoint {
-            path: path.to_string(),
-            line: 0,
-            message,
-        };
-        let expected_header = header_json(plan, shard).to_string();
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err(format!("cannot read: {e}"))),
-        };
-
-        let mut damage = Vec::new();
-        let mut points: Vec<PointOutcome> = Vec::new();
-        // Index of the last line that holds any bytes: damage there is a
-        // torn tail (the expected SIGKILL artifact), not corruption.
-        let lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-        let last_nonempty = lines.iter().rposition(|l| !l.is_empty());
-        let mut header_ok = false;
-        for (i, line) in lines.iter().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let lineno = i + 1;
-            let tail = Some(i) == last_nonempty;
-            let fail = |message: String| SweepError::Checkpoint {
-                path: path.to_string(),
-                line: lineno,
-                message: if tail {
-                    format!("truncated tail: {message} (dropped; the point will re-run)")
-                } else {
-                    format!("corrupt record: {message} (skipped; the point will re-run)")
-                },
-            };
-            let doc = match decode_line(line) {
-                Ok(doc) => doc,
-                Err(message) => {
-                    if lineno == 1 {
-                        // An unreadable header orphans every record:
-                        // nothing ties them to this plan, so the whole
-                        // log is discarded and recomputed.
-                        damage.push(SweepError::Checkpoint {
-                            path: path.to_string(),
-                            line: 1,
-                            message: format!(
-                                "header damaged ({message}); discarding the whole log and recomputing"
-                            ),
-                        });
-                        points.clear();
-                        break;
-                    }
-                    damage.push(fail(message));
-                    continue;
-                }
-            };
-            if lineno == 1 {
-                // The header is intact: a mismatch now is the user
-                // resuming the wrong sweep, not disk damage.
-                if doc.get("schema").and_then(Json::as_str) != Some(CHECKPOINT_SCHEMA) {
-                    return Err(SweepError::CheckpointMismatch {
-                        path: path.to_string(),
-                        message: format!(
-                            "not a {CHECKPOINT_SCHEMA} log (is this really a checkpoint file?)"
-                        ),
-                    });
-                }
-                if doc.to_string() != expected_header {
-                    return Err(SweepError::CheckpointMismatch {
-                        path: path.to_string(),
-                        message: format!(
-                            "recorded for plan {} ({} points, shard {}), expected plan {} ({} points, shard {})",
-                            doc.get("plan").and_then(Json::as_str).unwrap_or("?"),
-                            doc.get("run_count").and_then(Json::as_u64).unwrap_or(0),
-                            doc.get("shard").and_then(Json::as_str).unwrap_or("?"),
-                            plan_fingerprint(plan),
-                            plan.run_count(),
-                            shard.map_or_else(|| "-".to_string(), |s| s.spec()),
-                        ),
-                    });
-                }
-                header_ok = true;
-                continue;
-            }
-            if !header_ok {
-                // Records after a discarded header never get here (the
-                // loop broke), but a record *on line 1* would: treat a
-                // log that starts with a point record as headerless.
-                damage.push(fail("record before any header".to_string()));
-                continue;
-            }
-            match decode_record(&doc, plan.run_count()) {
-                // Later records win: a compaction interrupted mid-write
-                // can legitimately leave the same point twice.
-                Ok(point) => {
-                    points.retain(|p| p.index() != point.index());
-                    points.push(point);
-                }
-                Err(message) => damage.push(fail(message)),
+    ) -> Result<(CheckpointLog, Recorded), SweepError> {
+        let recorded = read(path, plan)?;
+        if let Some(recorded_shard) = recorded.header {
+            if recorded_shard != shard {
+                let (recorded_shard, shard) = (shard_name(recorded_shard), shard_name(shard));
+                return Err(SweepError::CheckpointMismatch {
+                    path: path.to_string(),
+                    message: format!("recorded for shard {recorded_shard}, expected shard {shard}"),
+                });
             }
         }
 
         // Compact: heal the damage on disk exactly once, then append.
-        points.sort_by_key(PointOutcome::index);
-        let mut content = encode_line(&expected_header);
-        for point in &points {
+        let mut content = encode_line(&header_json(plan, shard).to_string());
+        for point in &recorded.points {
             content.push_str(&encode_line(&record_json(point).to_string()));
         }
-        std::fs::write(path, &content).map_err(|e| io_err(format!("cannot rewrite: {e}")))?;
+        std::fs::write(path, &content).map_err(|e| file_err(path, format!("cannot rewrite: {e}")))?;
         let file = OpenOptions::new()
             .append(true)
             .open(path)
-            .map_err(|e| io_err(format!("cannot reopen for append: {e}")))?;
-        Ok(LoadedCheckpoint { log: CheckpointLog { path: path.to_string(), file: Some(file) }, points, damage })
+            .map_err(|e| file_err(path, format!("cannot reopen for append: {e}")))?;
+        Ok((CheckpointLog { path: path.to_string(), file: Some(file) }, recorded))
     }
 
     /// Appends one completed point. Once a write has failed the log is
@@ -328,13 +362,9 @@ impl CheckpointLog {
         let line = encode_line(&record_json(point).to_string());
         file.write_all(line.as_bytes()).map_err(|e| {
             self.file = None;
-            SweepError::Checkpoint {
-                path: self.path.clone(),
-                line: 0,
-                message: format!(
-                    "append failed: {e}; checkpointing disabled for the rest of the sweep"
-                ),
-            }
+            let message =
+                format!("append failed: {e}; checkpointing disabled for the rest of the sweep");
+            file_err(&self.path, message)
         })
     }
 }

@@ -21,10 +21,9 @@
 //!   exhausted, recorded as a structured [`PointFailure`] entry in the
 //!   report instead of aborting the sweep.
 //! * **Sharding** — a [`Shard`] restricts execution to a deterministic
-//!   round-robin slice of the grid; [`SweepOutcome::to_shard_json`]
-//!   emits a `csim-sweep-shard/v1` document that
-//!   [`crate::merge_shard_docs`] reassembles into the byte-identical
-//!   full report.
+//!   round-robin slice of the grid. A shard's result is its checkpoint
+//!   log, and [`merge_logs`] reassembles the logs of all shards into
+//!   the byte-identical full report: a resume with nothing left to run.
 //! * **Checkpointing** — with [`SweepConfig::checkpoint`] set, every
 //!   completed point is appended to a CRC-guarded log; a restarted
 //!   sweep skips completed points and still emits a report
@@ -48,7 +47,7 @@ use csim_obs::{version_string, PhaseProfile, RunManifest};
 use csim_trace::ReferenceStream;
 use csim_workload::OltpParams;
 
-use crate::checkpoint::CheckpointLog;
+use crate::checkpoint::{self, CheckpointLog};
 use crate::grid::RunSpec;
 use crate::plan::{integration_short_name, SweepError, SweepPlan};
 use crate::shard::Shard;
@@ -56,10 +55,6 @@ use crate::shard::Shard;
 /// Schema tag written into every merged sweep report, bumped on breaking
 /// layout changes so downstream readers can dispatch.
 pub const SWEEP_REPORT_SCHEMA: &str = "csim-sweep-report/v1";
-
-/// Schema tag of a single shard's report (`--shard k/N --json-report`),
-/// consumed by `csim --sweep-merge`.
-pub const SWEEP_SHARD_SCHEMA: &str = "csim-sweep-shard/v1";
 
 /// The paper-style headline numbers of one run, carried alongside the
 /// full report document so the CLI table (and the checkpoint log) do
@@ -158,16 +153,13 @@ impl PointOutcome {
         }
     }
 
-    /// The report entry for this point. `with_index` adds the grid
-    /// index (shard documents and checkpoint records need it; the
-    /// merged report keys on array position instead).
-    pub(crate) fn entry_json(&self, with_index: bool) -> Json {
-        let mut entry = Json::Obj(Vec::new());
-        if with_index {
-            entry.push("index", Json::UInt(self.index() as u64));
-        }
-        entry.push("label", Json::str(self.label()));
-        entry.push("seed", Json::UInt(self.seed()));
+    /// The report entry for this point (the report keys entries on
+    /// array position, so the grid index is left out).
+    fn entry_json(&self) -> Json {
+        let mut entry = Json::obj([
+            ("label", Json::str(self.label())),
+            ("seed", Json::UInt(self.seed())),
+        ]);
         match self {
             PointOutcome::Run(r) => entry.push("run", r.doc.clone()),
             PointOutcome::Failed(f) => entry.push(
@@ -292,8 +284,6 @@ impl SweepTiming {
 pub struct SweepOutcome {
     /// The plan that was swept.
     pub plan: SweepPlan,
-    /// The slice that executed (`None` = the whole grid).
-    pub shard: Option<Shard>,
     /// One outcome per selected grid point, in [`SweepPlan::expand`]
     /// order.
     pub points: Vec<PointOutcome>,
@@ -307,8 +297,8 @@ pub struct SweepOutcome {
     pub timing: Option<SweepTiming>,
 }
 
-/// The deterministic plan echo shared by the merged report, the shard
-/// report, and the checkpoint-binding fingerprint.
+/// The deterministic plan echo shared by the merged report and the
+/// checkpoint-binding fingerprint.
 pub(crate) fn plan_json(plan: &SweepPlan) -> Json {
     let strs = |it: Vec<String>| Json::Arr(it.into_iter().map(Json::Str).collect());
     Json::obj([
@@ -336,8 +326,8 @@ pub(crate) fn plan_json(plan: &SweepPlan) -> Json {
 }
 
 /// FNV-1a over the canonical plan echo: a cheap deterministic
-/// fingerprint binding checkpoint logs and shard reports to the exact
-/// grid they were produced from.
+/// fingerprint binding checkpoint logs to the exact grid they were
+/// produced from.
 pub fn plan_fingerprint(plan: &SweepPlan) -> String {
     let bytes = plan_json(plan).to_string();
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -359,31 +349,7 @@ impl SweepOutcome {
             ("plan", plan_json(&self.plan)),
             (
                 "runs",
-                Json::Arr(self.points.iter().map(|p| p.entry_json(false)).collect()),
-            ),
-        ])
-    }
-
-    /// The `csim-sweep-shard/v1` document for this shard's slice:
-    /// the full-plan echo and fingerprint (so `--sweep-merge` can
-    /// refuse mismatched shards) plus this shard's point entries,
-    /// each carrying its grid index.
-    pub fn to_shard_json(&self) -> Json {
-        let shard = self.shard.unwrap_or(Shard { index: 0, count: 1 });
-        Json::obj([
-            ("schema", Json::str(SWEEP_SHARD_SCHEMA)),
-            ("plan_fingerprint", Json::str(plan_fingerprint(&self.plan))),
-            (
-                "shard",
-                Json::obj([
-                    ("index", Json::UInt(u64::from(shard.index))),
-                    ("count", Json::UInt(u64::from(shard.count))),
-                ]),
-            ),
-            ("plan", plan_json(&self.plan)),
-            (
-                "points",
-                Json::Arr(self.points.iter().map(|p| p.entry_json(true)).collect()),
+                Json::Arr(self.points.iter().map(PointOutcome::entry_json).collect()),
             ),
         ])
     }
@@ -593,18 +559,18 @@ pub fn run_sweep_with(
     let mut log = match &cfg.checkpoint {
         None => None,
         Some(path) => {
-            let loaded = CheckpointLog::open(path, plan, cfg.shard)?;
-            warnings.extend(loaded.damage);
-            for point in loaded.points {
+            let (log, recorded) = CheckpointLog::open(path, plan, cfg.shard)?;
+            warnings.extend(recorded.damage);
+            for point in recorded.points {
                 let idx = point.index();
                 // Only trust records for points this shard selects; the
                 // header binds shard identity, so anything else is a
                 // stale artifact of earlier damage.
-                if selection.iter().any(|(i, _)| *i == idx) {
+                if cfg.shard.is_none_or(|s| s.owns(idx)) {
                     restored[idx] = Some(point);
                 }
             }
-            Some(loaded.log)
+            Some(log)
         }
     };
     let resumed = restored.iter().filter(|p| p.is_some()).count();
@@ -720,7 +686,85 @@ pub fn run_sweep_with(
         SweepTiming { points: timings, median_millis, stragglers }
     });
 
-    Ok(SweepOutcome { plan: plan.clone(), shard: cfg.shard, points, resumed, warnings, timing })
+    Ok(SweepOutcome { plan: plan.clone(), points, resumed, warnings, timing })
+}
+
+/// Merges the checkpoint logs of a sharded sweep into the whole grid's
+/// outcome: a resume that finds no point left to run, so its
+/// [`SweepOutcome::to_json`] is byte-identical to a single-process
+/// sweep of `plan`. A whole-grid log merges as the one shard `0/1`.
+/// The logs are only read, never written; damaged records they hold
+/// land in [`SweepOutcome::warnings`].
+///
+/// # Errors
+///
+/// [`SweepError::Checkpoint`] for an unreadable file,
+/// [`SweepError::CheckpointMismatch`] for a log of another plan, and
+/// [`SweepError::Merge`] for an empty list, a log without an intact
+/// header, logs that disagree on the shard count, a shard given twice,
+/// and any grid point that no log records.
+pub fn merge_logs(plan: &SweepPlan, paths: &[String]) -> Result<SweepOutcome, SweepError> {
+    plan.validate()?;
+    let merge_err =
+        |path: &str, message: String| SweepError::Merge { path: path.to_string(), message };
+    let mut slots: Vec<Option<PointOutcome>> = (0..plan.run_count()).map(|_| None).collect();
+    let mut shards: Vec<(Shard, &str)> = Vec::new();
+    let mut warnings = Vec::new();
+    for path in paths {
+        let recorded = checkpoint::read(path, plan)?;
+        warnings.extend(recorded.damage);
+        let shard = recorded
+            .header
+            .ok_or_else(|| {
+                merge_err(path, "no intact header (missing, empty, or a damaged first line)".into())
+            })?
+            .unwrap_or(Shard { index: 0, count: 1 });
+        if let Some(&(first, first_path)) = shards.first() {
+            if shard.count != first.count {
+                let message = format!(
+                    "split into {} shards, but {first_path} says {}",
+                    shard.count, first.count
+                );
+                return Err(merge_err(path, message));
+            }
+        }
+        if let Some((_, earlier)) = shards.iter().find(|(s, _)| *s == shard) {
+            return Err(merge_err(path, format!("shard {shard} was already given as {earlier}")));
+        }
+        shards.push((shard, path));
+        for point in recorded.points {
+            // As on resume, a record outside the header's shard is a
+            // stale artifact of earlier damage.
+            if shard.owns(point.index()) {
+                if let Some(slot) = slots.get_mut(point.index()) {
+                    *slot = Some(point);
+                }
+            }
+        }
+    }
+    let count = shards
+        .first()
+        .ok_or_else(|| merge_err("-", "no checkpoint logs to merge".into()))?
+        .0
+        .count;
+    let points = slots
+        .into_iter()
+        .zip(plan.expand())
+        .enumerate()
+        .map(|(index, (slot, spec))| {
+            slot.ok_or_else(|| {
+                let shard = Shard { index: (index % count as usize) as u32, count };
+                let log = shards.iter().find(|(s, _)| *s == shard).map_or("-", |&(_, path)| path);
+                let message = format!(
+                    "grid point {index} ({}) of shard {shard} is recorded by no log: give every \
+                     shard's log, and resume a torn one with it as --checkpoint",
+                    spec.label()
+                );
+                merge_err(log, message)
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(SweepOutcome { plan: plan.clone(), resumed: points.len(), points, warnings, timing: None })
 }
 
 #[cfg(test)]
@@ -889,7 +933,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_partition_the_grid_and_merge_back() {
+    fn sharded_runs_partition_the_grid() {
         let plan = small_plan();
         let full = run_sweep(&plan, 2).unwrap();
         let mut seen: Vec<usize> = Vec::new();
@@ -904,9 +948,6 @@ mod tests {
                 assert_eq!(p.index() % 3, index as usize);
                 seen.push(p.index());
             }
-            let doc = out.to_shard_json().to_string();
-            assert!(doc.contains("\"schema\":\"csim-sweep-shard/v1\""));
-            csim_obs::json::validate(&doc).unwrap();
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..full.points.len()).collect::<Vec<_>>());

@@ -21,9 +21,9 @@
 //! DESIGN.md §13):
 //!
 //! * **Sharding** — [`Shard`] splits the grid round-robin across
-//!   processes/machines; each shard emits a `csim-sweep-shard/v1`
-//!   document and [`merge_shard_docs`] reassembles the byte-identical
-//!   full report.
+//!   processes/machines; each shard's result is its checkpoint log, and
+//!   [`merge_logs`] reassembles the byte-identical full report from the
+//!   logs of all shards.
 //! * **Checkpointing** — a CRC-guarded append-only log records each
 //!   completed point; a killed sweep resumes past it, detecting (never
 //!   silently trusting) truncated or corrupted records, and still
@@ -36,8 +36,9 @@
 //!   median-based straggler flagging; fully deterministic when off.
 //!
 //! The `csim --sweep plan.toml --jobs N [--shard k/N] [--checkpoint f]`
-//! front end drives this crate and `csim --sweep-merge` performs the
-//! shard merge; `examples/fig09_sweep.toml` shows the dialect.
+//! front end drives this crate and `csim --sweep-merge OUT --sweep
+//! plan.toml LOG...` performs the shard merge;
+//! `examples/fig09_sweep.toml` shows the dialect.
 //!
 //! # Example
 //!
@@ -65,18 +66,16 @@
 mod checkpoint;
 mod engine;
 mod grid;
-mod merge;
 mod plan;
 mod shard;
 
 pub use checkpoint::CHECKPOINT_SCHEMA;
 pub use engine::{
-    plan_fingerprint, run_sweep, run_sweep_cfg, run_sweep_with, PointExecutor, PointFailure,
-    PointOutcome, PointTiming, RunOutcome, RunSummary, SweepConfig, SweepOutcome, SweepTiming,
-    SWEEP_REPORT_SCHEMA, SWEEP_SHARD_SCHEMA,
+    merge_logs, plan_fingerprint, run_sweep, run_sweep_cfg, run_sweep_with, PointExecutor,
+    PointFailure, PointOutcome, PointTiming, RunOutcome, RunSummary, SweepConfig, SweepOutcome,
+    SweepTiming, SWEEP_REPORT_SCHEMA,
 };
 pub use grid::{default_l2, RunSpec};
-pub use merge::{merge_shard_docs, merge_shard_files};
 pub use plan::{
     derive_seeds, integration_short_name, parse_integration, L2Spec, SweepError, SweepPlan,
 };

@@ -385,10 +385,11 @@ pub enum SweepError {
         /// Human-readable description.
         message: String,
     },
-    /// A shard report handed to the merge is unreadable, malformed, or
-    /// inconsistent with its siblings.
+    /// The checkpoint logs handed to the merge are inconsistent with
+    /// each other or do not record every grid point.
     Merge {
-        /// The offending shard report path (or synthetic document name).
+        /// The offending checkpoint log path (`-` when no single log is
+        /// at fault).
         path: String,
         /// Human-readable description.
         message: String,
@@ -416,6 +417,9 @@ impl fmt::Display for SweepError {
             }
             SweepError::CheckpointMismatch { path, message } => {
                 write!(f, "checkpoint log {path} does not match this sweep: {message}")
+            }
+            SweepError::Merge { path, message } if path == "-" => {
+                write!(f, "shard merge failed: {message}")
             }
             SweepError::Merge { path, message } => {
                 write!(f, "shard merge failed at {path}: {message}")

@@ -68,12 +68,6 @@ impl Shard {
     pub fn owns(&self, point_index: usize) -> bool {
         point_index % self.count as usize == self.index as usize
     }
-
-    /// The `k/N` spec string, used in shard reports and checkpoint
-    /// headers.
-    pub fn spec(&self) -> String {
-        format!("{}/{}", self.index, self.count)
-    }
 }
 
 impl std::fmt::Display for Shard {
@@ -90,7 +84,7 @@ mod tests {
     fn parse_accepts_well_formed_specs() {
         assert_eq!(Shard::parse("0/1").unwrap(), Shard { index: 0, count: 1 });
         assert_eq!(Shard::parse(" 3/8 ").unwrap(), Shard { index: 3, count: 8 });
-        assert_eq!(Shard::parse("7/8").unwrap().spec(), "7/8");
+        assert_eq!(Shard::parse("7/8").unwrap().to_string(), "7/8");
     }
 
     #[test]

@@ -8,14 +8,19 @@
 //! typed warnings, and (c) still produce a final report byte-identical
 //! to an uninterrupted run.
 //!
+//! A shard's log is also the input of the cross-process merge
+//! ([`merge_logs`]), so it crosses machines: the same damage fed to the
+//! merge must yield the byte-identical report or a typed error, never a
+//! panic, and the merge must leave every input file as it found it.
+//!
 //! Simulation cost is irrelevant to these properties, so the grid points
 //! are executed by a deterministic fake executor: thousands of
 //! truncation offsets resume in milliseconds.
 
 use csim_obs::json::Json;
 use csim_sweep::{
-    run_sweep_with, PointOutcome, RunOutcome, RunSpec, RunSummary, Shard, SweepConfig,
-    SweepError, SweepPlan,
+    merge_logs, run_sweep_with, PointOutcome, RunOutcome, RunSpec, RunSummary, Shard,
+    SweepConfig, SweepError, SweepPlan,
 };
 use csim_trace::SimRng;
 
@@ -96,10 +101,9 @@ fn cfg_with(checkpoint: &str) -> SweepConfig {
 
 #[test]
 fn schema_tags_are_pinned() {
-    // Consumers key on these strings; renaming either is a breaking
-    // change that must show up in a test diff.
+    // Consumers key on this string; renaming it is a breaking change
+    // that must show up in a test diff.
     assert_eq!(csim_sweep::CHECKPOINT_SCHEMA, "csim-sweep-checkpoint/v1");
-    assert_eq!(csim_sweep::SWEEP_SHARD_SCHEMA, "csim-sweep-shard/v1");
     let plan = plan();
     let path = temp_path("schema");
     run_sweep_with(&plan, &cfg_with(&path), &fake_exec).unwrap();
@@ -270,7 +274,7 @@ fn sharded_checkpoints_restore_only_their_own_points() {
     let path = temp_path("shard");
     let cfg = SweepConfig { shard: Some(shard), ..cfg_with(&path) };
     let first = run_sweep_with(&plan, &cfg, &fake_exec).unwrap();
-    let reference = first.to_shard_json().to_string();
+    let reference = first.to_json().to_string();
     assert!(first.points.iter().all(|p| shard.owns(p.index())));
 
     let resumed = run_sweep_with(
@@ -282,7 +286,7 @@ fn sharded_checkpoints_restore_only_their_own_points() {
     )
     .unwrap();
     assert_eq!(resumed.resumed, first.points.len());
-    assert_eq!(resumed.to_shard_json().to_string(), reference);
+    assert_eq!(resumed.to_json().to_string(), reference);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -311,4 +315,222 @@ fn outcome_points_expose_the_restored_summaries() {
         }
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// Runs one shard (`None`: the whole grid) of `plan` into a fresh
+/// checkpoint log and returns the log's path.
+fn shard_log(plan: &SweepPlan, shard: Option<Shard>, tag: &str) -> String {
+    let path = temp_path(tag);
+    let cfg = SweepConfig { shard, ..cfg_with(&path) };
+    run_sweep_with(plan, &cfg, &fake_exec).expect("the shard runs");
+    path
+}
+
+/// The report of an uninterrupted single-process sweep of `plan`.
+fn single_process_report(plan: &SweepPlan) -> String {
+    run_sweep_with(plan, &SweepConfig::default(), &fake_exec).unwrap().to_json().to_string()
+}
+
+fn merge_err(plan: &SweepPlan, paths: &[String]) -> SweepError {
+    match merge_logs(plan, paths) {
+        Ok(_) => panic!("merging {paths:?} must fail"),
+        Err(e) => e,
+    }
+}
+
+fn remove(paths: &[String]) {
+    for path in paths {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn merged_logs_are_byte_identical_to_a_single_process_run() {
+    let plan = plan();
+    let reference = single_process_report(&plan);
+    for count in 1..=3u32 {
+        let mut logs: Vec<String> = (0..count)
+            .map(|index| {
+                shard_log(&plan, Some(Shard { index, count }), &format!("merge-{index}of{count}"))
+            })
+            .collect();
+        for order in ["forward", "reversed"] {
+            let merged = merge_logs(&plan, &logs).unwrap();
+            assert_eq!(merged.to_json().to_string(), reference, "{count} shards, {order}");
+            assert!(merged.warnings.is_empty(), "{count} shards: {:?}", merged.warnings);
+            assert_eq!(merged.resumed, plan.run_count());
+            logs.reverse();
+        }
+        remove(&logs);
+    }
+    // A whole-grid log is a one-shard merge.
+    let whole = vec![shard_log(&plan, None, "merge-whole")];
+    assert_eq!(merge_logs(&plan, &whole).unwrap().to_json().to_string(), reference);
+    remove(&whole);
+}
+
+#[test]
+fn merge_refuses_a_log_of_another_plan() {
+    let plan = plan();
+    let mut other = plan.clone();
+    other.seeds.push(12345);
+    let logs = vec![
+        shard_log(&plan, Some(Shard { index: 0, count: 2 }), "foreign-s0"),
+        shard_log(&other, Some(Shard { index: 1, count: 2 }), "foreign-s1"),
+    ];
+    let err = merge_err(&plan, &logs);
+    let refused = matches!(&err, SweepError::CheckpointMismatch { path, .. } if *path == logs[1]);
+    assert!(refused, "{err}");
+    remove(&logs);
+}
+
+#[test]
+fn merge_refuses_a_shard_given_twice() {
+    let plan = plan();
+    let s0 = shard_log(&plan, Some(Shard { index: 0, count: 2 }), "twice-s0");
+    let err = merge_err(&plan, &[s0.clone(), s0.clone()]);
+    assert!(matches!(err, SweepError::Merge { .. }), "{err}");
+    assert!(err.to_string().contains("shard 0/2 was already given"), "{err}");
+    remove(&[s0]);
+}
+
+#[test]
+fn merge_refuses_logs_that_disagree_on_the_shard_count() {
+    let plan = plan();
+    let logs = vec![
+        shard_log(&plan, Some(Shard { index: 0, count: 2 }), "count-s0of2"),
+        shard_log(&plan, Some(Shard { index: 1, count: 3 }), "count-s1of3"),
+    ];
+    let err = merge_err(&plan, &logs);
+    assert!(matches!(err, SweepError::Merge { .. }), "{err}");
+    assert!(err.to_string().contains("split into 3 shards, but"), "{err}");
+    remove(&logs);
+}
+
+#[test]
+fn merge_refuses_an_absent_shard() {
+    let plan = plan();
+    let s0 = shard_log(&plan, Some(Shard { index: 0, count: 2 }), "absent-s0");
+    let err = merge_err(&plan, std::slice::from_ref(&s0));
+    assert!(matches!(err, SweepError::Merge { .. }), "{err}");
+    // Point 1 is the first that shard 1/2 owns.
+    let label = plan.expand()[1].label();
+    let text = err.to_string();
+    assert!(text.contains(&label) && text.contains("shard 1/2"), "{text}");
+    remove(&[s0]);
+}
+
+#[test]
+fn merge_refuses_a_torn_shard_log() {
+    let plan = plan();
+    let logs = vec![
+        shard_log(&plan, Some(Shard { index: 0, count: 2 }), "torn-s0"),
+        shard_log(&plan, Some(Shard { index: 1, count: 2 }), "torn-s1"),
+    ];
+    // Cut the last record (shard 1/2's last point, index 7) in half.
+    let bytes = std::fs::read(&logs[1]).unwrap();
+    let last_start = bytes[..bytes.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+    std::fs::write(&logs[1], &bytes[..last_start + (bytes.len() - last_start) / 2]).unwrap();
+    let err = merge_err(&plan, &logs);
+    assert!(matches!(&err, SweepError::Merge { path, .. } if *path == logs[1]), "{err}");
+    let label = plan.expand()[7].label();
+    let text = err.to_string();
+    assert!(text.contains(&label) && text.contains("shard 1/2"), "{text}");
+    remove(&logs);
+}
+
+#[test]
+fn merge_refuses_an_empty_log_list() {
+    let err = merge_err(&plan(), &[]);
+    assert!(matches!(err, SweepError::Merge { .. }), "{err}");
+}
+
+/// Merges shard 0/2's intact log with `damaged` in place of shard 1/2's
+/// log: the result must be the reference bytes or a typed error, and
+/// neither input file may change.
+fn merge_with_damaged_shard(
+    plan: &SweepPlan,
+    s0: &str,
+    s1: &str,
+    damaged: &[u8],
+    reference: &str,
+) -> bool {
+    std::fs::write(s1, damaged).unwrap();
+    let s0_before = std::fs::read(s0).unwrap();
+    let result = merge_logs(plan, &[s0.to_string(), s1.to_string()]);
+    assert_eq!(std::fs::read(s0).unwrap(), s0_before, "the merge wrote its intact input");
+    assert_eq!(std::fs::read(s1).unwrap(), damaged, "the merge wrote its damaged input");
+    match result {
+        Ok(merged) => {
+            assert_eq!(merged.to_json().to_string(), reference);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+#[test]
+fn merge_survives_a_shard_log_truncated_at_every_byte_offset() {
+    let plan = plan();
+    let reference = single_process_report(&plan);
+    let s0 = shard_log(&plan, Some(Shard { index: 0, count: 2 }), "merge-trunc-s0");
+    let s1 = shard_log(&plan, Some(Shard { index: 1, count: 2 }), "merge-trunc-s1");
+    let log = std::fs::read(&s1).unwrap();
+    let mut merged = 0;
+    for cut in 0..=log.len() {
+        if merge_with_damaged_shard(&plan, &s0, &s1, &log[..cut], &reference) {
+            merged += 1;
+        }
+    }
+    // Only the whole log, and the log without its final newline (its
+    // last record still CRC-intact), hold every point.
+    assert_eq!(merged, 2);
+    remove(&[s0, s1]);
+}
+
+#[test]
+fn merge_survives_single_bit_corruption_of_a_shard_log() {
+    let plan = plan();
+    let reference = single_process_report(&plan);
+    let s0 = shard_log(&plan, Some(Shard { index: 0, count: 2 }), "merge-flip-s0");
+    let s1 = shard_log(&plan, Some(Shard { index: 1, count: 2 }), "merge-flip-s1");
+    let log = std::fs::read(&s1).unwrap();
+    // The flips of the resume property above.
+    let mut rng = SimRng::seed_from_u64(0xC0FF_EE00);
+    for trial in 0..200 {
+        let byte = (rng.next_u64() % log.len() as u64) as usize;
+        let bit = (rng.next_u64() % 8) as u8;
+        let mut damaged = log.clone();
+        damaged[byte] ^= 1 << bit;
+        let merged = merge_with_damaged_shard(&plan, &s0, &s1, &damaged, &reference);
+        // Every byte belongs to some record, and the CRC catches any
+        // single-bit flip, so no damaged log can complete the grid.
+        assert!(!merged, "trial {trial}: flipping bit {bit} of byte {byte} went undetected");
+    }
+    remove(&[s0, s1]);
+}
+
+#[test]
+fn the_later_of_two_records_for_a_point_wins() {
+    // A compaction interrupted mid-write can leave a point twice. Build
+    // such a log: point 0's failure record, then its success record.
+    let plan = plan();
+    let path = temp_path("later-wins");
+    let fails_first = |index: usize, spec: &RunSpec| -> Result<RunOutcome, SweepError> {
+        if index == 0 {
+            return Err(SweepError::Run { label: spec.label(), message: "first".to_string() });
+        }
+        fake_exec(index, spec)
+    };
+    run_sweep_with(&plan, &cfg_with(&path), &fails_first).unwrap();
+    let clean = temp_path("later-wins-clean");
+    run_sweep_with(&plan, &cfg_with(&clean), &fake_exec).unwrap();
+    let success = std::fs::read_to_string(&clean).unwrap().lines().nth(1).unwrap().to_string();
+    let mut log = std::fs::read_to_string(&path).unwrap();
+    log.push_str(&format!("{success}\n"));
+    std::fs::write(&path, log).unwrap();
+
+    let merged = merge_logs(&plan, std::slice::from_ref(&path)).unwrap();
+    assert_eq!(merged.to_json().to_string(), single_process_report(&plan));
+    remove(&[path, clean]);
 }

@@ -72,8 +72,8 @@
 //!   --jobs N             worker threads for the sweep (default 1; the
 //!                        merged report is byte-identical for any N)
 //!   --shard K/N          run only round-robin slice K of N (0-based);
-//!                        --json-report then writes a csim-sweep-shard/v1
-//!                        document for --sweep-merge
+//!                        needs --checkpoint, whose log is the shard's
+//!                        result for --sweep-merge (no --json-report)
 //!   --checkpoint FILE    append each completed point to a CRC-guarded
 //!                        log; a re-run with the same plan and FILE skips
 //!                        completed points and the final report is
@@ -94,10 +94,14 @@
 //! csim exits 3 (instead of 0) so scripts notice.
 //!
 //! merge mode:
-//!   --sweep-merge OUT SHARD1 SHARD2 ...
-//!                        merge csim-sweep-shard/v1 files into the
-//!                        csim-sweep-report/v1 at OUT — byte-identical
-//!                        to a single-process run of the same plan
+//!   --sweep-merge OUT --sweep PLAN LOG1 LOG2 ...
+//!                        merge the checkpoint logs of PLAN's shards
+//!                        into the csim-sweep-report/v1 at OUT —
+//!                        byte-identical to a single-process run of
+//!                        PLAN; refuses logs of another plan, a shard
+//!                        given twice, and any point no log records;
+//!                        prints the sweep table unless --quiet and,
+//!                        like a sweep, exits 3 on failed points
 //! ```
 
 #![forbid(unsafe_code)]
@@ -117,10 +121,8 @@ use oltp_chip_integration::sweep::{
 enum Cli {
     /// Simulate one design point.
     Run(Box<Args>),
-    /// Run a sweep plan's grid.
+    /// Run a sweep plan's grid, or merge its shards' checkpoint logs.
     Sweep(SweepArgs),
-    /// Merge shard reports into one sweep report.
-    Merge { out: String, shards: Vec<String>, quiet: bool },
     /// Check that a file is well-formed JSON (or JSONL) and exit.
     Validate { path: String, jsonl: bool },
     /// Point at the usage text.
@@ -156,7 +158,8 @@ struct Args {
     prof_sample_hz: Option<u32>,
 }
 
-/// Sweep mode's flags; per-run parameters live in the plan file.
+/// Sweep and merge modes' flags; per-run parameters live in the plan
+/// file.
 #[derive(Debug)]
 struct SweepArgs {
     plan: String,
@@ -165,6 +168,9 @@ struct SweepArgs {
     checkpoint: Option<String>,
     watchdog: Option<f64>,
     out: Outputs,
+    /// The shards' checkpoint logs to merge instead of running the grid
+    /// (merge mode, whose output path is `out.json_report`).
+    logs: Vec<String>,
 }
 
 /// Which [`Cli`] the command line asks for.
@@ -201,8 +207,8 @@ impl Mode {
                  parameters belong in the plan file)"
             }
             Mode::Merge => {
-                "--sweep-merge (merge mode takes an output path, shard report files, and \
-                 optionally --quiet)"
+                "--sweep-merge (merge mode takes an output path, --sweep with the plan, the \
+                 shards' checkpoint logs, and optionally --quiet)"
             }
             Mode::Validate => {
                 "--validate-json/--validate-jsonl (validate mode takes only the file to check)"
@@ -272,8 +278,7 @@ fn parse_cli(argv: &[String]) -> Result<Cli, String> {
     let mut l2: Option<L2Spec> = None;
     let mut plan: Option<String> = None;
     let (mut jobs, mut shard, mut checkpoint, mut watchdog) = (1, None, None, None);
-    let mut merge_out: Option<String> = None;
-    let mut shards: Vec<String> = Vec::new();
+    let mut logs: Vec<String> = Vec::new();
     let mut validate: Option<(String, bool)> = None;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -311,29 +316,34 @@ fn parse_cli(argv: &[String]) -> Result<Cli, String> {
             (Run | Sweep, "--trace-events") => args.out.trace_events = Some(value()?),
             (Run | Sweep, "--profile") => args.out.profile = true,
             (Run | Sweep | Merge, "--quiet") => args.out.quiet = true,
-            (Sweep, "--sweep") => plan = Some(value()?),
+            (Sweep | Merge, "--sweep") => plan = Some(value()?),
             (Sweep, "--jobs") => jobs = parse_jobs(&value()?)?,
             (Sweep, "--shard") => shard = Some(Shard::parse(&value()?)?),
             (Sweep, "--checkpoint") => checkpoint = Some(value()?),
             (Sweep, "--watchdog") => watchdog = Some(parse_watchdog(&value()?)?),
-            (Merge, "--sweep-merge") => merge_out = Some(value()?),
-            (Merge, file) if !file.starts_with("--") => shards.push(file.to_string()),
+            (Merge, "--sweep-merge") => args.out.json_report = Some(value()?),
+            (Merge, file) if !file.starts_with("--") => logs.push(file.to_string()),
             (Validate, "--validate-json") => validate = Some((value()?, false)),
             (Validate, "--validate-jsonl") => validate = Some((value()?, true)),
             (_, other) => return Err(mode.reject(other)),
         }
     }
     match mode {
-        Merge => {
-            let out = merge_out.ok_or("merge mode needs --sweep-merge <out.json>")?;
-            if shards.is_empty() {
-                return Err("--sweep-merge needs at least one shard report file".into());
+        Sweep | Merge => {
+            // A log binds only the plan's fingerprint, so a merge names
+            // the plan file too: it stays the one description of a sweep.
+            let plan = plan.ok_or("sweep and merge modes need --sweep <plan.toml>")?;
+            if matches!(mode, Merge) && (args.out.json_report.is_none() || logs.is_empty()) {
+                return Err("--sweep-merge needs an output path and at least one checkpoint log"
+                    .into());
             }
-            Ok(Cli::Merge { out, shards, quiet: args.out.quiet })
-        }
-        Sweep => {
-            let plan = plan.ok_or("sweep mode needs --sweep <plan.toml>")?;
-            Ok(Cli::Sweep(SweepArgs { plan, jobs, shard, checkpoint, watchdog, out: args.out }))
+            if shard.is_some() && (checkpoint.is_none() || args.out.json_report.is_some()) {
+                return Err("--shard needs --checkpoint <log> and takes no --json-report: the \
+                            log is the shard's result, which --sweep-merge turns into the report"
+                    .into());
+            }
+            let out = args.out;
+            Ok(Cli::Sweep(SweepArgs { plan, jobs, shard, checkpoint, watchdog, out, logs }))
         }
         Validate => {
             let (path, jsonl) = validate.ok_or("validate mode needs a file")?;
@@ -424,11 +434,12 @@ fn epoch_chart(samples: &[oltp_chip_integration::obs::EpochSample], epoch_len: u
         .with_series(nacks)
 }
 
-/// Sweep mode: runs the plan's grid and writes its report.
+/// Sweep mode: runs the plan's grid, or merges its shards' checkpoint
+/// logs (a resume with nothing left to run), and writes its report.
 fn run_sweep(args: SweepArgs) -> Result<(), Box<dyn std::error::Error>> {
-    use oltp_chip_integration::sweep::run_sweep_cfg;
+    use oltp_chip_integration::sweep::{merge_logs, run_sweep_cfg};
 
-    let SweepArgs { plan: path, jobs, shard, checkpoint, watchdog, out } = args;
+    let SweepArgs { plan: path, jobs, shard, checkpoint, watchdog, out, logs } = args;
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read sweep plan '{path}': {e}"))?;
     let plan = SweepPlan::from_toml_str(&text)?;
@@ -442,16 +453,21 @@ fn run_sweep(args: SweepArgs) -> Result<(), Box<dyn std::error::Error>> {
         straggler_mult: watchdog,
         ..SweepConfig::default()
     };
-    eprintln!(
-        "sweep '{}': {} run(s){} on {} worker(s), {} warm + {} meas refs/node each",
-        plan.name,
-        plan.run_count(),
-        shard.map(|s| format!(" (shard {s})")).unwrap_or_default(),
-        jobs,
-        plan.warm,
-        plan.meas
-    );
-    let outcome = run_sweep_cfg(&plan, &cfg)?;
+    let outcome = if logs.is_empty() {
+        eprintln!(
+            "sweep '{}': {} run(s){} on {} worker(s), {} warm + {} meas refs/node each",
+            plan.name,
+            plan.run_count(),
+            shard.map(|s| format!(" (shard {s})")).unwrap_or_default(),
+            jobs,
+            plan.warm,
+            plan.meas
+        );
+        run_sweep_cfg(&plan, &cfg)?
+    } else {
+        eprintln!("sweep '{}': merging {} checkpoint log(s)", plan.name, logs.len());
+        merge_logs(&plan, &logs)?
+    };
     for warning in &outcome.warnings {
         eprintln!("warning: {warning}");
     }
@@ -500,9 +516,7 @@ fn run_sweep(args: SweepArgs) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("trace events: {path} ({} event(s))", doc.len());
     }
     if let Some(path) = &out.json_report {
-        // A shard writes the shard document (input to --sweep-merge);
-        // only a whole-grid sweep writes the final report directly.
-        let mut doc = if shard.is_some() { outcome.to_shard_json() } else { outcome.to_json() };
+        let mut doc = outcome.to_json();
         if out.profile {
             if let Some(timing) = &outcome.timing {
                 // Deliberately opt-in: wall clock makes the document
@@ -556,18 +570,6 @@ fn run_sweep(args: SweepArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Merge mode: reads `csim-sweep-shard/v1` files and writes the merged
-/// `csim-sweep-report/v1` to `out`.
-fn run_merge(out: &str, shards: &[String], quiet: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let doc = oltp_chip_integration::sweep::merge_shard_files(shards)?;
-    std::fs::write(out, format!("{doc}\n"))
-        .map_err(|e| format!("cannot write merged report '{out}': {e}"))?;
-    if !quiet {
-        eprintln!("merged {} shard report(s) into {out}", shards.len());
-    }
-    Ok(())
-}
-
 /// Validate mode: checks `path` holds one JSON document, or one per line.
 fn run_validate(path: &str, jsonl: bool) -> Result<(), Box<dyn std::error::Error>> {
     let text =
@@ -583,7 +585,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     match parse_cli(&argv).map_err(|e| format!("{e} (try --help)"))? {
         Cli::Run(args) => run_single(&args),
         Cli::Sweep(args) => run_sweep(args),
-        Cli::Merge { out, shards, quiet } => run_merge(&out, &shards, quiet),
         Cli::Validate { path, jsonl } => run_validate(&path, jsonl),
         Cli::Help => {
             println!("see the module docs at the top of src/bin/csim.rs for usage");
@@ -817,22 +818,23 @@ mod tests {
         assert!(matches!(cli(""), Ok(Cli::Run(_))));
         assert!(matches!(cli("--nodes 8 --rac"), Ok(Cli::Run(_))));
         assert!(matches!(cli("--help"), Ok(Cli::Help)));
-        match cli("--sweep p.toml --jobs 4 --shard 1/2 --quiet") {
+        match cli("--sweep p.toml --jobs 4 --shard 1/2 --checkpoint s1.log --quiet") {
             Ok(Cli::Sweep(s)) => {
                 assert_eq!((s.plan.as_str(), s.jobs), ("p.toml", 4));
-                assert!(s.shard.is_some() && s.out.quiet);
+                assert!(s.shard.is_some() && s.checkpoint.is_some() && s.out.quiet);
             }
             other => panic!("{other:?}"),
         }
-        match cli("--sweep-merge out.json a.json b.json --quiet") {
-            Ok(Cli::Merge { out, shards, quiet }) => {
-                assert_eq!((out.as_str(), shards.len(), quiet), ("out.json", 2, true));
+        match cli("--sweep-merge out.json --sweep p.toml a.log b.log --quiet") {
+            Ok(Cli::Sweep(s)) => {
+                assert_eq!(s.out.json_report.as_deref(), Some("out.json"));
+                assert!(s.plan == "p.toml" && s.logs.len() == 2 && s.out.quiet);
             }
             other => panic!("{other:?}"),
         }
-        // `--sweep-merge` outranks `--sweep`, which merge mode rejects.
-        assert!(cli("--sweep-merge o a --sweep p").unwrap_err().contains("--sweep-merge"));
-        assert!(matches!(cli("--sweep-merge o a"), Ok(Cli::Merge { .. })));
+        // `--sweep-merge` outranks `--sweep`, which names the plan.
+        let merge = cli("--sweep-merge o a --sweep p");
+        assert!(matches!(merge, Ok(Cli::Sweep(s)) if s.logs == ["a"] && s.plan == "p"));
         assert!(matches!(cli("--validate-json r.json"), Ok(Cli::Validate { jsonl: false, .. })));
         assert!(matches!(cli("--validate-jsonl t.jsonl"), Ok(Cli::Validate { jsonl: true, .. })));
     }
@@ -843,8 +845,15 @@ mod tests {
         assert!(err.contains("'--nodes' cannot be combined with --sweep"), "{err}");
         let err = cli("--sweep-merge out.json a.json --jobs 2").unwrap_err();
         assert!(err.contains("'--jobs' cannot be combined with --sweep-merge"), "{err}");
-        let err = cli("--sweep-merge out.json").unwrap_err();
-        assert!(err.contains("at least one shard report file"), "{err}");
+        let err = cli("--sweep-merge out.json --sweep p.toml").unwrap_err();
+        assert!(err.contains("at least one checkpoint log"), "{err}");
+        let err = cli("--sweep-merge out.json a.log").unwrap_err();
+        assert!(err.contains("need --sweep <plan.toml>"), "{err}");
+        let err = cli("--sweep p.toml --shard 0/2").unwrap_err();
+        assert!(err.contains("--shard needs --checkpoint"), "{err}");
+        let err = cli("--sweep p.toml --shard 0/2 --checkpoint s.log --json-report r.json")
+            .unwrap_err();
+        assert!(err.contains("takes no --json-report"), "{err}");
         let err = cli("--validate-json r.json --quiet").unwrap_err();
         assert!(err.contains("'--quiet' cannot be combined with --validate-json"), "{err}");
         assert!(cli("--jobs 2").unwrap_err().contains("unknown flag '--jobs'"));
@@ -913,7 +922,7 @@ mod tests {
     }
 
     /// Valid command lines for all four modes: the mutation seeds.
-    const SEED_LINES: [&str; 6] = [
+    const SEED_LINES: [&str; 7] = [
         "--nodes 8 --cores 2 --integration all --l2 2M8w --dram --rac --replicate --ooo \
          --warm 100 --meas 200 --seed 7 --fault-plan f.toml --fault-seed 3 --strict 50 \
          --sanitize --histograms --epoch 10 --epoch-svg e.svg --trace-out t.jsonl \
@@ -921,9 +930,10 @@ mod tests {
          --prof-sample-hz 99 --json-report r.json --trace-events te.json --profile --quiet",
         "--integration l2 --l2 1M4w --nodes 2",
         "--l2 8M1w --warm 0 --meas 1",
-        "--sweep p.toml --jobs 4 --shard 1/2 --checkpoint c.log --watchdog 3 --profile \
+        "--sweep p.toml --jobs 4 --checkpoint c.log --watchdog 3 --profile \
          --trace-events te.json --json-report r.json --quiet",
-        "--sweep-merge out.json a.json b.json --quiet",
+        "--sweep p.toml --shard 1/2 --checkpoint c.log",
+        "--sweep-merge out.json --sweep p.toml a.log b.log --quiet",
         "--validate-jsonl t.jsonl",
     ];
 

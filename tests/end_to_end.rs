@@ -103,10 +103,7 @@ fn identical_seeds_give_identical_reports() {
     let cfg = SystemConfig::paper_base_mp8();
     let a = run(&cfg, 50_000, 50_000);
     let b = run(&cfg, 50_000, 50_000);
-    assert_eq!(a.breakdown, b.breakdown);
-    assert_eq!(a.misses, b.misses);
-    assert_eq!(a.directory, b.directory);
-    assert_eq!(a.transactions, b.transactions);
+    assert_eq!(a, b);
 }
 
 #[test]

@@ -75,27 +75,32 @@ fn sweep_runs_are_in_grid_order_regardless_of_workers() {
 
 #[test]
 fn sharded_sweeps_merge_to_the_single_process_bytes() {
-    use oltp_chip_integration::sweep::{
-        merge_shard_docs, run_sweep_cfg, Shard, SweepConfig,
-    };
+    use oltp_chip_integration::sweep::{merge_logs, run_sweep_cfg, Shard, SweepConfig};
 
     let plan = smoke_plan();
     let full = run_sweep(&plan, 2).expect("full sweep runs").to_json().to_string();
-    let shards: Vec<(String, oltp_chip_integration::obs::json::Json)> = (0..3u32)
+    // Each shard's result is its checkpoint log, written and re-read
+    // exactly like real shard files.
+    let logs: Vec<String> = (0..3u32)
         .map(|index| {
+            let path = std::env::temp_dir()
+                .join(format!("csim-sweep-identity-{}-shard{index}.log", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let path = path.to_string_lossy().into_owned();
             let cfg = SweepConfig {
                 shard: Some(Shard { index, count: 3 }),
                 jobs: 2,
+                checkpoint: Some(path.clone()),
                 ..SweepConfig::default()
             };
-            let out = run_sweep_cfg(&plan, &cfg).expect("shard sweep runs");
-            // Round-trip through text exactly like real shard files.
-            let text = out.to_shard_json().to_string();
-            let doc = oltp_chip_integration::obs::json::parse(&text).expect("shard doc parses");
-            (format!("shard{index}"), doc)
+            run_sweep_cfg(&plan, &cfg).expect("shard sweep runs");
+            path
         })
         .collect();
-    let merged = merge_shard_docs(&shards).expect("shards merge").to_string();
+    let merged = merge_logs(&plan, &logs).expect("shard logs merge").to_json().to_string();
+    for path in &logs {
+        let _ = std::fs::remove_file(path);
+    }
     assert_eq!(merged, full, "3-shard merge must be byte-identical to the full run");
 }
 
