@@ -4,10 +4,9 @@
 //! csim-analyze [workspace-root] [--json [PATH]]
 //! ```
 //!
-//! Runs the six `csim-analyze` passes (layering gate, hot-path lints,
-//! dead-pub audit, panic-freedom, token-level source rules, stale
-//! escapes and unknown directives) over the workspace and prints the
-//! human report. With
+//! Runs the four `csim-analyze` passes (dead-pub audit, panic-freedom,
+//! token-level source rules, stale escapes and unknown directives) over
+//! the workspace and prints the human report. With
 //! `--json` the byte-stable `csim-analyze-report/v1` document is
 //! written to PATH (or stdout when PATH is omitted) — two runs over the
 //! same tree produce byte-identical output, and CI asserts that.

@@ -1,4 +1,4 @@
-//! Pass 3 — the dead-`pub` audit.
+//! Pass 1 — the dead-`pub` audit.
 //!
 //! `pub` is a promise: someone outside the crate uses this. The audit
 //! checks the promise against reality. A `pub` item in shipped library

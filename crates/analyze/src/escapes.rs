@@ -1,4 +1,4 @@
-//! Pass 6 — stale escapes and unknown directives.
+//! Pass 4 — stale escapes and unknown directives.
 //!
 //! Runs after every other pass, over their suppressions. A
 //! `// lint: allow(rule) — reason` marker in shipped code that
@@ -15,10 +15,10 @@
 //! used. A contract the code no longer needs would otherwise sit in the
 //! audited count, and cover the next unchecked index written in reach.
 //!
-//! A shipped `// analyze: <kind>` directive whose kind is not `hot`,
-//! `cold` or `total` is an `unknown-directive`
-//! finding: no pass reads it, so a misspelt or retired directive would
-//! otherwise read as a claim that nothing checks.
+//! A shipped `// analyze: <kind>` directive whose kind is not `total`
+//! is an `unknown-directive` finding: no pass reads it, so a misspelt
+//! or retired directive (such as the former `hot` and `cold` markers)
+//! would otherwise read as a claim that nothing checks.
 //!
 //! Markers outside shipped code are consulted by no pass and are not
 //! checked. None of the three rules has an escape.
@@ -83,8 +83,7 @@ pub fn run(
                 file: file.rel.clone(),
                 line: *line,
                 message: format!(
-                    "`analyze: {directive}` is no known directive (hot, cold, total); no pass \
-                     reads it"
+                    "`analyze: {directive}` is no known directive (total); no pass reads it"
                 ),
                 excerpt: file.line_text(*line).to_string(),
                 chain: Vec::new(),

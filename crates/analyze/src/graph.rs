@@ -5,10 +5,14 @@
 //! crate `core` can see (its transitive dependency closure plus
 //! itself). Qualified calls `Cache::insert(..)` narrow to functions
 //! whose impl target matches. Over-approximation is the right default
-//! for the hot-path and panic-freedom passes — both want "could this
-//! possibly reach X" — and `// analyze: cold` markers give humans a
-//! counted, reasoned way to cut hot-path edges the approximation gets
-//! wrong.
+//! for the panic-freedom pass, which wants "could this possibly reach
+//! X".
+//!
+//! Crate visibility comes from the model's observed `csim_*`
+//! references ([`crate::model::ImportEdge`]), not from the manifests.
+//! rustc refuses an undeclared `csim_*` path, so the observed edges are
+//! a subset of Cargo's; adding the declared but unreferenced edges
+//! changes no reachable function of this workspace.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -84,16 +88,12 @@ impl CallGraph {
         CallGraph { callees, sites, visible }
     }
 
-    /// Breadth-first search forward from `roots`, not entering fns for
-    /// which `cut` returns true (the roots themselves are always
-    /// included). Returns `reached fn id → predecessor fn id`: each
-    /// reached fn maps to the fn it was *first* reached from (roots to
-    /// themselves), so following the map walks a shortest path back to a
-    /// root and never cycles, and findings can print that path.
-    pub fn reach_forward<F>(&self, roots: &[usize], cut: F) -> BTreeMap<usize, usize>
-    where
-        F: Fn(usize) -> bool,
-    {
+    /// Breadth-first search forward from `roots`. Returns `reached fn
+    /// id → predecessor fn id`: each reached fn maps to the fn it was
+    /// *first* reached from (roots to themselves), so following the map
+    /// walks a shortest path back to a root and never cycles, and
+    /// findings can print that path.
+    pub fn reach_forward(&self, roots: &[usize]) -> BTreeMap<usize, usize> {
         let mut pred: BTreeMap<usize, usize> = BTreeMap::new();
         let mut queue: Vec<usize> = Vec::new();
         for &r in roots {
@@ -106,9 +106,6 @@ impl CallGraph {
         while let Some(&f) = queue.get(qi) {
             qi += 1;
             for &g in &self.callees[f] {
-                if cut(g) {
-                    continue;
-                }
                 if let Entry::Vacant(slot) = pred.entry(g) {
                     slot.insert(f);
                     queue.push(g);
@@ -208,16 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn forward_reach_respects_cuts() {
+    fn forward_reach_crosses_crates() {
         let ws = two_crate_ws();
         let g = CallGraph::build(&ws);
         let run = ws.fns.iter().find(|f| f.name == "run").unwrap().id;
-        let probe = ws.fns.iter().find(|f| f.name == "probe").unwrap().id;
         let helper = ws.fns.iter().find(|f| f.name == "helper").unwrap().id;
-        let all = g.reach_forward(&[run], |_| false);
+        let all = g.reach_forward(&[run]);
         assert!(all.contains_key(&helper));
-        let cut = g.reach_forward(&[run], |f| f == probe);
-        assert!(cut.contains_key(&run) && !cut.contains_key(&probe) && !cut.contains_key(&helper));
         let chain = CallGraph::chain(&ws, &all, helper);
         assert_eq!(chain, ["run", "probe", "helper"]);
     }
@@ -237,7 +231,7 @@ mod tests {
         );
         let g = CallGraph::build(&ws);
         let id = |name: &str| ws.fns.iter().find(|f| f.name == name).unwrap().id;
-        let fwd = g.reach_forward(&[id("run")], |_| false);
+        let fwd = g.reach_forward(&[id("run")]);
         assert_eq!(CallGraph::chain(&ws, &fwd, id("visit")), ["run", "step", "visit"]);
     }
 }

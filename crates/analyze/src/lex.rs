@@ -21,8 +21,8 @@
 //!   can be blinded by a unicode literal is not a gate.
 //!
 //! On top of the lexer sits [`markers`], which extracts
-//! `// lint: allow(rule) — reason` and the `// analyze:` directives
-//! (`hot`, `cold`, `total`) from *comment tokens only*: a marker
+//! `// lint: allow(rule) — reason` and `// analyze:` directives
+//! (`total`, or a kind no pass reads) from *comment tokens only*: a marker
 //! spelled inside a string literal cannot fabricate an escape and
 //! suppress a real finding; a directive is only a directive when it is
 //! actually a comment.
@@ -356,21 +356,9 @@ pub enum MarkerKind {
     /// exception to a named rule. The reason is mandatory; a bare
     /// `allow` does not suppress anything.
     Allow {
-        /// The rule being escaped (e.g. `no-panic`, `hot-alloc`).
+        /// The rule being escaped (e.g. `no-panic`, `dead-pub`).
         rule: String,
         /// The stated justification (may be empty — callers reject that).
-        reason: String,
-    },
-    /// `// analyze: hot` — the next function is on the measured hot
-    /// path; `csim-analyze` checks it (and everything it can reach)
-    /// for allocation, float arithmetic, and panicking operations.
-    Hot,
-    /// `// analyze: cold — reason` — the next function is a deliberate
-    /// hot-path boundary (slow path, opt-in instrumentation, reference
-    /// implementation); traversal stops here. The reason is mandatory
-    /// so boundaries stay visible, not silent.
-    Cold {
-        /// Why the boundary is legitimate (empty ⇒ marker is inert).
         reason: String,
     },
     /// `// analyze: total — reason` — a totality contract for the
@@ -426,12 +414,7 @@ pub fn markers(source: &str) -> Vec<Marker> {
             }
         } else if let Some(rest) = body.strip_prefix("analyze:") {
             let rest = rest.trim_start();
-            let reason = |kind: &str| rest.strip_prefix(kind).map(trim_reason);
-            let kind = if rest == "hot" || rest.starts_with("hot ") || rest.starts_with("hot —") {
-                MarkerKind::Hot
-            } else if let Some(reason) = reason("cold") {
-                MarkerKind::Cold { reason }
-            } else if let Some(reason) = reason("total") {
+            let kind = if let Some(reason) = rest.strip_prefix("total").map(trim_reason) {
                 MarkerKind::Total { reason }
             } else {
                 let directive = rest.split_whitespace().next().unwrap_or("").to_string();
@@ -519,18 +502,18 @@ mod tests {
         let src = "\
 // lint: allow(no-panic) — real escape
 let s = \"// lint: allow(no-panic) — fake, inside a string\";
-// analyze: hot
-fn probe() {}
-// analyze: cold — slow path, amortized
-fn refill() {}
+fn probe(v: &[u8]) -> u8 {
+    // analyze: total — the caller passes a non-empty slice
+    v[0]
+}
 ";
         let m = markers(src);
-        assert_eq!(m.len(), 3, "{m:?}");
+        assert_eq!(m.len(), 2, "{m:?}");
         assert_eq!(m[0].line, 1);
         assert!(matches!(&m[0].kind, MarkerKind::Allow { rule, reason }
             if rule == "no-panic" && reason == "real escape"));
-        assert!(matches!(m[1].kind, MarkerKind::Hot) && m[1].line == 3);
-        assert!(matches!(&m[2].kind, MarkerKind::Cold { reason } if reason.contains("slow path")));
+        assert_eq!(m[1].line, 4);
+        assert!(matches!(&m[1].kind, MarkerKind::Total { reason } if reason.contains("non-empty")));
     }
 
     #[test]
@@ -547,19 +530,20 @@ let u = tags[other];
             if reason.contains("pow2 mask")));
         assert_eq!(m[0].line, 1);
         // A reasonless total parses but carries an empty reason — the
-        // model treats that as inert, like reasonless cold.
+        // model treats that as inert.
         assert!(matches!(&m[1].kind, MarkerKind::Total { reason } if reason.is_empty()));
     }
 
     #[test]
     fn directives_of_no_known_kind_parse_as_unknown() {
         let src = "// analyze: pure — no such kind\n// analyze:\n// analyze: hotter\n\
-                   // analyze: publish — retired\n// analyze: unwind — retired\n";
+                   // analyze: publish — retired\n// analyze: unwind — retired\n\
+                   // analyze: hot\n// analyze: cold — retired\n";
         let kinds: Vec<MarkerKind> = markers(src).into_iter().map(|m| m.kind).collect();
         let unknown = |d: &str| MarkerKind::Unknown { directive: d.to_string() };
         assert_eq!(
             kinds,
-            [unknown("pure"), unknown(""), unknown("hotter"), unknown("publish"), unknown("unwind")]
+            ["pure", "", "hotter", "publish", "unwind", "hot", "cold"].map(unknown)
         );
     }
 
@@ -585,13 +569,13 @@ let u = tags[other];
 
     #[test]
     fn prose_mentioning_directives_is_not_a_directive() {
-        let src = "/// Use `// lint: allow(no-panic) — reason` to escape, or mark\n/// a fn with `// analyze: hot` markers.\nfn f() {}\n";
+        let src = "/// Use `// lint: allow(no-panic) — reason` to escape, or mark\n/// a site with `// analyze: total` contracts.\nfn f() {}\n";
         assert!(markers(src).is_empty(), "doc prose must not create markers");
     }
 
     #[test]
     fn line_numbers_track_multiline_tokens() {
-        let src = "let r = r#\"line1\nline2\"#;\n// analyze: hot\nfn g() {}\n";
+        let src = "let r = r#\"line1\nline2\"#;\n// analyze: total — why\nfn g() {}\n";
         let m = markers(src);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].line, 3);

@@ -7,11 +7,14 @@
 //!   (shipped `src/`, binary, tests, examples), its identifier index,
 //!   and its analysis markers;
 //! * a [`FnItem`] per function — name, impl qualifier, 1-based line,
-//!   visibility, `#[cfg(test)]`-ness, hot/cold markers, and the token
-//!   span of its body;
+//!   visibility, `#[cfg(test)]`-ness, its `analyze: total` contract,
+//!   and the token span of its body;
 //! * a [`PubItem`] per `pub` type/fn/const (for the dead-pub audit);
 //! * an [`ImportEdge`] per intra-workspace crate reference found in
-//!   shipped code (for the layering gate).
+//!   shipped code: the call graph's crate visibility, and its only
+//!   use. rustc refuses a `csim_*` path the crate does not declare, so
+//!   these edges are a subset of Cargo's graph; the layering itself is
+//!   checked against Cargo's graph by `tests/layering.rs`.
 //!
 //! The parser is item-level only: it tracks module / impl / trait /
 //! `#[cfg(test)]` scopes and function boundaries, and treats function
@@ -19,7 +22,7 @@
 //! is all four passes need, and it keeps the parser small enough to be
 //! obviously panic-free on arbitrary input.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -37,7 +40,7 @@ pub enum Section {
     /// its own crate's `pub` items.
     Bin,
     /// Integration tests (`tests/` at root or under a crate) — usage
-    /// only; exempt from layering and hot-path rules.
+    /// only; no pass checks them.
     Tests,
     /// `examples/` and `benches/` — usage only.
     Examples,
@@ -76,10 +79,6 @@ pub struct SourceFile {
     pub idents: BTreeSet<String>,
     /// `// lint: allow(rule) — reason` markers, by line.
     pub allows: Vec<(usize, String, String)>,
-    /// `// analyze: hot` marker lines.
-    pub hot_lines: Vec<usize>,
-    /// `// analyze: cold — reason` markers, by line.
-    pub cold_lines: Vec<(usize, String)>,
     /// `// analyze: total — reason` markers (totality contracts for the
     /// panic-freedom pass), by line. Reasonless markers are dropped.
     /// A marker inside a function body contracts the site at/below it;
@@ -156,10 +155,6 @@ pub struct FnItem {
     pub is_pub: bool,
     /// Inside a `#[cfg(test)]` scope (or carrying the attribute).
     pub in_test: bool,
-    /// Marked `// analyze: hot`.
-    pub hot: bool,
-    /// `// analyze: cold — reason` boundary, when marked.
-    pub cold: Option<String>,
     /// `// analyze: total — reason` function-level totality contract,
     /// when a reasoned total marker sits above the `fn` (outside any
     /// body): every partial operation in this function is contracted.
@@ -231,17 +226,14 @@ pub struct PubItem {
     pub span: (usize, usize),
 }
 
-/// One `csim_*` reference in shipped, non-test code.
+/// A `csim_*` reference in shipped, non-test code, one per file and
+/// referenced crate.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ImportEdge {
     /// Importing crate.
     pub from: String,
     /// Imported crate (directory name, e.g. `cache`).
     pub to: String,
-    /// Index into [`Workspace::files`].
-    pub file: usize,
-    /// 1-based line of the first reference in that file.
-    pub line: usize,
 }
 
 /// The parsed workspace.
@@ -353,23 +345,17 @@ impl Workspace {
             }
         }
         let mut allows = Vec::new();
-        let mut hot_lines = Vec::new();
-        let mut cold_lines = Vec::new();
         let mut total_lines = Vec::new();
         let mut unknown_directives = Vec::new();
         for Marker { line, kind } in markers(&source) {
-            // Reasonless cold and total markers are inert.
+            // Reasonless total markers are inert.
             match kind {
                 MarkerKind::Allow { rule, reason } => allows.push((line, rule, reason)),
-                MarkerKind::Hot => hot_lines.push(line),
-                MarkerKind::Cold { reason } if !reason.is_empty() => {
-                    cold_lines.push((line, reason))
-                }
                 MarkerKind::Total { reason } if !reason.is_empty() => {
                     total_lines.push((line, reason))
                 }
                 MarkerKind::Unknown { directive } => unknown_directives.push((line, directive)),
-                MarkerKind::Cold { .. } | MarkerKind::Total { .. } => {}
+                MarkerKind::Total { .. } => {}
             }
         }
         let file_idx = self.files.len();
@@ -381,8 +367,6 @@ impl Workspace {
             toks,
             idents,
             allows,
-            hot_lines,
-            cold_lines,
             total_lines,
             unknown_directives,
         });
@@ -443,7 +427,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
     let n = file.toks.len();
     let mut fns: Vec<FnItem> = Vec::new();
     let mut pubs: Vec<PubItem> = Vec::new();
-    let mut imports: BTreeMap<String, usize> = BTreeMap::new();
+    let mut imports: BTreeSet<String> = BTreeSet::new();
 
     let text = |k: usize| file.text(file.toks[k]);
     let line = |k: usize| file.toks[k].line as usize;
@@ -521,7 +505,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                         && file.toks[i].kind == TokKind::Ident
                     {
                         if let Some(dep) = u.strip_prefix("csim_") {
-                            imports.entry(dep.to_string()).or_insert(line(i));
+                            imports.insert(dep.to_string());
                         }
                     }
                     i += 1;
@@ -633,7 +617,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                         for j in a..b.min(n) {
                             if file.toks[j].kind == TokKind::Ident {
                                 if let Some(dep) = text(j).strip_prefix("csim_") {
-                                    imports.entry(dep.to_string()).or_insert(line(j));
+                                    imports.insert(dep.to_string());
                                 }
                             }
                         }
@@ -663,8 +647,6 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                         line: fn_line,
                         is_pub: pending_pub,
                         in_test,
-                        hot: false,
-                        cold: None,
                         total: None,
                         body,
                     });
@@ -813,7 +795,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                     && file.toks[k].kind == TokKind::Ident
                 {
                     if let Some(dep) = t.strip_prefix("csim_") {
-                        imports.entry(dep.to_string()).or_insert(line(k));
+                        imports.insert(dep.to_string());
                     }
                 }
                 k += 1;
@@ -821,32 +803,13 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
         }
     }
 
-    // Attach hot/cold markers: each marker binds to the first fn whose
-    // `fn` keyword sits strictly after the marker line (attributes and
-    // doc comments in between are fine). A marker with no following fn
-    // is inert.
-    for &ml in &file.hot_lines {
-        if let Some(f) = fns
-            .iter_mut()
-            .filter(|f| f.line > ml)
-            .min_by_key(|f| f.line)
-        {
-            f.hot = true;
-        }
-    }
-    for (ml, why) in &file.cold_lines {
-        if let Some(f) = fns
-            .iter_mut()
-            .filter(|f| f.line > *ml)
-            .min_by_key(|f| f.line)
-        {
-            f.cold = Some(why.clone());
-        }
-    }
     // `// analyze: total` binds at two levels: a marker inside some fn
     // body is site-level (consumed by `total_for` at the finding line);
-    // one outside any body binds fn-level to the next fn like hot/cold,
-    // contracting every partial operation in that function.
+    // one outside any body binds fn-level to the first fn whose `fn`
+    // keyword sits strictly after the marker line (attributes and doc
+    // comments in between are fine), contracting every partial
+    // operation in that function. A marker with no following fn is
+    // inert.
     for (ml, why) in &file.total_lines {
         let inside_body = fns.iter().any(|f| match f.body {
             Some((a, b)) if a < b => {
@@ -869,9 +832,9 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
     }
 
     let from = crate_name.clone();
-    for (to, l) in imports {
+    for to in imports {
         if to != from.replace('-', "_") && ws.crates.iter().any(|c| c.replace('-', "_") == to) {
-            ws.imports.push(ImportEdge { from: from.clone(), to, file: file_idx, line: l });
+            ws.imports.push(ImportEdge { from: from.clone(), to });
         }
     }
     ws.fns.extend(fns);
@@ -951,7 +914,7 @@ mod tests {
         let src = "\
 pub struct Cache { slots: Vec<u64> }
 impl Cache {
-    // analyze: hot
+    // analyze: total — probe reads no index
     #[inline]
     pub fn access(&mut self, line: u64) -> bool { self.probe(line) }
     fn probe(&self, line: u64) -> bool { self.slots.contains(&line) }
@@ -961,7 +924,7 @@ pub fn free_fn() {}
         let ws = ws_with("crates/cache/src/model.rs", "cache", src);
         let names: Vec<String> = ws.fns.iter().map(FnItem::display_name).collect();
         assert_eq!(names, ["Cache::access", "Cache::probe", "free_fn"]);
-        assert!(ws.fns[0].hot, "marker five lines above an attr-decorated fn applies");
+        assert!(ws.fns[0].total.is_some(), "a contract above an attr-decorated fn applies");
         assert!(ws.fns[0].is_pub && !ws.fns[1].is_pub);
         let pubs: Vec<&str> = ws.pub_items.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(pubs, ["Cache", "access", "free_fn"]);
@@ -1028,10 +991,10 @@ fn f() {
     }
 
     #[test]
-    fn cold_markers_require_reasons() {
-        let src = "// analyze: cold\nfn a() {}\n// analyze: cold — slow path\nfn b() {}\n";
+    fn total_contracts_require_reasons() {
+        let src = "// analyze: total\nfn a() {}\n// analyze: total — bounded\nfn b() {}\n";
         let ws = ws_with("crates/core/src/x.rs", "core", src);
-        assert!(ws.fns[0].cold.is_none(), "reasonless cold is inert");
-        assert_eq!(ws.fns[1].cold.as_deref(), Some("slow path"));
+        assert!(ws.fns[0].total.is_none(), "a reasonless contract is inert");
+        assert_eq!(ws.fns[1].total, Some((3, "bounded".to_string())));
     }
 }

@@ -1,4 +1,4 @@
-//! Pass 4 — interprocedural panic-freedom over the CFG/dataflow engine.
+//! Pass 2 — interprocedural panic-freedom over the CFG/dataflow engine.
 //!
 //! The crash-safe sweep engine (DESIGN.md §13) isolates worker panics
 //! at one boundary, and the paper's methodology stands on cycle
@@ -82,7 +82,7 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> PanicFreeResult {
         })
         .map(|f| f.id)
         .collect();
-    let pred = graph.reach_forward(&roots, |_| false);
+    let pred = graph.reach_forward(&roots);
     let field_maps = collect_field_arrays(ws);
     let no_fields = FieldLens::new();
 

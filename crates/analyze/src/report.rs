@@ -17,10 +17,6 @@ pub const REPORT_SCHEMA: &str = "csim-analyze-report/v1";
 /// Which analysis pass produced a finding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Pass {
-    /// Architecture DAG enforcement.
-    Layering,
-    /// Hot-path allocation lint.
-    HotPath,
     /// Dead-`pub` audit.
     DeadPub,
     /// CFG/dataflow panic-freedom proof (entry-point reachability).
@@ -36,8 +32,6 @@ impl Pass {
     /// Stable machine name.
     pub fn name(self) -> &'static str {
         match self {
-            Pass::Layering => "layering",
-            Pass::HotPath => "hot-path",
             Pass::DeadPub => "dead-pub",
             Pass::PanicFree => "panic-free",
             Pass::Source => "source",
@@ -51,8 +45,8 @@ impl Pass {
 pub struct Finding {
     /// Producing pass.
     pub pass: Pass,
-    /// Rule name (`layering`, `hot-alloc`, `no-panic`, `unchecked-index`,
-    /// ...) — also the `lint: allow(..)` key.
+    /// Rule name (`dead-pub`, `no-panic`, `unchecked-index`, ...) — also
+    /// the `lint: allow(..)` key.
     pub rule: String,
     /// Workspace-relative file.
     pub file: String,
@@ -80,20 +74,6 @@ pub struct Suppression {
     pub reason: String,
 }
 
-/// One `// analyze: cold — reason` boundary that cut hot-path
-/// traversal (counted so escapes stay auditable).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ColdBoundary {
-    /// Function display name.
-    pub func: String,
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based line of the `fn`.
-    pub line: usize,
-    /// The mandatory reason.
-    pub reason: String,
-}
-
 /// Aggregated result of all passes.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisReport {
@@ -101,16 +81,12 @@ pub struct AnalysisReport {
     pub findings: Vec<Finding>,
     /// Suppressed findings, sorted.
     pub suppressions: Vec<Suppression>,
-    /// Cold boundaries hit during traversal, sorted.
-    pub cold_boundaries: Vec<ColdBoundary>,
     /// Files scanned.
     pub files_scanned: usize,
     /// Functions in the call graph.
     pub fns_indexed: usize,
     /// Crates analyzed.
     pub crates: usize,
-    /// Hot-marked root functions.
-    pub hot_roots: usize,
     /// `pub` items audited.
     pub pub_items: usize,
     /// Shipped fns reachable from the `csim` entry point and proven
@@ -130,7 +106,6 @@ impl AnalysisReport {
     pub fn sort(&mut self) {
         self.findings.sort();
         self.suppressions.sort();
-        self.cold_boundaries.sort();
     }
 
     /// The deterministic JSON document.
@@ -163,18 +138,6 @@ impl AnalysisReport {
                 ])
             })
             .collect();
-        let cold: Vec<Json> = self
-            .cold_boundaries
-            .iter()
-            .map(|c| {
-                Json::obj([
-                    ("fn", Json::str(&c.func)),
-                    ("file", Json::str(&c.file)),
-                    ("line", Json::UInt(c.line as u64)),
-                    ("reason", Json::str(&c.reason)),
-                ])
-            })
-            .collect();
         Json::obj([
             ("schema", Json::str(REPORT_SCHEMA)),
             (
@@ -183,7 +146,6 @@ impl AnalysisReport {
                     ("crates", Json::UInt(self.crates as u64)),
                     ("files", Json::UInt(self.files_scanned as u64)),
                     ("fns", Json::UInt(self.fns_indexed as u64)),
-                    ("hot_roots", Json::UInt(self.hot_roots as u64)),
                     ("pub_items", Json::UInt(self.pub_items as u64)),
                     ("reachable_fns", Json::UInt(self.reachable_fns as u64)),
                     ("source_files", Json::UInt(self.source_files as u64)),
@@ -192,7 +154,6 @@ impl AnalysisReport {
             ("clean", Json::Bool(self.is_clean())),
             ("findings", Json::Arr(findings)),
             ("suppressions", Json::Arr(suppressions)),
-            ("cold_boundaries", Json::Arr(cold)),
         ])
     }
 
@@ -215,12 +176,6 @@ impl AnalysisReport {
                 let _ = writeln!(out, "  {}:{}: [{}] — {}", s.file, s.line, s.rule, s.reason);
             }
         }
-        if !self.cold_boundaries.is_empty() {
-            let _ = writeln!(out, "cold boundaries ({}):", self.cold_boundaries.len());
-            for c in &self.cold_boundaries {
-                let _ = writeln!(out, "  {}:{}: {} — {}", c.file, c.line, c.func, c.reason);
-            }
-        }
         let source_escapes = self
             .suppressions
             .iter()
@@ -228,14 +183,12 @@ impl AnalysisReport {
             .count();
         let _ = writeln!(
             out,
-            "csim-analyze: {} findings, {} suppressed, {} cold boundaries; {} crates, {} files, {} fns, {} hot roots, {} pub items, {} panic-free reachable fns, {} source-rule files ({} escapes)",
+            "csim-analyze: {} findings, {} suppressed; {} crates, {} files, {} fns, {} pub items, {} panic-free reachable fns, {} source-rule files ({} escapes)",
             self.findings.len(),
             self.suppressions.len(),
-            self.cold_boundaries.len(),
             self.crates,
             self.files_scanned,
             self.fns_indexed,
-            self.hot_roots,
             self.pub_items,
             self.reachable_fns,
             self.source_files,
@@ -252,12 +205,12 @@ mod tests {
     fn sample() -> AnalysisReport {
         let mut r = AnalysisReport {
             findings: vec![Finding {
-                pass: Pass::HotPath,
-                rule: "hot-alloc".into(),
+                pass: Pass::PanicFree,
+                rule: "unchecked-index".into(),
                 file: "crates/x/src/lib.rs".into(),
                 line: 7,
-                message: "allocation reachable from hot fn".into(),
-                excerpt: "v.push(1);".into(),
+                message: "index not proven in bounds".into(),
+                excerpt: "v[i]".into(),
                 chain: vec!["root".into(), "leaf".into()],
             }],
             suppressions: vec![Suppression {
@@ -266,11 +219,9 @@ mod tests {
                 line: 3,
                 reason: "public API surface".into(),
             }],
-            cold_boundaries: Vec::new(),
             files_scanned: 2,
             fns_indexed: 5,
             crates: 2,
-            hot_roots: 1,
             pub_items: 4,
             reachable_fns: 3,
             source_files: 2,
@@ -294,7 +245,7 @@ mod tests {
     fn human_render_mentions_everything() {
         let r = sample();
         let h = r.render_human();
-        assert!(h.contains("[hot-alloc]"));
+        assert!(h.contains("[unchecked-index]"));
         assert!(h.contains("via: root -> leaf"));
         assert!(h.contains("suppressed (1):"));
         assert!(h.contains("1 findings, 1 suppressed"));

@@ -1,4 +1,4 @@
-//! Pass 5 — the token-level source rules.
+//! Pass 3 — the token-level source rules.
 //!
 //! Four contracts that hold for every line of shipped code (`src/` and
 //! `src/bin/` of each crate and of the root package), reachable from an

@@ -19,7 +19,7 @@ fn repo_root() -> &'static Path {
 fn the_workspace_is_clean() {
     let rep = analyze_workspace(repo_root()).expect("workspace loads");
     // A finding that cannot be fixed gets a reasoned `// lint: allow`
-    // or `// analyze: cold` annotation at the site, where reviewers see
+    // or `// analyze: total` annotation at the site, where reviewers see
     // it.
     assert!(
         rep.is_clean(),
@@ -29,7 +29,6 @@ fn the_workspace_is_clean() {
     );
     // The gate only means something if the passes saw the real tree.
     assert!(rep.files_scanned > 100, "only {} files scanned", rep.files_scanned);
-    assert!(rep.hot_roots > 0, "no hot roots — the hot-path pass is not exercising anything");
     assert!(rep.pub_items > 300, "only {} pub items audited", rep.pub_items);
     assert!(
         rep.reachable_fns > 300,

@@ -272,7 +272,6 @@ impl Cache {
     /// `None` on a miss. Touches no counters. Direct-mapped and 2-way
     /// sets — the L1s and several of the paper's L2 points — resolve
     /// inline; wider sets take the out-of-line [`touch_wide`] scan.
-    // analyze: hot
     #[inline(always)]
     fn touch(&mut self, line: u64, bits: u64) -> Option<u64> {
         let key = key_of(line);
@@ -324,7 +323,6 @@ impl Cache {
     /// Looks a line up and updates LRU state. On a write hit the line
     /// becomes dirty and owned. On a miss nothing is allocated — service
     /// the miss and call [`Cache::insert`].
-    // analyze: hot
     #[inline]
     pub fn access(&mut self, line: u64, write: bool) -> Outcome {
         let hit = self.touch(line, if write { WRITTEN } else { 0 }).is_some();
@@ -345,7 +343,6 @@ impl Cache {
     /// A store fused with the pre-store `is_dirty(line)` read: whether
     /// the line was already dirty before this store marked it. See
     /// [`Cache::access_store_was_owned`] for the form the simulator uses.
-    // analyze: hot
     #[inline]
     pub fn access_store_was_dirty(&mut self, line: u64) -> (Outcome, bool) {
         self.access_store_was(line, DIRTY)
@@ -356,7 +353,6 @@ impl Cache {
     /// exactly while its node's L2 copy is modified (stores set the bit,
     /// [`Cache::disown`] clears it at a coherence downgrade), so an
     /// owned store hit needs no ownership walk and no L2 probe.
-    // analyze: hot
     #[inline]
     pub fn access_store_was_owned(&mut self, line: u64) -> (Outcome, bool) {
         self.access_store_was(line, OWNED)
@@ -371,7 +367,6 @@ impl Cache {
     /// this for back-to-back instruction fetches of one line, which
     /// dominate the fetch stream; the counters advance exactly as the
     /// full probe would advance them.
-    // analyze: hot
     #[inline]
     pub fn record_repeat_read_hit(&mut self) {
         self.stats.record_hit(false);
@@ -381,14 +376,12 @@ impl Cache {
     /// of [`Cache::record_repeat_read_hit`], under the same contract,
     /// for a run of back-to-back fetches of one resident line. Counters
     /// are integers, so one `+= n` equals `n` single hits exactly.
-    // analyze: hot
     #[inline]
     pub fn record_repeat_read_hits(&mut self, n: u64) {
         self.stats.record_hits(n);
     }
 
     /// Checks for presence without touching LRU state or statistics.
-    // analyze: hot
     #[inline]
     pub fn contains(&self, line: u64) -> bool {
         let key = key_of(line);
@@ -396,7 +389,6 @@ impl Cache {
     }
 
     /// Whether the line is present and modified. `false` when absent.
-    // analyze: hot
     #[inline]
     pub fn is_dirty(&self, line: u64) -> bool {
         let key = key_of(line);
@@ -411,7 +403,6 @@ impl Cache {
     ///
     /// Panics in debug builds if the line is already present — the caller
     /// must only insert after a miss.
-    // analyze: hot
     #[inline]
     pub fn insert(&mut self, line: u64, dirty: bool) -> Option<Evicted> {
         debug_assert!(!self.contains(line), "inserting line {line:#x} that is already cached");
@@ -496,7 +487,6 @@ impl Cache {
 /// Scans the whole set unconditionally: at most one slot can match, so
 /// the last match is the match, and the branch-free body lets the
 /// compiler vectorize the key compare.
-// analyze: hot
 #[inline(never)]
 fn touch_wide(slots: &mut [u64], key: u64, bits: u64) -> Option<u64> {
     let mut hit = usize::MAX;

@@ -421,7 +421,6 @@ impl<S: ReferenceStream> Simulation<S> {
     /// ([`csim_trace::pipeline`]), and a pull here only copies words
     /// out of a ring; `tests/pipeline_identity.rs` proves the reports
     /// equal to the direct streams'.
-    // analyze: hot
     // analyze: total — stream s owns batch_cols[s*BURST_COLS..][..BURST_COLS] and next_burst returns 1..=cap words by its trait contract, so every head and len stay inside that window and the span fits every column; try_new builds one stream per core on equal-sized nodes, so the node/core counters stay on the grid
     fn advance(&mut self, rounds: u64) {
         // Publish the host profiler's region once per advance call (one
@@ -489,7 +488,6 @@ impl<S: ReferenceStream> Simulation<S> {
     /// line so the uniprocessor loop's code generation does not depend
     /// on the interleaved body beside it: inlined there, it has measured
     /// from flat to about 7% slower on one stream.
-    // analyze: hot
     // analyze: total — try_new rejects zero-core configs, so node 0 has core 0; col is indexed below col.len()
     #[inline(never)]
     fn span_one_stream(&mut self, col: &[u64]) {
@@ -533,7 +531,6 @@ impl<S: ReferenceStream> Simulation<S> {
     /// Hands the observer a cumulative snapshot of the machine-wide
     /// counters at an epoch boundary. O(nodes x cores): cheap relative
     /// to the epoch of work it closes.
-    // analyze: cold — epoch-boundary bookkeeping: snapshots machine-wide counters once per epoch (thousands of references), never per reference
     fn close_epoch(&mut self) {
         let mut breakdown = ExecBreakdown::default();
         let mut misses = 0;
@@ -796,7 +793,6 @@ impl<S: ReferenceStream> Simulation<S> {
     /// The slow back half of [`Simulation::access`]: an L1 write
     /// hit still needing the ownership walk, or an L1 miss heading into
     /// the L2 and the coherence machinery.
-    // analyze: cold — the miss path runs once per L1 miss (or owned-store walk), not once per reference, and reaches the sanitizer's messages, observer events and directory slab growth on purpose
     // analyze: total — node ids come from the dispatch loop's walk over the node grid (try_new) or are directory-reported homes/owners/sharers, which the directory reduces modulo the node count
     #[inline(never)]
     fn access_below_l1(

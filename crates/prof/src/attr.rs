@@ -124,7 +124,6 @@ impl Attribution {
     /// fault-free base `base`, recorded under histogram row `class`,
     /// split according to miss shape `shape`. The component shares sum
     /// to exactly `actual`.
-    // analyze: hot
     #[inline]
     // analyze: total — Component::index()/MissClass::index() are variant positions and the cells matrix is sized COMPONENTS x CLASSES at construction
     pub fn record(&mut self, class: MissClass, shape: StallClass, base: u64, actual: u64) {
@@ -157,7 +156,6 @@ impl Attribution {
     /// Records NACK/retry backoff cycles: pure fault overhead with no
     /// fault-free base, so the whole latency lands in
     /// [`Component::FaultExtra`] under [`MissClass::NackRetry`].
-    // analyze: hot
     #[inline]
     // analyze: total — Component::index()/MissClass::index() are variant positions and the cells matrix is sized COMPONENTS x CLASSES at construction
     pub fn record_nack(&mut self, cycles: u64) {

@@ -47,7 +47,6 @@ pub const CHECKPOINT_SCHEMA: &str = "csim-sweep-checkpoint/v1";
 /// error and all burst errors up to 32 bits in a record. Bitwise — the
 /// log is written once per completed *simulation*, so a table-free
 /// implementation is plenty and keeps the crate dependency-free.
-// analyze: hot
 fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -319,7 +318,6 @@ impl CheckpointLog {
     /// Opens (or creates) the log at `path` for the given plan/shard:
     /// [`read`]s it, refuses a header of another shard, compacts the
     /// surviving records back to disk, and reopens for appending.
-    // analyze: cold — checkpoint open/replay happens once per sweep process, never on the per-reference simulation path
     pub(crate) fn open(
         path: &str,
         plan: &SweepPlan,
@@ -356,7 +354,6 @@ impl CheckpointLog {
     ///
     /// [`SweepError::Checkpoint`] for the write that fails, once; the
     /// caller reports it and keeps sweeping.
-    // analyze: cold — one small write per completed simulation, amortized over millions of simulated references
     pub(crate) fn append(&mut self, point: &PointOutcome) -> Result<(), SweepError> {
         let Some(file) = &mut self.file else { return Ok(()) };
         let line = encode_line(&record_json(point).to_string());

@@ -64,7 +64,6 @@ impl Shard {
 
     /// Whether grid point `point_index` belongs to this shard. This is
     /// the per-point dispatch — pure integer arithmetic, no allocation.
-    // analyze: hot
     pub fn owns(&self, point_index: usize) -> bool {
         point_index % self.count as usize == self.index as usize
     }

@@ -105,7 +105,6 @@ fn stripe_index() -> usize {
 
 /// Publishes the calling thread's current region: one relaxed store
 /// (plus a predictable lazy-init branch on the thread's first call).
-// analyze: hot
 #[inline]
 pub fn set_region(region: Region) {
     // Relaxed is enough: the sampler tolerates stale reads of this
@@ -117,7 +116,6 @@ pub fn set_region(region: Region) {
 /// The calling thread's currently published region — used by nested
 /// markers (e.g. burst refill inside the advance loop) to restore the
 /// enclosing region on exit.
-// analyze: hot
 #[inline]
 pub fn current_region() -> Region {
     // analyze: total — stripe_index masks the stripe counter with STRIPES - 1, and SLOTS holds STRIPES entries

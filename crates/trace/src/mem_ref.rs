@@ -127,7 +127,6 @@ impl MemRef {
     /// [`crate::ReferenceStream::next_burst`]. One word per reference
     /// instead of a three-field struct halves the burst buffer's share of
     /// memory traffic on the simulator's hottest path.
-    // analyze: hot
     #[inline]
     pub fn pack(self) -> u64 {
         debug_assert!(self.addr <= PACKED_ADDR_MASK, "address {:#x} exceeds the packable range", self.addr);
@@ -137,7 +136,6 @@ impl MemRef {
     }
 
     /// Unpacks a word produced by [`MemRef::pack`].
-    // analyze: hot
     #[inline]
     pub fn unpack(word: u64) -> Self {
         let access = match word >> PACKED_ACCESS_SHIFT & 0x3 {

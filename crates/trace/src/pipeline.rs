@@ -432,7 +432,6 @@ impl PipeStream {
 
     /// Waits until the producer publishes words on this stream's ring,
     /// or raises the producer's panic if it stopped.
-    // analyze: cold — the consumer has run out of words: it waits for the producer, whose burst refill takes far longer than this path
     fn wait_for_words(&self, ring: &Ring) {
         let enclosing = hostprof::current_region();
         hostprof::set_region(Region::WorkloadWait);
@@ -459,7 +458,6 @@ impl ReferenceStream for PipeStream {
 
     /// Hands out the current chunk's words, up to `out.len()`, taking
     /// the next chunk only when the current one is used up.
-    // analyze: hot
     // analyze: total — n is at most out.len(), so the slice stays inside out
     fn next_burst(&mut self, out: &mut [u64]) -> usize {
         if self.left == 0 {

@@ -42,7 +42,6 @@ impl SimRng {
 
     /// The next 64 uniformly distributed bits.
     #[inline]
-    // analyze: hot
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -69,7 +68,6 @@ impl SimRng {
     /// Panics if the range is empty (an internal invariant: all callers
     /// draw from validated, non-empty parameter ranges).
     #[inline]
-    // analyze: hot
     pub fn gen_range(&mut self, range: Range<u64>) -> u64 {
         assert!(range.start < range.end, "gen_range: empty or inverted range");
         let span = range.end - range.start;
@@ -78,7 +76,6 @@ impl SimRng {
 
     /// A uniform draw from a `usize` range (half-open).
     #[inline]
-    // analyze: hot
     pub fn gen_range_usize(&mut self, range: Range<usize>) -> usize {
         self.gen_range(range.start as u64..range.end as u64) as usize
     }

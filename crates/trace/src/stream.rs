@@ -38,7 +38,6 @@ pub trait ReferenceStream {
     /// # Panics
     ///
     /// Implementations may panic when `out` is empty.
-    // analyze: hot
     #[inline]
     fn next_burst(&mut self, out: &mut [u64]) -> usize {
         // analyze: total — the trait contract requires a non-empty out buffer (documented panic); the engine's dispatch loop passes columns of 1..=BURST_COLS words

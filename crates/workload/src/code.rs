@@ -57,7 +57,6 @@ impl CodeRegion {
     }
 
     /// Starts execution at a popularity-sampled function.
-    // analyze: hot
     #[inline]
     pub fn entry(&self, rng: &mut SimRng) -> CodeCursor {
         // Scramble the sampled popularity rank so that hot functions are

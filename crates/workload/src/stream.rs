@@ -39,15 +39,31 @@ const DBWR_SCAN_LINES: u64 = 40;
 /// I/O buffer lines one daemon burst stages.
 const DAEMON_IO_LINES: u64 = 8;
 
+/// Most recently dirtied lines the database writer's queue keeps; a
+/// push onto a full queue drops the oldest.
+const DIRTY_QUEUE_LINES: usize = 256;
+
 /// State shared by every process on every node: the redo log tail, commit
 /// accounting, and the recently-dirtied block lines the database writer
 /// flushes.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SharedOltpState {
     log_tail_bytes: AtomicU64,
     pending_commits: AtomicU64,
     txns_completed: AtomicU64,
     recent_dirty: Mutex<VecDeque<Addr>>,
+}
+
+impl Default for SharedOltpState {
+    /// The dirty queue is allocated at its cap, so pushes never grow it.
+    fn default() -> Self {
+        SharedOltpState {
+            log_tail_bytes: AtomicU64::new(0),
+            pending_commits: AtomicU64::new(0),
+            txns_completed: AtomicU64::new(0),
+            recent_dirty: Mutex::new(VecDeque::with_capacity(DIRTY_QUEUE_LINES)),
+        }
+    }
 }
 
 impl SharedOltpState {
@@ -66,7 +82,7 @@ impl SharedOltpState {
     // usable: recover the guard rather than add a panic path.
     fn push_dirty(&self, addr: Addr) {
         let mut q = self.recent_dirty.lock().unwrap_or_else(|e| e.into_inner());
-        if q.len() >= 256 {
+        if q.len() >= DIRTY_QUEUE_LINES {
             q.pop_front();
         }
         q.push_back(addr);
@@ -442,11 +458,11 @@ impl NodeWorkload {
     /// Appends one packed word to the burst buffer. The buffer was
     /// allocated with room for the largest burst, so the push writes
     /// into that room and the whole refill cone stays heap-free.
-    // analyze: hot
     #[inline]
     fn emit(&mut self, word: u64) {
         debug_assert!(self.buf.len() < self.buf.capacity(), "a burst outgrew burst_bound");
-        // lint: allow(hot-alloc) — never grows: the buffer is allocated at burst_bound words and no refill emits more (the bursts_stay_within_the_bound test drives every recipe, with every instruction taking a data reference)
+        // The bursts_stay_within_the_bound test holds that bound: it drives
+        // every recipe, with every instruction taking a data reference.
         self.buf.push(word);
     }
 
@@ -791,7 +807,6 @@ impl NodeWorkload {
     /// Produces the next scheduling burst into the buffer. Cold relative
     /// to the per-reference pop in `next_ref` (a burst is thousands of
     /// references), so it is kept out of the consumer's inlined fast path.
-    // analyze: cold — amortized burst refill: runs once per thousands of references and builds whole transaction blocks off the per-reference path
     #[cold]
     #[inline(never)]
     fn refill(&mut self) {
@@ -812,7 +827,6 @@ impl NodeWorkload {
     // (fixed-point thresholds, `ZipfTable::sample_u53`) and preallocated
     // storage (`emit` into the fixed burst buffer, stack scratch for the
     // dbwr flush) — no allocation or float findings are deferred.
-    // analyze: hot
     fn refill_burst(&mut self) {
         debug_assert!(self.buf.is_empty(), "refill into a non-empty burst buffer");
         if self.runs_lgwr
@@ -845,7 +859,6 @@ impl NodeWorkload {
 }
 
 impl ReferenceStream for NodeWorkload {
-    // analyze: hot
     #[inline]
     fn next_ref(&mut self) -> MemRef {
         loop {
@@ -867,7 +880,6 @@ impl ReferenceStream for NodeWorkload {
     /// RNG draw and shared-state mutation inside it) occurs at the same
     /// stream positions under either consumption style, and the words
     /// handed out are the same bytes `next_ref` would unpack.
-    // analyze: hot
     #[inline]
     fn next_burst(&mut self, out: &mut [u64]) -> usize {
         debug_assert!(!out.is_empty());

@@ -85,7 +85,6 @@ impl Schema {
     /// 85/15 home/remote rule. The draw `next_u64() >> 11` is exactly
     /// what `gen_f64` would consume, so the RNG stream and the decision
     /// are bit-identical to the float comparison.
-    // analyze: hot
     pub fn pick_account(&self, rng: &mut SimRng, branch: u64) -> u64 {
         if rng.next_u64() >> 11 < self.home_thresh {
             branch * self.accounts_per_branch + rng.gen_range(0..self.accounts_per_branch)

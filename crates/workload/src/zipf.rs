@@ -97,7 +97,6 @@ impl ZipfTable {
     /// `floor(c * 2^53)` against `n` decides `c < n * 2^-53` exactly — the
     /// float draw `n * 2^-53` is itself exact (`n` has at most 53
     /// significant bits).
-    // analyze: hot
     #[inline]
     // analyze: total — coarse holds COARSE_BINS+1 monotone offsets each <= thresh.len() and k is clamped to COARSE_BINS-1, so lo <= hi <= thresh.len()
     pub fn sample_u53(&self, n: u64) -> u64 {
@@ -135,7 +134,6 @@ fn normalized_cdf(n: u64, s: f64) -> Vec<f64> {
 /// invariant (`base` never passes an element `>= n`, `base + size` never
 /// trails one `< n`), so the caller's answer is identical to the
 /// `partition_point` it replaces — only the instruction mix changes.
-// analyze: hot
 #[inline]
 fn branchless_partition(window: &[u64], n: u64) -> u64 {
     let mut base = 0usize;
