@@ -6,11 +6,13 @@
 //! builds hermetically): each benchmark is timed over a fixed operation
 //! count after a short warm-up, reporting ns/op and Mops/s.
 //!
-//! The run ends with the cache-kernel race: the slot-word [`Cache`]
+//! The run ends with the cache-kernel races: the slot-word [`Cache`]
 //! against [`ReferenceCache`], the implementation it replaced, on one
-//! access stream in alternating rounds. The process exits 1 when the
-//! slot-word kernel's median rate falls below the reference's: the
-//! optimized probe must never lose to the code it replaced.
+//! access stream in alternating rounds, at both slot widths the
+//! simulator builds — the 32-bit words of its 8M1w L2 and the 64-bit
+//! words of its 64K2w L1. The process exits 1 when either slot-word
+//! kernel's median rate falls below the reference's: the optimized
+//! probe must never lose to the code it replaced.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -19,7 +21,7 @@ use csim_bench::ReferenceCache;
 use csim_cache::Cache;
 use csim_coherence::Directory;
 use csim_config::{CacheGeometry, SystemConfig};
-use csim_core::Simulation;
+use csim_core::{Simulation, LINE_BITS};
 use csim_trace::{ReferenceStream, SimRng};
 use csim_workload::{OltpParams, OltpWorkload};
 
@@ -44,13 +46,13 @@ fn bench(name: &str, n: u64, mut f: impl FnMut()) {
 fn bench_cache() {
     let geom = CacheGeometry::new(2 << 20, 8, 64).expect("valid geometry");
 
-    let mut cache = Cache::new(geom);
+    let mut cache = Cache::with_line_bits(geom, LINE_BITS);
     cache.insert(42, false);
     bench("cache/l2_hit", 10_000_000, || {
         black_box(cache.access(black_box(42), false));
     });
 
-    let mut cache = Cache::new(geom);
+    let mut cache = Cache::with_line_bits(geom, LINE_BITS);
     let mut line = 0u64;
     bench("cache/l2_miss_insert_evict", 10_000_000, || {
         line = line.wrapping_add(4096); // new set each time
@@ -133,16 +135,14 @@ fn median(values: &mut [f64]) -> f64 {
     }
 }
 
-/// Races the slot-word [`Cache`] against [`ReferenceCache`] and returns
-/// whether the slot-word median rate is at least the reference's.
-fn race_cache_kernels() -> bool {
-    // The default configuration's 8 MB direct-mapped off-chip L2: the
-    // largest slot array the simulator probes.
-    let geometry = CacheGeometry::new(8 << 20, 1, 64).expect("valid geometry");
+/// Races the slot-word [`Cache`] the simulator builds for `geometry`
+/// (named `name`) against [`ReferenceCache`] and returns whether the
+/// slot-word median rate is at least the reference's.
+fn race_cache_kernels(name: &str, geometry: CacheGeometry) -> bool {
     // 2x the line capacity keeps hits, misses and evictions all
     // frequent, so both the probe and the insert/evict paths weigh in.
     let line_mask = 2 * geometry.lines() - 1;
-    let mut fast = Cache::new(geometry);
+    let mut fast = Cache::with_line_bits(geometry, LINE_BITS);
     let mut slow = ReferenceCache::new(geometry);
     let mut time_fast = || {
         cache_kernel_rate(line_mask, |line, write| {
@@ -177,7 +177,7 @@ fn race_cache_kernels() -> bool {
     let wins = fast_rates.iter().zip(&slow_rates).filter(|(f, s)| f > s).count();
     let (fast_median, slow_median) = (median(&mut fast_rates), median(&mut slow_rates));
     println!(
-        "cache kernel race (8M1w, {RACE_ROUNDS} rounds of {RACE_OPS} ops): slot-word {:.2} Mops/s, \
+        "cache kernel race ({name}, {RACE_ROUNDS} rounds of {RACE_OPS} ops): slot-word {:.2} Mops/s, \
          reference {:.2} Mops/s median ({:.2}x), slot-word wins {wins}/{RACE_ROUNDS}",
         fast_median / 1e6,
         slow_median / 1e6,
@@ -192,8 +192,14 @@ fn main() {
     bench_directory();
     bench_workload();
     bench_simulation();
-    if !race_cache_kernels() {
-        eprintln!("FAIL: the slot-word cache kernel is slower than ReferenceCache");
+    // The default configuration's 8 MB direct-mapped off-chip L2 (the
+    // largest slot array the simulator probes, 32-bit words) and the
+    // 64 KB 2-way L1 (64-bit words).
+    let races = [("8M1w", 8 << 20, 1), ("64K2w", 64 << 10, 2)].map(|(name, size, assoc)| {
+        race_cache_kernels(name, CacheGeometry::new(size, assoc, 64).expect("valid geometry"))
+    });
+    if races.contains(&false) {
+        eprintln!("FAIL: a slot-word cache kernel is slower than ReferenceCache");
         std::process::exit(1);
     }
 }

@@ -36,4 +36,4 @@ mod sim;
 pub use error::{CoherenceViolation, SimError};
 pub use export::{run_report_json, RUN_REPORT_SCHEMA};
 pub use report::{MissBreakdown, RacStats, SimReport};
-pub use sim::Simulation;
+pub use sim::{Simulation, LINE_BITS};

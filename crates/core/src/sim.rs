@@ -19,6 +19,13 @@ use crate::report::{MissBreakdown, RacStats, SimReport};
 /// The directory's node-set representation caps the machine size.
 const MAX_NODES: usize = 64;
 
+/// Every line the simulator probes is below `2^LINE_BITS`: packed
+/// reference words carry 48-bit byte addresses ([`PACKED_ADDR_MASK`]) of
+/// `LINE_SIZE`-byte lines, so 42. Each cache is built for this bound, and
+/// [`Cache::with_line_bits`] gives the ones with 4,096 or more sets
+/// (the L2s and RACs) 32-bit slot words; the L1s stay 64-bit.
+pub const LINE_BITS: u32 = PACKED_ADDR_MASK.count_ones() - LINE_SIZE.trailing_zeros();
+
 /// One processor core: private L1s, a timing model, and its share of the
 /// execution-time breakdown.
 #[derive(Debug)]
@@ -176,15 +183,15 @@ impl<S: ReferenceStream> Simulation<S> {
             .map(|_| Node {
                 cores: (0..cfg.cores_per_node())
                     .map(|_| Core {
-                        l1i: Cache::new(cfg.l1i()),
-                        l1d: Cache::new(cfg.l1d()),
+                        l1i: Cache::with_line_bits(cfg.l1i(), LINE_BITS),
+                        l1d: Cache::with_line_bits(cfg.l1d(), LINE_BITS),
                         timing: Timing::for_model(cfg.processor()),
                         bd: ExecBreakdown::default(),
                         last_ifetch_line: NO_IFETCH_MEMO,
                     })
                     .collect(),
-                l2: Cache::new(cfg.l2().geometry),
-                rac: cfg.rac().map(|r| Cache::new(r.geometry)),
+                l2: Cache::with_line_bits(cfg.l2().geometry, LINE_BITS),
+                rac: cfg.rac().map(|r| Cache::with_line_bits(r.geometry, LINE_BITS)),
                 misses: MissBreakdown::default(),
                 rac_stats: RacStats::default(),
                 upgrades: 0,

@@ -17,6 +17,7 @@
 use csim_bench::ReferenceCache;
 use oltp_chip_integration::cache::{Cache, Evicted};
 use oltp_chip_integration::config::CacheGeometry;
+use oltp_chip_integration::sim::LINE_BITS;
 use oltp_chip_integration::sweep::{run_sweep, SweepPlan, SWEEP_REPORT_SCHEMA};
 use oltp_chip_integration::trace::SimRng;
 
@@ -151,22 +152,28 @@ fn a_panicking_point_leaves_the_rest_of_the_sweep_alive() {
     );
 }
 
-/// Drives both implementations through an identical operation stream and
+/// Drives `fast` and a [`ReferenceCache`] of its geometry through an
+/// identical operation stream over the lines below `2^line_bits`, and
 /// compares every observable: probe results, eviction identities, and
 /// the full statistics block.
-fn differential_drive(geometry: CacheGeometry, ops: u64, seed: u64) {
-    let mut fast = Cache::new(geometry);
-    let mut reference = ReferenceCache::new(geometry);
+fn differential_drive(mut fast: Cache, line_bits: u32, ops: u64, seed: u64) {
+    let mut reference = ReferenceCache::new(fast.geometry());
     let mut rng = SimRng::seed_from_u64(seed);
+    let top = (1u64 << line_bits) - 1;
     // A mix of page-local reuse and scatter, roughly like the workload:
-    // ~2^14 hot lines plus a cold tail.
+    // ~2^14 hot lines, half of them mirrored to the top of the line bound
+    // (where every high tag bit is set), plus a cold tail. The mirror bit
+    // (39) is none of the class, write, op or invalidate bits, so lines
+    // at the bound meet every operation, access and insert alike.
     let mut last = 0u64;
     for i in 0..ops {
         let r = rng.next_u64();
+        let hot = r >> 40 & 0x3FFF;
         let line = match r % 8 {
-            0..=4 => r >> 40 & 0x3FFF,            // hot set, reused
-            5 | 6 => last.wrapping_add(1),        // spatial neighbor
-            _ => r >> 16,                         // cold scatter
+            0..=4 if r >> 39 & 1 == 1 => top - hot, // hot set at the bound
+            0..=4 => hot,                           // hot set, reused
+            5 | 6 => (last + 1) & top,              // spatial neighbor
+            _ => r >> 16 & top,                     // cold scatter
         };
         last = line;
         let write = r & 1 == 0;
@@ -216,7 +223,7 @@ fn optimized_cache_matches_reference_on_a_million_ops() {
     // the branch-free scan used for 4-way and wider).
     for assoc in [1u32, 2, 4, 8] {
         let geometry = CacheGeometry::new(1 << 20, assoc, 64).expect("valid geometry");
-        differential_drive(geometry, 250_000, 0xD1FF + u64::from(assoc));
+        differential_drive(Cache::new(geometry), 48, 250_000, 0xD1FF + u64::from(assoc));
     }
 }
 
@@ -226,7 +233,7 @@ fn optimized_cache_matches_reference_on_non_power_of_two_geometry() {
     // multiply-shift set index (not a mask) that the power-of-two fast
     // path must not disturb.
     let geometry = CacheGeometry::new((5 << 20) / 4, 4, 64).expect("valid geometry");
-    differential_drive(geometry, 1_000_000, 0xBEEF);
+    differential_drive(Cache::new(geometry), 48, 1_000_000, 0xBEEF);
 }
 
 #[test]
@@ -236,7 +243,7 @@ fn optimized_cache_matches_reference_on_non_power_of_two_direct_mapped() {
     // does not reach.
     for (size, assoc, seed) in [(3u64 << 16, 1u32, 0xACE1u64), ((5 << 20) / 4, 8, 0xACE8)] {
         let geometry = CacheGeometry::new(size, assoc, 64).expect("valid geometry");
-        differential_drive(geometry, 250_000, seed);
+        differential_drive(Cache::new(geometry), 48, 250_000, seed);
     }
 }
 
@@ -246,7 +253,29 @@ fn optimized_cache_matches_reference_on_l1_and_rac_geometries() {
     // the largest slot arrays it probes, each set one host cache line.
     for (size, assoc, seed) in [(64u64 << 10, 2u32, 0x11u64), (8 << 20, 8, 0x8AC)] {
         let geometry = CacheGeometry::new(size, assoc, 64).expect("valid geometry");
-        differential_drive(geometry, 250_000, seed);
+        differential_drive(Cache::new(geometry), 48, 250_000, seed);
+    }
+}
+
+#[test]
+fn narrow_caches_match_reference_up_to_the_simulators_line_bound() {
+    // The caches the simulator builds with 32-bit slot words (4,096 or
+    // more sets at its 42-bit line bound), driven up to the top of that
+    // bound, where tags reach 2^30 - 1: the 2M8w L2 at exactly 4,096
+    // sets, the 8M8w RAC, the 8M1w L2 and the non-power-of-two 1.25M4w
+    // L2. Last, 2M8w at one bit more, wide by the same rule, whose top
+    // tags need a 31st bit; and the 64K2w L1, wide at the bound.
+    for (size, assoc, line_bits, seed) in [
+        (2u64 << 20, 8u32, LINE_BITS, 0x2808u64),
+        (8 << 20, 8, LINE_BITS, 0x8808),
+        (8 << 20, 1, LINE_BITS, 0x8801),
+        ((5 << 20) / 4, 4, LINE_BITS, 0x1254),
+        (2 << 20, 8, LINE_BITS + 1, 0x2843),
+        (64 << 10, 2, LINE_BITS, 0x6402),
+    ] {
+        let geometry = CacheGeometry::new(size, assoc, 64).expect("valid geometry");
+        let fast = Cache::with_line_bits(geometry, line_bits);
+        differential_drive(fast, line_bits, 250_000, seed);
     }
 }
 
