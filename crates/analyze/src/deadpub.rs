@@ -4,10 +4,8 @@
 //! checks the promise against reality. A `pub` item in shipped library
 //! code is *dead* when its name appears in no other workspace crate, no
 //! test, no example/bench, and no binary — i.e. nothing outside its own
-//! `src/` tree mentions it. Dead items should either lose their `pub`
-//! (or the item entirely) or carry a `// lint: allow(dead-pub) — reason`
-//! explaining why the surface is intentional (facade re-exports,
-//! prelude members, API kept for downstream users).
+//! `src/` tree mentions it. Dead items lose their `pub` (or the item
+//! entirely); the audit has no escape.
 //!
 //! The usage index is name-based (every identifier in every file), so
 //! the audit over-approximates *liveness*, never deadness: a false
@@ -16,14 +14,14 @@
 //! unreferenced. That is the safe direction for a hard CI gate.
 
 use crate::model::{Section, Workspace};
-use crate::report::{Finding, Pass, Suppression};
+use crate::report::{Finding, Pass};
 
 /// Names that are conventionally pub without external callers: trait
 /// methods and well-known constructors invoked through generic code.
 const CONVENTIONAL: &[&str] = &["new", "default", "fmt", "clone", "drop", "next", "eq", "cmp"];
 
 /// Runs the audit.
-pub fn run(ws: &Workspace) -> (Vec<Finding>, Vec<Suppression>) {
+pub fn run(ws: &Workspace) -> Vec<Finding> {
     // Phase 1 — external liveness: which pub items does some *consumer
     // context* mention? A use inside the defining crate's own src/
     // does not count (that's the definition and its plumbing).
@@ -108,23 +106,13 @@ pub fn run(ws: &Workspace) -> (Vec<Finding>, Vec<Suppression>) {
         }
     }
 
-    let mut findings = Vec::new();
-    let mut suppressions = Vec::new();
-    for &pi in &audited {
-        if live[pi] {
-            continue;
-        }
-        let item = &ws.pub_items[pi];
-        let def_file = &ws.files[item.file];
-        if let Some(reason) = def_file.allow_for("dead-pub", item.line) {
-            suppressions.push(Suppression {
-                rule: "dead-pub".into(),
-                file: def_file.rel.clone(),
-                line: item.line,
-                reason: reason.to_string(),
-            });
-        } else {
-            findings.push(Finding {
+    audited
+        .into_iter()
+        .filter(|&pi| !live[pi])
+        .map(|pi| {
+            let item = &ws.pub_items[pi];
+            let def_file = &ws.files[item.file];
+            Finding {
                 pass: Pass::DeadPub,
                 rule: "dead-pub".into(),
                 file: def_file.rel.clone(),
@@ -137,10 +125,9 @@ pub fn run(ws: &Workspace) -> (Vec<Finding>, Vec<Suppression>) {
                 ),
                 excerpt: def_file.line_text(item.line).to_string(),
                 chain: Vec::new(),
-            });
-        }
-    }
-    (findings, suppressions)
+            }
+        })
+        .collect()
 }
 
 /// True when `name` appears inside a `#[cfg(test)]` region of the file
@@ -185,7 +172,7 @@ mod tests {
             Section::Src,
             "fn go() { csim_cache::used_by_core(); }\n",
         )]);
-        let (findings, _) = run(&ws);
+        let findings = run(&ws);
         let names: Vec<&str> =
             findings.iter().map(|f| f.excerpt.trim_start_matches("pub fn ")).collect();
         assert_eq!(findings.len(), 1, "{findings:?}");
@@ -201,7 +188,7 @@ mod tests {
             ("examples/e.rs", "(root)", Section::Examples, "fn main() { by_example(); }\n"),
             ("crates/cache/src/bin/tool.rs", "cache", Section::Bin, "fn main() { by_bin(); }\n"),
         ]);
-        let (findings, _) = run(&ws);
+        let findings = run(&ws);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -214,22 +201,8 @@ mod tests {
             "pub fn covered() -> u64 { 7 }\n\
              #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert_eq!(super::covered(), 7); }\n}\n",
         )]);
-        let (findings, _) = run(&ws);
+        let findings = run(&ws);
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn allow_with_reason_suppresses() {
-        let ws = ws_of(&[(
-            "crates/cache/src/lib.rs",
-            "cache",
-            Section::Src,
-            "// lint: allow(dead-pub) — public API surface for downstream users\npub fn api() {}\n",
-        )]);
-        let (findings, supp) = run(&ws);
-        assert!(findings.is_empty(), "{findings:?}");
-        assert_eq!(supp.len(), 1);
-        assert!(supp[0].reason.contains("downstream"));
     }
 
     #[test]
@@ -245,7 +218,7 @@ mod tests {
             Section::Src,
             "fn go() { csim_cache::also_c(); let _ = csim_cache::C::new(); }\n",
         )]);
-        let (findings, _) = run(&ws);
+        let findings = run(&ws);
         assert!(findings.is_empty(), "{findings:?}");
     }
 }

@@ -20,12 +20,12 @@
 //!   silently corrupts everything after it on the line — a gate that
 //!   can be blinded by a unicode literal is not a gate.
 //!
-//! On top of the lexer sits [`markers`], which extracts
-//! `// lint: allow(rule) — reason` and `// analyze:` directives
-//! (`total`, or a kind no pass reads) from *comment tokens only*: a marker
-//! spelled inside a string literal cannot fabricate an escape and
-//! suppress a real finding; a directive is only a directive when it is
-//! actually a comment.
+//! On top of the lexer sits [`markers`], which extracts `// analyze:`
+//! directives (`total`, or a kind no pass reads) and `// lint:` lines
+//! (a kind no pass reads) from *comment tokens only*: a marker spelled
+//! inside a string literal cannot fabricate a contract and discharge a
+//! real finding; a directive is only a directive when it is actually a
+//! comment.
 
 /// Control-flow keyword classes, for CFG construction.
 ///
@@ -352,15 +352,6 @@ fn char_or_lifetime(src: &str, i: usize) -> (TokKind, usize) {
 /// A source directive extracted from a comment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MarkerKind {
-    /// `// lint: allow(<rule>) — reason` — a counted, documented
-    /// exception to a named rule. The reason is mandatory; a bare
-    /// `allow` does not suppress anything.
-    Allow {
-        /// The rule being escaped (e.g. `no-panic`, `dead-pub`).
-        rule: String,
-        /// The stated justification (may be empty — callers reject that).
-        reason: String,
-    },
     /// `// analyze: total — reason` — a totality contract for the
     /// panic-freedom pass: the partial operation on (or just below) this
     /// line — or, when placed above a `fn`, every partial operation in
@@ -371,11 +362,12 @@ pub enum MarkerKind {
         /// Why the partial operation is total here (empty ⇒ inert).
         reason: String,
     },
-    /// `// analyze: <kind>` where `<kind>` is none of the above. No
-    /// pass consults it, so the escape pass reports it rather than let
-    /// a misspelt or retired directive sit inert.
+    /// `// analyze: <kind>` where `<kind>` is not `total`, or any
+    /// `// lint:` line. No pass consults it, so the escape pass reports
+    /// it rather than let a misspelt or retired directive sit inert.
     Unknown {
-        /// The first word after `analyze:` (empty when there is none).
+        /// The prefix and the first word after it, as written
+        /// (`analyze: pure`, `lint: allow(no-panic)`, or a bare prefix).
         directive: String,
     },
 }
@@ -383,8 +375,8 @@ pub enum MarkerKind {
 /// A directive plus the 1-based line it sits on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Marker {
-    /// Line of the directive itself (for `Allow`, the escaped code may
-    /// be on the same line or up to a few lines below).
+    /// Line of the directive itself (a site-level `total` contract may
+    /// discharge code up to three lines below).
     pub line: usize,
     /// What the directive says.
     pub kind: MarkerKind,
@@ -406,22 +398,23 @@ pub fn markers(source: &str) -> Vec<Marker> {
             .trim_start()
             .trim_end_matches(['*', '/'])
             .trim_end();
-        if let Some(rest) = body.strip_prefix("lint: allow(") {
-            if let Some(close) = rest.find(')') {
-                let rule = rest[..close].trim().to_string();
-                let reason = trim_reason(&rest[close + 1..]);
-                out.push(Marker { line: tok.line, kind: MarkerKind::Allow { rule, reason } });
+        let (prefix, rest) = if let Some(rest) = body.strip_prefix("analyze:") {
+            ("analyze:", rest.trim_start())
+        } else if let Some(rest) = body.strip_prefix("lint:") {
+            ("lint:", rest.trim_start())
+        } else {
+            continue;
+        };
+        let kind = match rest.strip_prefix("total") {
+            Some(reason) if prefix == "analyze:" => {
+                MarkerKind::Total { reason: trim_reason(reason) }
             }
-        } else if let Some(rest) = body.strip_prefix("analyze:") {
-            let rest = rest.trim_start();
-            let kind = if let Some(reason) = rest.strip_prefix("total").map(trim_reason) {
-                MarkerKind::Total { reason }
-            } else {
-                let directive = rest.split_whitespace().next().unwrap_or("").to_string();
-                MarkerKind::Unknown { directive }
-            };
-            out.push(Marker { line: tok.line, kind });
-        }
+            _ => {
+                let word = rest.split_whitespace().next().unwrap_or("");
+                MarkerKind::Unknown { directive: format!("{prefix} {word}").trim_end().to_string() }
+            }
+        };
+        out.push(Marker { line: tok.line, kind });
     }
     out
 }
@@ -500,7 +493,7 @@ mod tests {
     #[test]
     fn markers_come_only_from_comments() {
         let src = "\
-// lint: allow(no-panic) — real escape
+// lint: allow(no-panic) — a retired escape, now a directive of no known kind
 let s = \"// lint: allow(no-panic) — fake, inside a string\";
 fn probe(v: &[u8]) -> u8 {
     // analyze: total — the caller passes a non-empty slice
@@ -510,8 +503,7 @@ fn probe(v: &[u8]) -> u8 {
         let m = markers(src);
         assert_eq!(m.len(), 2, "{m:?}");
         assert_eq!(m[0].line, 1);
-        assert!(matches!(&m[0].kind, MarkerKind::Allow { rule, reason }
-            if rule == "no-panic" && reason == "real escape"));
+        assert_eq!(m[0].kind, MarkerKind::Unknown { directive: "lint: allow(no-panic)".into() });
         assert_eq!(m[1].line, 4);
         assert!(matches!(&m[1].kind, MarkerKind::Total { reason } if reason.contains("non-empty")));
     }
@@ -538,12 +530,24 @@ let u = tags[other];
     fn directives_of_no_known_kind_parse_as_unknown() {
         let src = "// analyze: pure — no such kind\n// analyze:\n// analyze: hotter\n\
                    // analyze: publish — retired\n// analyze: unwind — retired\n\
-                   // analyze: hot\n// analyze: cold — retired\n";
+                   // analyze: hot\n// analyze: cold — retired\n\
+                   // lint: allow(no-panic) — retired\n// lint: total — not a lint\n";
         let kinds: Vec<MarkerKind> = markers(src).into_iter().map(|m| m.kind).collect();
         let unknown = |d: &str| MarkerKind::Unknown { directive: d.to_string() };
         assert_eq!(
             kinds,
-            ["pure", "", "hotter", "publish", "unwind", "hot", "cold"].map(unknown)
+            [
+                "analyze: pure",
+                "analyze:",
+                "analyze: hotter",
+                "analyze: publish",
+                "analyze: unwind",
+                "analyze: hot",
+                "analyze: cold",
+                "lint: allow(no-panic)",
+                "lint: total",
+            ]
+            .map(unknown)
         );
     }
 

@@ -1,44 +1,42 @@
-//! Whole-workspace static analysis: the workspace's one source gate.
+//! Whole-workspace static analysis: the checks that clippy's token
+//! rules and rustc's types cannot make.
 //!
 //! The crate parses the *whole* workspace into one model — every file
 //! lexed with the hand-rolled [`lex`] lexer, every function indexed,
 //! every intra-workspace reference recorded — builds a name-based call
-//! graph, and runs four passes over it:
+//! graph, and runs three passes over it:
 //!
 //! 1. [`deadpub`] — every unrestricted `pub` item must have a consumer
-//!    outside its own crate's shipped sources, or a reasoned escape.
+//!    outside its own crate's shipped sources.
 //! 2. [`panicfree`] — panic-freedom for everything reachable from the
 //!    `csim` entry point: per-function CFGs ([`mod@cfg`]) plus a
 //!    forward must-facts dataflow ([`dataflow`]) prove that indexing is
 //!    bounds-checked and `.len() - k` can't underflow — or the site
 //!    carries an `// analyze: total — reason` contract.
-//! 3. [`source`] — token-level rules over every shipped line:
-//!    `no-panic` (the workspace's one ban on panicking calls),
-//!    `no-wallclock`, `no-hash-export` on the export paths, and
-//!    `forbid-unsafe` on every crate and binary root.
-//! 4. [`escapes`] — every shipped `lint: allow` marker must have
-//!    suppressed a finding of its rule within its reach; a marker that
-//!    suppressed nothing is a `stale-escape` finding, an
-//!    `analyze: total` contract that discharged no panic-freedom site
-//!    is a `stale-total` finding, and an `analyze:` directive of no
-//!    known kind is an `unknown-directive` finding.
+//! 3. [`escapes`] — an `analyze: total` contract that discharged no
+//!    panic-freedom site is a `stale-total` finding, and a directive
+//!    comment of no known kind (any other `analyze:` kind, or a
+//!    `lint:` line) is an `unknown-directive` finding.
 //!
-//! Two properties are checked by tests rather than passes, because a
-//! test sees the real thing. The crate layering is Cargo's own graph:
-//! `tests/layering.rs` reads `cargo metadata` against the architecture
-//! table. Steady-state allocation is counted, not inferred from names:
-//! the root package's `tests/steady_state_alloc.rs` runs the benchmark
-//! configurations under a counting global allocator.
+//! The token rules are clippy's, run over shipped code by `cargo
+//! lint-shipped` (`.cargo/config.toml`, with the banned paths in
+//! `clippy.toml`): no panicking calls outside the bench harness, no
+//! wall-clock reads and no hash-ordered containers, each escaped by a
+//! reasoned `#[expect(.., reason = "..")]` that rustc reports once it
+//! is unfulfilled. Two properties are checked by tests rather than
+//! passes, because a test sees the real thing. The crate layering and
+//! every target root's `#![forbid(unsafe_code)]` are read from Cargo's
+//! own metadata by `tests/layering.rs`. Steady-state allocation is
+//! counted, not inferred from names: the root package's
+//! `tests/steady_state_alloc.rs` runs the benchmark configurations
+//! under a counting global allocator. Report determinism is not a pass
+//! either: the byte-identity tests compare same-seed exports.
 //!
-//! Report determinism is not a pass either: the byte-identity tests
-//! compare same-seed exports, and `source`'s `no-wallclock` and
-//! `no-hash-export` rules keep clocks and hash containers out of them.
-//!
-//! Escapes are `// lint: allow(rule) — reason` markers (reasons
-//! mandatory, every suppression counted in the report).
-//! The report serializes as `csim-analyze-report/v1`, byte-stable
-//! across runs, via [`csim_obs::json`]. The `csim-analyze` binary is
-//! the CI entry point: any finding fails it.
+//! Every `analyze: total` contract carries a mandatory reason and is
+//! counted in the report as a suppression. The report serializes as
+//! `csim-analyze-report/v1`, byte-stable across runs, via
+//! [`csim_obs::json`]. The `csim-analyze` binary is the CI entry point:
+//! any finding fails it.
 
 #![forbid(unsafe_code)]
 
@@ -51,7 +49,6 @@ pub mod lex;
 pub mod model;
 pub mod panicfree;
 pub mod report;
-pub mod source;
 
 use std::io;
 use std::path::Path;
@@ -60,7 +57,7 @@ pub use graph::CallGraph;
 pub use model::Workspace;
 pub use report::{AnalysisReport, Finding, Pass, Suppression, REPORT_SCHEMA};
 
-/// Loads the workspace at `root` and runs all four passes.
+/// Loads the workspace at `root` and runs all three passes.
 ///
 /// # Errors
 ///
@@ -84,9 +81,7 @@ pub fn analyze_model(ws: &Workspace) -> AnalysisReport {
         ..AnalysisReport::default()
     };
 
-    let (f, s) = deadpub::run(ws);
-    rep.findings.extend(f);
-    rep.suppressions.extend(s);
+    rep.findings.extend(deadpub::run(ws));
 
     let pf = panicfree::run(ws, &graph);
     let totals_used = pf.totals_used;
@@ -94,12 +89,7 @@ pub fn analyze_model(ws: &Workspace) -> AnalysisReport {
     rep.findings.extend(pf.findings);
     rep.suppressions.extend(pf.suppressions);
 
-    let src = source::run(ws);
-    rep.source_files = src.files;
-    rep.findings.extend(src.findings);
-    rep.suppressions.extend(src.suppressions);
-
-    rep.findings.extend(escapes::run(ws, &rep.suppressions, &totals_used));
+    rep.findings.extend(escapes::run(ws, &totals_used));
 
     rep.sort();
     rep

@@ -19,7 +19,7 @@
 //! The parser is item-level only: it tracks module / impl / trait /
 //! `#[cfg(test)]` scopes and function boundaries, and treats function
 //! bodies as token spans to be scanned, never as expression trees. That
-//! is all four passes need, and it keeps the parser small enough to be
+//! is all three passes need, and it keeps the parser small enough to be
 //! obviously panic-free on arbitrary input.
 
 use std::collections::BTreeSet;
@@ -77,16 +77,14 @@ pub struct SourceFile {
     /// Every identifier token in the file (including test code): the
     /// dead-pub audit's usage index.
     pub idents: BTreeSet<String>,
-    /// `// lint: allow(rule) — reason` markers, by line.
-    pub allows: Vec<(usize, String, String)>,
     /// `// analyze: total — reason` markers (totality contracts for the
     /// panic-freedom pass), by line. Reasonless markers are dropped.
     /// A marker inside a function body contracts the site at/below it;
     /// a marker above a `fn` contracts the whole function (see
     /// [`FnItem::total`]).
     pub total_lines: Vec<(usize, String)>,
-    /// `// analyze: <kind>` directives of no known kind, by line, with
-    /// the kind word as written.
+    /// Directives of no known kind, by line, as written (see
+    /// [`MarkerKind::Unknown`]).
     pub unknown_directives: Vec<(usize, String)>,
 }
 
@@ -100,18 +98,6 @@ impl SourceFile {
     /// The trimmed source line (1-based) for finding excerpts.
     pub(crate) fn line_text(&self, line: usize) -> &str {
         self.source.lines().nth(line.saturating_sub(1)).unwrap_or("").trim()
-    }
-
-    /// The nearest `lint: allow(rule)` marker with a non-empty reason on
-    /// `line` or up to three lines above it.
-    pub(crate) fn allow_for(&self, rule: &str, line: usize) -> Option<&str> {
-        self.allows
-            .iter()
-            .filter(|(l, r, why)| {
-                *l <= line && line - *l <= 3 && r == rule && !why.is_empty()
-            })
-            .max_by_key(|(l, _, _)| *l)
-            .map(|(_, _, why)| why.as_str())
     }
 
     /// The nearest `analyze: total — reason` marker on `line` or up to
@@ -344,13 +330,11 @@ impl Workspace {
                 idents.insert(source[t.start as usize..t.end as usize].to_string());
             }
         }
-        let mut allows = Vec::new();
         let mut total_lines = Vec::new();
         let mut unknown_directives = Vec::new();
         for Marker { line, kind } in markers(&source) {
             // Reasonless total markers are inert.
             match kind {
-                MarkerKind::Allow { rule, reason } => allows.push((line, rule, reason)),
                 MarkerKind::Total { reason } if !reason.is_empty() => {
                     total_lines.push((line, reason))
                 }
@@ -366,7 +350,6 @@ impl Workspace {
             source,
             toks,
             idents,
-            allows,
             total_lines,
             unknown_directives,
         });
@@ -419,7 +402,7 @@ enum Scope {
 }
 
 /// Item-level parse of `ws.files[file_idx]`, appending to the model.
-#[allow(clippy::too_many_lines)]
+#[expect(clippy::too_many_lines, reason = "one token walk with a match arm per item kind")]
 fn parse_items(ws: &mut Workspace, file_idx: usize) {
     let file = &ws.files[file_idx];
     let crate_name = file.crate_name.clone();

@@ -5,10 +5,9 @@
 //! accounting that never aborts mid-run — so shipped code reachable
 //! from the simulator entry point (`main` in `src/bin/csim.rs`) must
 //! not reach a partial operation at all. Panicking calls (`.unwrap()`,
-//! `panic!`, ...) are [`crate::source`]'s `no-panic` rule, which bans
-//! them in every shipped file outside the bench harness (a superset of
-//! this cone) with no dataflow discharge; this pass proves the two
-//! properties only a dataflow can:
+//! `panic!`, ...) are clippy's, banned in every shipped file outside the
+//! bench harness (a superset of this cone) by `cargo lint-shipped`; this
+//! pass proves the two properties only a dataflow can:
 //!
 //! * **`unchecked-index`** — `v[i]`, `v[0]`, and range slices whose
 //!   bound the forward dataflow cannot prove in range;
@@ -19,10 +18,9 @@
 //! (`if i < v.len()`, `for i in 0..v.len()`, `.enumerate()` indices,
 //! `!v.is_empty()` with early return, `assert!`, `.min(K)` against a
 //! `[T; K]` buffer), or by an explicit contract: a site-level
-//! `// analyze: total — reason` within three lines, a function-level
-//! `// analyze: total — reason` above the `fn`, or a
-//! `// lint: allow(<rule>) — reason`. Every discharge by contract is
-//! counted as a suppression in the report.
+//! `// analyze: total — reason` within three lines, or a function-level
+//! `// analyze: total — reason` above the `fn`. Every discharge by
+//! contract is counted as a suppression in the report.
 //!
 //! Facts are must-facts: joined by intersection at CFG merges, killed
 //! on assignment, `&mut` escape, or a length-changing method call.
@@ -60,7 +58,7 @@ const LEN_MUTATORS: &[&str] = &[
 pub struct PanicFreeResult {
     /// Unsuppressed findings.
     pub findings: Vec<Finding>,
-    /// Contract/allow discharges consumed.
+    /// Contract discharges consumed.
     pub suppressions: Vec<Suppression>,
     /// `(file, marker line)` of every `analyze: total` contract that
     /// discharged a site: the escape pass reports the others.
@@ -121,7 +119,7 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> PanicFreeResult {
 
 /// Routes one undischarged site to a finding or a contract suppression,
 /// recording the `analyze: total` marker that discharged it, if any.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the site, its context and the three outputs it routes to")]
 fn emit(
     file: &SourceFile,
     f: &FnItem,
@@ -133,12 +131,8 @@ fn emit(
     suppressions: &mut Vec<Suppression>,
     totals_used: &mut BTreeSet<(String, usize)>,
 ) {
-    let contract = file.allow_for(rule, line).or_else(|| {
-        let (marker, reason) = file.total_for(line).or(f.total.as_ref())?;
+    if let Some((marker, reason)) = file.total_for(line).or(f.total.as_ref()) {
         totals_used.insert((file.rel.clone(), *marker));
-        Some(reason.as_str())
-    });
-    if let Some(reason) = contract {
         suppressions.push(Suppression {
             rule: rule.to_string(),
             file: file.rel.clone(),
@@ -1451,13 +1445,13 @@ mod tests {
     }
 
     #[test]
-    fn contracts_and_allows_suppress_with_reasons() {
+    fn contracts_suppress_with_reasons() {
         let r = run_on(
             "entry(&[1], 3);",
             "pub fn entry(v: &[u64], i: usize) -> u64 {\n\
                  // analyze: total — caller guarantees i < v.len() by construction\n\
                  let a = v[i];\n\
-                 // lint: allow(underflow-sub) — startup-only, callers pass a non-empty slice\n\
+                 // analyze: total — startup-only, callers pass a non-empty slice\n\
                  let b = v.len() - 1;\n\
                  a + b as u64\n\
              }\n",

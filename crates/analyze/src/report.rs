@@ -21,9 +21,7 @@ pub enum Pass {
     DeadPub,
     /// CFG/dataflow panic-freedom proof (entry-point reachability).
     PanicFree,
-    /// Token-level source rules over every shipped line.
-    Source,
-    /// `lint: allow` markers that suppressed nothing, and `analyze:`
+    /// `analyze: total` contracts that discharged nothing, and
     /// directives of no known kind.
     Escape,
 }
@@ -34,7 +32,6 @@ impl Pass {
         match self {
             Pass::DeadPub => "dead-pub",
             Pass::PanicFree => "panic-free",
-            Pass::Source => "source",
             Pass::Escape => "escape",
         }
     }
@@ -45,8 +42,7 @@ impl Pass {
 pub struct Finding {
     /// Producing pass.
     pub pass: Pass,
-    /// Rule name (`dead-pub`, `no-panic`, `unchecked-index`, ...) — also
-    /// the `lint: allow(..)` key.
+    /// Rule name (`dead-pub`, `unchecked-index`, `stale-total`, ...).
     pub rule: String,
     /// Workspace-relative file.
     pub file: String,
@@ -60,8 +56,8 @@ pub struct Finding {
     pub chain: Vec<String>,
 }
 
-/// One counted `// lint: allow(rule) — reason` that suppressed a
-/// would-be finding.
+/// One would-be finding discharged by a counted `// analyze: total —
+/// reason` contract.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Suppression {
     /// Rule suppressed.
@@ -70,7 +66,7 @@ pub struct Suppression {
     pub file: String,
     /// 1-based line of the suppressed finding.
     pub line: usize,
-    /// The mandatory reason from the marker.
+    /// The mandatory reason from the contract.
     pub reason: String,
 }
 
@@ -92,8 +88,6 @@ pub struct AnalysisReport {
     /// Shipped fns reachable from the `csim` entry point and proven
     /// (or contracted) free of unchecked indexing and underflow.
     pub reachable_fns: usize,
-    /// Shipped files checked by the token-level source rules.
-    pub source_files: usize,
 }
 
 impl AnalysisReport {
@@ -148,7 +142,6 @@ impl AnalysisReport {
                     ("fns", Json::UInt(self.fns_indexed as u64)),
                     ("pub_items", Json::UInt(self.pub_items as u64)),
                     ("reachable_fns", Json::UInt(self.reachable_fns as u64)),
-                    ("source_files", Json::UInt(self.source_files as u64)),
                 ]),
             ),
             ("clean", Json::Bool(self.is_clean())),
@@ -176,14 +169,9 @@ impl AnalysisReport {
                 let _ = writeln!(out, "  {}:{}: [{}] — {}", s.file, s.line, s.rule, s.reason);
             }
         }
-        let source_escapes = self
-            .suppressions
-            .iter()
-            .filter(|s| crate::source::RULES.contains(&s.rule.as_str()))
-            .count();
         let _ = writeln!(
             out,
-            "csim-analyze: {} findings, {} suppressed; {} crates, {} files, {} fns, {} pub items, {} panic-free reachable fns, {} source-rule files ({} escapes)",
+            "csim-analyze: {} findings, {} suppressed; {} crates, {} files, {} fns, {} pub items, {} panic-free reachable fns",
             self.findings.len(),
             self.suppressions.len(),
             self.crates,
@@ -191,8 +179,6 @@ impl AnalysisReport {
             self.fns_indexed,
             self.pub_items,
             self.reachable_fns,
-            self.source_files,
-            source_escapes,
         );
         out
     }
@@ -214,17 +200,16 @@ mod tests {
                 chain: vec!["root".into(), "leaf".into()],
             }],
             suppressions: vec![Suppression {
-                rule: "dead-pub".into(),
+                rule: "underflow-sub".into(),
                 file: "crates/y/src/lib.rs".into(),
                 line: 3,
-                reason: "public API surface".into(),
+                reason: "callers pass a non-empty slice".into(),
             }],
             files_scanned: 2,
             fns_indexed: 5,
             crates: 2,
             pub_items: 4,
             reachable_fns: 3,
-            source_files: 2,
         };
         r.sort();
         r

@@ -1,7 +1,8 @@
 //! Fixture: `analyze:` directives of no known kind.
 //!
-//! The `total` contract is a known directive. The other two name no
-//! kind any pass reads: a retired one and a misspelt one. Prose that
+//! The `total` contract is a known directive. The other three name no
+//! kind any pass reads: a retired one, a misspelt one, and a leftover
+//! `lint:` escape (clippy's `#[expect]` replaced them). Prose that
 //! merely mentions `// analyze: pure` inside a doc comment is not a
 //! directive.
 
@@ -17,3 +18,8 @@ fn fixture_retired(n: u64) -> f64 {
 
 // analyze: hto — a misspelt hot marker
 fn fixture_misspelt() {}
+
+fn fixture_leftover(v: Option<u8>) -> u8 {
+    // lint: allow(no-panic) — a retired escape
+    v.unwrap_or(0)
+}

@@ -15,11 +15,17 @@
 //! entry counts too; dev-dependencies are test scaffolding and do not.
 //! Every member crate needs a row, and the table itself must describe a
 //! DAG, so nobody can "fix" a finding by introducing a cycle into it.
+//!
+//! The same metadata names every target's root source file. The root of
+//! every `lib` and `bin` target of every package, the root facade
+//! included, must carry `#![forbid(unsafe_code)]`, so rustc rejects
+//! `unsafe` anywhere in shipped code.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::process::Command;
 
+use csim_analyze::lex::{lex, TokKind};
 use csim_obs::json::{parse, Json};
 
 /// The allowed dependency table: `(crate, allowed deps)`, by package
@@ -155,6 +161,41 @@ fn check(meta: &Json) -> Result<Layering, String> {
     Ok(out)
 }
 
+/// True when `source` holds the inner attribute `#![forbid(unsafe_code)]`
+/// as code: the check reads lexed tokens, so a comment or a string
+/// literal spelling the attribute does not count.
+fn forbids_unsafe(source: &str) -> bool {
+    const ATTR: [&str; 8] = ["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"];
+    let toks: Vec<&str> = lex(source)
+        .into_iter()
+        .filter(|t| !matches!(t.kind, TokKind::Ws | TokKind::LineComment | TokKind::BlockComment))
+        .map(|t| t.text)
+        .collect();
+    toks.windows(ATTR.len()).any(|w| w == ATTR)
+}
+
+/// The root source file of every `lib` and `bin` target of every package
+/// in `meta`, the root facade included, each with whether it forbids
+/// unsafe code. `read` loads a root's text.
+fn target_roots(
+    meta: &Json,
+    read: impl Fn(&str) -> Result<String, String>,
+) -> Result<Vec<(String, bool)>, String> {
+    let packages = meta.get("packages").and_then(Json::as_arr).ok_or("no `packages` array")?;
+    let mut roots = Vec::new();
+    for pkg in packages {
+        let targets = pkg.get("targets").and_then(Json::as_arr).ok_or("no `targets` array")?;
+        for target in targets {
+            let kinds = target.get("kind").and_then(Json::as_arr).ok_or("no target `kind`")?;
+            if kinds.iter().any(|k| matches!(k.as_str(), Some("lib" | "bin"))) {
+                let path = field(target, "src_path")?;
+                roots.push((path.to_string(), forbids_unsafe(&read(path)?)));
+            }
+        }
+    }
+    Ok(roots)
+}
+
 /// `cargo metadata` of this workspace, parsed. Panics with the command's
 /// stderr when it cannot run or its output does not parse: the check
 /// must never pass on a document it did not read.
@@ -177,6 +218,18 @@ fn the_workspace_follows_the_architecture_table() {
     assert!(seen.breaches.is_empty(), "layering breaches:\n{}", seen.breaches.join("\n"));
     let rows: BTreeSet<String> = ALLOWED_DEPS.iter().map(|(c, _)| c.to_string()).collect();
     assert_eq!(seen.members, rows, "every table row must name a checked workspace member");
+}
+
+#[test]
+fn every_lib_and_bin_root_forbids_unsafe_code() {
+    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
+    let roots = target_roots(&workspace_metadata(), read).unwrap_or_else(|e| panic!("{e}"));
+    let missing: Vec<&str> = roots.iter().filter(|(_, ok)| !ok).map(|(p, _)| p.as_str()).collect();
+    assert!(missing.is_empty(), "roots without #![forbid(unsafe_code)]:\n{}", missing.join("\n"));
+    // A lib per member, the facade's lib and its `csim` binary at least:
+    // the walk saw the real tree.
+    assert!(roots.len() > ALLOWED_DEPS.len() + 1, "only {} lib and bin roots", roots.len());
+    assert!(roots.iter().any(|(p, _)| p.ends_with("src/bin/csim.rs")), "{roots:?}");
 }
 
 #[test]
@@ -274,4 +327,34 @@ fn target_specific_and_build_dependencies_count() {
 fn a_document_without_packages_is_an_error() {
     let meta = parse(r#"{"workspace_root":"/ws"}"#).expect("parses");
     assert!(check(&meta).is_err());
+}
+
+#[test]
+fn roots_are_read_as_tokens_and_only_lib_and_bin_targets_count() {
+    let doc = r#"{"workspace_root":"/ws","packages":[
+        {"name":"facade","manifest_path":"/ws/Cargo.toml","targets":[
+            {"kind":["bin"],"src_path":"/ws/src/bin/tool.rs"},
+            {"kind":["test"],"src_path":"/ws/tests/t.rs"}]},
+        {"name":"csim-cache","manifest_path":"/ws/crates/cache/Cargo.toml","targets":[
+            {"kind":["lib"],"src_path":"/ws/crates/cache/src/lib.rs"},
+            {"kind":["bench"],"src_path":"/ws/crates/cache/benches/b.rs"}]}
+    ]}"#;
+    let files = [
+        (
+            "/ws/src/bin/tool.rs",
+            "// #![forbid(unsafe_code)]\nconst S: &str = \"#![forbid(unsafe_code)]\";\nfn main() {}\n",
+        ),
+        ("/ws/crates/cache/src/lib.rs", "//! Docs.\n\n#![forbid(unsafe_code)]\n"),
+    ];
+    let read = |p: &str| {
+        files.iter().find(|(f, _)| *f == p).map(|(_, s)| s.to_string()).ok_or(format!("read {p}"))
+    };
+    let roots = target_roots(&parse(doc).expect("parses"), read).expect("every field present");
+    assert_eq!(
+        roots,
+        [
+            ("/ws/src/bin/tool.rs".to_string(), false),
+            ("/ws/crates/cache/src/lib.rs".to_string(), true),
+        ]
+    );
 }

@@ -1,8 +1,8 @@
 //! The workspace gate: `csim-analyze` run on this repository must be
 //! clean, and its JSON report must be byte-stable.
 //!
-//! This is the test CI leans on: zero findings (every escape carries a
-//! reason and is counted), and two independent runs serialize to
+//! This is the test CI leans on: zero findings (every contract carries
+//! a reason and is counted), and two independent runs serialize to
 //! byte-identical `csim-analyze-report/v1` documents — the analyzer
 //! obeys the same determinism contract it enforces.
 
@@ -18,9 +18,8 @@ fn repo_root() -> &'static Path {
 #[test]
 fn the_workspace_is_clean() {
     let rep = analyze_workspace(repo_root()).expect("workspace loads");
-    // A finding that cannot be fixed gets a reasoned `// lint: allow`
-    // or `// analyze: total` annotation at the site, where reviewers see
-    // it.
+    // A panic-freedom site that cannot be proven gets a reasoned
+    // `// analyze: total` contract at the site, where readers see it.
     assert!(
         rep.is_clean(),
         "csim-analyze found {} finding(s):\n{}",
@@ -35,11 +34,6 @@ fn the_workspace_is_clean() {
         "only {} fns reachable from the simulator entry point — the panic-freedom sweep lost \
          its call graph",
         rep.reachable_fns
-    );
-    assert!(
-        rep.source_files > 90,
-        "only {} shipped files under the source rules — the src/ walk lost files",
-        rep.source_files
     );
 }
 

@@ -14,6 +14,8 @@
 //! kernel's median rate falls below the reference's: the optimized
 //! probe must never lose to the code it replaced.
 
+#![allow(clippy::disallowed_methods, reason = "a micro benchmark reads the host clock by design")]
+
 use std::hint::black_box;
 use std::time::Instant;
 

@@ -6,6 +6,7 @@
 //! (references per node, defaults 2M / 4M).
 
 #![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a bench panic aborts a measurement")]
 
 use csim_config::{IntegrationLevel, SystemConfig};
 use csim_core::{SimReport, Simulation};
@@ -120,7 +121,6 @@ fn main() {
     extra_probes(warm, meas / 2);
 }
 
-#[allow(dead_code)]
 fn extra_probes(warm: u64, meas: u64) {
     use csim_config::{OooParams, RacConfig};
     // --- OOO vs in-order (fig13) ---

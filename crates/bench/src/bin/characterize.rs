@@ -7,8 +7,9 @@
 //! Usage: `cargo run --release -p csim-bench --bin characterize [refs_per_node]`
 
 #![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a bench panic aborts a measurement")]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use csim_cache::StackDistance;
 use csim_stats::TextTable;
@@ -21,11 +22,11 @@ fn main() {
     let params = OltpParams::default();
     let mut streams = OltpWorkload::build(params.clone(), nodes).expect("valid params");
 
-    let mut counts: HashMap<(Access, ExecMode), u64> = HashMap::new();
+    let mut counts: BTreeMap<(Access, ExecMode), u64> = BTreeMap::new();
     let mut sd = StackDistance::new();
-    let mut touched_by: HashMap<u64, u8> = HashMap::new(); // line -> node bitmap
-    let mut written_by: HashMap<u64, u8> = HashMap::new();
-    let mut per_node_footprint: Vec<HashSet<u64>> = vec![HashSet::new(); nodes];
+    let mut touched_by: BTreeMap<u64, u8> = BTreeMap::new(); // line -> node bitmap
+    let mut written_by: BTreeMap<u64, u8> = BTreeMap::new();
+    let mut per_node_footprint: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); nodes];
 
     for _ in 0..refs {
         for (n, stream) in streams.iter_mut().enumerate() {

@@ -5,7 +5,7 @@
 //! figure's configuration sweep, simulates each configuration on the
 //! synthetic OLTP workload, prints the paper-style normalized stacked
 //! bars, checks the figure's headline claims, and writes a CSV under
-//! `results/`.
+//! `target/release/results/` (or `CSIM_RESULTS`).
 //!
 //! Reference counts per node come from environment variables:
 //! `CSIM_WARM` / `CSIM_MEAS` for uniprocessor sweeps (defaults 3M / 4M)
@@ -17,6 +17,7 @@
 //! differential oracle and speed baseline for [`csim_cache::Cache`].
 
 #![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a bench panic aborts a measurement")]
 
 mod reference;
 
@@ -88,7 +89,7 @@ pub fn run_sweep(sweep: &[Sweep], warm: u64, meas: u64) -> Vec<(String, SimRepor
                 let label = s.label.clone();
                 let cfg = s.config.clone();
                 scope.spawn(move || {
-                    // lint: allow(no-wallclock) — the bench harness exists to measure host runtime; results never enter a SimReport
+                    #[expect(clippy::disallowed_methods, reason = "the bench harness exists to measure host runtime; results never enter a SimReport")]
                     let start = std::time::Instant::now();
                     let rep = run_config(&cfg, warm, meas);
                     eprintln!("  [{label}] done in {:.1}s", start.elapsed().as_secs_f64());
@@ -165,21 +166,31 @@ pub fn comparison_table(metric: &str, rows: &[(&str, Option<f64>, f64)]) -> Text
     t
 }
 
-/// Directory where experiment CSVs land (created on demand).
+/// Directory where experiment CSVs land (created on demand):
+/// `CSIM_RESULTS` when set, else `results/` in the Cargo profile
+/// directory the bench was built into (`target/release/results/` under
+/// `cargo bench`), so a bench run leaves the source tree untouched.
 ///
 /// # Errors
 ///
-/// Fails when the directory cannot be created (read-only filesystem,
-/// permission, full disk).
+/// Fails when the running executable cannot be located or the directory
+/// cannot be created (read-only filesystem, permission, full disk).
 pub(crate) fn results_dir() -> std::io::Result<PathBuf> {
-    let dir = std::env::var("CSIM_RESULTS").unwrap_or_else(|_| "results".to_string());
-    let path = PathBuf::from(dir);
+    let path = match std::env::var_os("CSIM_RESULTS") {
+        Some(dir) => PathBuf::from(dir),
+        // A bench executable runs from `<target>/<profile>/deps/`.
+        None => std::env::current_exe()?
+            .ancestors()
+            .nth(2)
+            .ok_or_else(|| std::io::Error::other("bench executable has no profile directory"))?
+            .join("results"),
+    };
     std::fs::create_dir_all(&path)?;
     Ok(path)
 }
 
-/// Writes one experiment's charts to `results/<name>.csv` plus one SVG
-/// rendering per chart (`results/<name>_<i>.svg`).
+/// Writes one experiment's charts to `<name>.csv` in [`results_dir`]
+/// plus one SVG rendering per chart (`<name>_<i>.svg`).
 ///
 /// The result files are side artifacts of a bench run — the charts and
 /// claim checks have already been printed — so IO failure is reported as

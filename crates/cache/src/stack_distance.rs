@@ -33,8 +33,6 @@
 //! assert_eq!(sd.misses_at_capacity(2), 6);
 //! ```
 
-use std::collections::HashMap;
-
 /// Single-pass LRU stack-distance profiler.
 #[derive(Clone, Debug, Default)]
 pub struct StackDistance {
@@ -46,7 +44,8 @@ pub struct StackDistance {
     // silently drop carries into nodes that did not exist yet).
     tree: Vec<u64>,
     // line -> timestamp of its last access (1-based).
-    last: HashMap<u64, usize>,
+    #[expect(clippy::disallowed_types, reason = "looked up by line only, never iterated, so hash order reaches no distance")]
+    last: std::collections::HashMap<u64, usize>,
     // Exact distance histogram plus an overflow bucket.
     exact: Vec<u64>,
     overflow: u64,
@@ -64,7 +63,7 @@ impl StackDistance {
         StackDistance {
             bits: vec![0], // index 0 unused (1-based timestamps)
             tree: vec![0; 1024],
-            last: HashMap::new(),
+            last: Default::default(),
             exact: Vec::new(),
             overflow: 0,
             cold: 0,

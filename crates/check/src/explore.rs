@@ -12,7 +12,7 @@
 //! the queue is FIFO, and no hash-map iteration order ever influences
 //! results — identical runs produce identical reports and replay seeds.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::invariants::{check_state, Violation};
@@ -112,7 +112,8 @@ pub fn explore(config: &CheckConfig) -> Result<CheckReport, String> {
     config.validate()?;
     let initial = ModelState::initial(config);
     let mut vertices = vec![Vertex { key: encode(config, &initial), parent: 0, action: None, depth: 0 }];
-    let mut visited: HashMap<u128, usize> = HashMap::new();
+    #[expect(clippy::disallowed_types, reason = "looked up by state key only, never iterated, so hash order reaches no report")]
+    let mut visited = std::collections::HashMap::<u128, usize>::new();
     visited.insert(vertices[0].key, 0);
     let mut queue: VecDeque<usize> = VecDeque::from([0]);
     let mut transitions = 0u64;

@@ -1,6 +1,5 @@
 //! The full-map directory protocol state machine.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -214,7 +213,8 @@ struct Slab {
 /// page numbers is not an option.
 #[derive(Debug, Default)]
 struct BlockTable {
-    index: HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
+    #[expect(clippy::disallowed_types, reason = "looked up by block number only, never iterated, so hash order reaches no output")]
+    index: std::collections::HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
     slabs: Vec<Slab>,
     /// Lines with a `Some` slot (tombstones included).
     tracked: usize,

@@ -97,7 +97,7 @@ fn cold_flag_fires_exactly_once_per_line() {
     let mut rng = SimRng::seed_from_u64(0xC01D);
     for _ in 0..64 {
         let mut dir = Directory::new(4, 64, 8192);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let n = rng.gen_range_usize(1..200);
         for _ in 0..n {
             let line = rng.gen_range(0..16);

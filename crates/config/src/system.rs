@@ -19,9 +19,9 @@ pub struct RacConfig {
 
 impl RacConfig {
     /// The paper's RAC: 8 MB, 8-way.
+    #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
     pub fn paper() -> Self {
         RacConfig {
-// lint: allow(no-panic) — paper constants are validated by construction; failure is a build-time bug
             geometry: CacheGeometry::new(8 << 20, 8, LINE_SIZE)
                 .expect("paper RAC geometry is valid"),
         }
@@ -64,14 +64,14 @@ impl SystemConfig {
     /// assert_eq!(cfg.n_nodes(), 1);
     /// assert_eq!(cfg.l2().geometry.label(), "8M1w");
     /// ```
+    #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
     pub fn paper_base_uni() -> Self {
-        // lint: allow(no-panic) — paper constants are validated by construction; failure is a build-time bug
         Self::builder().build().expect("paper base uniprocessor config is valid")
     }
 
     /// The paper's Base 8-processor configuration.
+    #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
     pub fn paper_base_mp8() -> Self {
-        // lint: allow(no-panic) — paper constants are validated by construction; failure is a build-time bug
         Self::builder().nodes(MP_NODES).build().expect("paper base MP config is valid")
     }
 
@@ -81,13 +81,13 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics if `n` is zero.
+    #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
     pub fn paper_fully_integrated(n: usize) -> Self {
         Self::builder()
             .nodes(n)
             .integration(IntegrationLevel::FullyIntegrated)
             .l2_sram(2 << 20, 8)
             .build()
-            // lint: allow(no-panic) — paper constants are validated by construction; failure is a build-time bug
             .expect("paper fully-integrated config is valid")
     }
 
@@ -190,9 +190,9 @@ pub struct SystemConfigBuilder {
 
 impl SystemConfigBuilder {
     fn new() -> Self {
-        // lint: allow(no-panic) — paper constants are validated by construction; failure is a build-time bug
+        #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
         let l1 = CacheGeometry::new(L1_SIZE, L1_ASSOC, LINE_SIZE).expect("default L1 is valid");
-        // lint: allow(no-panic) — paper constants are validated by construction; failure is a build-time bug
+        #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
         let l2_geom = CacheGeometry::new(8 << 20, 1, LINE_SIZE).expect("default L2 is valid");
         SystemConfigBuilder {
             n_nodes: 1,
@@ -235,7 +235,7 @@ impl SystemConfigBuilder {
     /// Panics if the geometry is malformed; use [`Self::l2`] with a
     /// pre-validated [`CacheGeometry`] to handle errors instead.
     pub fn l2_off_chip(&mut self, size_bytes: u64, assoc: u32) -> &mut Self {
-// lint: allow(no-panic) — documented panicking convenience setter; the builder's build() is the fallible path
+        #[expect(clippy::expect_used, reason = "documented panicking convenience setter; the builder's build() is the fallible path")]
         let g = CacheGeometry::new(size_bytes, assoc, LINE_SIZE)
             .expect("off-chip L2 geometry must be valid");
         self.l2 = L2Config::new(g, L2Kind::OffChip);
@@ -249,7 +249,7 @@ impl SystemConfigBuilder {
     /// Panics if the geometry is malformed (die-limit checks happen at
     /// [`Self::build`] time, not here).
     pub fn l2_sram(&mut self, size_bytes: u64, assoc: u32) -> &mut Self {
-// lint: allow(no-panic) — documented panicking convenience setter; the builder's build() is the fallible path
+        #[expect(clippy::expect_used, reason = "documented panicking convenience setter; the builder's build() is the fallible path")]
         let g = CacheGeometry::new(size_bytes, assoc, LINE_SIZE)
             .expect("SRAM L2 geometry must be valid");
         self.l2 = L2Config::new(g, L2Kind::OnChipSram);
@@ -263,7 +263,7 @@ impl SystemConfigBuilder {
     ///
     /// Panics if the geometry is malformed.
     pub fn l2_dram(&mut self, size_bytes: u64, assoc: u32) -> &mut Self {
-// lint: allow(no-panic) — documented panicking convenience setter; the builder's build() is the fallible path
+        #[expect(clippy::expect_used, reason = "documented panicking convenience setter; the builder's build() is the fallible path")]
         let g = CacheGeometry::new(size_bytes, assoc, LINE_SIZE)
             .expect("DRAM L2 geometry must be valid");
         self.l2 = L2Config::new(g, L2Kind::OnChipDram);

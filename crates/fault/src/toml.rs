@@ -24,6 +24,22 @@ fn err<T>(line: usize, message: String) -> Result<T, TomlError> {
     Err(TomlError { line, message })
 }
 
+/// An error naming what a value should have been and what it is.
+fn mismatch<T>(line: usize, want: &str, found: &Scalar) -> Result<T, TomlError> {
+    err(line, format!("expected {want}, found {}", clip(&format!("{found:?}"))))
+}
+
+/// The first 40 characters of `text`, with `...` when it is longer: an
+/// error names the offending input without echoing a value of any size.
+fn clip(text: &str) -> String {
+    let head: String = text.chars().take(40).collect();
+    if head.len() < text.len() {
+        head + "..."
+    } else {
+        head
+    }
+}
+
 /// A parsed scalar value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Scalar {
@@ -79,7 +95,7 @@ pub fn parse(input: &str) -> Result<Vec<TomlItem>, TomlError> {
             continue;
         }
         let Some((key, value)) = text.split_once('=') else {
-            return err(line, format!("expected '[table]' or 'key = value', found '{text}'"));
+            return err(line, format!("expected '[table]' or 'key = value', found '{}'", clip(text)));
         };
         let Some(item) = items.last_mut() else {
             return err(line, "key/value pair before any [table] header".to_string());
@@ -120,7 +136,7 @@ fn value_of(text: &str, line: usize) -> Result<TomlValue, TomlError> {
         return Ok(TomlValue::Scalar(scalar(text, line)?));
     };
     let Some(inner) = inner.strip_suffix(']') else {
-        return err(line, format!("unterminated list '{text}' (lists must close on one line)"));
+        return err(line, format!("unterminated list '{}' (lists must close on one line)", clip(text)));
     };
     let inner = inner.trim();
     if inner.is_empty() {
@@ -150,7 +166,7 @@ fn split_list(inner: &str, line: usize) -> Result<Vec<&str>, TomlError> {
         }
     }
     if in_str {
-        return err(line, format!("unterminated string in list '[{inner}]'"));
+        return err(line, format!("unterminated string in list '[{}]'", clip(inner)));
     }
     parts.push(&inner[start..]);
     Ok(parts)
@@ -164,10 +180,10 @@ fn scalar(text: &str, line: usize) -> Result<Scalar, TomlError> {
     }
     if let Some(inner) = text.strip_prefix('"') {
         let Some(inner) = inner.strip_suffix('"') else {
-            return err(line, format!("unterminated string {text}"));
+            return err(line, format!("unterminated string {}", clip(text)));
         };
         if inner.contains('"') {
-            return err(line, format!("stray quote inside string {text}"));
+            return err(line, format!("stray quote inside string {}", clip(text)));
         }
         return Ok(Scalar::Str(inner.to_string()));
     }
@@ -180,7 +196,7 @@ fn scalar(text: &str, line: usize) -> Result<Scalar, TomlError> {
             return Ok(Scalar::Float(v));
         }
     }
-    err(line, format!("cannot parse value '{text}'"))
+    err(line, format!("cannot parse value '{}'", clip(text)))
 }
 
 impl Scalar {
@@ -192,7 +208,7 @@ impl Scalar {
     pub fn as_u64(&self, line: usize) -> Result<u64, TomlError> {
         match self {
             Scalar::Integer(v) => Ok(*v),
-            other => err(line, format!("expected an integer, found {other:?}")),
+            other => mismatch(line, "an integer", other),
         }
     }
 
@@ -205,7 +221,7 @@ impl Scalar {
         match self {
             Scalar::Float(v) => Ok(*v),
             Scalar::Integer(v) => Ok(*v as f64),
-            other => err(line, format!("expected a number, found {other:?}")),
+            other => mismatch(line, "a number", other),
         }
     }
 
@@ -217,7 +233,7 @@ impl Scalar {
     pub fn as_bool(&self, line: usize) -> Result<bool, TomlError> {
         match self {
             Scalar::Bool(v) => Ok(*v),
-            other => err(line, format!("expected true or false, found {other:?}")),
+            other => mismatch(line, "true or false", other),
         }
     }
 
@@ -229,7 +245,7 @@ impl Scalar {
     pub fn as_str(&self, line: usize) -> Result<&str, TomlError> {
         match self {
             Scalar::Str(v) => Ok(v),
-            other => err(line, format!("expected a quoted string, found {other:?}")),
+            other => mismatch(line, "a quoted string", other),
         }
     }
 }
@@ -331,6 +347,14 @@ mod tests {
         assert_eq!(parse("[a]\n\nx = \"open\n").unwrap_err().line, 3);
         assert!(parse("[a]\nx = [1, 2\n").is_err());
         assert!(parse("[a]\nx = [\"open]\n").is_err());
+        // An oversized value is echoed as a short prefix.
+        let huge = "[".repeat(200_000);
+        for text in [huge.clone(), format!("[{huge}]"), format!("\"{huge}"), format!("\"{huge}\"")] {
+            let e = parse(&format!("[a]\nx = {text}\n"))
+                .and_then(|items| items[0].entries[0].1.as_scalar(2)?.as_u64(2))
+                .unwrap_err();
+            assert!(e.message.len() < 120 && e.message.contains("[[[..."), "{}", e.message);
+        }
     }
 
     #[test]

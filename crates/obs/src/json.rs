@@ -59,7 +59,7 @@ impl Json {
     pub fn push(&mut self, key: impl Into<String>, value: Json) {
         match self {
             Json::Obj(pairs) => pairs.push((key.into(), value)),
-            // lint: allow(no-panic) — documented builder-misuse panic; a non-object receiver is a bug in the exporter itself
+            #[expect(clippy::panic, reason = "documented builder-misuse panic; a non-object receiver is a bug in the exporter itself")]
             other => panic!("Json::push on non-object {other:?}"),
         }
     }

@@ -77,7 +77,7 @@ impl PhaseProfile {
 
     /// Times `f` and records it as phase `name`.
     pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        // lint: allow(no-wallclock) — phase timings report host runtime to humans; they never feed simulation state
+        #[expect(clippy::disallowed_methods, reason = "phase timings report host runtime to humans; they never feed simulation state")]
         let start = Instant::now();
         let out = f();
         self.push(name, start.elapsed().as_secs_f64() * 1e3);

@@ -46,7 +46,7 @@ impl HostSampler {
             let mut counts = [0u64; Region::COUNT];
             let mut ticks = 0u64;
             let mut slots = [0u8; STRIPES];
-            // lint: allow(no-wallclock) — the sampler measures host runtime by design; its output is quarantined in the nondeterministic host_profile section
+            #[expect(clippy::disallowed_methods, reason = "the sampler measures host runtime by design; its output is quarantined in the nondeterministic host_profile section")]
             let started = Instant::now();
             while !stop_flag.load(Ordering::Relaxed) {
                 read_regions(&mut slots);
@@ -167,6 +167,7 @@ mod tests {
     use csim_trace::hostprof::set_region;
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "busy-publishes for a host-time span")]
     fn sampler_observes_a_published_region() {
         let sampler = HostSampler::start(2000);
         set_region(Region::BurstRefill);

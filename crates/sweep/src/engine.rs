@@ -585,7 +585,7 @@ pub fn run_sweep_with(
     // Epoch for per-point start offsets (trace-event timelines). Only
     // read when timing is opted into; like the per-point durations the
     // offsets stay out of the deterministic report.
-    // lint: allow(no-wallclock) — start offsets feed the opt-in trace-event timeline, never the byte-stable report
+    #[expect(clippy::disallowed_methods, reason = "start offsets feed the opt-in trace-event timeline, never the byte-stable report")]
     let epoch = cfg.time_points.then(std::time::Instant::now);
     if !to_run.is_empty() {
         // Each worker claims the next unclaimed entry of `to_run`; the

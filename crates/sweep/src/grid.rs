@@ -210,8 +210,7 @@ mod tests {
     use super::*;
 
     #[test]
-    // The grid-size product keeps one factor per axis, 1s included.
-    #[allow(clippy::identity_op)]
+    #[expect(clippy::identity_op, reason = "the grid-size product keeps one factor per axis, 1s included")]
     fn expansion_order_is_the_axis_nesting() {
         let plan = SweepPlan {
             integration: vec![IntegrationLevel::Base, IntegrationLevel::L2Integrated],

@@ -490,8 +490,7 @@ mod tests {
     }
 
     #[test]
-    // The run-count product keeps one factor per axis, 1s included.
-    #[allow(clippy::identity_op)]
+    #[expect(clippy::identity_op, reason = "the run-count product keeps one factor per axis, 1s included")]
     fn toml_round_trip_of_the_documented_dialect() {
         let text = r#"
             [sweep]
@@ -553,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::field_reassign_with_default)] // each case perturbs one field
+    #[expect(clippy::field_reassign_with_default, reason = "each case perturbs one field")]
     fn validate_rejects_degenerate_plans() {
         let mut plan = SweepPlan::default();
         plan.meas = 0;

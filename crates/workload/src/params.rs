@@ -304,7 +304,7 @@ impl OltpParams {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)]
+#[expect(clippy::field_reassign_with_default, reason = "each case perturbs one default field")]
 mod tests {
     #[test]
     fn txn_instrs_sums_the_per_phase_budgets() {

@@ -333,7 +333,7 @@ pub(crate) fn prob_threshold(p: f64) -> u64 {
 }
 
 impl NodeWorkload {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per per-node stream parameter")]
     fn new(
         node: u8,
         n_nodes: u8,
@@ -901,7 +901,7 @@ impl ReferenceStream for NodeWorkload {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)]
+#[expect(clippy::field_reassign_with_default, reason = "each case perturbs one default field")]
 mod tests {
     use super::*;
     use csim_trace::Access;

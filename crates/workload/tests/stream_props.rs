@@ -90,7 +90,7 @@ fn address_map_regions_never_alias_within_a_region() {
     for _ in 0..10 {
         let map = AddressMap::new(rng.next_u64());
         let region_pages = rng.gen_range(1..64);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for line in 0..region_pages * 128 {
             let addr = map.line_addr(Region::MetaHot, line);
             assert!(seen.insert(addr), "line {line} aliased within MetaHot");

@@ -660,12 +660,12 @@ fn run_single(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         let jsonl = sim.observer().trace_jsonl();
         std::fs::write(path, &jsonl)
             .map_err(|e| format!("cannot write trace '{path}': {e}"))?;
-        // lint: allow(no-panic) — the observer was configured from this same flag a few lines up
+        #[expect(clippy::expect_used, reason = "the observer was configured from this same flag a few lines up")]
         let ring = sim.observer().events().expect("--trace-out enables tracing");
         eprintln!("trace: {path} ({} events, {} dropped)", ring.len(), ring.dropped());
     }
     if let Some(path) = &args.epoch_svg {
-        // lint: allow(no-panic) — the observer was configured from this same flag a few lines up
+        #[expect(clippy::expect_used, reason = "the observer was configured from this same flag a few lines up")]
         let epoch_len = sim.observer().epoch_len().expect("--epoch-svg requires --epoch");
         let chart = epoch_chart(sim.observer().epoch_samples(), epoch_len);
         svg::write_lines_file(&chart, path)
@@ -673,7 +673,7 @@ fn run_single(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("epoch chart: {path} ({} epochs)", sim.observer().epoch_samples().len());
     }
     if let Some(path) = &args.prof {
-        // lint: allow(no-panic) — attribution was enabled from this same flag a few lines up
+        #[expect(clippy::expect_used, reason = "attribution was enabled from this same flag a few lines up")]
         let attr = sim.attribution().expect("--prof enables attribution");
         let manifest = run_manifest(args, &cfg);
         let doc = prof_report_json(attr, &manifest);
@@ -772,7 +772,7 @@ fn run_single(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             "class", "count", "min", "mean", "p50", "p90", "p99", "p999", "max",
         ]);
         for class in MissClass::ALL {
-            // lint: allow(no-panic) — the observer was configured from this same flag a few lines up
+            #[expect(clippy::expect_used, reason = "the observer was configured from this same flag a few lines up")]
             let h = sim.observer().histogram(class).expect("--histograms enables histograms");
             if h.count() == 0 {
                 continue;

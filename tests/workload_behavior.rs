@@ -32,12 +32,12 @@ fn all_nodes_update_all_branches() {
     let map = AddressMap::new(params.seed);
     // Branch rows sit at line 2 of their padded blocks: collect their
     // physical line addresses.
-    let branch_lines: std::collections::HashSet<u64> = (0..params.branches)
+    let branch_lines: std::collections::BTreeSet<u64> = (0..params.branches)
         .map(|b| map.line_addr(Region::BranchBlocks, b * 32 + 2) / 64)
         .collect();
 
     let mut nodes = OltpWorkload::build(params, 4).unwrap();
-    let mut writers_per_line: std::collections::HashMap<u64, std::collections::HashSet<u8>> =
+    let mut writers_per_line: std::collections::BTreeMap<u64, std::collections::BTreeSet<u8>> =
         Default::default();
     let mut writes_per_node = [0u64; 4];
     for (n, stream) in nodes.iter_mut().enumerate() {
@@ -80,7 +80,7 @@ fn log_writer_runs_only_on_node_zero_and_reads_everyone() {
     use oltp_chip_integration::workload::AddressMap;
     let params = OltpParams::default();
     let map = AddressMap::new(params.seed);
-    let ring_lines: std::collections::HashSet<u64> = (0..params.log_ring_lines)
+    let ring_lines: std::collections::BTreeSet<u64> = (0..params.log_ring_lines)
         .map(|l| map.line_addr(Region::LogRing, l) / 64)
         .collect();
 
