@@ -124,7 +124,6 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
                     item.crate_name
                 ),
                 excerpt: def_file.line_text(item.line).to_string(),
-                chain: Vec::new(),
             }
         })
         .collect()

@@ -44,7 +44,6 @@ pub fn run(ws: &Workspace, totals_used: &BTreeSet<(String, usize)>) -> Vec<Findi
                               reach or the body of the fn below it; delete it"
                         .into(),
                     excerpt: file.line_text(*line).to_string(),
-                    chain: Vec::new(),
                 });
             }
         }
@@ -59,7 +58,6 @@ pub fn run(ws: &Workspace, totals_used: &BTreeSet<(String, usize)>) -> Vec<Findi
                      reads it"
                 ),
                 excerpt: file.line_text(*line).to_string(),
-                chain: Vec::new(),
             });
         }
     }

@@ -2,14 +2,13 @@
 //! rules and rustc's types cannot make.
 //!
 //! The crate parses the *whole* workspace into one model — every file
-//! lexed with the hand-rolled [`lex`] lexer, every function indexed,
-//! every intra-workspace reference recorded — builds a name-based call
-//! graph, and runs three passes over it:
+//! lexed with the hand-rolled [`lex`] lexer, every function and `pub`
+//! item indexed — and runs three passes over it:
 //!
 //! 1. [`deadpub`] — every unrestricted `pub` item must have a consumer
 //!    outside its own crate's shipped sources.
-//! 2. [`panicfree`] — panic-freedom for everything reachable from the
-//!    `csim` entry point: per-function CFGs ([`mod@cfg`]) plus a
+//! 2. [`panicfree`] — panic-freedom for every shipped function of the
+//!    simulator's crates: per-function CFGs ([`mod@cfg`]) plus a
 //!    forward must-facts dataflow ([`dataflow`]) prove that indexing is
 //!    bounds-checked and `.len() - k` can't underflow — or the site
 //!    carries an `// analyze: total — reason` contract.
@@ -44,7 +43,6 @@ pub mod cfg;
 pub mod dataflow;
 pub mod deadpub;
 pub mod escapes;
-pub mod graph;
 pub mod lex;
 pub mod model;
 pub mod panicfree;
@@ -53,7 +51,6 @@ pub mod report;
 use std::io;
 use std::path::Path;
 
-pub use graph::CallGraph;
 pub use model::Workspace;
 pub use report::{AnalysisReport, Finding, Pass, Suppression, REPORT_SCHEMA};
 
@@ -71,8 +68,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<AnalysisReport> {
 /// Runs the passes over an already-built model (fixture tests use this
 /// to analyze synthetic workspaces without touching the filesystem).
 pub fn analyze_model(ws: &Workspace) -> AnalysisReport {
-    let graph = CallGraph::build(ws);
-
     let mut rep = AnalysisReport {
         files_scanned: ws.files.len(),
         fns_indexed: ws.fns.len(),
@@ -83,9 +78,9 @@ pub fn analyze_model(ws: &Workspace) -> AnalysisReport {
 
     rep.findings.extend(deadpub::run(ws));
 
-    let pf = panicfree::run(ws, &graph);
+    let pf = panicfree::run(ws);
     let totals_used = pf.totals_used;
-    rep.reachable_fns = pf.reachable_fns;
+    rep.scanned_fns = pf.scanned_fns;
     rep.findings.extend(pf.findings);
     rep.suppressions.extend(pf.suppressions);
 

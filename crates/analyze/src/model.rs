@@ -6,15 +6,10 @@
 //!   [`crate::lex`] lexer), its crate, its section
 //!   (shipped `src/`, binary, tests, examples), its identifier index,
 //!   and its analysis markers;
-//! * a [`FnItem`] per function — name, impl qualifier, 1-based line,
-//!   visibility, `#[cfg(test)]`-ness, its `analyze: total` contract,
-//!   and the token span of its body;
-//! * a [`PubItem`] per `pub` type/fn/const (for the dead-pub audit);
-//! * an [`ImportEdge`] per intra-workspace crate reference found in
-//!   shipped code: the call graph's crate visibility, and its only
-//!   use. rustc refuses a `csim_*` path the crate does not declare, so
-//!   these edges are a subset of Cargo's graph; the layering itself is
-//!   checked against Cargo's graph by `tests/layering.rs`.
+//! * a [`FnItem`] per function — name, 1-based line, visibility,
+//!   `#[cfg(test)]`-ness, its `analyze: total` contract, and the token
+//!   span of its body;
+//! * a [`PubItem`] per `pub` type/fn/const (for the dead-pub audit).
 //!
 //! The parser is item-level only: it tracks module / impl / trait /
 //! `#[cfg(test)]` scopes and function boundaries, and treats function
@@ -111,30 +106,15 @@ impl SourceFile {
     }
 }
 
-/// A call site extracted from a function body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Call {
-    /// Callee name (last path segment / method name).
-    pub name: String,
-    /// Qualifier for `Type::name(..)` calls, when present.
-    pub qual: Option<String>,
-    /// 1-based line of the call.
-    pub line: usize,
-}
-
 /// One function (free or associated), test or shipped.
 #[derive(Clone, Debug)]
 pub struct FnItem {
-    /// Index into [`Workspace::fns`].
-    pub id: usize,
     /// Index into [`Workspace::files`].
     pub file: usize,
     /// Owning crate name.
     pub crate_name: String,
     /// Function name.
     pub name: String,
-    /// Enclosing `impl`/`trait` target, when any.
-    pub qual: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// Unrestricted `pub` (not `pub(crate)`).
@@ -149,16 +129,6 @@ pub struct FnItem {
     /// Token index range of the body in the owning file (half-open),
     /// `None` for bodyless signatures.
     pub body: Option<(usize, usize)>,
-}
-
-impl FnItem {
-    /// `Type::name` or bare `name` — how humans refer to the function.
-    pub fn display_name(&self) -> String {
-        match &self.qual {
-            Some(q) => format!("{q}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
 }
 
 /// What kind of `pub` item the dead-pub audit found.
@@ -212,16 +182,6 @@ pub struct PubItem {
     pub span: (usize, usize),
 }
 
-/// A `csim_*` reference in shipped, non-test code, one per file and
-/// referenced crate.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ImportEdge {
-    /// Importing crate.
-    pub from: String,
-    /// Imported crate (directory name, e.g. `cache`).
-    pub to: String,
-}
-
 /// The parsed workspace.
 #[derive(Clone, Debug, Default)]
 pub struct Workspace {
@@ -233,8 +193,6 @@ pub struct Workspace {
     pub fns: Vec<FnItem>,
     /// Every unrestricted-`pub` item in shipped code.
     pub pub_items: Vec<PubItem>,
-    /// Deduplicated intra-workspace references from shipped code.
-    pub imports: Vec<ImportEdge>,
 }
 
 impl Workspace {
@@ -358,12 +316,12 @@ impl Workspace {
 
     /// The file a function lives in.
     #[inline]
-    pub fn file_of(&self, f: &FnItem) -> &SourceFile {
+    pub(crate) fn file_of(&self, f: &FnItem) -> &SourceFile {
         &self.files[f.file]
     }
 
     /// Body token span of a function, empty when bodyless.
-    pub fn body_toks<'a>(&'a self, f: &FnItem) -> &'a [OTok] {
+    pub(crate) fn body_toks<'a>(&'a self, f: &FnItem) -> &'a [OTok] {
         match f.body {
             Some((a, b)) => &self.files[f.file].toks[a..b],
             None => &[],
@@ -387,18 +345,13 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Keywords that look like call names when followed by `(`.
-const NON_CALL_KEYWORDS: [&str; 12] = [
-    "if", "while", "for", "match", "return", "loop", "fn", "move", "in", "as", "let", "else",
-];
-
-/// Parser scopes.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Parser scopes: one per open brace.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Scope {
-    Module,
-    Impl(String),
+    /// Shipped code.
+    Code,
+    /// Inside `#[cfg(test)]`.
     Test,
-    Block,
 }
 
 /// Item-level parse of `ws.files[file_idx]`, appending to the model.
@@ -410,7 +363,6 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
     let n = file.toks.len();
     let mut fns: Vec<FnItem> = Vec::new();
     let mut pubs: Vec<PubItem> = Vec::new();
-    let mut imports: BTreeSet<String> = BTreeSet::new();
 
     let text = |k: usize| file.text(file.toks[k]);
     let line = |k: usize| file.toks[k].line as usize;
@@ -483,13 +435,6 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                         depth = depth.saturating_sub(1);
                     } else if u == ";" && depth == 0 {
                         break;
-                    } else if section == Section::Src
-                        && !in_test
-                        && file.toks[i].kind == TokKind::Ident
-                    {
-                        if let Some(dep) = u.strip_prefix("csim_") {
-                            imports.insert(dep.to_string());
-                        }
                     }
                     i += 1;
                 }
@@ -505,7 +450,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                     i += 1;
                 }
                 if i < n && text(i) == "{" {
-                    stack.push(if pending_test || in_test { Scope::Test } else { Scope::Module });
+                    stack.push(if pending_test || in_test { Scope::Test } else { Scope::Code });
                 }
                 k = i + 1;
                 pending_pub = false;
@@ -514,12 +459,11 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
             }
             "impl" | "trait" => {
                 let is_trait = t == "trait";
-                // Capture the target: skip generic groups; `impl Trait
-                // for Type` takes the segment after `for`.
+                // Walk to the body, skipping generic groups; a trait's
+                // name is the last identifier outside them.
                 let mut i = k + 1;
                 let mut angle = 0usize;
                 let mut target = String::new();
-                let mut after_for = false;
                 while i < n {
                     let u = text(i);
                     match u {
@@ -527,10 +471,6 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                         ">" => angle = angle.saturating_sub(1),
                         "{" if angle == 0 => break,
                         ";" if angle == 0 => break,
-                        "for" if angle == 0 && !is_trait => {
-                            after_for = true;
-                            target.clear();
-                        }
                         "where" if angle == 0 => {
                             // Type is settled; scan on to the brace.
                             while i < n && text(i) != "{" && text(i) != ";" {
@@ -540,7 +480,6 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                         }
                         _ => {
                             if angle == 0 && file.toks[i].kind == TokKind::Ident {
-                                let _ = after_for;
                                 target = u.to_string();
                             }
                         }
@@ -552,18 +491,14 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                     pubs.push(PubItem {
                         file: file_idx,
                         crate_name: crate_name.clone(),
-                        name: target.clone(),
+                        name: target,
                         kind: PubKind::Trait,
                         line: line(k),
                         span: (k, i),
                     });
                 }
                 if i < n && text(i) == "{" {
-                    stack.push(if pending_test || in_test {
-                        Scope::Test
-                    } else {
-                        Scope::Impl(target)
-                    });
+                    stack.push(if pending_test || in_test { Scope::Test } else { Scope::Code });
                 }
                 k = i + 1;
                 pending_pub = false;
@@ -577,10 +512,6 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                     String::new()
                 };
                 let fn_line = line(k);
-                let qual = stack.iter().rev().find_map(|s| match s {
-                    Scope::Impl(t) if !t.is_empty() => Some(t.clone()),
-                    _ => None,
-                });
                 // Signature runs to the body brace or a `;`.
                 let mut i = k + 1;
                 while i < n && text(i) != "{" && text(i) != ";" {
@@ -593,21 +524,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                     None
                 };
                 let body_end = body.map_or(i + 1, |(_, e)| e + 1);
-                // Bodies are skipped by the item walker, so scan them
-                // here for intra-workspace references.
-                if section == Section::Src && !in_test {
-                    if let Some((a, b)) = body {
-                        for j in a..b.min(n) {
-                            if file.toks[j].kind == TokKind::Ident {
-                                if let Some(dep) = text(j).strip_prefix("csim_") {
-                                    imports.insert(dep.to_string());
-                                }
-                            }
-                        }
-                    }
-                }
                 if !name.is_empty() {
-                    let id = ws.fns.len() + fns.len();
                     if pending_pub
                         && !in_test
                         && section == Section::Src
@@ -622,11 +539,9 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                         });
                     }
                     fns.push(FnItem {
-                        id,
                         file: file_idx,
                         crate_name: crate_name.clone(),
                         name,
-                        qual,
                         line: fn_line,
                         is_pub: pending_pub,
                         in_test,
@@ -762,7 +677,7 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                 continue;
             }
             "{" => {
-                stack.push(if pending_test { Scope::Test } else { Scope::Block });
+                stack.push(if pending_test { Scope::Test } else { Scope::Code });
                 pending_test = false;
                 k += 1;
                 continue;
@@ -773,14 +688,6 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
                 continue;
             }
             _ => {
-                if section == Section::Src
-                    && !in_test
-                    && file.toks[k].kind == TokKind::Ident
-                {
-                    if let Some(dep) = t.strip_prefix("csim_") {
-                        imports.insert(dep.to_string());
-                    }
-                }
                 k += 1;
             }
         }
@@ -814,69 +721,8 @@ fn parse_items(ws: &mut Workspace, file_idx: usize) {
         }
     }
 
-    let from = crate_name.clone();
-    for to in imports {
-        if to != from.replace('-', "_") && ws.crates.iter().any(|c| c.replace('-', "_") == to) {
-            ws.imports.push(ImportEdge { from: from.clone(), to });
-        }
-    }
     ws.fns.extend(fns);
     ws.pub_items.extend(pubs);
-}
-
-/// Extracts call sites from a function body span.
-pub fn extract_calls(file: &SourceFile, body: &[OTok]) -> Vec<Call> {
-    let mut calls = Vec::new();
-    let n = body.len();
-    let text = |i: usize| file.text(body[i]);
-    for i in 0..n {
-        if body[i].kind != TokKind::Ident {
-            continue;
-        }
-        let name = text(i);
-        if NON_CALL_KEYWORDS.contains(&name) {
-            continue;
-        }
-        // Where does the argument list open (allowing `::<…>` turbofish)?
-        let mut j = i + 1;
-        if j + 1 < n && text(j) == ":" && text(j + 1) == ":" && j + 2 < n && text(j + 2) == "<" {
-            let mut depth = 0usize;
-            let mut m = j + 2;
-            while m < n {
-                match text(m) {
-                    "<" => depth += 1,
-                    ">" => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            m += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                m += 1;
-            }
-            j = m;
-        }
-        if j >= n || text(j) != "(" {
-            continue;
-        }
-        // Qualifier: `Qual :: name (` — method calls `.name(` have none.
-        let mut qual = None;
-        if i >= 3
-            && text(i - 1) == ":"
-            && text(i - 2) == ":"
-            && body[i - 3].kind == TokKind::Ident
-        {
-            qual = Some(text(i - 3).to_string());
-        }
-        calls.push(Call {
-            name: name.to_string(),
-            qual,
-            line: body[i].line as usize,
-        });
-    }
-    calls
 }
 
 #[cfg(test)]
@@ -893,7 +739,7 @@ mod tests {
     }
 
     #[test]
-    fn fns_and_impls_are_parsed_with_quals() {
+    fn fns_and_impls_are_parsed() {
         let src = "\
 pub struct Cache { slots: Vec<u64> }
 impl Cache {
@@ -905,8 +751,8 @@ impl Cache {
 pub fn free_fn() {}
 ";
         let ws = ws_with("crates/cache/src/model.rs", "cache", src);
-        let names: Vec<String> = ws.fns.iter().map(FnItem::display_name).collect();
-        assert_eq!(names, ["Cache::access", "Cache::probe", "free_fn"]);
+        let names: Vec<&str> = ws.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["access", "probe", "free_fn"]);
         assert!(ws.fns[0].total.is_some(), "a contract above an attr-decorated fn applies");
         assert!(ws.fns[0].is_pub && !ws.fns[1].is_pub);
         let pubs: Vec<&str> = ws.pub_items.iter().map(|p| p.name.as_str()).collect();
@@ -929,48 +775,6 @@ mod tests {
             ws.fns.iter().filter(|f| !f.in_test).map(|f| f.name.as_str()).collect();
         assert_eq!(shipped, ["shipped"]);
         assert_eq!(ws.pub_items.len(), 1, "test-only pubs are not audited: {:?}", ws.pub_items);
-    }
-
-    #[test]
-    fn imports_come_from_idents_outside_tests() {
-        let src = "\
-use csim_core::Simulation;
-fn go() { let _ = csim_config::SystemConfig::default(); }
-#[cfg(test)]
-mod tests { use csim_workload::OltpParams; }
-";
-        let mut ws = Workspace {
-            crates: vec!["cache".into(), "config".into(), "core".into(), "workload".into()],
-            ..Workspace::default()
-        };
-        ws.add_file("crates/cache/src/lib.rs".into(), "cache".into(), Section::Src, src.into());
-        let edges: Vec<(&str, &str)> =
-            ws.imports.iter().map(|e| (e.from.as_str(), e.to.as_str())).collect();
-        assert_eq!(edges, [("cache", "config"), ("cache", "core")], "{:?}", ws.imports);
-    }
-
-    #[test]
-    fn call_extraction_finds_plain_method_and_qualified() {
-        let src = "\
-fn f() {
-    helper(1);
-    self.probe(2);
-    Cache::insert(3);
-    x.collect::<Vec<_>>();
-    if cond(x) { }
-}
-";
-        let ws = ws_with("crates/core/src/x.rs", "core", src);
-        let f = &ws.fns[0];
-        let calls = extract_calls(ws.file_of(f), ws.body_toks(f));
-        let names: Vec<(Option<&str>, &str)> =
-            calls.iter().map(|c| (c.qual.as_deref(), c.name.as_str())).collect();
-        assert!(names.contains(&(None, "helper")));
-        assert!(names.contains(&(None, "probe")));
-        assert!(names.contains(&(Some("Cache"), "insert")));
-        assert!(names.contains(&(None, "collect")));
-        assert!(names.contains(&(None, "cond")));
-        assert!(!names.iter().any(|(_, n)| *n == "if"));
     }
 
     #[test]

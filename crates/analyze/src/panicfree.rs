@@ -2,12 +2,15 @@
 //!
 //! The crash-safe sweep engine (DESIGN.md §13) isolates worker panics
 //! at one boundary, and the paper's methodology stands on cycle
-//! accounting that never aborts mid-run — so shipped code reachable
-//! from the simulator entry point (`main` in `src/bin/csim.rs`) must
-//! not reach a partial operation at all. Panicking calls (`.unwrap()`,
-//! `panic!`, ...) are clippy's, banned in every shipped file outside the
-//! bench harness (a superset of this cone) by `cargo lint-shipped`; this
-//! pass proves the two properties only a dataflow can:
+//! accounting that never aborts mid-run — so no shipped function of the
+//! simulator's crates may reach a partial operation at all. The pass
+//! scans every non-test function in the `src/` and `src/bin/` files of
+//! those crates, with no call graph: a function passed by path
+//! (`.map(helper)`) is scanned like one called by name, and so is one
+//! nobody calls yet. Panicking calls (`.unwrap()`, `panic!`, ...) are
+//! clippy's, banned in every shipped file outside the bench harness by
+//! `cargo lint-shipped`; this pass proves the two properties only a
+//! dataflow can:
 //!
 //! * **`unchecked-index`** — `v[i]`, `v[0]`, and range slices whose
 //!   bound the forward dataflow cannot prove in range;
@@ -24,9 +27,9 @@
 //!
 //! Facts are must-facts: joined by intersection at CFG merges, killed
 //! on assignment, `&mut` escape, or a length-changing method call.
-//! Scope is the simulator's runtime crates — the analyzer, checker,
-//! and bench tooling are excluded (they share function *names* with
-//! runtime code under the over-approximate call graph; DESIGN.md §17).
+//! Scope is the simulator's crates — the analyzer, checker, and bench
+//! tooling are excluded (they never run inside a simulation process;
+//! DESIGN.md §17).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,13 +37,11 @@ use crate::lex::TokKind;
 
 use crate::cfg::{Cfg, EdgeKind};
 use crate::dataflow::{fixpoint, Analysis};
-use crate::graph::CallGraph;
 use crate::model::{FnItem, Section, SourceFile, Workspace};
 use crate::report::{Finding, Pass, Suppression};
 
-/// Crates whose code runs inside a simulation process. Names that the
-/// over-approximate call graph resolves into tooling crates
-/// (`analyze`, `check`, `bench`) are out of scope by policy.
+/// Crates whose code runs inside a simulation process. The tooling
+/// crates (`analyze`, `check`, `bench`) are out of scope by policy.
 const SIM_CRATES: &[&str] = &[
     "(root)", "cache", "coherence", "config", "core", "fault", "noc", "obs", "proc", "prof",
     "stats", "sweep", "trace", "workload",
@@ -63,33 +64,20 @@ pub struct PanicFreeResult {
     /// `(file, marker line)` of every `analyze: total` contract that
     /// discharged a site: the escape pass reports the others.
     pub totals_used: BTreeSet<(String, usize)>,
-    /// Shipped fns scanned (reachable from the entry points, in scope).
-    pub reachable_fns: usize,
+    /// Shipped fns of the simulator's crates scanned.
+    pub scanned_fns: usize,
 }
 
 /// Runs the pass.
-pub fn run(ws: &Workspace, graph: &CallGraph) -> PanicFreeResult {
-    let roots: Vec<usize> = ws
-        .fns
-        .iter()
-        .filter(|f| {
-            f.name == "main"
-                && !f.in_test
-                && ws.files[f.file].section == Section::Bin
-                && ws.files[f.file].rel.ends_with("src/bin/csim.rs")
-        })
-        .map(|f| f.id)
-        .collect();
-    let pred = graph.reach_forward(&roots);
+pub fn run(ws: &Workspace) -> PanicFreeResult {
     let field_maps = collect_field_arrays(ws);
     let no_fields = FieldLens::new();
 
     let mut findings = Vec::new();
     let mut suppressions = Vec::new();
     let mut totals_used = BTreeSet::new();
-    let mut reachable_fns = 0usize;
-    for &fid in pred.keys() {
-        let f = &ws.fns[fid];
+    let mut scanned_fns = 0usize;
+    for f in &ws.fns {
         let file = ws.file_of(f);
         if f.in_test
             || !matches!(file.section, Section::Src | Section::Bin)
@@ -97,9 +85,8 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> PanicFreeResult {
         {
             continue;
         }
-        reachable_fns += 1;
+        scanned_fns += 1;
         let Some(body) = f.body else { continue };
-        let chain = CallGraph::chain(ws, &pred, fid);
         let fields = field_maps.get(&f.crate_name).unwrap_or(&no_fields);
         let cfg = Cfg::build(file, body);
         let states = fixpoint(&Bounds { fields }, &cfg, file);
@@ -109,12 +96,12 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> PanicFreeResult {
             for &r in &blk.stmts {
                 scan_stmt(&mut st, file, r, fields, &mut |rule, line, msg| {
                     let (fs, ss, ts) = (&mut findings, &mut suppressions, &mut totals_used);
-                    emit(file, f, &chain, rule, line, msg, fs, ss, ts);
+                    emit(file, f, rule, line, msg, fs, ss, ts);
                 });
             }
         }
     }
-    PanicFreeResult { findings, suppressions, totals_used, reachable_fns }
+    PanicFreeResult { findings, suppressions, totals_used, scanned_fns }
 }
 
 /// Routes one undischarged site to a finding or a contract suppression,
@@ -123,7 +110,6 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> PanicFreeResult {
 fn emit(
     file: &SourceFile,
     f: &FnItem,
-    chain: &[String],
     rule: &str,
     line: usize,
     msg: String,
@@ -147,7 +133,6 @@ fn emit(
             line,
             message: msg,
             excerpt: file.line_text(line).to_string(),
-            chain: chain.to_vec(),
         });
     }
 }
@@ -1340,8 +1325,7 @@ mod tests {
             format!("use csim_core::entry;\nfn main() {{ {main_body} }}\n"),
         );
         ws.add_file("crates/core/src/lib.rs".into(), "core".into(), Section::Src, lib.into());
-        let g = CallGraph::build(&ws);
-        run(&ws, &g)
+        run(&ws)
     }
 
     fn rules(r: &PanicFreeResult) -> Vec<&str> {
@@ -1349,17 +1333,17 @@ mod tests {
     }
 
     #[test]
-    fn reachable_site_fires_and_unreachable_does_not() {
+    fn called_and_uncalled_sites_both_fire() {
         let r = run_on(
             "entry(&[1]);",
             "pub fn entry(v: &[u64]) -> u64 { v[9] }\n\
-             pub fn not_reached(v: &[u64]) -> u64 { v[9] }\n",
+             pub fn not_called(v: &[u64]) -> u64 { v[9] }\n",
         );
-        assert_eq!(rules(&r), ["unchecked-index"], "{:?}", r.findings);
-        // `not_reached` has no caller chain from main, so its index is
-        // out of scope for this pass.
-        assert_eq!(r.findings[0].line, 1);
-        assert_eq!(r.findings[0].chain, ["main", "entry"]);
+        // Every shipped fn is scanned, whether `main` reaches it or not.
+        assert_eq!(rules(&r), ["unchecked-index", "unchecked-index"], "{:?}", r.findings);
+        let lines: Vec<usize> = r.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1, 2]);
+        assert_eq!(r.scanned_fns, 3);
     }
 
     #[test]
@@ -1374,7 +1358,7 @@ mod tests {
              }\n",
         );
         assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!(r.reachable_fns, 2);
+        assert_eq!(r.scanned_fns, 2);
     }
 
     #[test]
@@ -1385,7 +1369,6 @@ mod tests {
         );
         assert_eq!(rules(&r), ["unchecked-index"], "{:?}", r.findings);
         assert!(r.findings[0].message.contains("v[0]"));
-        assert_eq!(r.findings[0].chain, ["main", "entry"]);
     }
 
     #[test]
@@ -1497,8 +1480,7 @@ mod tests {
             Section::Src,
             "pub fn helper(v: &[u64]) -> u64 { v[0] }\n".into(),
         );
-        let g = CallGraph::build(&ws);
-        let r = run(&ws, &g);
+        let r = run(&ws);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
     }
 }

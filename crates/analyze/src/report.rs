@@ -19,7 +19,7 @@ pub const REPORT_SCHEMA: &str = "csim-analyze-report/v1";
 pub enum Pass {
     /// Dead-`pub` audit.
     DeadPub,
-    /// CFG/dataflow panic-freedom proof (entry-point reachability).
+    /// CFG/dataflow panic-freedom proof over the simulator's crates.
     PanicFree,
     /// `analyze: total` contracts that discharged nothing, and
     /// directives of no known kind.
@@ -52,8 +52,6 @@ pub struct Finding {
     pub message: String,
     /// Trimmed source excerpt.
     pub excerpt: String,
-    /// Call chain or flow path context (empty when not applicable).
-    pub chain: Vec<String>,
 }
 
 /// One would-be finding discharged by a counted `// analyze: total —
@@ -79,15 +77,15 @@ pub struct AnalysisReport {
     pub suppressions: Vec<Suppression>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Functions in the call graph.
+    /// Functions indexed (test and shipped).
     pub fns_indexed: usize,
     /// Crates analyzed.
     pub crates: usize,
     /// `pub` items audited.
     pub pub_items: usize,
-    /// Shipped fns reachable from the `csim` entry point and proven
-    /// (or contracted) free of unchecked indexing and underflow.
-    pub reachable_fns: usize,
+    /// Shipped fns of the simulator's crates scanned and proven (or
+    /// contracted) free of unchecked indexing and underflow.
+    pub scanned_fns: usize,
 }
 
 impl AnalysisReport {
@@ -104,22 +102,20 @@ impl AnalysisReport {
 
     /// The deterministic JSON document.
     pub fn to_json(&self) -> Json {
-        let mut findings = Vec::with_capacity(self.findings.len());
-        for f in &self.findings {
-            let mut o = Json::obj([
-                ("pass", Json::str(f.pass.name())),
-                ("rule", Json::str(&f.rule)),
-                ("file", Json::str(&f.file)),
-                ("line", Json::UInt(f.line as u64)),
-                ("message", Json::str(&f.message)),
-                ("excerpt", Json::str(&f.excerpt)),
-            ]);
-            if !f.chain.is_empty() {
-                let chain: Vec<Json> = f.chain.iter().map(Json::str).collect();
-                o.push("chain", Json::Arr(chain));
-            }
-            findings.push(o);
-        }
+        let findings: Vec<Json> = self
+            .findings
+            .iter()
+            .map(|f| {
+                Json::obj([
+                    ("pass", Json::str(f.pass.name())),
+                    ("rule", Json::str(&f.rule)),
+                    ("file", Json::str(&f.file)),
+                    ("line", Json::UInt(f.line as u64)),
+                    ("message", Json::str(&f.message)),
+                    ("excerpt", Json::str(&f.excerpt)),
+                ])
+            })
+            .collect();
         let suppressions: Vec<Json> = self
             .suppressions
             .iter()
@@ -141,7 +137,7 @@ impl AnalysisReport {
                     ("files", Json::UInt(self.files_scanned as u64)),
                     ("fns", Json::UInt(self.fns_indexed as u64)),
                     ("pub_items", Json::UInt(self.pub_items as u64)),
-                    ("reachable_fns", Json::UInt(self.reachable_fns as u64)),
+                    ("scanned_fns", Json::UInt(self.scanned_fns as u64)),
                 ]),
             ),
             ("clean", Json::Bool(self.is_clean())),
@@ -159,9 +155,6 @@ impl AnalysisReport {
                 "{}:{}: [{}] {}\n    {}",
                 f.file, f.line, f.rule, f.message, f.excerpt
             );
-            if !f.chain.is_empty() {
-                let _ = writeln!(out, "    via: {}", f.chain.join(" -> "));
-            }
         }
         if !self.suppressions.is_empty() {
             let _ = writeln!(out, "suppressed ({}):", self.suppressions.len());
@@ -171,14 +164,14 @@ impl AnalysisReport {
         }
         let _ = writeln!(
             out,
-            "csim-analyze: {} findings, {} suppressed; {} crates, {} files, {} fns, {} pub items, {} panic-free reachable fns",
+            "csim-analyze: {} findings, {} suppressed; {} crates, {} files, {} fns, {} pub items, {} panic-free scanned fns",
             self.findings.len(),
             self.suppressions.len(),
             self.crates,
             self.files_scanned,
             self.fns_indexed,
             self.pub_items,
-            self.reachable_fns,
+            self.scanned_fns,
         );
         out
     }
@@ -197,7 +190,6 @@ mod tests {
                 line: 7,
                 message: "index not proven in bounds".into(),
                 excerpt: "v[i]".into(),
-                chain: vec!["root".into(), "leaf".into()],
             }],
             suppressions: vec![Suppression {
                 rule: "underflow-sub".into(),
@@ -209,7 +201,7 @@ mod tests {
             fns_indexed: 5,
             crates: 2,
             pub_items: 4,
-            reachable_fns: 3,
+            scanned_fns: 3,
         };
         r.sort();
         r
@@ -231,7 +223,6 @@ mod tests {
         let r = sample();
         let h = r.render_human();
         assert!(h.contains("[unchecked-index]"));
-        assert!(h.contains("via: root -> leaf"));
         assert!(h.contains("suppressed (1):"));
         assert!(h.contains("1 findings, 1 suppressed"));
     }

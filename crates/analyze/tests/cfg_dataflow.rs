@@ -137,38 +137,57 @@ fn generated_cfgs_are_single_entry_gc_clean_and_rpo_complete() {
     }
 }
 
-/// Mounts a lib fixture beside a `src/bin/csim.rs` entry point so the
-/// panic-freedom reachability sweep sees it, then runs every pass.
+/// Mounts a lib fixture in the `core` crate beside a `src/bin/csim.rs`
+/// entry point, then runs every pass.
 fn analyze_with_entry(lib_src: &str) -> AnalysisReport {
-    let mut ws = Workspace {
-        crates: vec!["(root)".into(), "core".into()],
-        ..Workspace::default()
-    };
+    analyze_mounted(&[("crates/core/src/lib.rs", "core", lib_src)])
+}
+
+/// Mounts `(path, crate, source)` library files beside a
+/// `src/bin/csim.rs` entry point, then runs every pass.
+fn analyze_mounted(libs: &[(&str, &str, &str)]) -> AnalysisReport {
+    let mut ws = Workspace::default();
+    let mut crates: BTreeSet<String> = libs.iter().map(|(_, c, _)| c.to_string()).collect();
+    crates.insert("(root)".into());
+    ws.crates = crates.into_iter().collect();
     ws.add_file(
         "src/bin/csim.rs".into(),
         "(root)".into(),
         Section::Bin,
         "#![forbid(unsafe_code)]\nuse csim_core::entry;\nfn main() { entry(); }\n".into(),
     );
-    ws.add_file("crates/core/src/lib.rs".into(), "core".into(), Section::Src, lib_src.into());
+    for (rel, c, src) in libs {
+        ws.add_file((*rel).into(), (*c).into(), Section::Src, (*src).into());
+    }
     analyze_model(&ws)
 }
 
 #[test]
-fn panic_freedom_fires_on_reachable_sites_and_honors_contracts() {
+fn panic_freedom_fires_on_every_shipped_site_and_honors_contracts() {
     let src = fixture("panic_reachable.rs");
-    let rep = analyze_with_entry(&src);
-    let mut found: Vec<(&str, usize)> =
-        rep.findings.iter().map(|f| (f.rule.as_str(), f.line)).collect();
-    found.sort_unstable_by_key(|&(_, line)| line);
+    // The analyzer's own crate is tooling: an unchecked index there
+    // runs in no simulation and stays silent.
+    let tool = "fn tool(v: &[u64]) -> u64 { v[5] }\n";
+    let rep = analyze_mounted(&[
+        ("crates/core/src/lib.rs", "core", &src),
+        ("crates/analyze/src/lib.rs", "analyze", tool),
+    ]);
+    let found: Vec<(&str, &str, usize)> =
+        rep.findings.iter().map(|f| (f.file.as_str(), f.rule.as_str(), f.line)).collect();
     let line_of = |needle: &str| {
         src.lines().position(|l| l.contains(needle)).expect("marker line present") + 1
     };
-    // One finding for the one unguarded site.
+    // One finding per unguarded site, however `main` reaches its fn:
+    // by name, by path (never a call site), or not at all.
+    let site = |needle: &str| ("crates/core/src/lib.rs", "unchecked-index", line_of(needle));
     assert_eq!(
         found,
-        vec![("unchecked-index", line_of("expected finding: unchecked-index"))],
-        "exactly the unguarded site fires: {found:?}"
+        [
+            site("expected finding: called by name"),
+            site("expected finding: passed by path"),
+            site("expected finding: called by nobody"),
+        ],
+        "exactly the unguarded simulator sites fire"
     );
     // Both totality contracts landed as reasoned suppressions, not
     // silence.
@@ -196,14 +215,13 @@ fn totality_contracts_that_discharge_nothing_are_stale() {
             line_of("— over a site the dataflow"),
             line_of("— four lines"),
             line_of("— above a fn with nothing"),
-            line_of("— above a fn nothing reaches"),
         ],
         "{:?}",
         rep.findings
     );
-    // The live contracts discharged their sites, the fn-level one from
+    // The live contracts discharged their sites, the fn-level ones from
     // beyond a site contract's reach; the site out of reach still fires.
-    for live in ["the live site contract", "the live fn contract"] {
+    for live in ["the live site contract", "the live fn contract", "the uncalled fn contract"] {
         assert!(rep.suppressions.iter().any(|s| s.reason.contains(live)), "{live}");
     }
     assert_eq!(lines_of("unchecked-index"), [line_of("— four lines") + 4]);

@@ -1,10 +1,10 @@
 //! Fixture: `analyze: total` contracts that discharge nothing.
 //!
-//! The first two contracts, one at a site and one above a `fn`, each
-//! discharge an unchecked index and are live. The others are stale: one
-//! sits above an index the dataflow proves, one four lines above its
-//! site, one above a `fn` with no partial operation, and one above a
-//! `fn` the entry point never reaches.
+//! Three contracts each discharge an unchecked index and are live: one
+//! at a site, one above a `fn`, and one above a `fn` nothing calls
+//! (every shipped fn is scanned, called or not). The others are stale:
+//! one sits above an index the dataflow proves, one four lines above
+//! its site, and one above a `fn` with no partial operation.
 
 #![forbid(unsafe_code)]
 
@@ -57,7 +57,7 @@ fn no_site(v: &[u64]) -> usize {
     v.len()
 }
 
-// analyze: total — above a fn nothing reaches
-fn unreached(v: &[u64], i: usize) -> u64 {
+// analyze: total — the uncalled fn contract
+fn uncalled(v: &[u64], i: usize) -> u64 {
     v[i]
 }

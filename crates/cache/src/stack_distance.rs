@@ -34,7 +34,7 @@
 //! ```
 
 /// Single-pass LRU stack-distance profiler.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct StackDistance {
     // One flag per timestamp: 1 when that timestamp is some line's most
     // recent access. The Fenwick tree is rebuilt from this on growth.
@@ -57,6 +57,12 @@ pub struct StackDistance {
 /// single overflow bucket (they miss in any cache this crate simulates).
 const MAX_EXACT_DISTANCE: usize = 1 << 21; // 2M lines = 128 MB of cache
 
+impl Default for StackDistance {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl StackDistance {
     /// Creates an empty profiler.
     pub fn new() -> Self {
@@ -78,6 +84,7 @@ impl StackDistance {
         }
     }
 
+    // analyze: total — Fenwick prefix walk: `i` only falls from a timestamp below `now`, and `visit` grows the tree past `now` before any query
     fn tree_prefix(&self, mut i: usize) -> u64 {
         let mut s = 0;
         while i > 0 {
@@ -108,7 +115,6 @@ impl StackDistance {
     pub fn visit(&mut self, line: u64) -> Option<u64> {
         self.accesses += 1;
         let now = self.bits.len();
-        self.bits.push(0);
         if now >= self.tree.len() {
             self.grow();
         }
@@ -117,7 +123,9 @@ impl StackDistance {
                 // Distinct lines touched since `prev` = ones after prev.
                 let after = self.tree_prefix(now - 1) - self.tree_prefix(prev);
                 self.tree_add(prev, -1);
-                self.bits[prev] = 0;
+                if let Some(b) = self.bits.get_mut(prev) {
+                    *b = 0;
+                }
                 Some(after)
             }
             None => {
@@ -126,15 +134,18 @@ impl StackDistance {
             }
         };
         self.tree_add(now, 1);
-        self.bits[now] = 1;
+        self.bits.push(1);
         self.last.insert(line, now);
         if let Some(d) = distance {
             if (d as usize) < MAX_EXACT_DISTANCE {
                 let idx = d as usize;
-                if idx >= self.exact.len() {
-                    self.exact.resize(idx + 1, 0);
+                match self.exact.get_mut(idx) {
+                    Some(n) => *n += 1,
+                    None => {
+                        self.exact.resize(idx, 0);
+                        self.exact.push(1);
+                    }
                 }
-                self.exact[idx] += 1;
             } else {
                 self.overflow += 1;
             }
@@ -155,13 +166,9 @@ impl StackDistance {
     /// Misses a fully-associative LRU cache of `capacity_lines` would
     /// take on the observed stream (cold misses included).
     pub fn misses_at_capacity(&self, capacity_lines: u64) -> u64 {
-        let cap = capacity_lines as usize;
-        let reuse_misses: u64 = if cap < self.exact.len() {
-            self.exact[cap..].iter().sum::<u64>() + self.overflow
-        } else {
-            self.overflow
-        };
-        self.cold + reuse_misses
+        let beyond: u64 =
+            self.exact.get(capacity_lines as usize..).map_or(0, |tail| tail.iter().sum());
+        self.cold + beyond + self.overflow
     }
 
     /// Miss ratio at the given capacity; zero when nothing was observed.
@@ -270,6 +277,16 @@ mod tests {
                 "stack distance disagrees with simulation at capacity {cap}"
             );
         }
+    }
+
+    #[test]
+    fn a_default_profiler_measures_like_a_new_one() {
+        let mut sd = StackDistance::default();
+        for line in [1u64, 2, 3] {
+            assert_eq!(sd.visit(line), None);
+        }
+        assert_eq!(sd.visit(1), Some(2));
+        assert_eq!(sd.visit(2), Some(2));
     }
 
     #[test]

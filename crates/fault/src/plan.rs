@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::toml::{self, TomlError};
+use crate::toml::{self, clip, TomlError};
 
 /// How a NACKed requester retries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -268,7 +268,7 @@ impl FaultPlan {
                 other => {
                     return Err(FaultPlanError::Parse {
                         line: item.line,
-                        message: format!("unknown table '[{other}]'"),
+                        message: format!("unknown table '[{}]'", clip(other)),
                     })
                 }
             }
@@ -279,7 +279,7 @@ impl FaultPlan {
 }
 
 fn unknown_key(table: &str, key: &str, line: usize) -> FaultPlanError {
-    FaultPlanError::Parse { line, message: format!("unknown key '{key}' in [{table}]") }
+    FaultPlanError::Parse { line, message: format!("unknown key '{}' in [{table}]", clip(key)) }
 }
 
 /// What went wrong while loading or checking a fault plan.
@@ -438,6 +438,17 @@ mod tests {
         assert!(matches!(err, FaultPlanError::Parse { line: 1, .. }), "{err}");
         let err = FaultPlan::from_toml_str("[nack]\nprobability = 0.5\n").unwrap_err();
         assert!(matches!(err, FaultPlanError::Parse { line: 2, .. }), "{err}");
+        // Oversized names are echoed as a short prefix.
+        let huge = "k".repeat(200_000);
+        for (plan, line, why) in [
+            (format!("[nack]\n{huge} = 1\n"), 2, "unknown key"),
+            (format!("[{huge}]\nx = 1\n"), 1, "unknown table"),
+        ] {
+            let err = FaultPlan::from_toml_str(&plan).unwrap_err();
+            assert!(matches!(err, FaultPlanError::Parse { line: l, .. } if l == line), "{err}");
+            let msg = err.to_string();
+            assert!(msg.len() < 200 && msg.contains(why) && msg.contains("kkk..."), "{msg}");
+        }
     }
 
     #[test]

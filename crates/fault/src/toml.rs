@@ -31,7 +31,7 @@ fn mismatch<T>(line: usize, want: &str, found: &Scalar) -> Result<T, TomlError> 
 
 /// The first 40 characters of `text`, with `...` when it is longer: an
 /// error names the offending input without echoing a value of any size.
-fn clip(text: &str) -> String {
+pub fn clip(text: &str) -> String {
     let head: String = text.chars().take(40).collect();
     if head.len() < text.len() {
         head + "..."

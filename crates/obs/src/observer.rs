@@ -208,9 +208,7 @@ impl Observer {
             histograms: self
                 .hists
                 .as_ref()
-                .map(|hs| {
-                    MissClass::ALL.into_iter().map(|c| (c, hs[c.index()].clone())).collect()
-                })
+                .map(|hs| MissClass::ALL.into_iter().zip(hs.iter().cloned()).collect())
                 .unwrap_or_default(),
             epochs: self.epoch_samples().to_vec(),
             events: self.ring.as_ref().map(|r| r.iter().copied().collect()).unwrap_or_default(),
@@ -229,8 +227,8 @@ impl Observer {
             Some(hs) => Json::Obj(
                 MissClass::ALL
                     .into_iter()
-                    // analyze: total — MissClass::index() is the variant's position and the per-class arrays hold one slot per variant
-                    .map(|c| (c.as_str().to_string(), histogram_json(&hs[c.index()])))
+                    .zip(hs)
+                    .map(|(c, h)| (c.as_str().to_string(), histogram_json(h)))
                     .collect(),
             ),
         };
@@ -280,8 +278,8 @@ fn histogram_json(h: &LatencyHistogram) -> Json {
 
 fn epoch_json(s: &EpochSample) -> Json {
     let mut mix = Json::Obj(Vec::new());
-    for c in MissClass::ALL {
-        mix.push(c.as_str(), Json::UInt(s.class_counts[c.index()]));
+    for (c, &n) in MissClass::ALL.iter().zip(&s.class_counts) {
+        mix.push(c.as_str(), Json::UInt(n));
     }
     Json::obj([
         ("index", Json::UInt(s.index)),

@@ -55,12 +55,16 @@ impl HostSampler {
                 for &slot in slots.iter() {
                     let region = Region::from_u8(slot);
                     if region != Region::Idle {
-                        counts[region as usize] += 1;
+                        if let Some(n) = counts.get_mut(region as usize) {
+                            *n += 1;
+                        }
                         active = true;
                     }
                 }
                 if !active {
-                    counts[Region::Idle as usize] += 1;
+                    if let Some(n) = counts.get_mut(Region::Idle as usize) {
+                        *n += 1;
+                    }
                 }
                 thread::sleep(period);
             }

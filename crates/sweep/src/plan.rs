@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use csim_config::{CacheGeometry, IntegrationLevel, LINE_SIZE};
-use csim_fault::toml::{self, TomlError};
+use csim_fault::toml::{self, clip, TomlError};
 use csim_trace::SimRng;
 use csim_workload::OltpParams;
 
@@ -35,31 +35,32 @@ impl L2Spec {
     // analyze: total — m and w are byte offsets from find() on this same ASCII spec string with m < w enforced, so both cuts are in-range char boundaries
     pub fn parse(spec: &str) -> Result<L2Spec, String> {
         let spec = spec.trim();
-        let m = spec.find(['M', 'm']).ok_or_else(|| format!("bad L2 spec '{spec}': missing M"))?;
+        let shown = clip(spec);
+        let m = spec.find(['M', 'm']).ok_or_else(|| format!("bad L2 spec '{shown}': missing M"))?;
         let w = spec
             .rfind(['w', 'W'])
             .filter(|&w| w > m)
-            .ok_or_else(|| format!("bad L2 spec '{spec}': missing w"))?;
+            .ok_or_else(|| format!("bad L2 spec '{shown}': missing w"))?;
         if w + 1 != spec.len() {
-            return Err(format!("bad L2 spec '{spec}': trailing characters after 'w'"));
+            return Err(format!("bad L2 spec '{shown}': trailing characters after 'w'"));
         }
-        let mb: f64 = spec[..m].parse().map_err(|_| format!("bad L2 size in '{spec}'"))?;
+        let mb: f64 = spec[..m].parse().map_err(|_| format!("bad L2 size in '{shown}'"))?;
         let assoc: u32 =
-            spec[m + 1..w].parse().map_err(|_| format!("bad associativity in '{spec}'"))?;
+            spec[m + 1..w].parse().map_err(|_| format!("bad associativity in '{shown}'"))?;
         if !mb.is_finite() || mb <= 0.0 {
-            return Err(format!("bad L2 spec '{spec}': size must be positive"));
+            return Err(format!("bad L2 spec '{shown}': size must be positive"));
         }
         if assoc == 0 {
-            return Err(format!("bad L2 spec '{spec}': associativity must be at least 1"));
+            return Err(format!("bad L2 spec '{shown}': associativity must be at least 1"));
         }
         if !assoc.is_power_of_two() {
             return Err(format!(
-                "bad L2 spec '{spec}': associativity {assoc} is not a power of two"
+                "bad L2 spec '{shown}': associativity {assoc} is not a power of two"
             ));
         }
         let bytes = (mb * (1u64 << 20) as f64).round() as u64;
         CacheGeometry::new(bytes, assoc, LINE_SIZE)
-            .map_err(|e| format!("bad L2 spec '{spec}': {e}"))?;
+            .map_err(|e| format!("bad L2 spec '{shown}': {e}"))?;
         Ok(L2Spec { bytes, assoc, label: spec.to_string() })
     }
 }
@@ -77,7 +78,7 @@ pub fn parse_integration(name: &str) -> Result<IntegrationLevel, String> {
         "l2" => Ok(IntegrationLevel::L2Integrated),
         "l2mc" => Ok(IntegrationLevel::L2McIntegrated),
         "all" => Ok(IntegrationLevel::FullyIntegrated),
-        other => Err(format!("unknown integration level '{other}'")),
+        other => Err(format!("unknown integration level '{}'", clip(other))),
     }
 }
 
@@ -257,7 +258,7 @@ impl SweepPlan {
                 other => {
                     return Err(SweepError::Parse {
                         line: item.line,
-                        message: format!("unknown table '[{other}]'"),
+                        message: format!("unknown table '[{}]'", clip(other)),
                     })
                 }
             }
@@ -336,7 +337,7 @@ impl From<TomlError> for SweepError {
 }
 
 fn unknown_key(table: &str, key: &str, line: usize) -> SweepError {
-    SweepError::Parse { line, message: format!("unknown key '{key}' in [{table}]") }
+    SweepError::Parse { line, message: format!("unknown key '{}' in [{table}]", clip(key)) }
 }
 
 /// What went wrong while loading a plan or executing a sweep.
@@ -549,6 +550,19 @@ mod tests {
         assert!(err.to_string().contains("unknown key 'nom'"), "{err}");
         let err = SweepPlan::from_toml_str("[grid]\nnodes = [0]\n").unwrap_err();
         assert!(matches!(err, SweepError::Invalid { field: "grid.nodes", .. }), "{err}");
+        // Oversized names and values are echoed as a short prefix.
+        let huge = "k".repeat(200_000);
+        for (plan, why) in [
+            (format!("[sweep]\n{huge} = 1\n"), "unknown key"),
+            (format!("[{huge}]\nx = 1\n"), "unknown table"),
+            (format!("[grid]\nl2 = [\"{huge}\"]\n"), "bad L2 spec"),
+            (format!("[grid]\nintegration = [\"{huge}\"]\n"), "unknown integration level"),
+        ] {
+            let err = SweepPlan::from_toml_str(&plan).unwrap_err();
+            assert!(matches!(err, SweepError::Parse { .. }), "{err}");
+            let msg = err.to_string();
+            assert!(msg.len() < 200 && msg.contains(why) && msg.contains("kkk..."), "{msg}");
+        }
     }
 
     #[test]
