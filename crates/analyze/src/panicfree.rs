@@ -27,9 +27,9 @@
 //!
 //! Facts are must-facts: joined by intersection at CFG merges, killed
 //! on assignment, `&mut` escape, or a length-changing method call.
-//! Scope is the simulator's crates — the analyzer, checker, and bench
-//! tooling are excluded (they never run inside a simulation process;
-//! DESIGN.md §17).
+//! Scope is every crate but the analyzer, checker, and bench tooling
+//! (they never run inside a simulation process; DESIGN.md §17), so a
+//! new crate is in scope from its first line.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,12 +40,9 @@ use crate::dataflow::{fixpoint, Analysis};
 use crate::model::{FnItem, Section, SourceFile, Workspace};
 use crate::report::{Finding, Pass, Suppression};
 
-/// Crates whose code runs inside a simulation process. The tooling
-/// crates (`analyze`, `check`, `bench`) are out of scope by policy.
-const SIM_CRATES: &[&str] = &[
-    "(root)", "cache", "coherence", "config", "core", "fault", "noc", "obs", "proc", "prof",
-    "stats", "sweep", "trace", "workload",
-];
+/// The tooling crates, which never run inside a simulation process:
+/// out of scope by policy. Every other crate is a simulator crate.
+const TOOLING_CRATES: &[&str] = &["analyze", "check", "bench"];
 
 /// Assertion macros: fact generators, not findings.
 const ASSERT_MACROS: &[&str] = &["assert", "debug_assert", "assert_eq", "assert_ne", "debug_assert_eq", "debug_assert_ne"];
@@ -81,7 +78,7 @@ pub fn run(ws: &Workspace) -> PanicFreeResult {
         let file = ws.file_of(f);
         if f.in_test
             || !matches!(file.section, Section::Src | Section::Bin)
-            || !SIM_CRATES.contains(&f.crate_name.as_str())
+            || TOOLING_CRATES.contains(&f.crate_name.as_str())
         {
             continue;
         }

@@ -199,6 +199,19 @@ fn panic_freedom_fires_on_every_shipped_site_and_honors_contracts() {
     assert_eq!(totals, 2, "site- and fn-level contracts must both be recorded");
 }
 
+/// Scope is by exclusion: a crate named in no list is a simulator crate
+/// from its first line, and only the tooling crates stay silent.
+#[test]
+fn a_new_crate_is_in_panic_freedom_scope_and_tooling_is_not() {
+    let src = "fn f(v: &[u64]) -> u64 { v[3] }\n";
+    let rep = analyze_mounted(&[("crates/gpu/src/lib.rs", "gpu", src)]);
+    let found: Vec<(&str, &str, usize)> =
+        rep.findings.iter().map(|f| (f.file.as_str(), f.rule.as_str(), f.line)).collect();
+    assert_eq!(found, [("crates/gpu/src/lib.rs", "unchecked-index", 1)]);
+    let rep = analyze_mounted(&[("crates/bench/src/lib.rs", "bench", src)]);
+    assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+}
+
 #[test]
 fn totality_contracts_that_discharge_nothing_are_stale() {
     let src = fixture("stale_total.rs");

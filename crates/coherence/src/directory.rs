@@ -191,14 +191,91 @@ const BLOCK_SHIFT: u32 = 5;
 /// Lines per directory block.
 const BLOCK_LINES: usize = 1 << BLOCK_SHIFT;
 
+/// One line's slot in a directory block: its state, or "never tracked".
+/// Transitions decode the slot, apply the [`LineState`] logic and
+/// store the result through [`Entry::encode`].
+trait Entry: Copy {
+    /// The slot of a line the directory has never tracked.
+    const UNTRACKED: Self;
+    /// The line's state; `None` when it was never tracked.
+    fn decode(self) -> Option<LineState>;
+    /// The slot holding `state`.
+    fn encode(state: LineState) -> Self;
+}
+
+/// The wide entry, 9 bytes: holds any sharer set of up to 64 nodes.
+impl Entry for Option<LineState> {
+    const UNTRACKED: Self = None;
+
+    #[inline(always)]
+    fn decode(self) -> Option<LineState> {
+        self
+    }
+
+    #[inline(always)]
+    fn encode(state: LineState) -> Self {
+        Some(state)
+    }
+}
+
+/// Most nodes whose sharer vector fits a narrow entry's 14 bits.
+const NARROW_NODES: u8 = 14;
+/// Narrow entry tag, bits 0–1 (0 is never tracked).
+const TAG_MASK: u16 = 0b11;
+/// Tag of an `Uncached` tombstone.
+const TAG_UNCACHED: u16 = 1;
+/// Tag of `Shared`, with the sharer vector in bits 2–15.
+const TAG_SHARED: u16 = 2;
+/// Tag of `Modified`, with the owner in bits 2–7 and `in_rac` in bit 8.
+const TAG_MODIFIED: u16 = 3;
+/// Bit 8 of a `Modified` narrow entry.
+const IN_RAC: u16 = 1 << 8;
+
+/// The narrow entry, 2 bytes: a 2-bit tag and its payload above it. Only
+/// directories of up to [`NARROW_NODES`] nodes use it, so every sharer
+/// set and owner they record fits.
+impl Entry for u16 {
+    const UNTRACKED: Self = 0;
+
+    #[inline(always)]
+    fn decode(self) -> Option<LineState> {
+        let payload = self >> 2;
+        match self & TAG_MASK {
+            TAG_UNCACHED => Some(LineState::Uncached),
+            TAG_SHARED => Some(LineState::Shared(NodeSet::from_bits(u64::from(payload)))),
+            TAG_MODIFIED => Some(LineState::Modified {
+                owner: (payload & 0x3f) as NodeId,
+                in_rac: self & IN_RAC != 0,
+            }),
+            _ => None,
+        }
+    }
+
+    #[inline(always)]
+    fn encode(state: LineState) -> Self {
+        match state {
+            LineState::Uncached => TAG_UNCACHED,
+            LineState::Shared(sharers) => {
+                let bits = sharers.bits();
+                debug_assert!(bits >> NARROW_NODES == 0, "sharers {bits:#x} do not fit a narrow entry");
+                (bits as u16) << 2 | TAG_SHARED
+            }
+            LineState::Modified { owner, in_rac } => {
+                debug_assert!(owner < 64, "owner {owner} does not fit a narrow entry");
+                u16::from(owner) << 2 | if in_rac { IN_RAC } else { 0 } | TAG_MODIFIED
+            }
+        }
+    }
+}
+
 /// One block of the directory: its block number and its line slots.
 #[derive(Debug)]
-struct Slab {
+struct Slab<E> {
     /// `line >> BLOCK_SHIFT` for every line of the block.
     block: u64,
-    /// The block's lines in order. `None` marks a line the directory has
-    /// never tracked; `Some(Uncached)` is a tombstone.
-    lines: [Option<LineState>; BLOCK_LINES],
+    /// The block's lines in order. [`Entry::UNTRACKED`] marks a line the
+    /// directory has never tracked; an `Uncached` entry is a tombstone.
+    lines: [E; BLOCK_LINES],
 }
 
 /// Per-line directory storage as a block table: a small map from block
@@ -212,65 +289,137 @@ struct Slab {
 /// pages are scattered over a 2^46-byte space, so a dense radix over
 /// page numbers is not an option.
 #[derive(Debug, Default)]
-struct BlockTable {
+struct BlockTable<E> {
     #[expect(clippy::disallowed_types, reason = "looked up by block number only, never iterated, so hash order reaches no output")]
     index: std::collections::HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
-    slabs: Vec<Slab>,
-    /// Lines with a `Some` slot (tombstones included).
+    slabs: Vec<Slab<E>>,
+    /// Lines with a tracked slot (tombstones included).
     tracked: usize,
 }
 
-impl BlockTable {
+impl<E: Entry> BlockTable<E> {
     /// The state of a tracked line; `None` when the line was never
     /// tracked, whether or not its block exists.
     fn get(&self, line: u64) -> Option<LineState> {
         let slab = self.slabs.get(*self.index.get(&(line >> BLOCK_SHIFT))?)?;
-        slab.lines[line as usize % slab.lines.len()]
+        slab.lines[line as usize % slab.lines.len()].decode()
     }
 
-    /// The state of a tracked line, for an in-place transition.
-    fn get_mut(&mut self, line: u64) -> Option<&mut LineState> {
+    /// Applies `f` to the state of a tracked line and stores the
+    /// result; `None` (and no call) when the line was never tracked.
+    #[inline]
+    fn update<R>(&mut self, line: u64, f: impl FnOnce(&mut LineState) -> R) -> Option<R> {
         let slab = self.slabs.get_mut(*self.index.get(&(line >> BLOCK_SHIFT))?)?;
-        slab.lines[line as usize % slab.lines.len()].as_mut()
+        let slot = &mut slab.lines[line as usize % slab.lines.len()];
+        let mut state = slot.decode()?;
+        let r = f(&mut state);
+        *slot = E::encode(state);
+        Some(r)
     }
 
-    /// The state of `line`, tracking it as `Uncached` (and allocating its
-    /// block) on first touch; the flag reports that first touch.
-    fn slot_or_insert(&mut self, line: u64) -> (&mut LineState, bool) {
+    /// Applies `f` to the state of `line` and stores the result,
+    /// tracking the line as `Uncached` (and allocating its block) on
+    /// first touch; `f` also gets that first-touch flag.
+    #[inline]
+    fn upsert<R>(&mut self, line: u64, f: impl FnOnce(&mut LineState, bool) -> R) -> R {
         let block = line >> BLOCK_SHIFT;
         let fresh = self.slabs.len();
         let b = *self.index.entry(block).or_insert(fresh);
         if b == fresh {
-            self.slabs.push(Slab { block, lines: [None; BLOCK_LINES] });
+            self.slabs.push(Slab { block, lines: [E::UNTRACKED; BLOCK_LINES] });
         }
         // Every index entry names a slab: it is the slab count at insertion.
         assert!(b < self.slabs.len());
         let lines = &mut self.slabs[b].lines;
         let slot = &mut lines[line as usize % lines.len()];
-        let cold = slot.is_none();
+        let decoded = slot.decode();
+        let cold = decoded.is_none();
         self.tracked += usize::from(cold);
-        (slot.get_or_insert(LineState::Uncached), cold)
+        let mut state = decoded.unwrap_or(LineState::Uncached);
+        let r = f(&mut state, cold);
+        *slot = E::encode(state);
+        r
     }
 
     /// Every tracked line in ascending order: the slabs are sorted by
     /// block number, then each is walked in line order. The hash index
     /// is never iterated, so the order cannot depend on its layout.
     fn iter(&self) -> impl Iterator<Item = (u64, LineState)> + '_ {
-        let mut slabs: Vec<&Slab> = self.slabs.iter().collect();
+        let mut slabs: Vec<&Slab<E>> = self.slabs.iter().collect();
         slabs.sort_unstable_by_key(|slab| slab.block);
         slabs.into_iter().flat_map(|slab| {
             let base = slab.block << BLOCK_SHIFT;
-            slab.lines.iter().zip(0..).filter_map(move |(slot, k)| Some((base | k, (*slot)?)))
+            slab.lines.iter().zip(0..).filter_map(move |(slot, k)| Some((base | k, slot.decode()?)))
         })
+    }
+}
+
+/// The block table at the entry width the constructor chose.
+#[derive(Debug)]
+enum Entries {
+    /// `u16` entries, 72-byte slabs: machines of up to [`NARROW_NODES`]
+    /// nodes.
+    Narrow(BlockTable<u16>),
+    /// `Option<LineState>` entries, 296-byte slabs: any larger machine.
+    Wide(BlockTable<Option<LineState>>),
+}
+
+/// Evaluates `$call` on the [`BlockTable`] of either width, bound to `$t`.
+macro_rules! each_width {
+    ($entries:expr, $t:ident => $call:expr) => {
+        match $entries {
+            Entries::Narrow($t) => $call,
+            Entries::Wide($t) => $call,
+        }
+    };
+}
+
+impl Entries {
+    /// An empty table whose entries hold every sharer set of `n_nodes`
+    /// nodes, at the narrowest width that does.
+    fn new(n_nodes: u8) -> Self {
+        if n_nodes <= NARROW_NODES {
+            Entries::Narrow(BlockTable::default())
+        } else {
+            Entries::Wide(BlockTable::default())
+        }
+    }
+
+    fn get(&self, line: u64) -> Option<LineState> {
+        each_width!(self, t => t.get(line))
+    }
+
+    #[inline]
+    fn update<R>(&mut self, line: u64, f: impl FnOnce(&mut LineState) -> R) -> Option<R> {
+        each_width!(self, t => t.update(line, f))
+    }
+
+    #[inline]
+    fn upsert<R>(&mut self, line: u64, f: impl FnOnce(&mut LineState, bool) -> R) -> R {
+        each_width!(self, t => t.upsert(line, f))
+    }
+
+    fn tracked(&self) -> usize {
+        each_width!(self, t => t.tracked)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u64, LineState)> + '_ {
+        let (narrow, wide) = match self {
+            Entries::Narrow(t) => (Some(t), None),
+            Entries::Wide(t) => (None, Some(t)),
+        };
+        narrow.into_iter().flat_map(BlockTable::iter).chain(wide.into_iter().flat_map(BlockTable::iter))
     }
 }
 
 /// The full-map invalidation directory for one simulated machine.
 ///
-/// Entries are kept per line address in 32-line blocks; home nodes are
-/// assigned by interleaving pages across nodes (round-robin on the page
-/// index), the scheme the paper assumes when it observes that OLTP data
-/// has a 1-in-8 chance of being local on an 8-node machine.
+/// Entries are kept per line address in 32-line blocks, one `u16` per
+/// line on machines of up to 14 nodes and one `Option<LineState>` on
+/// larger ones. Home nodes are assigned by interleaving pages across
+/// nodes (round-robin on the page index), the scheme the paper assumes
+/// when it observes that OLTP data has a 1-in-8 chance of being local on
+/// an 8-node machine.
 ///
 /// Lines that revert to `Uncached` keep a tombstone entry so cold misses
 /// remain distinguishable from re-fetches.
@@ -278,7 +427,7 @@ impl BlockTable {
 pub struct Directory {
     n_nodes: u8,
     lines_per_page_shift: u32,
-    entries: BlockTable,
+    entries: Entries,
     stats: DirectoryStats,
 }
 
@@ -299,7 +448,7 @@ impl Directory {
         Directory {
             n_nodes,
             lines_per_page_shift: (page_size / line_size).trailing_zeros(),
-            entries: BlockTable::default(),
+            entries: Entries::new(n_nodes),
             stats: DirectoryStats::default(),
         }
     }
@@ -357,8 +506,7 @@ impl Directory {
         debug_assert!(requester < self.n_nodes);
         self.stats.read_misses += 1;
         let home = self.home(line);
-        let (state, cold) = self.entries.slot_or_insert(line);
-        match *state {
+        self.entries.upsert(line, |state, cold| match *state {
             LineState::Uncached => {
                 *state = LineState::Shared(NodeSet::single(requester));
                 ReadOutcome { source: FillSource::Home, home, cold, downgraded_owner: None }
@@ -385,7 +533,7 @@ impl Directory {
                     downgraded_owner: Some(owner),
                 }
             }
-        }
+        })
     }
 
     /// Processes a write miss (or upgrade) by `requester`. After this call
@@ -394,50 +542,52 @@ impl Directory {
         debug_assert!(requester < self.n_nodes);
         self.stats.write_misses += 1;
         let home = self.home(line);
-        let (state, cold) = self.entries.slot_or_insert(line);
-        let outcome = match *state {
-            LineState::Uncached => WriteOutcome {
-                source: FillSource::Home,
-                home,
-                cold,
-                invalidate: NodeSet::empty(),
-                previous_owner: None,
-                upgrade: false,
-            },
-            LineState::Shared(sharers) => {
-                let upgrade = sharers.contains(requester);
-                let invalidate = sharers.without(requester);
-                WriteOutcome {
+        let outcome = self.entries.upsert(line, |state, cold| {
+            let outcome = match *state {
+                LineState::Uncached => WriteOutcome {
                     source: FillSource::Home,
                     home,
                     cold,
-                    invalidate,
-                    previous_owner: None,
-                    upgrade,
-                }
-            }
-            LineState::Modified { owner, in_rac } => {
-                debug_assert_ne!(
-                    owner, requester,
-                    "requester {requester} write-missed a line it owns (line {line:#x})"
-                );
-                self.stats.three_hop_fills += 1;
-                WriteOutcome {
-                    source: FillSource::OwnerCache { owner, in_rac },
-                    home,
-                    cold,
                     invalidate: NodeSet::empty(),
-                    previous_owner: Some(owner),
+                    previous_owner: None,
                     upgrade: false,
+                },
+                LineState::Shared(sharers) => {
+                    let upgrade = sharers.contains(requester);
+                    let invalidate = sharers.without(requester);
+                    WriteOutcome {
+                        source: FillSource::Home,
+                        home,
+                        cold,
+                        invalidate,
+                        previous_owner: None,
+                        upgrade,
+                    }
                 }
-            }
-        };
+                LineState::Modified { owner, in_rac } => {
+                    debug_assert_ne!(
+                        owner, requester,
+                        "requester {requester} write-missed a line it owns (line {line:#x})"
+                    );
+                    self.stats.three_hop_fills += 1;
+                    WriteOutcome {
+                        source: FillSource::OwnerCache { owner, in_rac },
+                        home,
+                        cold,
+                        invalidate: NodeSet::empty(),
+                        previous_owner: Some(owner),
+                        upgrade: false,
+                    }
+                }
+            };
+            *state = LineState::Modified { owner: requester, in_rac: false };
+            outcome
+        });
         if !outcome.invalidate.is_empty() || outcome.previous_owner.is_some() {
             self.stats.invalidating_writes += 1;
             self.stats.invalidations_sent += u64::from(outcome.invalidate.len())
                 + u64::from(outcome.previous_owner.is_some());
         }
-        *state = LineState::Modified { owner: requester, in_rac: false };
         outcome
     }
 
@@ -452,17 +602,15 @@ impl Directory {
     /// A refused writeback leaves the directory state untouched, so an
     /// erroneous caller cannot lose the real owner's dirty copy.
     pub fn writeback(&mut self, line: u64, node: NodeId) -> Result<(), ProtocolError> {
-        let Some(state) = self.entries.get_mut(line) else {
-            return Err(ProtocolError::UntrackedLine { op: "writeback", line });
-        };
-        match *state {
+        let written = self.entries.update(line, |state| match *state {
             LineState::Modified { owner, .. } if owner == node => {
                 self.stats.writebacks += 1;
                 *state = LineState::Uncached;
                 Ok(())
             }
             other => Err(ProtocolError::NotOwner { op: "writeback", line, node, state: other }),
-        }
+        });
+        written.unwrap_or(Err(ProtocolError::UntrackedLine { op: "writeback", line }))
     }
 
     /// A sharer evicted its read-only copy (optional notification; silent
@@ -475,16 +623,18 @@ impl Directory {
     /// or `node` was not in the sharer set. Stale notifications are legal
     /// and leave the directory untouched.
     pub fn drop_sharer(&mut self, line: u64, node: NodeId) -> bool {
-        let Some(state) = self.entries.get_mut(line) else { return false };
-        let LineState::Shared(sharers) = state else { return false };
-        if !sharers.contains(node) {
-            return false;
-        }
-        sharers.remove(node);
-        if sharers.is_empty() {
-            *state = LineState::Uncached;
-        }
-        true
+        let dropped = self.entries.update(line, |state| {
+            let LineState::Shared(sharers) = state else { return false };
+            if !sharers.contains(node) {
+                return false;
+            }
+            sharers.remove(node);
+            if sharers.is_empty() {
+                *state = LineState::Uncached;
+            }
+            true
+        });
+        dropped.unwrap_or(false)
     }
 
     /// The owner moved its modified copy from L2 into its RAC (dirty L2
@@ -515,16 +665,14 @@ impl Directory {
         in_rac: bool,
         op: &'static str,
     ) -> Result<(), ProtocolError> {
-        let Some(state) = self.entries.get_mut(line) else {
-            return Err(ProtocolError::UntrackedLine { op, line });
-        };
-        match *state {
+        let moved = self.entries.update(line, |state| match *state {
             LineState::Modified { owner, .. } if owner == node => {
                 *state = LineState::Modified { owner, in_rac };
                 Ok(())
             }
             other => Err(ProtocolError::NotOwner { op, line, node, state: other }),
-        }
+        });
+        moved.unwrap_or(Err(ProtocolError::UntrackedLine { op, line }))
     }
 
     /// Forces a line into a given directory state, bypassing the normal
@@ -551,14 +699,14 @@ impl Directory {
         if !valid {
             return Err(ProtocolError::InvalidSeed { line, state });
         }
-        *self.entries.slot_or_insert(line).0 = state;
+        self.entries.upsert(line, |slot, _| *slot = state);
         Ok(())
     }
 
     /// Number of tracked lines (including `Uncached` tombstones); for
     /// reporting and tests.
     pub fn tracked_lines(&self) -> usize {
-        self.entries.tracked
+        self.entries.tracked()
     }
 
     /// Iterates over every tracked line and its state in ascending line
@@ -577,6 +725,32 @@ mod tests {
 
     fn dir8() -> Directory {
         Directory::new(8, 64, 8192)
+    }
+
+    #[test]
+    fn narrow_slabs_are_72_bytes_and_wide_ones_296() {
+        assert_eq!(std::mem::size_of::<Slab<u16>>(), 72);
+        assert_eq!(std::mem::size_of::<Slab<Option<LineState>>>(), 296);
+        for n in 1..=64u8 {
+            let narrow = matches!(Directory::new(n, 64, 8192).entries, Entries::Narrow(_));
+            assert_eq!(narrow, n <= NARROW_NODES, "{n} nodes");
+        }
+    }
+
+    #[test]
+    fn narrow_entries_round_trip_every_state_they_hold() {
+        let round_trip = |state: LineState| {
+            assert_eq!(<u16 as Entry>::encode(state).decode(), Some(state), "{state:?}");
+        };
+        round_trip(LineState::Uncached);
+        for bits in 1..1u64 << NARROW_NODES {
+            round_trip(LineState::Shared(NodeSet::from_bits(bits)));
+        }
+        for owner in 0..64 {
+            round_trip(LineState::Modified { owner, in_rac: false });
+            round_trip(LineState::Modified { owner, in_rac: true });
+        }
+        assert_eq!(<u16 as Entry>::UNTRACKED.decode(), None);
     }
 
     #[test]

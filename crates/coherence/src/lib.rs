@@ -13,7 +13,8 @@
 //!   lines) to one slab of 32 slots in a flat vector, so the storage
 //!   grows with the few thousand blocks a run touches rather than with
 //!   one hash bucket per line, and [`Directory::iter`] walks the lines
-//!   in ascending order by sorting only the slabs.
+//!   in ascending order by sorting only the slabs. A slot is 2 bytes on
+//!   machines of up to 14 nodes and 9 bytes on larger ones.
 //! * [`NodeSet`] — a bitmap of node ids (used for sharer sets and
 //!   invalidation targets).
 //! * Home-node assignment by page interleaving ([`Directory::home`]),

@@ -8,9 +8,8 @@ pub type NodeId = u8;
 /// vector).
 ///
 /// Packed to byte alignment, so a [`crate::LineState`] holding one takes
-/// 9 bytes instead of 16: the directory stores a state per tracked line,
-/// and its block table is among the largest heap structures of a run
-/// (the packing cuts peak RSS by about 250 KiB on one node). Reads
+/// 9 bytes instead of 16: a directory of more than 14 nodes stores one
+/// per tracked line (smaller machines keep each line in 2 bytes). Reads
 /// copy the bitmap out, so no reference to the unaligned field is ever
 /// made.
 ///
