@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use csim_cache::StackDistance;
+use csim_bench::StackDistance;
 use csim_stats::TextTable;
 use csim_trace::{Access, ExecMode, ReferenceStream};
 use csim_workload::{OltpParams, OltpWorkload};

@@ -15,11 +15,15 @@
 //!
 //! [`ReferenceCache`] is the seed's cache kernel, kept here as the
 //! differential oracle and speed baseline for [`csim_cache::Cache`].
+//! [`StackDistance`] is the Mattson stack-distance profiler behind the
+//! `characterize` bin's and the `workload_analysis` example's
+//! cacheability curves.
 
 #![forbid(unsafe_code)]
 #![allow(clippy::unwrap_used, clippy::expect_used, reason = "a bench panic aborts a measurement")]
 
 mod reference;
+mod stack_distance;
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -30,6 +34,7 @@ use csim_stats::{BarChart, TextTable};
 use csim_workload::OltpParams;
 
 pub use reference::ReferenceCache;
+pub use stack_distance::StackDistance;
 
 /// A labeled configuration in a figure's sweep.
 #[derive(Clone, Debug)]

@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use csim_cache::StackDistance;
+//! use csim_bench::StackDistance;
 //!
 //! let mut sd = StackDistance::new();
 //! for line in [1u64, 2, 3, 1, 2, 3] {
@@ -44,7 +44,10 @@ pub struct StackDistance {
     // silently drop carries into nodes that did not exist yet).
     tree: Vec<u64>,
     // line -> timestamp of its last access (1-based).
-    #[expect(clippy::disallowed_types, reason = "looked up by line only, never iterated, so hash order reaches no distance")]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "looked up by line only, never iterated, so hash order reaches no distance"
+    )]
     last: std::collections::HashMap<u64, usize>,
     // Exact distance histogram plus an overflow bucket.
     exact: Vec<u64>,
@@ -84,7 +87,6 @@ impl StackDistance {
         }
     }
 
-    // analyze: total — Fenwick prefix walk: `i` only falls from a timestamp below `now`, and `visit` grows the tree past `now` before any query
     fn tree_prefix(&self, mut i: usize) -> u64 {
         let mut s = 0;
         while i > 0 {
@@ -245,7 +247,7 @@ mod tests {
 
     #[test]
     fn agrees_with_a_real_fully_associative_cache() {
-        use crate::{Cache, Outcome};
+        use csim_cache::{Cache, Outcome};
         use csim_config::CacheGeometry;
 
         // Pseudo-random stream over 200 lines.

@@ -28,9 +28,7 @@
 #![forbid(unsafe_code)]
 
 mod model;
-mod stack_distance;
 mod stats;
 
 pub use model::{Cache, Evicted, Outcome};
-pub use stack_distance::StackDistance;
 pub use stats::CacheStats;

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example workload_analysis`
 
-use oltp_chip_integration::cache::StackDistance;
+use csim_bench::StackDistance;
 use oltp_chip_integration::prelude::*;
 use oltp_chip_integration::workload::OltpWorkload;
 
