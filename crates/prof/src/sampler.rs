@@ -196,7 +196,7 @@ mod tests {
         let report = RegionReport {
             hz: 997,
             ticks: 10,
-            counts: [3, 7, 0, 0],
+            counts: [3, 7, 0, 0, 0],
             elapsed_ms: 10.5,
         };
         let s = report.to_json().to_string();

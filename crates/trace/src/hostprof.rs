@@ -11,11 +11,11 @@
 //!
 //! The markers live in this leaf crate so every publisher (the
 //! workload's burst refill, the core advance loop and the pipeline's
-//! wait for words) can publish without new dependency edges. Marker
-//! stores never touch simulation state: a run with a sampler attached
-//! is bit-identical to a run without one, and when nobody samples, the
-//! stores are dead traffic to a thread-striped cache line nothing else
-//! reads.
+//! waits for words and for ring room) can publish without new
+//! dependency edges. Marker stores never touch simulation state: a run
+//! with a sampler attached is bit-identical to a run without one, and
+//! when nobody samples, the stores are dead traffic to a thread-striped
+//! cache line nothing else reads.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -38,13 +38,22 @@ pub enum Region {
     /// ring is empty, and the consumer spins and yields its core until
     /// the producer publishes words (`csim_trace::pipeline`).
     WorkloadWait = 3,
+    /// The workload pipeline's producer waiting for ring room: the
+    /// simulator has not yet read what the producer published. Inside a
+    /// burst refill on a lone stream, between refills on several.
+    RingFull = 4,
 }
 
 impl Region {
     /// Every region, in id order. Samplers and reports iterate in this
     /// order so exports are stable.
-    pub const ALL: [Region; 4] =
-        [Region::Idle, Region::Advance, Region::BurstRefill, Region::WorkloadWait];
+    pub const ALL: [Region; 5] = [
+        Region::Idle,
+        Region::Advance,
+        Region::BurstRefill,
+        Region::WorkloadWait,
+        Region::RingFull,
+    ];
 
     /// Number of regions (array-index domain for per-region tallies).
     pub const COUNT: usize = Self::ALL.len();
@@ -56,6 +65,7 @@ impl Region {
             Region::Advance => "advance",
             Region::BurstRefill => "burst-refill",
             Region::WorkloadWait => "workload-wait",
+            Region::RingFull => "ring-full",
         }
     }
 
@@ -66,6 +76,7 @@ impl Region {
             1 => Region::Advance,
             2 => Region::BurstRefill,
             3 => Region::WorkloadWait,
+            4 => Region::RingFull,
             _ => Region::Idle,
         }
     }

@@ -38,4 +38,6 @@ pub use mem_ref::{
     Access, ExecMode, MemRef, PACKED_ACCESS_SHIFT, PACKED_ADDR_MASK, PACKED_MODE_BIT,
 };
 pub use rng::SimRng;
-pub use stream::{FnStream, InterleavedStream, ReferenceStream, SliceStream};
+pub use stream::{
+    BurstBuffer, ChunkSink, FnStream, InterleavedStream, ReferenceStream, SliceStream,
+};

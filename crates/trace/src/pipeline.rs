@@ -17,90 +17,109 @@
 //! that generates only at the start of a pull, when its own buffer is
 //! empty, therefore generates in (word position, stream index) order.
 //! The producer here keeps the same order without knowing any run
-//! length: it always pulls the next chunk of at most [`CHUNK_WORDS`]
-//! words from the stream with the fewest words produced so far, ties
-//! going to the lower index. Its pulls start at non-decreasing
-//! (position, index) keys, so every generation step — every RNG draw
-//! and every shared-state change inside it — happens in the order the
-//! direct loop triggers it. This holds for streams whose pulls never
-//! hand out words of two bursts at once, which is what the
-//! [`ReferenceStream::next_burst`] contract's "generate only when the
-//! buffer is empty" gives a buffered stream that returns at a burst end.
+//! length: it always lets the stream with the fewest words generated so
+//! far, ties going to the lower index, generate next
+//! ([`ReferenceStream::publish_chunks`]). Those keys never decrease, so
+//! every generation step — every RNG draw and every shared-state change
+//! inside it — happens in the order the direct loop triggers it. This
+//! holds for streams that generate only when their buffer is empty,
+//! which is the [`ReferenceStream::next_burst`] contract.
+//!
+//! A stream publishes its words as chunks of at most [`CHUNK_WORDS`]
+//! words, each within one burst: the default publishes one `next_burst`
+//! pull, and a stream that generates whole bursts
+//! ([`crate::BurstBuffer`]) publishes each chunk as soon as it is
+//! generated, so the consumer starts on a burst while the rest of it is
+//! still being built. A lone stream's sink waits for ring room inside the
+//! burst. With several streams it never does: a chunk that finds its ring
+//! full is held by the stream, with every later chunk of that stream,
+//! since waiting inside one stream's burst could starve the consumer of
+//! another stream's words. The producer offers held chunks again as soon
+//! as their ring has room, before anything else, and waits only when the
+//! stream due to generate holds chunks itself and no held ring has room.
 //!
 //! # The one feedback
 //!
 //! The simulator reads one value back from the workload: a count (the
-//! transactions completed). The producer reads it after every pull and
-//! sends it down the ring as the chunk's *tag*. A consumer stream takes
-//! a chunk only when the simulator needs its first word, so after `r`
-//! rounds the chunks started are exactly those that begin before word
-//! `r` — a prefix of the producer's pull order. The count the direct
-//! loop would read at that moment is the tag of the last chunk of that
-//! prefix, and because the count never falls, it is the largest tag any
-//! consumer stream holds: [`PipeStream::latest_tag`].
+//! transactions completed). It travels down the ring as each chunk's
+//! *tag*: the count as of the chunk's whole burst, which the stream
+//! reads while it generates the burst (so the count must change only at
+//! a burst's start) and keeps for the chunks it holds. A consumer stream
+//! takes a chunk only when the simulator needs its first word, so after
+//! `r` rounds every stream has started the chunk holding its word `r`,
+//! and the latest of those chunks' bursts in the producer's order counts
+//! every burst that starts at or before `r` on any stream and no other —
+//! the count the direct loop reads at that moment. Because the count
+//! never falls, that is the largest tag any consumer stream holds:
+//! [`PipeStream::latest_tag`].
 //!
 //! The consumer must read its streams round by round, as the dispatch
-//! loop does: the producer cannot run one stream more than a ring ahead
-//! of another, so a consumer that drains one stream far ahead of the
-//! others waits for words that never come.
+//! loop does: the producer cannot run one stream more than a ring and a
+//! burst ahead of another, so a consumer that drains one stream far
+//! ahead of the others waits for words that never come.
 //!
 //! # Ring depth
 //!
-//! A consumer stream lives on its ring while the producer is away: while
-//! it builds the stream's next burst, and on a multi-stream machine while
-//! it builds the other streams' bursts, which fall due together because
-//! the streams start aligned. That stretch does not shrink as streams are
-//! added, so each stream gets a ring of its own depth (`ring_words`):
-//! `LONE_RING_WORDS` for a lone stream, `MIN_RING_WORDS` for each of
-//! several. Any depth of two chunks or more keeps the order and tag rules
-//! above, so the depth changes speed and memory, never the words.
+//! A consumer stream lives on its ring while the producer is away: on a
+//! multi-stream machine, while it builds the other streams' bursts,
+//! which fall due together because the streams start aligned, and on
+//! any machine while it generates the words of the next chunk. A lone
+//! stream's producer publishes each chunk as it completes, so its ring
+//! only has to cover the host's scheduling hiccups; the rings of several
+//! streams have to cover the other streams' bursts, a stretch that does
+//! not shrink as streams are added. So each stream gets a ring of its
+//! own depth (`ring_words`): `LONE_RING_WORDS` for a lone stream,
+//! `MIN_RING_WORDS` for each of several. Any depth of two chunks or
+//! more keeps the order and tag rules above, so the depth changes speed
+//! and memory, never the words.
 //!
 //! # Waiting and shutdown
 //!
-//! A side that cannot go on — the producer when the ring it must write
-//! next is full, the consumer when the ring it must read next is empty —
-//! spins briefly and then yields its core between checks. The consumer
-//! never sleeps: it is the simulation's critical path, and on a virtual
-//! machine waking a sleeping thread costs tens of microseconds. The
-//! producer parks after about a millisecond of yielding, which happens
-//! only when the simulator has stopped pulling (between runs, or once it
-//! is done), and the consumer unparks it once it has freed a chunk's
-//! room. Parking at every full ring would also let the scheduler keep
-//! both threads on one CPU: a woken thread is placed beside its waker,
-//! and a thread that sleeps half the time never looks worth moving. On
-//! one core the yields hand the core to the other side.
+//! A side that cannot go on — the producer when a ring it must write is
+//! full, the consumer when the ring it must read next is empty — spins
+//! briefly and then yields its core between checks, each in a host
+//! profile region of its own ([`Region::RingFull`],
+//! [`Region::WorkloadWait`]). The consumer never sleeps: it is the
+//! simulation's critical path, and on a virtual machine waking a
+//! sleeping thread costs tens of microseconds. The producer parks after
+//! about a millisecond of yielding, which happens only when the
+//! simulator has stopped pulling (between runs, or once it is done),
+//! and the consumer unparks it at its next pull. Parking at every full
+//! ring would also let the scheduler keep both threads on one CPU: a
+//! woken thread is placed beside its waker, and a thread that sleeps
+//! half the time never looks worth moving. On one core the yields hand
+//! the core to the other side.
 //!
-//! Dropping the last consumer stream stops the producer at its next pull
-//! (within one burst) and joins it. A panic on the producer is caught
-//! there and raised again, with its payload, on the consumer thread when
-//! the consumer runs out of words.
+//! Dropping the last consumer stream stops the producer's waits: it
+//! drops what it would publish, finishes the burst it is in, and is
+//! joined. A panic on the producer is caught there and raised again,
+//! with its payload, on the consumer thread when the consumer runs out
+//! of words.
 
 use std::any::Any;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle, Thread};
 
 use crate::hostprof::{self, Region};
 use crate::mem_ref::MemRef;
-use crate::stream::ReferenceStream;
+use crate::stream::{ChunkSink, ReferenceStream};
 
-/// Words per pull: the producer asks a stream for at most this many
-/// words at a time, the dispatch loop's column depth.
+/// Words per chunk: a stream publishes at most this many words at a
+/// time, the dispatch loop's column depth.
 pub const CHUNK_WORDS: usize = 512;
 
 /// Ring of a lone stream, in packed words (8 bytes each): the
 /// look-ahead of a uniprocessor run.
 ///
-/// The OLTP generator emits whole scheduling bursts, eight
-/// transaction-execute bursts of about 17k words in a row, and it starts
-/// the next burst only once the last word of the current one is in the
-/// ring; the consumer then lives on what the ring holds until the new
-/// burst is built. Every word of ring is also peak resident memory, and
-/// the single-stream run is the smallest process the benchmark measures.
-/// DESIGN.md's pipeline section has the measured speed and peak-RSS
-/// trade-off behind this size.
+/// The OLTP generator publishes each chunk of a burst as soon as it is
+/// generated, so the ring does not have to hold a burst; it covers the
+/// host's hiccups on either side. Every word of ring is also peak
+/// resident memory, and the single-stream run is the smallest process
+/// the benchmark measures. DESIGN.md's pipeline section has the
+/// measured speed and peak-RSS trade-off behind this size.
 const LONE_RING_WORDS: usize = 12 << 10;
 
 /// Smallest ring of any stream, in packed words: the look-ahead each
@@ -157,9 +176,6 @@ fn busy_wait(ready: impl Fn() -> bool, yields: u32) -> bool {
     ready()
 }
 
-/// `Shared::parked_on` value meaning "not parked".
-const AWAKE: usize = usize::MAX;
-
 /// One stream's ring of packed words. Positions are word counts since
 /// the start and never wrap; `position % capacity` indexes `words`.
 struct Ring {
@@ -197,13 +213,19 @@ impl Ring {
         self.tail.0.load(Ordering::Acquire) - self.head.0.load(Ordering::Acquire)
     }
 
+    /// Words of room left for the producer.
+    fn room(&self) -> u64 {
+        self.capacity() - self.filled()
+    }
+
     /// The two runs of slots holding positions `at..at + n` (`n` at most
     /// the capacity): up to the end of `words`, then from its start.
-    // analyze: total — start = at % len is below len, first = min(n, len - start) keeps start + first within len, and n <= len bounds n - first by start
     fn slots(&self, at: u64, n: usize) -> (&[AtomicU64], &[AtomicU64]) {
         let start = (at % self.capacity()) as usize;
-        let first = n.min(self.words.len() - start);
-        (&self.words[start..start + first], &self.words[..n - first])
+        let (front, back) = self.words.split_at_checked(start).unwrap_or_default();
+        let first = back.get(..n).unwrap_or(back);
+        let second = front.get(..n.saturating_sub(first.len())).unwrap_or(front);
+        (first, second)
     }
 
     /// The word at position `at`.
@@ -227,6 +249,15 @@ impl Ring {
             slot.store(word, Ordering::Relaxed);
         }
     }
+
+    /// Publishes `words` as one chunk tagged `tag`. The ring must have
+    /// room for the chunk and its header.
+    fn push_chunk(&self, words: &[u64], tag: u64) {
+        let at = self.tail.0.load(Ordering::Relaxed);
+        self.write(at, &[words.len() as u64, tag]);
+        self.write(at + HEADER_WORDS, words);
+        self.tail.0.store(at + HEADER_WORDS + words.len() as u64, Ordering::Release);
+    }
 }
 
 /// A mutex's guard, poisoned or not: the one lock here guards a slot
@@ -238,21 +269,21 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// What the producer and the consumer streams share.
 struct Shared {
     rings: Box<[Ring]>,
-    /// Set when the consumer streams are gone; the producer stops at its
-    /// next pull.
+    /// Set when the consumer streams are gone; the producer stops its
+    /// waits and ends at the end of the burst it is in.
     stop: AtomicBool,
     /// Set after `failure` is filled, when the producer has stopped
-    /// pulling.
+    /// generating.
     exited: AtomicBool,
     /// The producer's panic payload, for the consumer to raise.
     failure: Mutex<Option<Box<dyn Any + Send>>>,
-    /// The ring the producer is parked on, waiting for room, or
-    /// [`AWAKE`]. The producer stores it, fences, then reads the ring's
-    /// head; the consumer stores the head, fences, then reads this. Of
-    /// two `SeqCst` fences one comes first, so either the producer sees
-    /// the room or the consumer sees it parked and unparks it — the
-    /// wake-up cannot fall between the producer's check and its park.
-    parked_on: AtomicUsize,
+    /// Set while the producer is parked, waiting for ring room. The
+    /// producer stores it, fences, then reads the rings' heads; the
+    /// consumer stores a head, fences, then reads this. Of two `SeqCst`
+    /// fences one comes first, so either the producer sees the room or
+    /// the consumer sees it parked and unparks it — the wake-up cannot
+    /// fall between the producer's check and its park.
+    parked: AtomicBool,
 }
 
 impl Shared {
@@ -310,9 +341,10 @@ impl std::fmt::Debug for PipeStream {
 }
 
 /// Moves `streams` onto a producer thread and returns one consumer
-/// stream per stream, in the same order. `tag` runs on the producer
-/// after every pull; [`PipeStream::latest_tag`] reads back the value it
-/// returned after the last pull the consumers have started.
+/// stream per stream, in the same order. Each stream reads `tag` on the
+/// producer while it generates a burst ([`ChunkSink::tag`]);
+/// [`PipeStream::latest_tag`] reads back the count as of the consumers'
+/// position.
 ///
 /// # Errors
 ///
@@ -328,16 +360,16 @@ where
         stop: AtomicBool::new(false),
         exited: AtomicBool::new(false),
         failure: Mutex::new(None),
-        parked_on: AtomicUsize::new(AWAKE),
+        parked: AtomicBool::new(false),
     });
     // Allocated here, with everything else the producer uses: it then
     // allocates nothing itself.
-    let produced = vec![0u64; streams.len()];
+    let lanes = vec![Lane::default(); streams.len()];
     let theirs = Arc::clone(&shared);
     let handle = thread::Builder::new().spawn(move || {
         let mut streams = streams;
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            produce(&mut streams, produced, tag, &theirs);
+            produce(&mut streams, lanes, tag, &theirs);
         }));
         hostprof::set_region(Region::Idle);
         if let Err(payload) = outcome {
@@ -362,58 +394,122 @@ where
         .collect())
 }
 
-/// The producer loop: pull from the stream with the fewest words
-/// produced (ties to the lower index), tag the chunk, publish it.
-fn produce<S, T>(streams: &mut [S], mut produced: Vec<u64>, mut tag: T, shared: &Shared)
+/// The producer's account of one stream.
+#[derive(Clone, Copy, Debug, Default)]
+struct Lane {
+    /// Words the stream has generated.
+    generated: u64,
+    /// Whether the stream holds chunks its ring refused.
+    held: bool,
+}
+
+/// The producer loop: offer held chunks again wherever their ring has
+/// room, then let the stream with the fewest words generated (ties to
+/// the lower index) generate and publish; wait for room only when that
+/// stream holds chunks itself.
+fn produce<S, T>(streams: &mut [S], mut lanes: Vec<Lane>, mut tag: T, shared: &Shared)
 where
     S: ReferenceStream,
     T: FnMut() -> u64,
 {
-    let mut chunk = [0u64; CHUNK_WORDS];
+    let lone = streams.len() == 1;
+    let has_room = |ring: &Ring| ring.room() >= CHUNK_WORDS as u64 + HEADER_WORDS;
     while !shared.stop.load(Ordering::SeqCst) {
-        let next = streams
-            .iter_mut()
-            .zip(produced.iter_mut())
-            .zip(shared.rings.iter())
-            .enumerate()
-            .min_by_key(|(s, ((_, count), _))| (**count, *s));
-        let Some((s, ((stream, count), ring))) = next else {
-            return;
-        };
-        let got = stream.next_burst(&mut chunk);
-        let header = [got as u64, tag()];
-        *count += got as u64;
-        let need = got as u64 + HEADER_WORDS;
-        let room = || ring.capacity() - ring.filled() >= need;
-        if !room() {
-            let ready = || shared.stop.load(Ordering::SeqCst) || room();
-            busy_wait(ready, YIELDS);
-            while !ready() {
-                shared.parked_on.store(s, Ordering::Relaxed);
-                fence(Ordering::SeqCst);
-                if !ready() {
-                    thread::park();
-                }
-                shared.parked_on.store(AWAKE, Ordering::Relaxed);
-            }
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
+        for ((stream, lane), ring) in streams.iter_mut().zip(&mut lanes).zip(shared.rings.iter()) {
+            if lane.held && has_room(ring) {
+                let mut sink = RingSink { shared, ring, lone, tag: &mut tag, refused: false };
+                stream.publish_chunks(&mut sink);
+                lane.held = sink.refused;
             }
         }
-        let at = ring.tail.0.load(Ordering::Relaxed);
-        ring.write(at, &header);
-        // analyze: total — a pull returns at most chunk.len() words by the trait contract
-        ring.write(at + HEADER_WORDS, &chunk[..got]);
-        ring.tail.0.store(at + need, Ordering::Release);
+        let next = streams
+            .iter_mut()
+            .zip(&mut lanes)
+            .zip(shared.rings.iter())
+            .enumerate()
+            .min_by_key(|(s, ((_, lane), _))| (lane.generated, *s));
+        let Some((_, ((stream, lane), ring))) = next else {
+            return;
+        };
+        if !lane.held {
+            let mut sink = RingSink { shared, ring, lone, tag: &mut tag, refused: false };
+            lane.generated += stream.publish_chunks(&mut sink) as u64;
+            lane.held = sink.refused;
+            continue;
+        }
+        // The stream due to generate holds chunks, and no stream that
+        // holds chunks has ring room: wait until one of them has.
+        wait_for_room(shared, || {
+            lanes.iter().zip(shared.rings.iter()).any(|(lane, ring)| lane.held && has_room(ring))
+        });
+    }
+}
+
+/// Waits until `room` holds or the consumers are gone, in the
+/// [`Region::RingFull`] host-profile region. Whether `room` held.
+fn wait_for_room(shared: &Shared, room: impl Fn() -> bool) -> bool {
+    if room() {
+        return true;
+    }
+    let enclosing = hostprof::current_region();
+    hostprof::set_region(Region::RingFull);
+    let ready = || shared.stop.load(Ordering::SeqCst) || room();
+    busy_wait(ready, YIELDS);
+    while !ready() {
+        shared.parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        if !ready() {
+            thread::park();
+        }
+        shared.parked.store(false, Ordering::Relaxed);
+    }
+    hostprof::set_region(enclosing);
+    room()
+}
+
+/// The producer's [`ChunkSink`] for one stream's ring.
+struct RingSink<'a, T> {
+    shared: &'a Shared,
+    ring: &'a Ring,
+    /// The pipeline has this stream alone: an offer waits for room.
+    lone: bool,
+    tag: &'a mut T,
+    /// Whether the last offer was refused.
+    refused: bool,
+}
+
+impl<T: FnMut() -> u64> ChunkSink for RingSink<'_, T> {
+    fn tag(&mut self) -> u64 {
+        (self.tag)()
+    }
+
+    /// Waits for room, unless the consumers are gone: then the chunk is
+    /// dropped, and the stream runs on to the end of its burst.
+    fn publish(&mut self, words: &[u64], tag: u64) {
+        let need = words.len() as u64 + HEADER_WORDS;
+        if wait_for_room(self.shared, || self.ring.room() >= need) {
+            self.ring.push_chunk(words, tag);
+        }
+    }
+
+    fn offer(&mut self, words: &[u64], tag: u64) -> bool {
+        if self.lone {
+            self.publish(words, tag);
+            return true;
+        }
+        let fits = self.ring.room() >= words.len() as u64 + HEADER_WORDS;
+        if fits {
+            self.ring.push_chunk(words, tag);
+        }
+        self.refused = !fits;
+        fits
     }
 }
 
 impl PipeStream {
-    /// The tag of the last chunk any of `streams` has started: the
-    /// producer's count as of the simulator's position. Tags never fall
-    /// along the producer's pull order, and the chunks started form a
-    /// prefix of it, so the largest tag is the last one's. 0 before any
-    /// chunk is started.
+    /// The largest tag of the chunks `streams` are on: the producer's
+    /// count as of the simulator's position (the module docs say why).
+    /// 0 before any chunk is started.
     pub fn latest_tag(streams: &[PipeStream]) -> u64 {
         streams.iter().map(|s| s.tag).max().unwrap_or(0)
     }
@@ -470,12 +566,8 @@ impl ReferenceStream for PipeStream {
         self.left -= n as u64;
         ring.head.0.store(self.pos, Ordering::Release);
         fence(Ordering::SeqCst);
-        let on = self.shared.parked_on.load(Ordering::Relaxed);
-        if on != AWAKE {
-            let waited = self.shared.ring(on);
-            if waited.capacity() - waited.filled() >= CHUNK_WORDS as u64 + HEADER_WORDS {
-                self.producer.unpark();
-            }
+        if self.shared.parked.load(Ordering::Relaxed) {
+            self.producer.unpark();
         }
         n
     }
@@ -485,6 +577,8 @@ impl ReferenceStream for PipeStream {
 mod tests {
     use super::*;
     use crate::mem_ref::ExecMode;
+    use crate::stream::BurstBuffer;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
 
     /// `(position, stream)` of every burst start, shared by a test's
@@ -634,26 +728,145 @@ mod tests {
             .collect()
     }
 
+    /// Bursty's bursts generated whole into a [`BurstBuffer`] and
+    /// published a chunk at a time while they are generated, as the OLTP
+    /// stream publishes them; chunks the sink refuses are held.
+    struct Buffered {
+        inner: Bursty,
+        buf: BurstBuffer,
+        /// Calls that ended holding chunks.
+        holds: Arc<AtomicUsize>,
+        /// If set, the first burst stops after its first chunk is
+        /// published: it sends on the first and waits on the second
+        /// until the test drops its sender.
+        gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+    }
+
+    impl Buffered {
+        /// Wraps `streams`, counting their holds in `holds`.
+        fn wrap(streams: Vec<Bursty>, holds: &Arc<AtomicUsize>) -> Vec<Buffered> {
+            streams
+                .into_iter()
+                .map(|inner| Buffered {
+                    buf: BurstBuffer::with_capacity((inner.shortest + inner.spread) as usize),
+                    inner,
+                    holds: Arc::clone(holds),
+                    gate: None,
+                })
+                .collect()
+        }
+    }
+
+    impl ReferenceStream for Buffered {
+        fn next_ref(&mut self) -> MemRef {
+            unreachable!("the producer publishes chunks")
+        }
+
+        fn publish_chunks(&mut self, sink: &mut dyn ChunkSink) -> usize {
+            if !self.buf.is_empty() {
+                self.buf.offer_held(sink);
+            } else {
+                self.buf.begin();
+                let mut word = 0;
+                loop {
+                    self.inner.next_burst(std::slice::from_mut(&mut word));
+                    self.buf.push(word);
+                    if self.buf.chunk_due() {
+                        self.buf.publish_due(sink);
+                        if let Some((entered, gate)) = self.gate.take() {
+                            entered.send(()).unwrap();
+                            let _ = gate.recv();
+                        }
+                    }
+                    if self.inner.left == 0 {
+                        break;
+                    }
+                }
+                let words = self.buf.finish(sink);
+                if !self.buf.is_empty() {
+                    self.holds.fetch_add(1, Ordering::SeqCst);
+                }
+                return words;
+            }
+            if !self.buf.is_empty() {
+                self.holds.fetch_add(1, Ordering::SeqCst);
+            }
+            0
+        }
+    }
+
+    /// Drives `n` streams of bursts two to four rings long, made into
+    /// pipeline streams by `wrap`, against the direct dispatch loop: the
+    /// same generation order and the same transaction count (here the
+    /// bursts started machine-wide) after every round.
+    fn check_order_and_tags<S: ReferenceStream + Send + 'static>(
+        n: usize,
+        wrap: impl Fn(Vec<Bursty>) -> Vec<S>,
+    ) {
+        let rounds = 10 * ring_words(n) as u64;
+        let (mut direct, direct_log) = Bursty::long(n);
+        let expected = direct_counts(&mut direct, &direct_log, rounds);
+        let (streams, log) = Bursty::long(n);
+        let count = Arc::clone(&log);
+        let mut piped =
+            pipeline(wrap(streams), move || count.lock().unwrap().len() as u64).unwrap();
+        for (r, &want) in (0..rounds).zip(&expected) {
+            consume(&mut piped, r, 1);
+            assert_eq!(PipeStream::latest_tag(&piped), want, "{n} streams, round {r}");
+        }
+        drop(piped);
+        assert_generation_order(&log, 2 * n);
+        // The producer ran ahead of the consumer, through the same
+        // bursts in the same order.
+        let direct_log = direct_log.lock().unwrap();
+        assert!(log.lock().unwrap().starts_with(&direct_log), "{n} streams");
+    }
+
     #[test]
     fn bursts_several_rings_long_keep_the_order_and_the_tags() {
         for n in [1, 8] {
-            let rounds = 10 * ring_words(n) as u64;
-            let (mut direct, direct_log) = Bursty::long(n);
-            let expected = direct_counts(&mut direct, &direct_log, rounds);
-            let (streams, log) = Bursty::long(n);
-            let count = Arc::clone(&log);
-            let mut piped = pipeline(streams, move || count.lock().unwrap().len() as u64).unwrap();
-            for (r, &want) in (0..rounds).zip(&expected) {
-                consume(&mut piped, r, 1);
-                assert_eq!(PipeStream::latest_tag(&piped), want, "{n} streams, round {r}");
-            }
-            drop(piped);
-            assert_generation_order(&log, 2 * n);
-            // The producer ran ahead of the consumer, through the same
-            // bursts in the same order.
-            let direct_log = direct_log.lock().unwrap();
-            assert!(log.lock().unwrap().starts_with(&direct_log), "{n} streams");
+            check_order_and_tags(n, |streams| streams);
         }
+    }
+
+    #[test]
+    fn held_chunks_keep_the_order_and_the_tags() {
+        // Each burst is generated whole, and its ring fills long before
+        // its end: with several streams the rest is held, not waited on;
+        // a lone stream waits inside its burst instead.
+        for n in [1, 2, 8] {
+            let holds = Arc::new(AtomicUsize::new(0));
+            check_order_and_tags(n, |streams| Buffered::wrap(streams, &holds));
+            let holds = holds.load(Ordering::SeqCst);
+            assert_eq!(holds > 0, n > 1, "{n} streams: {holds} calls held chunks");
+        }
+    }
+
+    #[test]
+    fn a_lone_stream_publishes_its_burst_while_generating_it() {
+        let (streams, log) = Bursty::long(1);
+        let dropped = Arc::clone(&streams[0].dropped);
+        let mut streams = Buffered::wrap(streams, &Arc::new(AtomicUsize::new(0)));
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, gate) = mpsc::channel();
+        streams[0].gate = Some((entered_tx, gate));
+        let mut piped = pipeline(streams, || 0).unwrap();
+        // The producer stops inside the first burst, two rings or more
+        // long, right after publishing its first chunk ...
+        entered.recv().unwrap();
+        // ... and the consumer reads that chunk meanwhile.
+        consume(&mut piped, 0, CHUNK_WORDS as u64);
+        drop(release);
+        // The producer fills the ring and waits for room, still inside
+        // the first burst.
+        let ring = &piped[0].shared.rings[0];
+        while ring.room() >= CHUNK_WORDS as u64 + HEADER_WORDS {
+            thread::yield_now();
+        }
+        assert_eq!(log.lock().unwrap().len(), 1, "the producer is inside the first burst");
+        // Dropping the consumer stops that wait and joins the producer.
+        drop(piped);
+        assert_eq!(dropped.load(Ordering::SeqCst), 1);
     }
 
     #[test]

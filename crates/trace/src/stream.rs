@@ -5,9 +5,13 @@
 //! at a time ([`ReferenceStream::next_burst`]) and dispatches them round
 //! by round, one reference per stream per round, so multiprocessor runs
 //! interleave the streams of all cores exactly as pulling one reference
-//! at a time would.
+//! at a time would. On the workload pipeline's producer thread a stream
+//! instead publishes its words a chunk at a time to a [`ChunkSink`]
+//! ([`ReferenceStream::publish_chunks`]); a stream that generates whole
+//! bursts keeps them in a [`BurstBuffer`], which serves both ways.
 
 use crate::mem_ref::MemRef;
+use crate::pipeline::CHUNK_WORDS;
 
 /// An unbounded producer of memory references for one processor.
 ///
@@ -44,6 +48,27 @@ pub trait ReferenceStream {
         out[0] = self.next_ref().pack();
         1
     }
+
+    /// Generates the stream's next words, publishes them to `sink` a
+    /// chunk at a time and returns how many it generated.
+    ///
+    /// A stream that holds chunks `sink` refused on an earlier call
+    /// offers them again, in order, and generates nothing (it returns
+    /// 0). Otherwise it generates as one [`ReferenceStream::next_burst`]
+    /// call on an empty buffer would, and publishes every word it
+    /// generated, in chunks that each lie within one burst.
+    ///
+    /// The default publishes one `next_burst` pull of at most
+    /// [`CHUNK_WORDS`] words as one chunk, waiting for room. A stream
+    /// that generates whole bursts overrides it to publish each chunk
+    /// of the burst as soon as it is generated ([`BurstBuffer`]).
+    fn publish_chunks(&mut self, sink: &mut dyn ChunkSink) -> usize {
+        let mut chunk = [0; CHUNK_WORDS];
+        let n = self.next_burst(&mut chunk);
+        let tag = sink.tag();
+        sink.publish(chunk.get(..n).unwrap_or(&chunk), tag);
+        n
+    }
 }
 
 impl<S: ReferenceStream + ?Sized> ReferenceStream for Box<S> {
@@ -54,6 +79,10 @@ impl<S: ReferenceStream + ?Sized> ReferenceStream for Box<S> {
     fn next_burst(&mut self, out: &mut [u64]) -> usize {
         (**self).next_burst(out)
     }
+
+    fn publish_chunks(&mut self, sink: &mut dyn ChunkSink) -> usize {
+        (**self).publish_chunks(sink)
+    }
 }
 
 impl<S: ReferenceStream + ?Sized> ReferenceStream for &mut S {
@@ -63,6 +92,165 @@ impl<S: ReferenceStream + ?Sized> ReferenceStream for &mut S {
 
     fn next_burst(&mut self, out: &mut [u64]) -> usize {
         (**self).next_burst(out)
+    }
+
+    fn publish_chunks(&mut self, sink: &mut dyn ChunkSink) -> usize {
+        (**self).publish_chunks(sink)
+    }
+}
+
+/// Where a stream publishes its words a chunk at a time: one stream's
+/// ring of the workload pipeline ([`crate::pipeline`]).
+///
+/// A chunk is 1 to [`CHUNK_WORDS`] words of one burst and a tag, the
+/// pipeline's count as of that burst, which the consumer reads back.
+pub trait ChunkSink {
+    /// The tag for the chunks of the burst being generated. A stream may
+    /// read it at any point of the burst's generation, so what it counts
+    /// must change only before the burst's first word.
+    fn tag(&mut self) -> u64;
+
+    /// Publishes `words` as one chunk tagged `tag`, waiting for room.
+    fn publish(&mut self, words: &[u64], tag: u64);
+
+    /// Publishes `words` as one chunk tagged `tag` if there is room, and
+    /// returns whether it did. A stream alone in its pipeline waits for
+    /// room instead, since no other stream's consumer can starve
+    /// meanwhile. A stream whose chunk is refused holds it, and every
+    /// later chunk, until its next [`ReferenceStream::publish_chunks`]
+    /// call.
+    fn offer(&mut self, words: &[u64], tag: u64) -> bool;
+}
+
+/// The current burst of a stream that generates a burst at a time: its
+/// words are written once, then handed out by `next_burst` ([`take`])
+/// or published to a [`ChunkSink`] a chunk at a time while the burst is
+/// generated.
+///
+/// Published chunks start at the burst's first word and every
+/// [`CHUNK_WORDS`] words after it, the pulls `next_burst` hands out
+/// from a whole burst. While the sink takes every chunk, the buffer
+/// holds no more than one chunk and the words generated since its last
+/// check, so only those pages of it ever become resident.
+///
+/// [`take`]: BurstBuffer::take
+#[derive(Debug)]
+pub struct BurstBuffer {
+    /// The burst's words, less the chunks already published and
+    /// dropped from the front. Allocated once, with room for the longest burst, and grown only
+    /// by [`BurstBuffer::push`], which never reallocates.
+    words: Vec<u64>,
+    /// Next word of `words` to hand out or publish.
+    head: usize,
+    /// `words.len()` at which the chunk from `head` is complete and due
+    /// (`head` is then 0), or `usize::MAX` once the sink has refused a
+    /// chunk of this burst: the rest waits for the burst's end.
+    due: usize,
+    /// The tag of the burst's chunks, kept for the ones the sink refused.
+    tag: u64,
+    /// Words of this burst published and dropped from `words`.
+    dropped: usize,
+}
+
+impl BurstBuffer {
+    /// An empty buffer with room for bursts of up to `words` words.
+    pub fn with_capacity(words: usize) -> BurstBuffer {
+        BurstBuffer {
+            words: Vec::with_capacity(words),
+            head: 0,
+            due: usize::MAX,
+            tag: 0,
+            dropped: 0,
+        }
+    }
+
+    /// The longest burst the buffer holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.words.capacity()
+    }
+
+    /// Whether every word generated has been handed out or published:
+    /// the stream generates only then.
+    pub fn is_empty(&self) -> bool {
+        self.head >= self.words.len()
+    }
+
+    /// Starts a burst. The buffer must be empty.
+    pub fn begin(&mut self) {
+        debug_assert!(self.is_empty(), "a burst begun over words not handed out");
+        self.words.clear();
+        self.head = 0;
+        self.due = CHUNK_WORDS;
+        self.dropped = 0;
+    }
+
+    /// Appends one word to the burst, into the room allocated for it.
+    #[inline]
+    pub fn push(&mut self, word: u64) {
+        debug_assert!(self.words.len() < self.words.capacity(), "a burst outgrew its buffer");
+        self.words.push(word);
+    }
+
+    /// Whether a complete chunk waits for [`BurstBuffer::publish_due`].
+    #[inline]
+    pub fn chunk_due(&self) -> bool {
+        self.words.len() >= self.due
+    }
+
+    /// Offers the burst's complete chunks to `sink`, mid-burst.
+    #[cold]
+    pub fn publish_due(&mut self, sink: &mut dyn ChunkSink) {
+        self.tag = sink.tag();
+        self.offer(sink, false);
+    }
+
+    /// Ends the burst: offers what is left of it to `sink`, and returns
+    /// how many words the burst had.
+    pub fn finish(&mut self, sink: &mut dyn ChunkSink) -> usize {
+        self.tag = sink.tag();
+        self.offer(sink, true);
+        self.dropped + self.words.len()
+    }
+
+    /// Offers the chunks `sink` refused again, with the burst's tag.
+    pub fn offer_held(&mut self, sink: &mut dyn ChunkSink) {
+        self.offer(sink, true);
+    }
+
+    /// Offers chunks from `head` until the sink refuses one, the last
+    /// partial chunk only if `whole`. Once every chunk offered is taken,
+    /// the rest moves to the front, so a pipelined burst keeps reusing
+    /// the same few pages.
+    fn offer(&mut self, sink: &mut dyn ChunkSink, whole: bool) {
+        loop {
+            let rest = self.words.get(self.head..).unwrap_or_default();
+            let chunk = rest.get(..CHUNK_WORDS).unwrap_or(rest);
+            if chunk.is_empty() || (chunk.len() < CHUNK_WORDS && !whole) {
+                break;
+            }
+            if !sink.offer(chunk, self.tag) {
+                self.due = usize::MAX;
+                return;
+            }
+            self.head += chunk.len();
+        }
+        self.dropped += self.head;
+        self.words.drain(..self.head);
+        self.head = 0;
+        self.due = CHUNK_WORDS;
+    }
+
+    /// Copies the next words, up to `out.len()`, into `out` and returns
+    /// how many.
+    #[inline]
+    pub fn take(&mut self, out: &mut [u64]) -> usize {
+        let rest = self.words.get(self.head..).unwrap_or_default();
+        let n = rest.len().min(out.len());
+        if let (Some(to), Some(from)) = (out.get_mut(..n), rest.get(..n)) {
+            to.copy_from_slice(from);
+        }
+        self.head += n;
+        n
     }
 }
 

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-use csim_trace::{Access, Addr, ExecMode, MemRef, ReferenceStream, SimRng};
+use csim_trace::{Access, Addr, BurstBuffer, ChunkSink, ExecMode, MemRef, ReferenceStream, SimRng};
 
 use crate::code::{CodeCursor, CodeRegion};
 use crate::layout::{AddressMap, Region, RegionHandle};
@@ -256,20 +256,21 @@ pub struct NodeWorkload {
     daemon_db_cursor: CodeCursor,
     daemon_kernel_cursor: CodeCursor,
     daemon_recent: RecentLines,
-    /// The current scheduling burst, consumed by index. Allocated once,
-    /// in [`NodeWorkload::new`], with room for [`burst_bound`] words,
-    /// the most one refill can emit, and grown only by writing: `emit`
-    /// pushes, which never reallocates, and a refill starts from
-    /// `clear()`. Nothing zero-fills it, so only the pages a burst
+    /// The current scheduling burst. Allocated once, in
+    /// [`NodeWorkload::new`], with room for [`burst_bound`] words, the
+    /// most one refill can emit; `emit` writes into that room and never
+    /// reallocates. Nothing zero-fills it, so only the pages a burst
     /// writes become resident (DESIGN.md §18: a zeroed buffer taken
     /// from recycled heap memory is cleared in full, on every sweep
-    /// point after the first). Entries are packed to one word each (see
+    /// point after the first). On the direct path it holds the whole
+    /// burst for `next_burst`; on the pipeline's producer `run_code`
+    /// publishes each chunk as it completes, so a lone stream's buffer
+    /// holds about one chunk, and a stream of several holds more only
+    /// while its ring is full. Entries are packed to one word each (see
     /// [`MemRef::pack`]): a burst is written once and read once, so
     /// halving its footprint halves the buffer's share of memory traffic
     /// on the simulator's hottest path.
-    buf: Vec<u64>,
-    /// Next word of `buf` to hand out.
-    buf_head: usize,
+    buf: BurstBuffer,
     // Precomputed mix thresholds, in the integer domain of
     // [`prob_threshold`]: a 53-bit draw `rng.next_u64() >> 11` compared
     // against a threshold decides exactly like `rng.gen_f64() < p`, with
@@ -410,8 +411,7 @@ impl NodeWorkload {
             daemon_db_cursor,
             daemon_kernel_cursor,
             daemon_recent: RecentLines::default(),
-            buf: Vec::with_capacity(burst_bound(&params, runs_lgwr, runs_dbwr)),
-            buf_head: 0,
+            buf: BurstBuffer::with_capacity(burst_bound(&params, runs_lgwr, runs_dbwr)),
             uload_private: prob_threshold(params.w_uload_private / uload_total),
             uload_meta: prob_threshold(
                 (params.w_uload_private + params.w_uload_meta) / uload_total,
@@ -460,7 +460,6 @@ impl NodeWorkload {
     /// into that room and the whole refill cone stays heap-free.
     #[inline]
     fn emit(&mut self, word: u64) {
-        debug_assert!(self.buf.len() < self.buf.capacity(), "a burst outgrew burst_bound");
         // The bursts_stay_within_the_bound test holds that bound: it drives
         // every recipe, with every instruction taking a data reference.
         self.buf.push(word);
@@ -504,8 +503,10 @@ impl NodeWorkload {
     }
 
     /// Emits `n` instructions of straight-line-plus-jump code with the
-    /// background data mix.
-    fn run_code(&mut self, kernel: bool, server: u16, n: u64) {
+    /// background data mix, publishing each chunk of the burst to `sink`
+    /// once it is complete. The few words a burst emits outside this
+    /// loop are published at its next check or at the burst's end.
+    fn run_code(&mut self, kernel: bool, server: u16, n: u64, sink: &mut dyn ChunkSink) {
         let mode = if kernel { ExecMode::Kernel } else { ExecMode::User };
         let code = if kernel { Arc::clone(&self.kernel_code) } else { Arc::clone(&self.db_code) };
         let (t_load, t_either) = (self.t_load, self.t_either);
@@ -520,6 +521,9 @@ impl NodeWorkload {
             } else if roll < t_either {
                 let a = self.background_target(kernel, server, true);
                 self.emit_data(a, true, mode);
+            }
+            if self.buf.chunk_due() {
+                self.buf.publish_due(sink);
             }
         }
         self.store_cursor(kernel, server, cursor);
@@ -633,8 +637,8 @@ impl NodeWorkload {
     // ---- phase bursts ----------------------------------------------------
 
     /// Kernel burst: receive the client request over the pipe.
-    fn burst_pipe(&mut self, s: u16) {
-        self.run_code(true, s, self.params.txn_pipe_instrs);
+    fn burst_pipe(&mut self, s: u16, sink: &mut dyn ChunkSink) {
+        self.run_code(true, s, self.params.txn_pipe_instrs, sink);
         // Pipe buffer and wakeup touches in per-node kernel data.
         for _ in 0..2 {
             let line = self.rng.gen_range(0..self.params.kernel_node_lines);
@@ -656,7 +660,7 @@ impl NodeWorkload {
 
     /// Database burst: the TPC-B updates.
     // analyze: total — server_idx is a modulo-reduced server id and the per-server home arrays (h_kstack, h_pga, h_work) hold one region per server
-    fn burst_execute(&mut self, s: u16) {
+    fn burst_execute(&mut self, s: u16, sink: &mut dyn ChunkSink) {
         let (teller, branch, account) = {
             let srv = &self.servers[s as usize];
             (srv.teller, srv.branch, srv.account)
@@ -664,19 +668,19 @@ impl NodeWorkload {
         let chunk = (self.params.txn_db_instrs / 12).max(1);
 
         // Begin: transaction-table slot.
-        self.run_code(false, s, chunk);
+        self.run_code(false, s, chunk, sink);
         let slot = self.meta_addr(self.sga.txn_slot_line(self.node, s));
         self.emit_data(slot, true, ExecMode::User);
 
         // Account update: lock, header, row read-modify-write, undo, redo.
-        self.run_code(false, s, chunk);
+        self.run_code(false, s, chunk, sink);
         self.touch_lock(LockKind::Account, account);
         let arow = self.schema.account_row(account);
         self.touch_header(Table::Account, arow.block);
-        self.run_code(false, s, 2 * chunk);
+        self.run_code(false, s, 2 * chunk, sink);
         let aaddr = self.map.line_addr(Region::AccountBlocks, arow.row_line);
         self.emit_data(aaddr, false, ExecMode::User);
-        self.run_code(false, s, chunk);
+        self.run_code(false, s, chunk, sink);
         self.emit_data(aaddr, true, ExecMode::User);
         self.shared.push_dirty(aaddr);
         let undo = {
@@ -687,7 +691,7 @@ impl NodeWorkload {
         self.append_redo(REDO_BYTES_PER_UPDATE);
 
         // Teller update.
-        self.run_code(false, s, chunk);
+        self.run_code(false, s, chunk, sink);
         self.touch_lock(LockKind::Teller, teller);
         let trow = self.schema.teller_row(teller);
         self.touch_header(Table::Teller, trow.block);
@@ -697,7 +701,7 @@ impl NodeWorkload {
         self.append_redo(REDO_BYTES_PER_UPDATE);
 
         // Branch update (the migratory hot spot).
-        self.run_code(false, s, 2 * chunk);
+        self.run_code(false, s, 2 * chunk, sink);
         self.touch_lock(LockKind::Branch, branch);
         let brow = self.schema.branch_row(branch);
         self.touch_header(Table::Branch, brow.block);
@@ -707,7 +711,7 @@ impl NodeWorkload {
         self.append_redo(REDO_BYTES_PER_UPDATE);
 
         // History append (cold stream) + LRU list maintenance.
-        self.run_code(false, s, chunk);
+        self.run_code(false, s, chunk, sink);
         let hrow = self.schema.history_row(self.history_seq);
         self.history_seq += 1;
         self.touch_header(Table::History, hrow.block);
@@ -717,34 +721,38 @@ impl NodeWorkload {
         self.append_redo(REDO_BYTES_PER_UPDATE);
 
         // Release locks, close out.
-        self.run_code(false, s, 2 * chunk);
+        self.run_code(false, s, 2 * chunk, sink);
         self.touch_lock(LockKind::Account, account);
         self.touch_lock(LockKind::Teller, teller);
         self.touch_lock(LockKind::Branch, branch);
-        self.run_code(false, s, chunk);
+        self.run_code(false, s, chunk, sink);
         self.emit_data(slot, true, ExecMode::User);
 
         self.servers[s as usize].phase = Phase::Commit;
     }
 
     /// Commit burst: redo commit record, log syscall.
-    fn burst_commit(&mut self, s: u16) {
-        let db_part = self.params.txn_commit_instrs / 3;
-        self.run_code(false, s, db_part);
-        self.append_redo(REDO_BYTES_PER_UPDATE / 2);
-        self.touch_lock(LockKind::LogControl, 0);
-        self.run_code(true, s, self.params.txn_commit_instrs - db_part);
-        self.shared.pending_commits.fetch_add(1, Relaxed);
+    ///
+    /// The transaction is counted at the burst's start: a pipelined
+    /// stream publishes its chunks mid-burst, and each chunk's tag is the
+    /// count as of its whole burst. Only reports read the count.
+    fn burst_commit(&mut self, s: u16, sink: &mut dyn ChunkSink) {
         self.shared.txns_completed.fetch_add(1, Relaxed);
         self.txns_local += 1;
+        let db_part = self.params.txn_commit_instrs / 3;
+        self.run_code(false, s, db_part, sink);
+        self.append_redo(REDO_BYTES_PER_UPDATE / 2);
+        self.touch_lock(LockKind::LogControl, 0);
+        self.run_code(true, s, self.params.txn_commit_instrs - db_part, sink);
+        self.shared.pending_commits.fetch_add(1, Relaxed);
         // analyze: total — server ids other than the daemon sentinel are the round-robin cursor reduced modulo servers.len()
         self.servers[s as usize].phase = Phase::Pipe;
     }
 
     /// Context-switch burst: scheduler code plus run-queue updates.
-    fn burst_switch(&mut self) {
+    fn burst_switch(&mut self, sink: &mut dyn ChunkSink) {
         let s = self.cur_server as u16;
-        self.run_code(true, s, self.params.switch_instrs);
+        self.run_code(true, s, self.params.switch_instrs, sink);
         let line = self.rng.gen_range(0..self.params.kernel_node_lines);
         let addr = self.h_kernel_node.line_addr(line);
         self.emit_data(addr, false, ExecMode::Kernel);
@@ -754,9 +762,9 @@ impl NodeWorkload {
     /// Log-writer burst (node 0): harvest the redo written since the last
     /// flush — 3-hop reads of lines dirtied by every node — and stage it
     /// to cold I/O buffers.
-    fn burst_lgwr(&mut self) {
+    fn burst_lgwr(&mut self, sink: &mut dyn ChunkSink) {
         let half = self.params.lgwr_instrs / 2;
-        self.run_code(false, u16::MAX, half);
+        self.run_code(false, u16::MAX, half, sink);
         let tail = self.shared.log_tail_bytes.load(Relaxed);
         let first_line = self.lgwr_flushed_bytes / 64;
         let last_line = tail / 64;
@@ -767,7 +775,7 @@ impl NodeWorkload {
             self.emit_data(addr, false, ExecMode::User);
         }
         self.lgwr_flushed_bytes = tail;
-        self.run_code(true, u16::MAX, self.params.lgwr_instrs - half);
+        self.run_code(true, u16::MAX, self.params.lgwr_instrs - half, sink);
         for _ in 0..DAEMON_IO_LINES {
             let addr = self.map.line_addr(Region::IoBuffer { node: self.node }, self.io_seq);
             self.io_seq += 1;
@@ -782,9 +790,9 @@ impl NodeWorkload {
 
     /// Database-writer burst: scan buffer headers and flush recently
     /// dirtied block lines (3-hop reads of other nodes' stores).
-    fn burst_dbwr(&mut self) {
+    fn burst_dbwr(&mut self, sink: &mut dyn ChunkSink) {
         let half = self.params.dbwr_instrs / 2;
-        self.run_code(false, u16::MAX, half);
+        self.run_code(false, u16::MAX, half, sink);
         for _ in 0..DBWR_SCAN_LINES {
             let n = self.rng.next_u64() >> 11;
             let addr = self.meta_addr(self.meta_zipf.sample_u53(n));
@@ -796,7 +804,7 @@ impl NodeWorkload {
         for &addr in &victims[..flushed] {
             self.emit_data(addr, false, ExecMode::User);
         }
-        self.run_code(true, u16::MAX, self.params.dbwr_instrs - half);
+        self.run_code(true, u16::MAX, self.params.dbwr_instrs - half, sink);
         for _ in 0..DAEMON_IO_LINES {
             let addr = self.map.line_addr(Region::IoBuffer { node: self.node }, self.io_seq);
             self.io_seq += 1;
@@ -804,12 +812,14 @@ impl NodeWorkload {
         }
     }
 
-    /// Produces the next scheduling burst into the buffer. Cold relative
-    /// to the per-reference pop in `next_ref` (a burst is thousands of
-    /// references), so it is kept out of the consumer's inlined fast path.
+    /// Produces the next scheduling burst into the buffer, publishing
+    /// its chunks to `sink`, and returns its length. Cold relative to
+    /// the per-reference hand-out in `next_burst` (a burst is thousands
+    /// of references), so it is kept out of the consumer's inlined fast
+    /// path.
     #[cold]
     #[inline(never)]
-    fn refill(&mut self) {
+    fn refill(&mut self, sink: &mut dyn ChunkSink) -> usize {
         // Publish the host profiler's burst-refill region for the
         // duration of the burst, restoring the enclosing region on exit
         // (idle on the workload pipeline's producer thread, the advance
@@ -817,8 +827,11 @@ impl NodeWorkload {
         // relaxed stores per burst of thousands of references.
         let enclosing = csim_trace::hostprof::current_region();
         csim_trace::hostprof::set_region(csim_trace::hostprof::Region::BurstRefill);
-        self.refill_burst();
+        self.buf.begin();
+        self.refill_burst(sink);
+        let words = self.buf.finish(sink);
         csim_trace::hostprof::set_region(enclosing);
+        words
     }
 
     // Hot by measurement, not position: host profiling attributed ~28%
@@ -827,13 +840,12 @@ impl NodeWorkload {
     // (fixed-point thresholds, `ZipfTable::sample_u53`) and preallocated
     // storage (`emit` into the fixed burst buffer, stack scratch for the
     // dbwr flush) — no allocation or float findings are deferred.
-    fn refill_burst(&mut self) {
-        debug_assert!(self.buf.is_empty(), "refill into a non-empty burst buffer");
+    fn refill_burst(&mut self, sink: &mut dyn ChunkSink) {
         if self.runs_lgwr
             && self.shared.pending_commits.load(Relaxed) >= self.params.lgwr_batch
         {
-            self.burst_lgwr();
-            self.burst_switch();
+            self.burst_lgwr(sink);
+            self.burst_switch(sink);
             return;
         }
         if self.runs_dbwr
@@ -841,62 +853,72 @@ impl NodeWorkload {
             && self.rounds - self.last_dbwr_round >= self.params.dbwr_period
         {
             self.last_dbwr_round = self.rounds;
-            self.burst_dbwr();
-            self.burst_switch();
+            self.burst_dbwr(sink);
+            self.burst_switch(sink);
             return;
         }
         let s = self.cur_server as u16;
         // analyze: total — server ids other than the daemon sentinel are the round-robin cursor reduced modulo servers.len()
         match self.servers[s as usize].phase {
-            Phase::Pipe => self.burst_pipe(s),
-            Phase::Execute => self.burst_execute(s),
-            Phase::Commit => self.burst_commit(s),
+            Phase::Pipe => self.burst_pipe(s, sink),
+            Phase::Execute => self.burst_execute(s, sink),
+            Phase::Commit => self.burst_commit(s, sink),
         }
-        self.burst_switch();
+        self.burst_switch(sink);
         self.cur_server = (self.cur_server + 1) % self.servers.len();
         self.rounds += 1;
     }
 }
 
+/// The direct path's sink: it takes no chunk, so a refill keeps its
+/// whole burst for `next_burst` to hand out.
+struct Hold;
+
+impl ChunkSink for Hold {
+    fn tag(&mut self) -> u64 {
+        0
+    }
+
+    /// Never called: a [`NodeWorkload`] only offers its chunks.
+    fn publish(&mut self, _: &[u64], _: u64) {}
+
+    fn offer(&mut self, _: &[u64], _: u64) -> bool {
+        false
+    }
+}
+
 impl ReferenceStream for NodeWorkload {
-    #[inline]
     fn next_ref(&mut self) -> MemRef {
-        loop {
-            if let Some(&word) = self.buf.get(self.buf_head) {
-                self.buf_head += 1;
-                return MemRef::unpack(word);
-            }
-            self.buf.clear();
-            self.buf_head = 0;
-            self.refill();
-        }
+        let mut word = 0;
+        self.next_burst(std::slice::from_mut(&mut word));
+        MemRef::unpack(word)
     }
 
     /// Hands out the buffered burst as whole packed slices.
     ///
     /// Satisfies the [`ReferenceStream::next_burst`] contract by
-    /// construction: a refill happens only when the buffer is empty —
-    /// exactly when `next_ref` would refill — so generation (and every
-    /// RNG draw and shared-state mutation inside it) occurs at the same
-    /// stream positions under either consumption style, and the words
-    /// handed out are the same bytes `next_ref` would unpack.
+    /// construction: a refill happens only when the buffer is empty, so
+    /// generation (and every RNG draw and shared-state mutation inside
+    /// it) occurs at the same stream positions under any mix of
+    /// `next_ref`, `next_burst` and `publish_chunks` calls.
     #[inline]
     fn next_burst(&mut self, out: &mut [u64]) -> usize {
         debug_assert!(!out.is_empty());
-        while self.buf_head == self.buf.len() {
-            self.buf.clear();
-            self.buf_head = 0;
-            self.refill();
+        while self.buf.is_empty() {
+            self.refill(&mut Hold);
         }
-        // The words not yet handed out: buf_head never passes buf.len(),
-        // since a refill starts from an empty buffer and buf_head only
-        // advances over words handed out.
-        let rest = self.buf.get(self.buf_head..).unwrap_or_default();
-        let n = rest.len().min(out.len());
-        // analyze: total — n is the smaller of the two slices' lengths
-        out[..n].copy_from_slice(&rest[..n]);
-        self.buf_head += n;
-        n
+        self.buf.take(out)
+    }
+
+    /// Publishes each chunk of the next burst while it is generated, or
+    /// offers the chunks `sink` refused earlier.
+    fn publish_chunks(&mut self, sink: &mut dyn ChunkSink) -> usize {
+        if self.buf.is_empty() {
+            self.refill(sink)
+        } else {
+            self.buf.offer_held(sink);
+            0
+        }
     }
 }
 
@@ -1021,17 +1043,14 @@ mod tests {
         let caps: Vec<usize> = streams.iter().map(|w| w.buf.capacity()).collect();
         for _ in 0..refills {
             for ((w, (longest, bound)), &cap) in streams.iter_mut().zip(&mut seen).zip(&caps) {
-                w.buf.clear();
-                w.buf_head = 0;
-                w.refill();
-                assert!(
-                    w.buf.len() <= *bound,
-                    "node {}: {} words, bound {bound}",
-                    w.node,
-                    w.buf.len()
-                );
+                // The direct path: the whole burst stays in the buffer.
+                let words = w.refill(&mut Hold);
+                assert!(words <= *bound, "node {}: {words} words, bound {bound}", w.node);
                 assert_eq!(w.buf.capacity(), cap, "node {}: the burst buffer grew", w.node);
-                *longest = (*longest).max(w.buf.len());
+                *longest = (*longest).max(words);
+                while !w.buf.is_empty() {
+                    w.buf.take(&mut [0; 512]);
+                }
             }
         }
         seen

@@ -1,6 +1,9 @@
 //! Adversarial driver for the decoders of outside input: sweep plans and
-//! fault plans (the TOML reader) and JSON documents (`json::parse`, the
-//! reader behind `--validate-json`).
+//! fault plans (the TOML reader), JSON documents (`json::parse`, the
+//! reader behind `--validate-json`), JSONL event traces
+//! (`json::validate_jsonl`, behind `--validate-jsonl`) and sweep
+//! checkpoint logs, which are also shard results (`merge_logs`, behind
+//! `--sweep-merge`).
 //!
 //! One mutator turns well-formed seed documents into hostile ones by
 //! flipping bits, truncating, splicing in a slice of another seed and
@@ -11,7 +14,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use oltp_chip_integration::obs::json::{self, Json};
+use oltp_chip_integration::obs::TraceConfig;
 use oltp_chip_integration::prelude::*;
+use oltp_chip_integration::sweep::{merge_logs, run_sweep_cfg, SweepConfig};
 use oltp_chip_integration::trace::SimRng;
 
 /// Longest run of nesting openers a random case inserts. Both parsers
@@ -142,6 +147,52 @@ fn mutated_reports_parse_or_fail_without_panicking() {
     assert_eq!(json::parse(&report).map(|doc| doc.to_string()).as_ref(), Ok(&report));
     let seeds = [report.as_str(), "[]", "{\"a\":[1,-2,0.5,\"s\\n\",true,null,{}]}"];
     let (accepted, rejected) = drive(0x7503_0001, &seeds, 1_500, parse_and_round_trip);
+    assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
+}
+
+#[test]
+fn mutated_event_traces_validate_or_fail_without_panicking() {
+    // A small run's `--trace-out` document: one JSON object per line.
+    let cfg = SystemConfig::paper_fully_integrated(2);
+    let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).expect("valid config");
+    sim.set_observer(Observer::new(ObsConfig {
+        trace: Some(TraceConfig { capacity: 256, ..TraceConfig::default() }),
+        ..ObsConfig::default()
+    }));
+    sim.run(20_000);
+    let trace = sim.observer().trace_jsonl();
+    assert!(trace.lines().count() > 100, "the run must trace events:\n{trace}");
+    let seeds = [trace.as_str(), "{}\n[1]\n"];
+    let (accepted, rejected) = drive(0x75AC_0001, &seeds, 3_000, json::validate_jsonl);
+    assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
+}
+
+#[test]
+fn mutated_checkpoint_logs_merge_or_fail_without_panicking() {
+    let plan = SweepPlan::from_toml_str(
+        "[sweep]\nname = \"tiny\"\nwarm = 1_000\nmeas = 3_000\n\n\
+         [grid]\nintegration = [\"base\", \"all\"]\nnodes = [1, 2]\nbase_seed = 5\n",
+    )
+    .expect("valid plan");
+    let dir = std::env::temp_dir();
+    let file = |name: &str| {
+        let path = dir.join(format!("csim-adversarial-{}-{name}", std::process::id()));
+        path.to_string_lossy().into_owned()
+    };
+    let log = file("seed.log");
+    let _ = std::fs::remove_file(&log);
+    let cfg = SweepConfig { checkpoint: Some(log.clone()), ..SweepConfig::default() };
+    run_sweep_cfg(&plan, &cfg).expect("the sweep runs");
+    let seed = std::fs::read_to_string(&log).expect("the sweep wrote its log");
+    let case = file("case.log");
+    let merge = |text: &str| {
+        std::fs::write(&case, text).expect("temp dir is writable");
+        merge_logs(&plan, std::slice::from_ref(&case))
+    };
+    let (accepted, rejected) = drive(0xC4EC_0001, &[seed.as_str()], 1_500, merge);
+    for path in [&log, &case] {
+        let _ = std::fs::remove_file(path);
+    }
     assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
 }
 

@@ -190,3 +190,21 @@ fn warm_up_ending_on_a_committing_burst_boundary_counts_exactly() {
         }
     }
 }
+
+#[test]
+fn a_warm_up_and_a_run_ending_inside_a_commit_burst_count_exactly() {
+    // A pipelined stream publishes a burst's chunks while it generates
+    // the burst, and each chunk carries the count as of its whole
+    // burst: the commit burst counts its transaction before its first
+    // word. A commit burst has at least txn_commit_instrs words, so 700
+    // words in is past its first 512-word chunk and before its last.
+    let cfg = SystemConfig::paper_base_uni();
+    let seed = 29;
+    let inside = 700;
+    assert!(OltpParams::default().txn_commit_instrs > inside + 512);
+    let boundaries = commit_boundaries(&cfg, seed, 200_000);
+    assert!(boundaries.len() >= 3, "the drive must cross several commits: {boundaries:?}");
+    let (warm, end) = (boundaries[1] + inside, boundaries[2] + inside);
+    let steps = [Step::Warm(warm), Step::Run(end - warm), Step::Run(2_048)];
+    assert_pipeline_identity(&cfg, seed, None, &steps);
+}
