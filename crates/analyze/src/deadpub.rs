@@ -132,13 +132,10 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
 /// True when `name` appears inside a `#[cfg(test)]` region of the file
 /// (approximated: any test-fn body token mentions it).
 fn mentioned_in_tests(ws: &Workspace, file_idx: usize, name: &str) -> bool {
-    ws.fns
-        .iter()
-        .filter(|f| f.file == file_idx && f.in_test)
-        .any(|f| {
-            let file = ws.file_of(f);
-            ws.body_toks(f).iter().any(|t| file.text(*t) == name)
-        })
+    ws.fns.iter().filter(|f| f.file == file_idx && f.in_test).any(|f| {
+        let file = ws.file_of(f);
+        ws.body_toks(f).iter().any(|t| file.text(*t) == name)
+    })
 }
 
 #[cfg(test)]
@@ -160,17 +157,20 @@ mod tests {
 
     #[test]
     fn unreferenced_pub_fn_is_dead() {
-        let ws = ws_of(&[(
-            "crates/cache/src/lib.rs",
-            "cache",
-            Section::Src,
-            "pub fn orphan() {}\npub fn used_by_core() {}\n",
-        ), (
-            "crates/core/src/lib.rs",
-            "core",
-            Section::Src,
-            "fn go() { csim_cache::used_by_core(); }\n",
-        )]);
+        let ws = ws_of(&[
+            (
+                "crates/cache/src/lib.rs",
+                "cache",
+                Section::Src,
+                "pub fn orphan() {}\npub fn used_by_core() {}\n",
+            ),
+            (
+                "crates/core/src/lib.rs",
+                "core",
+                Section::Src,
+                "fn go() { csim_cache::used_by_core(); }\n",
+            ),
+        ]);
         let findings = run(&ws);
         let names: Vec<&str> =
             findings.iter().map(|f| f.excerpt.trim_start_matches("pub fn ")).collect();
@@ -181,8 +181,12 @@ mod tests {
     #[test]
     fn use_from_tests_examples_and_bins_counts() {
         let ws = ws_of(&[
-            ("crates/cache/src/lib.rs", "cache", Section::Src,
-             "pub fn by_test() {}\npub fn by_example() {}\npub fn by_bin() {}\n"),
+            (
+                "crates/cache/src/lib.rs",
+                "cache",
+                Section::Src,
+                "pub fn by_test() {}\npub fn by_example() {}\npub fn by_bin() {}\n",
+            ),
             ("crates/cache/tests/t.rs", "cache", Section::Tests, "fn t() { by_test(); }\n"),
             ("examples/e.rs", "(root)", Section::Examples, "fn main() { by_example(); }\n"),
             ("crates/cache/src/bin/tool.rs", "cache", Section::Bin, "fn main() { by_bin(); }\n"),

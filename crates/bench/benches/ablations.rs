@@ -62,7 +62,8 @@ fn ablation_associativity() -> (BarChart, Vec<Claim>) {
         .map(|&w| Sweep::new(format!("2M{w}w"), configs::l2_sram(1, 2, w)))
         .collect();
     let results = run_sweep(&sweep, warm_refs(), meas_refs());
-    let chart = exec_chart("execution time vs 2MB on-chip L2 associativity, uniprocessor", &results);
+    let chart =
+        exec_chart("execution time vs 2MB on-chip L2 associativity, uniprocessor", &results);
     let cycles: Vec<f64> = results.iter().map(|(_, r)| r.breakdown.total_cycles()).collect();
     let gain_4_to_8 = cycles[2] / cycles[3];
     let gain_8_to_16 = cycles[3] / cycles[4];
@@ -154,7 +155,12 @@ fn main() {
     finish_figure("ablation_owner_retention", "2-hop to 3-hop conversion mechanism", &[&c1], &cl1);
 
     let (c2, cl2) = ablation_associativity();
-    finish_figure("ablation_associativity", "L2 associativity beyond the paper's sweep", &[&c2], &cl2);
+    finish_figure(
+        "ablation_associativity",
+        "L2 associativity beyond the paper's sweep",
+        &[&c2],
+        &cl2,
+    );
 
     let (c3, cl3) = ablation_kernel_share();
     finish_figure("ablation_kernel_share", "kernel activity share", &[&c3], &cl3);

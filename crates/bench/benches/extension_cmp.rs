@@ -28,9 +28,8 @@ fn main() {
 
     // All configurations run 8 cores for the same per-core reference
     // count, so aggregate cycles are directly comparable.
-    let mut chart = BarChart::new(
-        "CMP extension: normalized execution time, 8 cores total, fully integrated",
-    );
+    let mut chart =
+        BarChart::new("CMP extension: normalized execution time, 8 cores total, fully integrated");
     for (label, rep) in &results {
         chart.push(rep.exec_bar(label.clone()));
     }
@@ -50,8 +49,10 @@ fn main() {
         Claim::check(
             "folding cores onto fewer chips removes communication (3-hop) misses monotonically",
             dirty.windows(2).all(|w| w[1] < w[0]),
-            format!("3-hop misses: {dirty:?} (2-hop+3-hop: {remote:?} — 2-hop can \
-                     rise at intermediate points from shared-L2 capacity pressure)"),
+            format!(
+                "3-hop misses: {dirty:?} (2-hop+3-hop: {remote:?} — 2-hop can \
+                     rise at intermediate points from shared-L2 capacity pressure)"
+            ),
         ),
         Claim::check(
             "a single-chip 8-core CMP eliminates dirty remote misses entirely",

@@ -3,7 +3,9 @@
 //! measurements; this target prints them exactly as encoded in
 //! `csim-config` so they can be compared against the paper line by line.
 
-use csim_config::{IntegrationLevel, L2Kind, LatencyTable, SystemConfig, L1_ASSOC, L1_SIZE, LINE_SIZE, MP_NODES};
+use csim_config::{
+    IntegrationLevel, L2Kind, LatencyTable, SystemConfig, L1_ASSOC, L1_SIZE, LINE_SIZE, MP_NODES,
+};
 use csim_noc::{derive_latency_table, remote_dirty_path_description, TechParams, Torus2D};
 
 fn main() {
@@ -17,10 +19,7 @@ fn main() {
     println!("L1 data cache associativity          {}-way", L1_ASSOC);
     println!("L1 instruction cache size (on-chip)  {} KB", L1_SIZE >> 10);
     println!("L1 instruction cache associativity   {}-way", L1_ASSOC);
-    println!(
-        "L2 cache size (off-chip)             {} MB",
-        base.l2().geometry.size_bytes() >> 20
-    );
+    println!("L2 cache size (off-chip)             {} MB", base.l2().geometry.size_bytes() >> 20);
     println!("L2 cache associativity               {}-way", base.l2().geometry.assoc());
     println!("Multiprocessor configuration         {} processors", MP_NODES);
     println!();
@@ -49,8 +48,14 @@ fn main() {
         println!(
             "{:<26} {:>2}/{:<3} {:>3}/{:<3} {:>3}/{:<3} {:>6}/{:<6}",
             format!("{level:?}"),
-            d.l2_hit, p.l2_hit, d.local, p.local,
-            d.remote_clean, p.remote_clean, d.remote_dirty, p.remote_dirty
+            d.l2_hit,
+            p.l2_hit,
+            d.local,
+            p.local,
+            d.remote_clean,
+            p.remote_clean,
+            d.remote_dirty,
+            p.remote_dirty
         );
     }
     println!();

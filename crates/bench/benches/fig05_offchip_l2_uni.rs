@@ -5,8 +5,8 @@
 //! misses).
 
 use csim_bench::{
-    comparison_table, configs, exec_chart, finish_figure, meas_refs, miss_chart,
-    normalized_totals, run_sweep, warm_refs, Claim, Sweep,
+    comparison_table, configs, exec_chart, finish_figure, meas_refs, miss_chart, normalized_totals,
+    run_sweep, warm_refs, Claim, Sweep,
 };
 
 fn main() {

@@ -52,8 +52,7 @@ fn main() {
         ),
         Claim::check(
             "more effective caching converts 2-hop misses into 3-hop misses",
-            rep("8M4w").misses.data_remote_dirty as f64
-                / rep("8M4w").breakdown.instructions as f64
+            rep("8M4w").misses.data_remote_dirty as f64 / rep("8M4w").breakdown.instructions as f64
                 > rep("1M1w").misses.data_remote_dirty as f64
                     / rep("1M1w").breakdown.instructions as f64,
             format!(

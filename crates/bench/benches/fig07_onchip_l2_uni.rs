@@ -3,8 +3,8 @@
 //! SRAM L2s (1M8w, 2M at 8/4/2/1-way) and an 8 MB 8-way embedded-DRAM L2.
 
 use csim_bench::{
-    comparison_table, configs, exec_chart, finish_figure, meas_refs, miss_chart,
-    normalized_totals, run_sweep, warm_refs, Claim, Sweep,
+    comparison_table, configs, exec_chart, finish_figure, meas_refs, miss_chart, normalized_totals,
+    run_sweep, warm_refs, Claim, Sweep,
 };
 
 fn main() {

@@ -71,8 +71,7 @@ fn main() {
         ),
         Claim::check(
             "the RAC increases the number of remote dirty (3-hop) misses",
-            rep("RAC+IRepl").misses.data_remote_dirty
-                > rep("NoRAC+IRepl").misses.data_remote_dirty,
+            rep("RAC+IRepl").misses.data_remote_dirty > rep("NoRAC+IRepl").misses.data_remote_dirty,
             format!(
                 "{} vs {}",
                 rep("RAC+IRepl").misses.data_remote_dirty,
@@ -82,11 +81,7 @@ fn main() {
         Claim::check(
             "the RAC increases the fraction of writes that send invalidations (~1-in-6 to ~1-in-3)",
             inval_frac("RAC+IRepl") > inval_frac("NoRAC+IRepl"),
-            format!(
-                "{:.2} -> {:.2}",
-                inval_frac("NoRAC+IRepl"),
-                inval_frac("RAC+IRepl")
-            ),
+            format!("{:.2} -> {:.2}", inval_frac("NoRAC+IRepl"), inval_frac("RAC+IRepl")),
         ),
     ];
 

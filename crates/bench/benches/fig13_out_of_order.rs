@@ -33,12 +33,12 @@ fn main() {
 
     // The paper normalizes to the Base OOO bar; keep the display sweep to
     // the bars the figure shows.
-    let uni_disp: Vec<_> =
-        uni_results.iter().filter(|(l, _)| l != "L2-InOrder").cloned().collect();
-    let mp_disp: Vec<_> =
-        mp_results.iter().filter(|(l, _)| l != "All-InOrder").cloned().collect();
-    let uni_chart = exec_chart("Figure 13 (left): uniprocessor (first bar = in-order Base)", &uni_disp);
-    let mp_chart = exec_chart("Figure 13 (right): 8 processors (first bar = in-order Base)", &mp_disp);
+    let uni_disp: Vec<_> = uni_results.iter().filter(|(l, _)| l != "L2-InOrder").cloned().collect();
+    let mp_disp: Vec<_> = mp_results.iter().filter(|(l, _)| l != "All-InOrder").cloned().collect();
+    let uni_chart =
+        exec_chart("Figure 13 (left): uniprocessor (first bar = in-order Base)", &uni_disp);
+    let mp_chart =
+        exec_chart("Figure 13 (right): 8 processors (first bar = in-order Base)", &mp_disp);
 
     let eu = normalized_totals(&uni_results, false);
     let em = normalized_totals(&mp_results, false);

@@ -39,10 +39,7 @@ fn bench(name: &str, n: u64, mut f: impl FnMut()) {
     }
     let elapsed = start.elapsed();
     let ns_per_op = elapsed.as_nanos() as f64 / n as f64;
-    println!(
-        "{name:<32} {n:>10} ops  {ns_per_op:>9.1} ns/op  {:>8.2} Mops/s",
-        1e3 / ns_per_op
-    );
+    println!("{name:<32} {n:>10} ops  {ns_per_op:>9.1} ns/op  {:>8.2} Mops/s", 1e3 / ns_per_op);
 }
 
 fn bench_cache() {

@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use crate::invariants::{check_state, Violation};
-use crate::model::{apply, enabled_actions, decode, encode, Action, CheckConfig, ModelState};
+use crate::model::{apply, decode, enabled_actions, encode, Action, CheckConfig, ModelState};
 
 /// A violation plus the evidence to understand and reproduce it.
 #[derive(Clone, Debug)]
@@ -111,8 +111,12 @@ struct Vertex {
 pub fn explore(config: &CheckConfig) -> Result<CheckReport, String> {
     config.validate()?;
     let initial = ModelState::initial(config);
-    let mut vertices = vec![Vertex { key: encode(config, &initial), parent: 0, action: None, depth: 0 }];
-    #[expect(clippy::disallowed_types, reason = "looked up by state key only, never iterated, so hash order reaches no report")]
+    let mut vertices =
+        vec![Vertex { key: encode(config, &initial), parent: 0, action: None, depth: 0 }];
+    #[expect(
+        clippy::disallowed_types,
+        reason = "looked up by state key only, never iterated, so hash order reaches no report"
+    )]
     let mut visited = std::collections::HashMap::<u128, usize>::new();
     visited.insert(vertices[0].key, 0);
     let mut queue: VecDeque<usize> = VecDeque::from([0]);
@@ -170,7 +174,9 @@ pub fn explore(config: &CheckConfig) -> Result<CheckReport, String> {
                     transitions,
                     max_depth,
                     truncated,
-                    violation: Some(build_counterexample(config, &vertices, new_idx, None, violation)),
+                    violation: Some(build_counterexample(
+                        config, &vertices, new_idx, None, violation,
+                    )),
                 });
             }
             queue.push_back(new_idx);
@@ -248,8 +254,7 @@ pub fn decode_seed(seed: &str) -> Result<Vec<Action>, String> {
         return Err(format!("replay seed length {} is not a multiple of 4 hex digits", seed.len()));
     }
     let byte_at = |i: usize| -> Result<u8, String> {
-        u8::from_str_radix(&seed[i..i + 2], 16)
-            .map_err(|e| format!("bad hex at offset {i}: {e}"))
+        u8::from_str_radix(&seed[i..i + 2], 16).map_err(|e| format!("bad hex at offset {i}: {e}"))
     };
     let mut actions = Vec::with_capacity(seed.len() / 4);
     for i in (0..seed.len()).step_by(4) {

@@ -89,7 +89,10 @@ pub fn check_state(config: &CheckConfig, state: &ModelState) -> Result<(), Viola
             if p.line >= config.lines {
                 return Err(Violation {
                     invariant: Invariant::DeadState,
-                    detail: format!("node {node} has a pending request for nonexistent line {}", p.line),
+                    detail: format!(
+                        "node {node} has a pending request for nonexistent line {}",
+                        p.line
+                    ),
                 });
             }
         }
@@ -102,14 +105,16 @@ fn check_line(config: &CheckConfig, state: &ModelState, line: u8) -> Result<(), 
         .map(|n| (n, state.cache_of(config, n, line)))
         .filter(|(_, c)| *c != CacheState::Invalid)
         .collect();
-    let dirty: Vec<u8> =
-        holders.iter().filter(|(_, c)| c.is_modified()).map(|(n, _)| *n).collect();
+    let dirty: Vec<u8> = holders.iter().filter(|(_, c)| c.is_modified()).map(|(n, _)| *n).collect();
 
     // SWMR is directory-independent: it must hold over the caches alone.
     if dirty.len() > 1 {
         return Err(Violation {
             invariant: Invariant::Swmr,
-            detail: format!("line {line} is dirty in {} caches at once: nodes {dirty:?}", dirty.len()),
+            detail: format!(
+                "line {line} is dirty in {} caches at once: nodes {dirty:?}",
+                dirty.len()
+            ),
         });
     }
     if let Some(&owner) = dirty.first() {

@@ -526,7 +526,9 @@ fn conformance(
 fn mismatch(action: Action, what: &str, real: impl fmt::Debug, want: impl fmt::Debug) -> Violation {
     Violation {
         invariant: Invariant::SpecConformance,
-        detail: format!("after `{action}`, real Directory reported {what} {real:?}, spec requires {want:?}"),
+        detail: format!(
+            "after `{action}`, real Directory reported {what} {real:?}, spec requires {want:?}"
+        ),
     }
 }
 
@@ -582,10 +584,20 @@ pub fn apply(
                     return Err(mismatch(action, "fill source", out.source, want.source));
                 }
                 if out.invalidate != want.invalidate {
-                    return Err(mismatch(action, "invalidation set", out.invalidate, want.invalidate));
+                    return Err(mismatch(
+                        action,
+                        "invalidation set",
+                        out.invalidate,
+                        want.invalidate,
+                    ));
                 }
                 if out.previous_owner != want.previous_owner {
-                    return Err(mismatch(action, "previous owner", out.previous_owner, want.previous_owner));
+                    return Err(mismatch(
+                        action,
+                        "previous owner",
+                        out.previous_owner,
+                        want.previous_owner,
+                    ));
                 }
                 if out.upgrade != want.upgrade {
                     return Err(mismatch(action, "upgrade flag", out.upgrade, want.upgrade));
@@ -754,8 +766,9 @@ mod tests {
         let state = ModelState::initial(&config);
         let issued = apply(&config, &state, Action::Issue { node: 1, line: 0, write: true })
             .expect("issue is pure bookkeeping");
-        let served = apply(&config, &state_after_nacks(&config, issued), Action::Service { node: 1 })
-            .expect("cold write must be serviceable");
+        let served =
+            apply(&config, &state_after_nacks(&config, issued), Action::Service { node: 1 })
+                .expect("cold write must be serviceable");
         assert_eq!(served.dir[0], LineState::Modified { owner: 1, in_rac: false });
         assert_eq!(served.cache_of(&config, 1, 0), CacheState::ModifiedL2);
         assert_eq!(served.pending[1], None);

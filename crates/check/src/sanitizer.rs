@@ -115,7 +115,10 @@ impl Sanitizer {
             self.fail(
                 "read_miss",
                 line,
-                format!("fill source {:?}, spec requires {:?} (shadow {pre:?})", out.source, want.source),
+                format!(
+                    "fill source {:?}, spec requires {:?} (shadow {pre:?})",
+                    out.source, want.source
+                ),
             );
         } else if out.downgraded_owner != want.downgraded_owner {
             self.fail(
@@ -130,7 +133,11 @@ impl Sanitizer {
             self.fail(
                 "read_miss",
                 line,
-                format!("reported home {} but the directory maps it to {}", out.home, dir.home(line)),
+                format!(
+                    "reported home {} but the directory maps it to {}",
+                    out.home,
+                    dir.home(line)
+                ),
             );
         } else if dir.state(line) != want.next {
             self.fail(
@@ -146,10 +153,7 @@ impl Sanitizer {
             self.fail(
                 "read_miss",
                 line,
-                format!(
-                    "cold flag {} disagrees with the shadow's reference history",
-                    out.cold
-                ),
+                format!("cold flag {} disagrees with the shadow's reference history", out.cold),
             );
         }
         if self.failed.is_some() {
@@ -187,7 +191,10 @@ impl Sanitizer {
             self.fail(
                 "write_miss",
                 line,
-                format!("fill source {:?}, spec requires {:?} (shadow {pre:?})", out.source, want.source),
+                format!(
+                    "fill source {:?}, spec requires {:?} (shadow {pre:?})",
+                    out.source, want.source
+                ),
             );
         } else if out.invalidate != want.invalidate {
             self.fail(
@@ -211,13 +218,20 @@ impl Sanitizer {
             self.fail(
                 "write_miss",
                 line,
-                format!("upgrade flag {}, spec requires {} (shadow {pre:?})", out.upgrade, want.upgrade),
+                format!(
+                    "upgrade flag {}, spec requires {} (shadow {pre:?})",
+                    out.upgrade, want.upgrade
+                ),
             );
         } else if out.home != dir.home(line) {
             self.fail(
                 "write_miss",
                 line,
-                format!("reported home {} but the directory maps it to {}", out.home, dir.home(line)),
+                format!(
+                    "reported home {} but the directory maps it to {}",
+                    out.home,
+                    dir.home(line)
+                ),
             );
         } else if dir.state(line) != want.next {
             self.fail(

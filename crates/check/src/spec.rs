@@ -151,7 +151,11 @@ pub fn writeback_transition(state: LineState, node: NodeId) -> Result<LineState,
 /// # Errors
 ///
 /// [`SpecRefusal::NotOwner`] when `node` is not the recorded owner.
-pub fn rac_transition(state: LineState, node: NodeId, to_rac: bool) -> Result<LineState, SpecRefusal> {
+pub fn rac_transition(
+    state: LineState,
+    node: NodeId,
+    to_rac: bool,
+) -> Result<LineState, SpecRefusal> {
     match state {
         LineState::Modified { owner, .. } if owner == node => {
             Ok(LineState::Modified { owner, in_rac: to_rac })

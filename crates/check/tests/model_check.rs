@@ -48,8 +48,7 @@ fn rac_transitions_enlarge_the_state_space() {
 /// fan-out the checker supports.
 #[test]
 fn four_node_config_verifies_clean() {
-    let config =
-        CheckConfig { nodes: 4, lines: 1, rac: true, max_nacks: 1, max_states: 4_000_000 };
+    let config = CheckConfig { nodes: 4, lines: 1, rac: true, max_nacks: 1, max_states: 4_000_000 };
     let report = explore(&config).expect("valid config");
     assert!(report.verified(), "{report}");
 }
@@ -94,8 +93,7 @@ fn counterexamples_replay_deterministically() {
         Action::Service { node: 0 },
         Action::ParkInRac { node: 0, line: 0 },
     ];
-    let seed: String =
-        script.iter().flat_map(|a| a.encode()).map(|b| format!("{b:02x}")).collect();
+    let seed: String = script.iter().flat_map(|a| a.encode()).map(|b| format!("{b:02x}")).collect();
     let trace = replay(&config, &seed).expect("legal script replays");
     assert_eq!(trace.steps.len(), script.len());
     assert!(trace.replay_seed == seed);

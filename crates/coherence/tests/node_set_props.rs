@@ -78,8 +78,7 @@ fn iteration_is_ascending_and_complete() {
     for _ in 0..ROUNDS {
         let (set, model) = random_set(&mut rng);
         let seen: Vec<NodeId> = set.iter().collect();
-        let expected: Vec<NodeId> =
-            (0..64u8).filter(|&n| model[n as usize]).collect();
+        let expected: Vec<NodeId> = (0..64u8).filter(|&n| model[n as usize]).collect();
         assert_eq!(seen, expected, "iter() must yield every member exactly once, ascending");
     }
 }

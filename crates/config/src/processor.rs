@@ -25,8 +25,7 @@ impl Default for OooParams {
 }
 
 /// Which processor timing model drives the simulation.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[derive(Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum ProcessorModel {
     /// Single-issue pipelined in-order core (the paper's medium-speed SimOS
     /// model, used for most results).

@@ -19,7 +19,10 @@ pub struct RacConfig {
 
 impl RacConfig {
     /// The paper's RAC: 8 MB, 8-way.
-    #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
+    #[expect(
+        clippy::expect_used,
+        reason = "paper constants are validated by construction; failure is a build-time bug"
+    )]
     pub fn paper() -> Self {
         RacConfig {
             geometry: CacheGeometry::new(8 << 20, 8, LINE_SIZE)
@@ -64,13 +67,19 @@ impl SystemConfig {
     /// assert_eq!(cfg.n_nodes(), 1);
     /// assert_eq!(cfg.l2().geometry.label(), "8M1w");
     /// ```
-    #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
+    #[expect(
+        clippy::expect_used,
+        reason = "paper constants are validated by construction; failure is a build-time bug"
+    )]
     pub fn paper_base_uni() -> Self {
         Self::builder().build().expect("paper base uniprocessor config is valid")
     }
 
     /// The paper's Base 8-processor configuration.
-    #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
+    #[expect(
+        clippy::expect_used,
+        reason = "paper constants are validated by construction; failure is a build-time bug"
+    )]
     pub fn paper_base_mp8() -> Self {
         Self::builder().nodes(MP_NODES).build().expect("paper base MP config is valid")
     }
@@ -81,7 +90,10 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
+    #[expect(
+        clippy::expect_used,
+        reason = "paper constants are validated by construction; failure is a build-time bug"
+    )]
     pub fn paper_fully_integrated(n: usize) -> Self {
         Self::builder()
             .nodes(n)
@@ -155,7 +167,11 @@ impl SystemConfig {
         let mut s = format!(
             "{}p{} {} {} {:?} {}",
             self.n_nodes,
-            if self.cores_per_node > 1 { format!("x{}c", self.cores_per_node) } else { String::new() },
+            if self.cores_per_node > 1 {
+                format!("x{}c", self.cores_per_node)
+            } else {
+                String::new()
+            },
             self.integration.label(),
             self.l2.geometry.label(),
             self.l2.kind,
@@ -190,9 +206,15 @@ pub struct SystemConfigBuilder {
 
 impl SystemConfigBuilder {
     fn new() -> Self {
-        #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
+        #[expect(
+            clippy::expect_used,
+            reason = "paper constants are validated by construction; failure is a build-time bug"
+        )]
         let l1 = CacheGeometry::new(L1_SIZE, L1_ASSOC, LINE_SIZE).expect("default L1 is valid");
-        #[expect(clippy::expect_used, reason = "paper constants are validated by construction; failure is a build-time bug")]
+        #[expect(
+            clippy::expect_used,
+            reason = "paper constants are validated by construction; failure is a build-time bug"
+        )]
         let l2_geom = CacheGeometry::new(8 << 20, 1, LINE_SIZE).expect("default L2 is valid");
         SystemConfigBuilder {
             n_nodes: 1,
@@ -235,7 +257,10 @@ impl SystemConfigBuilder {
     /// Panics if the geometry is malformed; use [`Self::l2`] with a
     /// pre-validated [`CacheGeometry`] to handle errors instead.
     pub fn l2_off_chip(&mut self, size_bytes: u64, assoc: u32) -> &mut Self {
-        #[expect(clippy::expect_used, reason = "documented panicking convenience setter; the builder's build() is the fallible path")]
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panicking convenience setter; the builder's build() is the fallible path"
+        )]
         let g = CacheGeometry::new(size_bytes, assoc, LINE_SIZE)
             .expect("off-chip L2 geometry must be valid");
         self.l2 = L2Config::new(g, L2Kind::OffChip);
@@ -249,7 +274,10 @@ impl SystemConfigBuilder {
     /// Panics if the geometry is malformed (die-limit checks happen at
     /// [`Self::build`] time, not here).
     pub fn l2_sram(&mut self, size_bytes: u64, assoc: u32) -> &mut Self {
-        #[expect(clippy::expect_used, reason = "documented panicking convenience setter; the builder's build() is the fallible path")]
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panicking convenience setter; the builder's build() is the fallible path"
+        )]
         let g = CacheGeometry::new(size_bytes, assoc, LINE_SIZE)
             .expect("SRAM L2 geometry must be valid");
         self.l2 = L2Config::new(g, L2Kind::OnChipSram);
@@ -263,7 +291,10 @@ impl SystemConfigBuilder {
     ///
     /// Panics if the geometry is malformed.
     pub fn l2_dram(&mut self, size_bytes: u64, assoc: u32) -> &mut Self {
-        #[expect(clippy::expect_used, reason = "documented panicking convenience setter; the builder's build() is the fallible path")]
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panicking convenience setter; the builder's build() is the fallible path"
+        )]
         let g = CacheGeometry::new(size_bytes, assoc, LINE_SIZE)
             .expect("DRAM L2 geometry must be valid");
         self.l2 = L2Config::new(g, L2Kind::OnChipDram);
@@ -329,9 +360,7 @@ impl SystemConfigBuilder {
             return Err(ConfigError::BadNodeCount("at least one node is required".into()));
         }
         if self.cores_per_node == 0 || self.cores_per_node > 16 {
-            return Err(ConfigError::BadNodeCount(
-                "cores per node must be in 1..=16".into(),
-            ));
+            return Err(ConfigError::BadNodeCount("cores per node must be in 1..=16".into()));
         }
         if self.rac.is_some() && self.n_nodes < 2 {
             return Err(ConfigError::BadNodeCount(

@@ -34,10 +34,7 @@ pub fn run_report_json(
         ("manifest", manifest.to_json()),
         ("report", report.to_json()),
         ("observations", observer.to_json()),
-        (
-            "host_profile",
-            host_profile.map(HostProfile::to_json).unwrap_or(Json::Null),
-        ),
+        ("host_profile", host_profile.map(HostProfile::to_json).unwrap_or(Json::Null)),
     ])
 }
 
@@ -53,13 +50,13 @@ mod tests {
 
     fn observed_run() -> (SimReport, Observer) {
         let cfg = SystemConfig::paper_base_uni();
-        let mut sim = Simulation::with_oltp(&cfg, OltpParams::default())
-            .unwrap()
-            .with_observer(csim_obs::Observer::new(ObsConfig {
+        let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).unwrap().with_observer(
+            csim_obs::Observer::new(ObsConfig {
                 histograms: true,
                 epoch: Some(1_000),
                 trace: Some(TraceConfig::default()),
-            }));
+            }),
+        );
         let report = sim.run(5_000);
         let observer = sim.observer().clone();
         (report, observer)
@@ -80,8 +77,13 @@ mod tests {
         let host = HostProfile::from_phases(phases);
         let s = run_report_json(&report, &observer, &manifest, Some(&host)).to_string();
         validate(&s).unwrap();
-        for section in ["\"schema\":\"csim-run-report/v1\"", "\"manifest\"", "\"report\"", "\"observations\"", "\"host_profile\""]
-        {
+        for section in [
+            "\"schema\":\"csim-run-report/v1\"",
+            "\"manifest\"",
+            "\"report\"",
+            "\"observations\"",
+            "\"host_profile\"",
+        ] {
             assert!(s.contains(section), "missing {section}");
         }
         assert!(s.contains("\"epoch_len\":1000"));

@@ -168,12 +168,7 @@ impl FaultInjector {
     /// Extra cycles a busy memory controller adds at reference index
     /// `now` (0 outside every window). Overlapping windows add up.
     pub(crate) fn mc_extra(&self, now: u64) -> u64 {
-        self.plan
-            .mc_faults
-            .iter()
-            .filter(|f| f.covers(now))
-            .map(|f| f.extra_cycles)
-            .sum()
+        self.plan.mc_faults.iter().filter(|f| f.covers(now)).map(|f| f.extra_cycles).sum()
     }
 
     /// Applies the whole fault model to one directory transaction of
@@ -182,7 +177,12 @@ impl FaultInjector {
     ///
     /// Inactive injectors return `base_cycles` unchanged without
     /// touching the RNG.
-    pub fn transaction_latency(&mut self, now: u64, kind: TransactionKind, base_cycles: u64) -> u64 {
+    pub fn transaction_latency(
+        &mut self,
+        now: u64,
+        kind: TransactionKind,
+        base_cycles: u64,
+    ) -> u64 {
         if !self.active {
             return base_cycles;
         }
@@ -486,12 +486,10 @@ mod tests {
         for n in 200..800 {
             let _ = inj.transaction_latency(n, TransactionKind::RemoteClean, 175);
         }
-        let late: u64 =
-            (800..1000).map(|n| inj.transaction_latency(n, TransactionKind::RemoteClean, 175)).sum();
-        assert!(
-            late > early,
-            "retry feedback must compound: early {early}, late {late}"
-        );
+        let late: u64 = (800..1000)
+            .map(|n| inj.transaction_latency(n, TransactionKind::RemoteClean, 175))
+            .sum();
+        assert!(late > early, "retry feedback must compound: early {early}, late {late}");
     }
 
     #[test]

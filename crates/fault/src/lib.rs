@@ -35,4 +35,6 @@ mod plan;
 pub mod toml;
 
 pub use inject::{FaultInjector, FaultStats, TransactionKind};
-pub use plan::{FaultPlan, FaultPlanError, LinkFault, McFault, NackPlan, NetworkParams, RetryPolicy};
+pub use plan::{
+    FaultPlan, FaultPlanError, LinkFault, McFault, NackPlan, NetworkParams, RetryPolicy,
+};

@@ -153,9 +153,8 @@ impl FaultPlan {
     /// Returns [`FaultPlanError::Invalid`] naming the first offending
     /// field.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
-        let invalid = |field: &'static str, message: String| {
-            Err(FaultPlanError::Invalid { field, message })
-        };
+        let invalid =
+            |field: &'static str, message: String| Err(FaultPlanError::Invalid { field, message });
         if !(0.0..=1.0).contains(&self.nack.prob) || !self.nack.prob.is_finite() {
             return invalid("nack.prob", format!("probability {} not in [0, 1]", self.nack.prob));
         }
@@ -343,7 +342,8 @@ mod tests {
 
     #[test]
     fn backoff_doubles_up_to_the_cap() {
-        let p = RetryPolicy { max_retries: 8, backoff_base: 16, exponential: true, backoff_cap: 100 };
+        let p =
+            RetryPolicy { max_retries: 8, backoff_base: 16, exponential: true, backoff_cap: 100 };
         assert_eq!(p.backoff(0), 16);
         assert_eq!(p.backoff(1), 32);
         assert_eq!(p.backoff(2), 64);
@@ -471,7 +471,10 @@ mod tests {
     fn toml_accepts_underscore_separators() {
         let plan =
             FaultPlan::from_toml_str("[[mc_fault]]\nstart = 100_000\nduration = 1_000\n").unwrap();
-        assert_eq!(plan.mc_faults, vec![McFault { start: 100_000, duration: 1000, extra_cycles: 0 }]);
+        assert_eq!(
+            plan.mc_faults,
+            vec![McFault { start: 100_000, duration: 1000, extra_cycles: 0 }]
+        );
     }
 
     #[test]

@@ -179,8 +179,11 @@ mod tests {
         let net = Torus2D::new(4, 2);
         for level in [Base, L2Integrated, L2McIntegrated, FullyIntegrated, ConservativeBase] {
             let derived = derive_latency_table(level, &t, &net);
-            let paper = LatencyTable::for_system(level,
-                if level.l2_on_chip() { L2Kind::OnChipSram } else { L2Kind::OffChip }, 1);
+            let paper = LatencyTable::for_system(
+                level,
+                if level.l2_on_chip() { L2Kind::OnChipSram } else { L2Kind::OffChip },
+                1,
+            );
             assert_close("l2_hit", derived.l2_hit, paper.l2_hit, 0.15);
             assert_close("local", derived.local, paper.local, 0.15);
             assert_close("remote_clean", derived.remote_clean, paper.remote_clean, 0.15);

@@ -74,13 +74,10 @@ impl MissClass {
     /// An error message listing the valid names.
     pub fn parse(s: &str) -> Result<MissClass, String> {
         let norm = s.trim().to_ascii_lowercase().replace('_', "-");
-        Self::ALL
-            .into_iter()
-            .find(|c| c.as_str() == norm)
-            .ok_or_else(|| {
-                let names: Vec<&str> = Self::ALL.iter().map(|c| c.as_str()).collect();
-                format!("unknown miss class '{s}' (expected one of: {})", names.join(", "))
-            })
+        Self::ALL.into_iter().find(|c| c.as_str() == norm).ok_or_else(|| {
+            let names: Vec<&str> = Self::ALL.iter().map(|c| c.as_str()).collect();
+            format!("unknown miss class '{s}' (expected one of: {})", names.join(", "))
+        })
     }
 
     /// The class a stall bucket maps to (upgrades and NACK/retry extra

@@ -46,15 +46,11 @@ impl RunManifest {
             ("config_summary", Json::str(&self.config_summary)),
             (
                 "config",
-                Json::Obj(
-                    self.config.iter().map(|(k, v)| (k.clone(), Json::str(v))).collect(),
-                ),
+                Json::Obj(self.config.iter().map(|(k, v)| (k.clone(), Json::str(v))).collect()),
             ),
             (
                 "seeds",
-                Json::Obj(
-                    self.seeds.iter().map(|(k, v)| (k.clone(), Json::UInt(*v))).collect(),
-                ),
+                Json::Obj(self.seeds.iter().map(|(k, v)| (k.clone(), Json::UInt(*v))).collect()),
             ),
         ])
     }
@@ -77,7 +73,10 @@ impl PhaseProfile {
 
     /// Times `f` and records it as phase `name`.
     pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        #[expect(clippy::disallowed_methods, reason = "phase timings report host runtime to humans; they never feed simulation state")]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase timings report host runtime to humans; they never feed simulation state"
+        )]
         let start = Instant::now();
         let out = f();
         self.push(name, start.elapsed().as_secs_f64() * 1e3);
@@ -108,10 +107,7 @@ impl PhaseProfile {
                     self.phases
                         .iter()
                         .map(|(name, ms)| {
-                            Json::obj([
-                                ("name", Json::str(name)),
-                                ("millis", Json::Float(*ms)),
-                            ])
+                            Json::obj([("name", Json::str(name)), ("millis", Json::Float(*ms))])
                         })
                         .collect(),
                 ),

@@ -111,8 +111,7 @@ impl EpochSeries {
         let cycles = stall.total_cycles();
         let misses = now.misses - self.prev.misses;
         let mut deltas = [0u64; MissClass::COUNT];
-        for (d, (a, b)) in deltas.iter_mut().zip(class_counts.iter().zip(&self.prev_class_counts))
-        {
+        for (d, (a, b)) in deltas.iter_mut().zip(class_counts.iter().zip(&self.prev_class_counts)) {
             *d = a - b;
         }
         self.samples.push(EpochSample {
@@ -122,11 +121,7 @@ impl EpochSeries {
             cycles,
             stall,
             ipc: if cycles > 0.0 { instructions as f64 / cycles } else { 0.0 },
-            mpki: if instructions > 0 {
-                misses as f64 * 1000.0 / instructions as f64
-            } else {
-                0.0
-            },
+            mpki: if instructions > 0 { misses as f64 * 1000.0 / instructions as f64 } else { 0.0 },
             class_counts: deltas,
             upgrades: now.upgrades - self.prev.upgrades,
             nacks: now.nacks - self.prev.nacks,

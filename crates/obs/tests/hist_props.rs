@@ -43,23 +43,32 @@ fn distributions() -> Vec<(&'static str, Draw)> {
         ("uniform-narrow", Box::new(|r: &mut SimRng| r.gen_range(180..230))),
         // Roughly the simulator's miss-latency mix: a few fixed service
         // classes plus occasional NACK-inflated outliers.
-        ("miss-mix", Box::new(|r: &mut SimRng| match r.gen_range(0..100) {
-            0..=49 => 15,
-            50..=79 => 75,
-            80..=94 => 150,
-            95..=98 => 200,
-            _ => 200 + r.gen_range(0..40_000),
-        })),
+        (
+            "miss-mix",
+            Box::new(|r: &mut SimRng| match r.gen_range(0..100) {
+                0..=49 => 15,
+                50..=79 => 75,
+                80..=94 => 150,
+                95..=98 => 200,
+                _ => 200 + r.gen_range(0..40_000),
+            }),
+        ),
         // Heavy tail: latency = 2^k with k geometric-ish.
-        ("power-of-two-tail", Box::new(|r: &mut SimRng| {
-            let k = (r.next_u64().trailing_ones()).min(40);
-            (1u64 << k) + r.gen_range(0..(1u64 << k))
-        })),
+        (
+            "power-of-two-tail",
+            Box::new(|r: &mut SimRng| {
+                let k = (r.next_u64().trailing_ones()).min(40);
+                (1u64 << k) + r.gen_range(0..(1u64 << k))
+            }),
+        ),
         // Exponential via inverse CDF, scaled to cycles.
-        ("exponential", Box::new(|r: &mut SimRng| {
-            let u = r.gen_f64().max(1e-12);
-            (-u.ln() * 300.0) as u64 + 1
-        })),
+        (
+            "exponential",
+            Box::new(|r: &mut SimRng| {
+                let u = r.gen_f64().max(1e-12);
+                (-u.ln() * 300.0) as u64 + 1
+            }),
+        ),
     ]
 }
 

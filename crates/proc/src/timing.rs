@@ -104,7 +104,12 @@ pub struct OooCalibration {
 
 impl Default for OooCalibration {
     fn default() -> Self {
-        OooCalibration { base_cpi: 0.55, hide_cycles: 0.0, short_residual: 0.75, long_residual: 0.81 }
+        OooCalibration {
+            base_cpi: 0.55,
+            hide_cycles: 0.0,
+            short_residual: 0.75,
+            long_residual: 0.81,
+        }
     }
 }
 
@@ -275,9 +280,17 @@ mod tests {
 
     #[test]
     fn busy_cpi_derives_from_issue_width() {
-        let cal = OooCalibration::from_params(OooParams { issue_width: 8, window: 64, load_store_units: 2 });
+        let cal = OooCalibration::from_params(OooParams {
+            issue_width: 8,
+            window: 64,
+            load_store_units: 2,
+        });
         assert!(cal.base_cpi < OooCalibration::default().base_cpi);
-        let narrow = OooCalibration::from_params(OooParams { issue_width: 1, window: 64, load_store_units: 2 });
+        let narrow = OooCalibration::from_params(OooParams {
+            issue_width: 1,
+            window: 64,
+            load_store_units: 2,
+        });
         assert!(narrow.base_cpi > 1.0);
     }
 

@@ -138,10 +138,7 @@ impl TraceDoc {
                 obj
             })
             .collect();
-        Json::obj([
-            ("traceEvents", Json::Arr(events)),
-            ("displayTimeUnit", Json::str("ms")),
-        ])
+        Json::obj([("traceEvents", Json::Arr(events)), ("displayTimeUnit", Json::str("ms"))])
     }
 }
 
@@ -191,9 +188,8 @@ pub fn validate_trace(text: &str) -> Result<(), String> {
         match ph {
             "X" => {
                 let dur = field_u64("dur")?;
-                let end = ts.checked_add(dur).ok_or_else(|| {
-                    format!("event {i}: ts + dur overflows")
-                })?;
+                let end =
+                    ts.checked_add(dur).ok_or_else(|| format!("event {i}: ts + dur overflows"))?;
                 let stack = stacks.entry(tid).or_default();
                 while stack.last().is_some_and(|&open_end| open_end <= ts) {
                     stack.pop();

@@ -61,10 +61,7 @@ impl HostProfile {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("phases", self.phases.to_json()),
-            (
-                "regions",
-                self.regions.as_ref().map(RegionReport::to_json).unwrap_or(Json::Null),
-            ),
+            ("regions", self.regions.as_ref().map(RegionReport::to_json).unwrap_or(Json::Null)),
         ])
     }
 }
@@ -83,8 +80,7 @@ mod tests {
         assert!(s.contains("\"regions\":null"));
 
         let sampler = HostSampler::start(5000);
-        let with_regions =
-            HostProfile { phases, regions: Some(sampler.stop()) };
+        let with_regions = HostProfile { phases, regions: Some(sampler.stop()) };
         let s = with_regions.to_json().to_string();
         csim_obs::json::validate(&s).unwrap();
         assert!(s.contains("\"regions\":{"));

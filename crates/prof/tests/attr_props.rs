@@ -78,7 +78,8 @@ fn merge_is_associative_commutative_and_equals_the_union() {
         let node = |k: usize| -> Vec<(StallClass, u64, u64)> {
             refs.iter().copied().skip(k).step_by(3).collect()
         };
-        let (a, b, c) = (record_all(&node(0), 22), record_all(&node(1), 22), record_all(&node(2), 22));
+        let (a, b, c) =
+            (record_all(&node(0), 22), record_all(&node(1), 22), record_all(&node(2), 22));
         let whole = record_all(&refs, 22);
 
         // (a + b) + c
@@ -126,7 +127,11 @@ fn nack_cycles_stay_pure_fault_extra_under_merging() {
     let mut total = 0u128;
     for _ in 0..500 {
         let cycles = rng.gen_range(1..10_000);
-        if cycles.is_multiple_of(2) { a.record_nack(cycles) } else { b.record_nack(cycles) }
+        if cycles.is_multiple_of(2) {
+            a.record_nack(cycles)
+        } else {
+            b.record_nack(cycles)
+        }
         total += u128::from(cycles);
     }
     a.merge(&b);

@@ -78,7 +78,10 @@ impl TextTable {
             line
         };
         let mut out = fmt_row(&self.header);
-        out.push_str(&format!("{}\n", "-".repeat(widths.iter().sum::<usize>() + 2 * cols.saturating_sub(1))));
+        out.push_str(&format!(
+            "{}\n",
+            "-".repeat(widths.iter().sum::<usize>() + 2 * cols.saturating_sub(1))
+        ));
         for row in &self.rows {
             out.push_str(&fmt_row(row));
         }

@@ -171,11 +171,8 @@ impl SweepPlan {
     pub fn expand(&self) -> Vec<RunSpec> {
         let mut runs = Vec::with_capacity(self.run_count());
         for &integration in &self.integration {
-            let geometries: Vec<L2Spec> = if self.l2.is_empty() {
-                vec![default_l2(integration)]
-            } else {
-                self.l2.clone()
-            };
+            let geometries: Vec<L2Spec> =
+                if self.l2.is_empty() { vec![default_l2(integration)] } else { self.l2.clone() };
             for l2 in &geometries {
                 for &nodes in &self.nodes {
                     for &cores in &self.cores {
@@ -210,7 +207,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[expect(clippy::identity_op, reason = "the grid-size product keeps one factor per axis, 1s included")]
+    #[expect(
+        clippy::identity_op,
+        reason = "the grid-size product keeps one factor per axis, 1s included"
+    )]
     fn expansion_order_is_the_axis_nesting() {
         let plan = SweepPlan {
             integration: vec![IntegrationLevel::Base, IntegrationLevel::L2Integrated],

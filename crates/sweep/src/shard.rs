@@ -34,9 +34,9 @@ impl Shard {
     /// A human-readable message naming what is wrong with the spec.
     pub fn parse(spec: &str) -> Result<Shard, String> {
         let spec = spec.trim();
-        let (k, n) = spec.split_once('/').ok_or_else(|| {
-            format!("bad shard spec '{spec}': expected k/N, e.g. --shard 0/4")
-        })?;
+        let (k, n) = spec
+            .split_once('/')
+            .ok_or_else(|| format!("bad shard spec '{spec}': expected k/N, e.g. --shard 0/4"))?;
         let index: u32 = k.trim().parse().map_err(|_| {
             format!("bad shard spec '{spec}': shard index '{k}' is not a non-negative integer")
         })?;

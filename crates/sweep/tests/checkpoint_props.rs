@@ -19,8 +19,8 @@
 
 use csim_obs::json::Json;
 use csim_sweep::{
-    merge_logs, run_sweep_with, PointOutcome, RunOutcome, RunSpec, RunSummary, Shard,
-    SweepConfig, SweepError, SweepPlan,
+    merge_logs, run_sweep_with, PointOutcome, RunOutcome, RunSpec, RunSummary, Shard, SweepConfig,
+    SweepError, SweepPlan,
 };
 use csim_trace::SimRng;
 
@@ -130,14 +130,11 @@ fn clean_checkpointed_run_matches_an_uncheckpointed_one() {
         assert_eq!(logged.resumed, 0);
 
         // An immediate re-run restores everything and executes nothing.
-        let resumed = run_sweep_with(
-            &plan,
-            &cfg,
-            &|_, spec: &RunSpec| -> Result<RunOutcome, SweepError> {
+        let resumed =
+            run_sweep_with(&plan, &cfg, &|_, spec: &RunSpec| -> Result<RunOutcome, SweepError> {
                 panic!("point {} must not re-execute on a complete log", spec.label())
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
         assert_eq!(resumed.resumed, plan.run_count(), "jobs {jobs}");
         assert_eq!(resumed.to_json().to_string(), bare.to_json().to_string(), "jobs {jobs}");
         let _ = std::fs::remove_file(&path);
@@ -193,9 +190,7 @@ fn single_bit_corruption_is_detected_reported_and_recovered_past() {
             "trial {trial}: flipping bit {bit} of byte {byte} went undetected"
         );
         assert!(
-            out.warnings
-                .iter()
-                .all(|w| matches!(w, SweepError::Checkpoint { .. })),
+            out.warnings.iter().all(|w| matches!(w, SweepError::Checkpoint { .. })),
             "trial {trial}: unexpected warning type: {:?}",
             out.warnings
         );
@@ -228,13 +223,11 @@ fn failed_points_round_trip_through_the_log() {
 
     // The resume restores successes AND failures: nothing re-executes,
     // and the report (failure entries included) is byte-identical.
-    let resumed = run_sweep_with(
-        &plan,
-        &cfg_with(&path),
-        &|_, spec: &RunSpec| -> Result<RunOutcome, SweepError> {
-            panic!("point {} must not re-execute", spec.label())
-        },
-    )
+    let resumed = run_sweep_with(&plan, &cfg_with(&path), &|_,
+                                                            spec: &RunSpec|
+     -> Result<RunOutcome, SweepError> {
+        panic!("point {} must not re-execute", spec.label())
+    })
     .unwrap();
     assert_eq!(resumed.resumed, plan.run_count());
     assert_eq!(resumed.to_json().to_string(), reference);
@@ -254,10 +247,7 @@ fn logs_of_a_different_plan_or_shard_are_refused_not_resumed() {
     assert!(matches!(err, SweepError::CheckpointMismatch { .. }), "{err}");
 
     // Same plan, different shard: also refused.
-    let sharded = SweepConfig {
-        shard: Some(Shard { index: 1, count: 2 }),
-        ..cfg_with(&path)
-    };
+    let sharded = SweepConfig { shard: Some(Shard { index: 1, count: 2 }), ..cfg_with(&path) };
     let err = run_sweep_with(&plan, &sharded, &fake_exec).unwrap_err();
     assert!(matches!(err, SweepError::CheckpointMismatch { .. }), "{err}");
 
@@ -277,14 +267,11 @@ fn sharded_checkpoints_restore_only_their_own_points() {
     let reference = first.to_json().to_string();
     assert!(first.points.iter().all(|p| shard.owns(p.index())));
 
-    let resumed = run_sweep_with(
-        &plan,
-        &cfg,
-        &|_, spec: &RunSpec| -> Result<RunOutcome, SweepError> {
+    let resumed =
+        run_sweep_with(&plan, &cfg, &|_, spec: &RunSpec| -> Result<RunOutcome, SweepError> {
             panic!("point {} must not re-execute", spec.label())
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
     assert_eq!(resumed.resumed, first.points.len());
     assert_eq!(resumed.to_json().to_string(), reference);
     let _ = std::fs::remove_file(&path);
@@ -297,11 +284,11 @@ fn outcome_points_expose_the_restored_summaries() {
     let plan = plan();
     let path = temp_path("summaries");
     let first = run_sweep_with(&plan, &cfg_with(&path), &fake_exec).unwrap();
-    let resumed = run_sweep_with(
-        &plan,
-        &cfg_with(&path),
-        &|_, _: &RunSpec| -> Result<RunOutcome, SweepError> { unreachable!("all restored") },
-    )
+    let resumed = run_sweep_with(&plan, &cfg_with(&path), &|_,
+                                                            _: &RunSpec|
+     -> Result<RunOutcome, SweepError> {
+        unreachable!("all restored")
+    })
     .unwrap();
     for (a, b) in first.points.iter().zip(resumed.points.iter()) {
         match (a, b) {

@@ -129,7 +129,11 @@ impl MemRef {
     /// memory traffic on the simulator's hottest path.
     #[inline]
     pub fn pack(self) -> u64 {
-        debug_assert!(self.addr <= PACKED_ADDR_MASK, "address {:#x} exceeds the packable range", self.addr);
+        debug_assert!(
+            self.addr <= PACKED_ADDR_MASK,
+            "address {:#x} exceeds the packable range",
+            self.addr
+        );
         self.addr
             | (self.access as u64) << PACKED_ACCESS_SHIFT
             | if self.mode == ExecMode::Kernel { PACKED_MODE_BIT } else { 0 }

@@ -148,7 +148,7 @@ mod tests {
         let map = AddressMap::new(1);
         let mut rng = SimRng::seed_from_u64(5);
         let mut cur = CodeCursor::default(); // function 0, start
-        // Execute exactly one function: 8 lines * 16 instructions.
+                                             // Execute exactly one function: 8 lines * 16 instructions.
         for _ in 0..(8 * 16) {
             r.step(&mut cur, &mut rng, &map);
         }

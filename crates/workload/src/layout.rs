@@ -94,7 +94,9 @@ impl Region {
             Region::TellerBlocks => 0x07,
             Region::BranchBlocks => 0x08,
             Region::HistoryBlocks { node } => 0x100 | u64::from(node),
-            Region::Pga { node, server } => 0x1_0000 | u64::from(node) << 8 | u64::from(server) << 20,
+            Region::Pga { node, server } => {
+                0x1_0000 | u64::from(node) << 8 | u64::from(server) << 20
+            }
             Region::WorkArea { node, server } => {
                 0x4_0000 | u64::from(node) << 8 | u64::from(server) << 20
             }

@@ -193,8 +193,7 @@ mod tests {
         let lo = branch * 100_000;
         let hi = lo + 100_000;
         let n = 10_000;
-        let home =
-            (0..n).filter(|_| (lo..hi).contains(&s.pick_account(&mut rng, branch))).count();
+        let home = (0..n).filter(|_| (lo..hi).contains(&s.pick_account(&mut rng, branch))).count();
         let frac = home as f64 / n as f64;
         // 85% home plus 15% * (1/40) random hits ≈ 85.4%.
         assert!((0.82..0.89).contains(&frac), "home fraction {frac}");

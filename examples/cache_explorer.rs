@@ -42,11 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         warm,
         meas,
     );
-    println!(
-        "  8M1w off-chip: {:.2} mpki, CPI {:.2}",
-        big_dm.mpki(),
-        big_dm.breakdown.cpi()
-    );
+    println!("  8M1w off-chip: {:.2} mpki, CPI {:.2}", big_dm.mpki(), big_dm.breakdown.cpi());
     println!(
         "  2M8w on-chip:  {:.2} mpki, CPI {:.2}",
         small_assoc.mpki(),

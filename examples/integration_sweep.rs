@@ -41,10 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     println!("Latency tables in effect (cycles):");
-    println!(
-        "{:<8} {:>6} {:>6} {:>7} {:>13}",
-        "step", "L2Hit", "Local", "Remote", "RemoteDirty"
-    );
+    println!("{:<8} {:>6} {:>6} {:>7} {:>13}", "step", "L2Hit", "Local", "Remote", "RemoteDirty");
     for (name, cfg) in &steps {
         let l = cfg.latencies();
         println!(

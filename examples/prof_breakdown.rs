@@ -26,7 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut chart = BarChart::new("memory-stall cycle attribution by integration level");
     let mut table = TextTable::new(vec![
-        "level", "total cycles", "l1-probe", "l2-array", "directory", "noc-hops", "mc-queue",
+        "level",
+        "total cycles",
+        "l1-probe",
+        "l2-array",
+        "directory",
+        "noc-hops",
+        "mc-queue",
     ]);
     for (level, label) in levels {
         let mut b = SystemConfig::builder();

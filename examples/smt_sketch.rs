@@ -12,13 +12,10 @@ use oltp_chip_integration::trace::InterleavedStream;
 use oltp_chip_integration::workload::OltpWorkload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let refs: u64 =
-        std::env::var("REFS").ok().and_then(|v| v.parse().ok()).unwrap_or(1_500_000);
+    let refs: u64 = std::env::var("REFS").ok().and_then(|v| v.parse().ok()).unwrap_or(1_500_000);
     let cfg = SystemConfig::paper_fully_integrated(1);
 
-    let mut t = TextTable::new(vec![
-        "contexts", "L1I miss/instr", "L1D miss rate", "L2 mpki",
-    ]);
+    let mut t = TextTable::new(vec!["contexts", "L1I miss/instr", "L1D miss rate", "L2 mpki"]);
     for contexts in [1usize, 2, 4] {
         // Each hardware context runs an independent OLTP stream; the
         // interleave quantum of ~8 references approximates cycle-level

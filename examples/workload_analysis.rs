@@ -10,8 +10,7 @@ use oltp_chip_integration::prelude::*;
 use oltp_chip_integration::workload::OltpWorkload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let refs: u64 =
-        std::env::var("REFS").ok().and_then(|v| v.parse().ok()).unwrap_or(3_000_000);
+    let refs: u64 = std::env::var("REFS").ok().and_then(|v| v.parse().ok()).unwrap_or(3_000_000);
 
     let mut nodes = OltpWorkload::build(OltpParams::default(), 1)?;
     let stream = &mut nodes[0];

@@ -237,10 +237,8 @@ fn parse_jobs(text: &str) -> Result<usize, String> {
 /// above 1 (a point can hardly be flagged for being faster than, or
 /// equal to, the median).
 fn parse_watchdog(text: &str) -> Result<f64, String> {
-    let mult: f64 = text
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad --watchdog value '{text}': not a number"))?;
+    let mult: f64 =
+        text.trim().parse().map_err(|_| format!("bad --watchdog value '{text}': not a number"))?;
     if !mult.is_finite() || mult <= 1.0 {
         return Err(format!(
             "bad --watchdog value '{text}': the straggler multiple must be a finite number \
@@ -334,8 +332,9 @@ fn parse_cli(argv: &[String]) -> Result<Cli, String> {
             // the plan file too: it stays the one description of a sweep.
             let plan = plan.ok_or("sweep and merge modes need --sweep <plan.toml>")?;
             if matches!(mode, Merge) && (args.out.json_report.is_none() || logs.is_empty()) {
-                return Err("--sweep-merge needs an output path and at least one checkpoint log"
-                    .into());
+                return Err(
+                    "--sweep-merge needs an output path and at least one checkpoint log".into()
+                );
             }
             if shard.is_some() && (checkpoint.is_none() || args.out.json_report.is_some()) {
                 return Err("--shard needs --checkpoint <log> and takes no --json-report: the \
@@ -559,10 +558,7 @@ fn run_sweep(args: SweepArgs) -> Result<(), Box<dyn std::error::Error>> {
         for f in outcome.failures() {
             eprintln!("failed: {} after {} attempt(s): {}", f.label, f.attempts, f.error);
         }
-        eprintln!(
-            "sweep finished with {failures} failed point(s) out of {}",
-            outcome.points.len()
-        );
+        eprintln!("sweep finished with {failures} failed point(s) out of {}", outcome.points.len());
         // The report (with its structured failure entries) is already on
         // disk; the exit code tells scripts the grid is incomplete.
         std::process::exit(3);
@@ -572,8 +568,7 @@ fn run_sweep(args: SweepArgs) -> Result<(), Box<dyn std::error::Error>> {
 
 /// Validate mode: checks `path` holds one JSON document, or one per line.
 fn run_validate(path: &str, jsonl: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
     let checked = if jsonl { json::validate_jsonl(&text) } else { json::validate(&text) };
     checked.map_err(|e| format!("{path}: {e}"))?;
     println!("{path}: ok");
@@ -658,14 +653,19 @@ fn run_single(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
     if let Some(path) = &args.trace_out {
         let jsonl = sim.observer().trace_jsonl();
-        std::fs::write(path, &jsonl)
-            .map_err(|e| format!("cannot write trace '{path}': {e}"))?;
-        #[expect(clippy::expect_used, reason = "the observer was configured from this same flag a few lines up")]
+        std::fs::write(path, &jsonl).map_err(|e| format!("cannot write trace '{path}': {e}"))?;
+        #[expect(
+            clippy::expect_used,
+            reason = "the observer was configured from this same flag a few lines up"
+        )]
         let ring = sim.observer().events().expect("--trace-out enables tracing");
         eprintln!("trace: {path} ({} events, {} dropped)", ring.len(), ring.dropped());
     }
     if let Some(path) = &args.epoch_svg {
-        #[expect(clippy::expect_used, reason = "the observer was configured from this same flag a few lines up")]
+        #[expect(
+            clippy::expect_used,
+            reason = "the observer was configured from this same flag a few lines up"
+        )]
         let epoch_len = sim.observer().epoch_len().expect("--epoch-svg requires --epoch");
         let chart = epoch_chart(sim.observer().epoch_samples(), epoch_len);
         svg::write_lines_file(&chart, path)
@@ -673,7 +673,10 @@ fn run_single(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("epoch chart: {path} ({} epochs)", sim.observer().epoch_samples().len());
     }
     if let Some(path) = &args.prof {
-        #[expect(clippy::expect_used, reason = "attribution was enabled from this same flag a few lines up")]
+        #[expect(
+            clippy::expect_used,
+            reason = "attribution was enabled from this same flag a few lines up"
+        )]
         let attr = sim.attribution().expect("--prof enables attribution");
         let manifest = run_manifest(args, &cfg);
         let doc = prof_report_json(attr, &manifest);
@@ -706,10 +709,8 @@ fn run_single(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(path) = &args.out.json_report {
         let manifest = run_manifest(args, &cfg);
         // Wall clock only enters the report when explicitly asked for.
-        let host = (args.out.profile || regions.is_some()).then(|| HostProfile {
-            phases: profile.clone(),
-            regions: regions.clone(),
-        });
+        let host = (args.out.profile || regions.is_some())
+            .then(|| HostProfile { phases: profile.clone(), regions: regions.clone() });
         let doc = run_report_json(&rep, sim.observer(), &manifest, host.as_ref());
         std::fs::write(path, format!("{doc}\n"))
             .map_err(|e| format!("cannot write report '{path}': {e}"))?;
@@ -723,23 +724,31 @@ fn run_single(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .with_bar(rep.exec_bar("cycles"))
         .normalized_to_first();
     println!("{}", chart.render(60));
-    let chart = BarChart::new("L2 miss breakdown")
-        .with_bar(rep.miss_bar("misses"))
-        .normalized_to_first();
+    let chart =
+        BarChart::new("L2 miss breakdown").with_bar(rep.miss_bar("misses")).normalized_to_first();
     println!("{}", chart.render(60));
 
     let mut t = TextTable::new(vec!["metric", "value"]);
     t.row(vec!["instructions".into(), rep.breakdown.instructions.to_string()]);
     t.row(vec!["CPI".into(), format!("{:.3}", rep.breakdown.cpi())]);
-    t.row(vec!["CPU utilization".into(), format!("{:.1}%", 100.0 * rep.breakdown.cpu_utilization())]);
+    t.row(vec![
+        "CPU utilization".into(),
+        format!("{:.1}%", 100.0 * rep.breakdown.cpu_utilization()),
+    ]);
     t.row(vec!["L2 misses".into(), rep.misses.total().to_string()]);
-    t.row(vec!["  instruction / data".into(), format!("{} / {}", rep.misses.instr(), rep.misses.data())]);
-    t.row(vec!["  local / 2-hop / 3-hop".into(), format!(
-        "{} / {} / {}",
-        rep.misses.instr_local + rep.misses.data_local,
-        rep.misses.instr_remote + rep.misses.data_remote_clean,
-        rep.misses.data_remote_dirty
-    )]);
+    t.row(vec![
+        "  instruction / data".into(),
+        format!("{} / {}", rep.misses.instr(), rep.misses.data()),
+    ]);
+    t.row(vec![
+        "  local / 2-hop / 3-hop".into(),
+        format!(
+            "{} / {} / {}",
+            rep.misses.instr_local + rep.misses.data_local,
+            rep.misses.instr_remote + rep.misses.data_remote_clean,
+            rep.misses.data_remote_dirty
+        ),
+    ]);
     t.row(vec!["  cold".into(), rep.misses.cold.to_string()]);
     t.row(vec!["mpki".into(), format!("{:.3}", rep.mpki())]);
     t.row(vec!["upgrades".into(), rep.upgrades.to_string()]);
@@ -772,7 +781,10 @@ fn run_single(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             "class", "count", "min", "mean", "p50", "p90", "p99", "p999", "max",
         ]);
         for class in MissClass::ALL {
-            #[expect(clippy::expect_used, reason = "the observer was configured from this same flag a few lines up")]
+            #[expect(
+                clippy::expect_used,
+                reason = "the observer was configured from this same flag a few lines up"
+            )]
             let h = sim.observer().histogram(class).expect("--histograms enables histograms");
             if h.count() == 0 {
                 continue;
@@ -851,8 +863,8 @@ mod tests {
         assert!(err.contains("need --sweep <plan.toml>"), "{err}");
         let err = cli("--sweep p.toml --shard 0/2").unwrap_err();
         assert!(err.contains("--shard needs --checkpoint"), "{err}");
-        let err = cli("--sweep p.toml --shard 0/2 --checkpoint s.log --json-report r.json")
-            .unwrap_err();
+        let err =
+            cli("--sweep p.toml --shard 0/2 --checkpoint s.log --json-report r.json").unwrap_err();
         assert!(err.contains("takes no --json-report"), "{err}");
         let err = cli("--validate-json r.json --quiet").unwrap_err();
         assert!(err.contains("'--quiet' cannot be combined with --validate-json"), "{err}");
@@ -939,10 +951,30 @@ mod tests {
 
     /// Values at and past the edges of every numeric and spec parser.
     const EXTREMES: [&str; 24] = [
-        "0", "1", "-1", "18446744073709551615", "18446744073709551616", "1e400", "-1e400",
-        "NaN", "inf", "0.5", "", " ", "0.001M1w", "99999999999999999999M1w", "1e400M1w",
-        "NaNM1w", "2M18446744073709551616w", "2M2147483648w", "0/0", "1/0",
-        "18446744073709551616/2", "--", "-", "\u{e9}",
+        "0",
+        "1",
+        "-1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "1e400",
+        "-1e400",
+        "NaN",
+        "inf",
+        "0.5",
+        "",
+        " ",
+        "0.001M1w",
+        "99999999999999999999M1w",
+        "1e400M1w",
+        "NaNM1w",
+        "2M18446744073709551616w",
+        "2M2147483648w",
+        "0/0",
+        "1/0",
+        "18446744073709551616/2",
+        "--",
+        "-",
+        "\u{e9}",
     ];
 
     /// Applies one random mutation to `argv`: a token flipped to an
@@ -998,10 +1030,8 @@ mod tests {
     /// single run it accepts must map to a machine or a config error.
     #[test]
     fn mutated_command_lines_parse_or_fail_without_panicking() {
-        let seeds: Vec<Vec<String>> = SEED_LINES
-            .iter()
-            .map(|l| l.split_whitespace().map(String::from).collect())
-            .collect();
+        let seeds: Vec<Vec<String>> =
+            SEED_LINES.iter().map(|l| l.split_whitespace().map(String::from).collect()).collect();
         for argv in &seeds {
             let parsed = parse_cli(argv);
             assert!(parsed.is_ok(), "seed {argv:?} must parse: {parsed:?}");

@@ -127,11 +127,7 @@ fn batched_dispatch_matches_single_step_with_event_trace() {
     // (`refs_run`), which disables the deferred flush — both paths must
     // agree event-for-event.
     let cfg = SystemConfig::paper_base_uni();
-    let obs = ObsConfig {
-        histograms: false,
-        epoch: None,
-        trace: Some(TraceConfig::default()),
-    };
+    let obs = ObsConfig { histograms: false, epoch: None, trace: Some(TraceConfig::default()) };
     assert_dispatch_identity(&cfg, 3, Some(obs), None, 2_001, &[9_973]);
 }
 
@@ -161,11 +157,7 @@ fn batched_dispatch_matches_single_step_single_stream_observed() {
         .l2_sram(2 << 20, 8)
         .out_of_order(OooParams::paper());
     let cfg = b.build().expect("valid config");
-    let obs = ObsConfig {
-        histograms: true,
-        epoch: Some(777),
-        trace: Some(TraceConfig::default()),
-    };
+    let obs = ObsConfig { histograms: true, epoch: Some(777), trace: Some(TraceConfig::default()) };
     let chunks = [1, 511, 513, 4_097, 33_333];
     assert_dispatch_identity(&cfg, 29, Some(obs), Some(&plan), 3_001, &chunks);
 }
@@ -185,16 +177,9 @@ fn batched_dispatch_matches_single_step_multi_stream_clock() {
     )
     .expect("the inline fault plan parses");
     let mut b = SystemConfig::builder();
-    b.nodes(2)
-        .cores_per_node(2)
-        .integration(IntegrationLevel::FullyIntegrated)
-        .l2_sram(2 << 20, 8);
+    b.nodes(2).cores_per_node(2).integration(IntegrationLevel::FullyIntegrated).l2_sram(2 << 20, 8);
     let cfg = b.build().expect("valid config");
-    let obs = ObsConfig {
-        histograms: true,
-        epoch: Some(777),
-        trace: Some(TraceConfig::default()),
-    };
+    let obs = ObsConfig { histograms: true, epoch: Some(777), trace: Some(TraceConfig::default()) };
     let chunks = [1, 511, 513, 4_097, 9_001];
     assert_dispatch_identity(&cfg, 31, Some(obs), Some(&plan), 2_003, &chunks);
 }

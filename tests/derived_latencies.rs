@@ -45,12 +45,7 @@ fn integration_gain_survives_derived_latencies() {
 
     let base = {
         let lat = derive_latency_table(IntegrationLevel::Base, &tech, &torus);
-        SystemConfig::builder()
-            .nodes(8)
-            .l2_off_chip(8 << 20, 1)
-            .latencies(lat)
-            .build()
-            .unwrap()
+        SystemConfig::builder().nodes(8).l2_off_chip(8 << 20, 1).latencies(lat).build().unwrap()
     };
     let full = {
         let lat = derive_latency_table(IntegrationLevel::FullyIntegrated, &tech, &torus);

@@ -55,10 +55,7 @@ fn multiprocessor_dirty_misses_dominate_with_big_caches() {
     let cfg = SystemConfig::builder().nodes(8).l2_off_chip(8 << 20, 4).build().unwrap();
     let rep = run(&cfg, 1_200_000, 800_000);
     let dirty_share = rep.misses.data_remote_dirty as f64 / rep.misses.total().max(1) as f64;
-    assert!(
-        dirty_share > 0.4,
-        "3-hop share {dirty_share:.2} too low — the paper reports over 50%"
-    );
+    assert!(dirty_share > 0.4, "3-hop share {dirty_share:.2} too low — the paper reports over 50%");
     // Remote stall dominates execution.
     assert!(rep.breakdown.remote_cycles() > rep.breakdown.local_cycles);
 }
@@ -76,9 +73,7 @@ fn instruction_replication_localizes_instruction_misses() {
     };
     let without = run(&mk(false), 400_000, 400_000);
     let with = run(&mk(true), 400_000, 400_000);
-    let local_share = |r: &SimReport| {
-        r.misses.instr_local as f64 / r.misses.instr().max(1) as f64
-    };
+    let local_share = |r: &SimReport| r.misses.instr_local as f64 / r.misses.instr().max(1) as f64;
     assert!(local_share(&with) > 0.95, "replicated code must miss locally");
     assert!(local_share(&with) > local_share(&without));
 }
@@ -124,8 +119,11 @@ fn different_seeds_change_the_details_not_the_story() {
 
 #[test]
 fn conservative_base_is_slower_for_multiprocessors() {
-    let base = run(&SystemConfig::builder().nodes(8).l2_off_chip(8 << 20, 4).build().unwrap(),
-        600_000, 600_000);
+    let base = run(
+        &SystemConfig::builder().nodes(8).l2_off_chip(8 << 20, 4).build().unwrap(),
+        600_000,
+        600_000,
+    );
     let cons = run(
         &SystemConfig::builder()
             .nodes(8)

@@ -15,11 +15,7 @@ const WARM: u64 = 10_000;
 const MEAS: u64 = 20_000;
 
 fn full_obs() -> ObsConfig {
-    ObsConfig {
-        histograms: true,
-        epoch: Some(1_000),
-        trace: Some(TraceConfig::default()),
-    }
+    ObsConfig { histograms: true, epoch: Some(1_000), trace: Some(TraceConfig::default()) }
 }
 
 /// One measured run of the 8-node fully-integrated system, with the

@@ -27,11 +27,7 @@ const MEAS: u64 = 20_000;
 fn run_with(attribution: bool, faults: bool) -> (SimReport, Simulation) {
     let cfg = SystemConfig::paper_fully_integrated(8);
     let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).expect("valid config");
-    sim.set_observer(Observer::new(ObsConfig {
-        histograms: true,
-        epoch: None,
-        trace: None,
-    }));
+    sim.set_observer(Observer::new(ObsConfig { histograms: true, epoch: None, trace: None }));
     sim.set_attribution(attribution);
     if faults {
         let plan = FaultPlan::from_toml_str(

@@ -67,8 +67,7 @@ fn sweep_runs_are_in_grid_order_regardless_of_workers() {
     let labels: Vec<String> = plan.expand().iter().map(|s| s.label()).collect();
     for jobs in [1, 3, 8] {
         let out = run_sweep(&plan, jobs).expect("sweep runs");
-        let got: Vec<String> =
-            out.points.iter().map(|p| p.label().to_string()).collect();
+        let got: Vec<String> = out.points.iter().map(|p| p.label().to_string()).collect();
         assert_eq!(got, labels, "run order changed under {jobs} workers");
         assert_eq!(out.failures().count(), 0, "no point of the smoke plan fails");
     }

@@ -54,10 +54,7 @@ fn all_nodes_update_all_branches() {
     // longer run converges to all-40-by-all-4).
     assert!(writes_per_node.iter().all(|&w| w > 0), "every node must update branches");
     let write_shared = writers_per_line.values().filter(|w| w.len() >= 2).count();
-    assert!(
-        write_shared >= 20,
-        "only {write_shared}/40 branch lines write-shared across nodes"
-    );
+    assert!(write_shared >= 20, "only {write_shared}/40 branch lines write-shared across nodes");
 }
 
 #[test]
@@ -70,7 +67,12 @@ fn account_stream_is_cold() {
     let rep = sim.run(1_000_000);
     // At 8 MB direct-mapped the uniprocessor floor is cold + conflict;
     // cold misses must be a visible floor (a few per transaction).
-    assert!(rep.misses.cold > rep.transactions, "cold misses {} vs txns {}", rep.misses.cold, rep.transactions);
+    assert!(
+        rep.misses.cold > rep.transactions,
+        "cold misses {} vs txns {}",
+        rep.misses.cold,
+        rep.transactions
+    );
 }
 
 #[test]
@@ -80,9 +82,8 @@ fn log_writer_runs_only_on_node_zero_and_reads_everyone() {
     use oltp_chip_integration::workload::AddressMap;
     let params = OltpParams::default();
     let map = AddressMap::new(params.seed);
-    let ring_lines: std::collections::BTreeSet<u64> = (0..params.log_ring_lines)
-        .map(|l| map.line_addr(Region::LogRing, l) / 64)
-        .collect();
+    let ring_lines: std::collections::BTreeSet<u64> =
+        (0..params.log_ring_lines).map(|l| map.line_addr(Region::LogRing, l) / 64).collect();
 
     let mut nodes = OltpWorkload::build(params, 2).unwrap();
     let mut node1_writes = 0u64;
