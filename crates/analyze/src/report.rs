@@ -1,6 +1,6 @@
-//! Findings, suppressions, and the byte-stable JSON report.
+//! Findings and the byte-stable JSON report.
 //!
-//! The JSON schema is `csim-analyze-report/v1`, built with
+//! The JSON schema is `csim-analyze-report/v2`, built with
 //! [`csim_obs::json::Json`] so key order is insertion order and the
 //! encoding is deterministic. Everything that varies run-to-run
 //! (wall-clock, host paths, hash iteration) is excluded by
@@ -12,17 +12,14 @@ use std::fmt::Write as _;
 use csim_obs::json::Json;
 
 /// Schema identifier embedded in every report.
-pub const REPORT_SCHEMA: &str = "csim-analyze-report/v1";
+pub const REPORT_SCHEMA: &str = "csim-analyze-report/v2";
 
 /// Which analysis pass produced a finding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Pass {
     /// Dead-`pub` audit.
     DeadPub,
-    /// CFG/dataflow panic-freedom proof over the simulator's crates.
-    PanicFree,
-    /// `analyze: total` contracts that discharged nothing, and
-    /// directives of no known kind.
+    /// Directives of no known kind.
     Escape,
 }
 
@@ -31,7 +28,6 @@ impl Pass {
     pub fn name(self) -> &'static str {
         match self {
             Pass::DeadPub => "dead-pub",
-            Pass::PanicFree => "panic-free",
             Pass::Escape => "escape",
         }
     }
@@ -42,7 +38,7 @@ impl Pass {
 pub struct Finding {
     /// Producing pass.
     pub pass: Pass,
-    /// Rule name (`dead-pub`, `unchecked-index`, `stale-total`, ...).
+    /// Rule name (`dead-pub` or `unknown-directive`).
     pub rule: String,
     /// Workspace-relative file.
     pub file: String,
@@ -54,27 +50,11 @@ pub struct Finding {
     pub excerpt: String,
 }
 
-/// One would-be finding discharged by a counted `// analyze: total —
-/// reason` contract.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Suppression {
-    /// Rule suppressed.
-    pub rule: String,
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based line of the suppressed finding.
-    pub line: usize,
-    /// The mandatory reason from the contract.
-    pub reason: String,
-}
-
 /// Aggregated result of all passes.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisReport {
-    /// Unsuppressed findings, sorted.
+    /// Findings, sorted.
     pub findings: Vec<Finding>,
-    /// Suppressed findings, sorted.
-    pub suppressions: Vec<Suppression>,
     /// Files scanned.
     pub files_scanned: usize,
     /// Functions indexed (test and shipped).
@@ -83,9 +63,6 @@ pub struct AnalysisReport {
     pub crates: usize,
     /// `pub` items audited.
     pub pub_items: usize,
-    /// Shipped fns of the simulator's crates scanned and proven (or
-    /// contracted) free of unchecked indexing and underflow.
-    pub scanned_fns: usize,
 }
 
 impl AnalysisReport {
@@ -97,7 +74,6 @@ impl AnalysisReport {
     /// Canonical ordering for byte-stable output.
     pub fn sort(&mut self) {
         self.findings.sort();
-        self.suppressions.sort();
     }
 
     /// The deterministic JSON document.
@@ -116,18 +92,6 @@ impl AnalysisReport {
                 ])
             })
             .collect();
-        let suppressions: Vec<Json> = self
-            .suppressions
-            .iter()
-            .map(|s| {
-                Json::obj([
-                    ("rule", Json::str(&s.rule)),
-                    ("file", Json::str(&s.file)),
-                    ("line", Json::UInt(s.line as u64)),
-                    ("reason", Json::str(&s.reason)),
-                ])
-            })
-            .collect();
         Json::obj([
             ("schema", Json::str(REPORT_SCHEMA)),
             (
@@ -137,12 +101,10 @@ impl AnalysisReport {
                     ("files", Json::UInt(self.files_scanned as u64)),
                     ("fns", Json::UInt(self.fns_indexed as u64)),
                     ("pub_items", Json::UInt(self.pub_items as u64)),
-                    ("scanned_fns", Json::UInt(self.scanned_fns as u64)),
                 ]),
             ),
             ("clean", Json::Bool(self.is_clean())),
             ("findings", Json::Arr(findings)),
-            ("suppressions", Json::Arr(suppressions)),
         ])
     }
 
@@ -156,22 +118,14 @@ impl AnalysisReport {
                 f.file, f.line, f.rule, f.message, f.excerpt
             );
         }
-        if !self.suppressions.is_empty() {
-            let _ = writeln!(out, "suppressed ({}):", self.suppressions.len());
-            for s in &self.suppressions {
-                let _ = writeln!(out, "  {}:{}: [{}] — {}", s.file, s.line, s.rule, s.reason);
-            }
-        }
         let _ = writeln!(
             out,
-            "csim-analyze: {} findings, {} suppressed; {} crates, {} files, {} fns, {} pub items, {} panic-free scanned fns",
+            "csim-analyze: {} findings; {} crates, {} files, {} fns, {} pub items",
             self.findings.len(),
-            self.suppressions.len(),
             self.crates,
             self.files_scanned,
             self.fns_indexed,
             self.pub_items,
-            self.scanned_fns,
         );
         out
     }
@@ -183,25 +137,28 @@ mod tests {
 
     fn sample() -> AnalysisReport {
         let mut r = AnalysisReport {
-            findings: vec![Finding {
-                pass: Pass::PanicFree,
-                rule: "unchecked-index".into(),
-                file: "crates/x/src/lib.rs".into(),
-                line: 7,
-                message: "index not proven in bounds".into(),
-                excerpt: "v[i]".into(),
-            }],
-            suppressions: vec![Suppression {
-                rule: "underflow-sub".into(),
-                file: "crates/y/src/lib.rs".into(),
-                line: 3,
-                reason: "callers pass a non-empty slice".into(),
-            }],
+            findings: vec![
+                Finding {
+                    pass: Pass::Escape,
+                    rule: "unknown-directive".into(),
+                    file: "crates/y/src/lib.rs".into(),
+                    line: 3,
+                    message: "`analyze: exact` is no known directive".into(),
+                    excerpt: "// analyze: exact — retired".into(),
+                },
+                Finding {
+                    pass: Pass::DeadPub,
+                    rule: "dead-pub".into(),
+                    file: "crates/x/src/lib.rs".into(),
+                    line: 7,
+                    message: "pub fn `orphan` has no consumer outside its crate".into(),
+                    excerpt: "pub fn orphan() {}".into(),
+                },
+            ],
             files_scanned: 2,
             fns_indexed: 5,
             crates: 2,
             pub_items: 4,
-            scanned_fns: 3,
         };
         r.sort();
         r
@@ -214,7 +171,7 @@ mod tests {
         let b = r.to_json().to_string();
         assert_eq!(a, b);
         csim_obs::json::validate(&a).expect("schema emits valid JSON");
-        assert!(a.starts_with("{\"schema\":\"csim-analyze-report/v1\""));
+        assert!(a.starts_with("{\"schema\":\"csim-analyze-report/v2\""));
         assert!(a.contains("\"clean\":false"));
     }
 
@@ -222,8 +179,9 @@ mod tests {
     fn human_render_mentions_everything() {
         let r = sample();
         let h = r.render_human();
-        assert!(h.contains("[unchecked-index]"));
-        assert!(h.contains("suppressed (1):"));
-        assert!(h.contains("1 findings, 1 suppressed"));
+        assert!(h.contains("[dead-pub]") && h.contains("[unknown-directive]"));
+        // Sorted by pass: the dead-pub finding comes first.
+        assert!(h.find("[dead-pub]") < h.find("[unknown-directive]"), "{h}");
+        assert!(h.contains("2 findings; 2 crates, 2 files, 5 fns, 4 pub items"), "{h}");
     }
 }

@@ -1,14 +1,14 @@
-//! Fixture: `analyze:` directives of no known kind.
+//! Fixture: `analyze:` and `lint:` directives, none of a known kind.
 //!
-//! The `total` contract is a known directive. The other three name no
-//! kind any pass reads: a retired one, a misspelt one, and a leftover
-//! `lint:` escape (clippy's `#[expect]` replaced them). Prose that
-//! merely mentions `// analyze: pure` inside a doc comment is not a
-//! directive.
+//! No pass reads either prefix. The four below are a retired `total`
+//! contract (a reasoned `#[expect(clippy::indexing_slicing)]` replaced
+//! it), a retired kind, a misspelt one, and a leftover `lint:` escape
+//! (clippy's `#[expect]` replaced them). Prose that merely mentions
+//! `// analyze: pure` inside a doc comment is not a directive.
 
-fn fixture_known(v: &[u8]) -> u8 {
+fn fixture_contracted(v: &[u8]) -> u8 {
     // analyze: total — the fixture's slice is never empty
-    v[0]
+    v.first().copied().unwrap_or(0)
 }
 
 fn fixture_retired(n: u64) -> f64 {

@@ -1,10 +1,9 @@
 //! The workspace gate: `csim-analyze` run on this repository must be
 //! clean, and its JSON report must be byte-stable.
 //!
-//! This is the test CI leans on: zero findings (every contract carries
-//! a reason and is counted), and two independent runs serialize to
-//! byte-identical `csim-analyze-report/v1` documents — the analyzer
-//! obeys the same determinism contract it enforces.
+//! This is the test CI leans on: zero findings, and two independent
+//! runs serialize to byte-identical `csim-analyze-report/v2` documents —
+//! the analyzer obeys the same determinism contract it enforces.
 
 use std::path::Path;
 
@@ -18,8 +17,6 @@ fn repo_root() -> &'static Path {
 #[test]
 fn the_workspace_is_clean() {
     let rep = analyze_workspace(repo_root()).expect("workspace loads");
-    // A panic-freedom site that cannot be proven gets a reasoned
-    // `// analyze: total` contract at the site, where readers see it.
     assert!(
         rep.is_clean(),
         "csim-analyze found {} finding(s):\n{}",
@@ -29,11 +26,6 @@ fn the_workspace_is_clean() {
     // The gate only means something if the passes saw the real tree.
     assert!(rep.files_scanned > 100, "only {} files scanned", rep.files_scanned);
     assert!(rep.pub_items > 300, "only {} pub items audited", rep.pub_items);
-    assert!(
-        rep.scanned_fns > 650,
-        "only {} simulator fns scanned — the panic-freedom sweep lost part of the tree",
-        rep.scanned_fns
-    );
 }
 
 #[test]

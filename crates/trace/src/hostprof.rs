@@ -120,8 +120,9 @@ fn stripe_index() -> usize {
 pub fn set_region(region: Region) {
     // Relaxed is enough: the sampler tolerates stale reads of this
     // per-thread stripe, and nothing reads it back for control flow.
-    // analyze: total — stripe_index masks the stripe counter with STRIPES - 1, and SLOTS holds STRIPES entries
-    SLOTS[stripe_index()].0.store(region as u8, Ordering::Relaxed);
+    if let Some(slot) = SLOTS.get(stripe_index()) {
+        slot.0.store(region as u8, Ordering::Relaxed);
+    }
 }
 
 /// The calling thread's currently published region — used by nested
@@ -129,8 +130,9 @@ pub fn set_region(region: Region) {
 /// enclosing region on exit.
 #[inline]
 pub fn current_region() -> Region {
-    // analyze: total — stripe_index masks the stripe counter with STRIPES - 1, and SLOTS holds STRIPES entries
-    Region::from_u8(SLOTS[stripe_index()].0.load(Ordering::Relaxed))
+    SLOTS
+        .get(stripe_index())
+        .map_or(Region::Idle, |slot| Region::from_u8(slot.0.load(Ordering::Relaxed)))
 }
 
 /// Snapshots every stripe's published region id into `out`. This is the

@@ -230,8 +230,8 @@ impl Ring {
 
     /// The word at position `at`.
     fn load(&self, at: u64) -> u64 {
-        // analyze: total — at % len is below len, and pipeline() builds every ring non-empty (ring_words)
-        self.words[(at % self.capacity()) as usize].load(Ordering::Relaxed)
+        let slot = self.words.get((at % self.capacity()) as usize);
+        slot.map_or(0, |word| word.load(Ordering::Relaxed))
     }
 
     /// Copies positions `at..at + out.len()` into `out`.
@@ -287,8 +287,11 @@ struct Shared {
 }
 
 impl Shared {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "consumer streams carry indices below rings.len() (one per stream, assigned in pipeline()), and the producer picks s from its own streams, one per ring"
+    )]
     fn ring(&self, s: usize) -> &Ring {
-        // analyze: total — consumer streams carry indices below rings.len() (one per stream, assigned in pipeline()), and the producer picks s from its own streams, one per ring
         &self.rings[s]
     }
 }
@@ -554,14 +557,13 @@ impl ReferenceStream for PipeStream {
 
     /// Hands out the current chunk's words, up to `out.len()`, taking
     /// the next chunk only when the current one is used up.
-    // analyze: total — n is at most out.len(), so the slice stays inside out
     fn next_burst(&mut self, out: &mut [u64]) -> usize {
         if self.left == 0 {
             self.start_chunk();
         }
         let n = (self.left as usize).min(out.len());
         let ring = self.shared.ring(self.index);
-        ring.read(self.pos, &mut out[..n]);
+        ring.read(self.pos, out.get_mut(..n).unwrap_or_default());
         self.pos += n as u64;
         self.left -= n as u64;
         ring.head.0.store(self.pos, Ordering::Release);

@@ -41,11 +41,12 @@ pub trait ReferenceStream {
     ///
     /// # Panics
     ///
-    /// Implementations may panic when `out` is empty.
+    /// Implementations may panic when `out` is empty (the default
+    /// writes nothing and returns 0).
     #[inline]
     fn next_burst(&mut self, out: &mut [u64]) -> usize {
-        // analyze: total — the trait contract requires a non-empty out buffer (documented panic); the engine's dispatch loop passes columns of 1..=BURST_COLS words
-        out[0] = self.next_ref().pack();
+        let Some(first) = out.first_mut() else { return 0 };
+        *first = self.next_ref().pack();
         1
     }
 
@@ -289,8 +290,11 @@ impl SliceStream {
 }
 
 impl ReferenceStream for SliceStream {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "pos wraps modulo refs.len() after every draw and cycle() rejects an empty slice"
+    )]
     fn next_ref(&mut self) -> MemRef {
-        // analyze: total — pos wraps modulo refs.len() after every draw and cycle() rejects an empty slice
         let r = self.refs[self.pos];
         self.pos = (self.pos + 1) % self.refs.len();
         r
@@ -372,13 +376,16 @@ impl<S: ReferenceStream> InterleavedStream<S> {
 }
 
 impl<S: ReferenceStream> ReferenceStream for InterleavedStream<S> {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "current wraps modulo streams.len() and new() rejects an empty stream set"
+    )]
     fn next_ref(&mut self) -> MemRef {
         if self.issued_in_quantum == self.quantum {
             self.issued_in_quantum = 0;
             self.current = (self.current + 1) % self.streams.len();
         }
         self.issued_in_quantum += 1;
-        // analyze: total — current wraps modulo streams.len() and new() rejects an empty stream set
         self.streams[self.current].next_ref()
     }
 }

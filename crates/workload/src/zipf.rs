@@ -98,7 +98,10 @@ impl ZipfTable {
     /// float draw `n * 2^-53` is itself exact (`n` has at most 53
     /// significant bits).
     #[inline]
-    // analyze: total — coarse holds COARSE_BINS+1 monotone offsets each <= thresh.len() and k is clamped to COARSE_BINS-1, so lo <= hi <= thresh.len()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "coarse holds COARSE_BINS+1 monotone offsets each <= thresh.len() and k is clamped to COARSE_BINS-1, so lo <= hi <= thresh.len()"
+    )]
     pub fn sample_u53(&self, n: u64) -> u64 {
         debug_assert!(n < (1 << 53));
         if self.coarse.is_empty() {
@@ -141,8 +144,12 @@ fn branchless_partition(window: &[u64], n: u64) -> u64 {
     while size > 1 {
         let half = size / 2;
         // cmov, not a branch: both sides are computed, the select picks.
-        // analyze: total — binary-search invariant: base + size <= window.len() and 1 <= half < size, so base + half - 1 is in range
-        if window[base + half - 1] < n {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "binary-search invariant: base + size <= window.len() and 1 <= half < size, so base + half - 1 is in range"
+        )]
+        let probe = window[base + half - 1];
+        if probe < n {
             base += half;
         }
         size -= half;
