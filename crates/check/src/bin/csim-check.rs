@@ -13,7 +13,7 @@
 #![allow(
     clippy::indexing_slicing,
     clippy::string_slice,
-    reason = "tooling: the model checker and the sanitizer check the simulator, outside its panic-freedom scope"
+    reason = "tooling: the model checker's binary runs outside the simulator"
 )]
 
 use std::process::ExitCode;

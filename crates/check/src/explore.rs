@@ -12,6 +12,12 @@
 //! the queue is FIFO, and no hash-map iteration order ever influences
 //! results — identical runs produce identical reports and replay seeds.
 
+#![allow(
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    reason = "tooling: the state-space search runs only in the csim-check model checker, outside the simulator"
+)]
+
 use std::collections::VecDeque;
 use std::fmt;
 

@@ -8,6 +8,12 @@
 //! [`ModelState`]; the same predicates back the runtime sanitizer's full
 //! cross-check.
 
+#![allow(
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    reason = "tooling: indexes the bounded model of the csim-check model checker, outside the simulator"
+)]
+
 use std::fmt;
 
 use csim_coherence::LineState;

@@ -23,11 +23,6 @@
 //!    bit-identical with the sanitizer disabled.
 
 #![forbid(unsafe_code)]
-#![allow(
-    clippy::indexing_slicing,
-    clippy::string_slice,
-    reason = "tooling: the model checker and the sanitizer check the simulator, outside its panic-freedom scope"
-)]
 
 pub mod explore;
 pub mod invariants;

@@ -15,6 +15,12 @@
 //! a [`Invariant::SpecConformance`](crate::invariants::Invariant)
 //! violation with the full evidence in the detail string.
 
+#![allow(
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    reason = "tooling: the bounded model runs only in the csim-check model checker, outside the simulator"
+)]
+
 use std::fmt;
 
 use csim_coherence::{Directory, LineState, NodeId, NodeSet};

@@ -54,7 +54,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use csim_analyze as analyze;
 pub use csim_cache as cache;
 pub use csim_check as check;
 pub use csim_coherence as coherence;
