@@ -126,7 +126,7 @@ impl fmt::Display for SimError {
             SimError::TooManyNodes { nodes, max } => {
                 write!(f, "directory supports at most {max} nodes, configuration has {nodes}")
             }
-            SimError::Params(e) => write!(f, "invalid workload parameters: {e}"),
+            SimError::Params(e) => write!(f, "{e}"),
             SimError::FaultPlan(e) => write!(f, "{e}"),
             SimError::Coherence(v) => write!(f, "coherence violated: {v}"),
             SimError::Sanitizer(e) => write!(f, "protocol spec divergence: {e}"),
@@ -184,6 +184,14 @@ mod tests {
         assert!(e.to_string().contains("one reference stream per core"));
         let e = SimError::TooManyNodes { nodes: 65, max: 64 };
         assert!(e.to_string().contains("65"));
+    }
+
+    #[test]
+    fn a_params_error_is_prefixed_once() {
+        let e = csim_workload::OltpWorkload::build(Default::default(), 65).unwrap_err();
+        let shown = SimError::from(e).to_string();
+        assert_eq!(shown.matches("invalid workload parameters").count(), 1, "{shown}");
+        assert!(shown.ends_with("node count must be in 1..=64"), "{shown}");
     }
 
     #[test]

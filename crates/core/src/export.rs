@@ -50,13 +50,12 @@ mod tests {
 
     fn observed_run() -> (SimReport, Observer) {
         let cfg = SystemConfig::paper_base_uni();
-        let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).unwrap().with_observer(
-            csim_obs::Observer::new(ObsConfig {
-                histograms: true,
-                epoch: Some(1_000),
-                trace: Some(TraceConfig::default()),
-            }),
-        );
+        let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).unwrap();
+        sim.set_observer(csim_obs::Observer::new(ObsConfig {
+            histograms: true,
+            epoch: Some(1_000),
+            trace: Some(TraceConfig::default()),
+        }));
         let report = sim.run(5_000);
         let observer = sim.observer().clone();
         (report, observer)

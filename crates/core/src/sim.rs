@@ -216,16 +216,9 @@ impl<S: ReferenceStream> Simulation<S> {
         })
     }
 
-    /// Wires a fault injector into the simulation (builder style). An
-    /// injector whose plan is [`csim_fault::FaultPlan::none`] never
-    /// perturbs the run: the reports are bit-identical to a simulation
-    /// without one.
-    pub fn with_fault_injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Wires a fault injector into an existing simulation.
+    /// Wires a fault injector into the simulation. An injector whose
+    /// plan is [`csim_fault::FaultPlan::none`] never perturbs the run:
+    /// the reports are bit-identical to a simulation without one.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
     }
@@ -235,32 +228,20 @@ impl<S: ReferenceStream> Simulation<S> {
         self.injector.as_ref().map(FaultInjector::stats)
     }
 
-    /// Wires an observer into the simulation (builder style). The
-    /// observer is strictly read-only with respect to the simulation:
-    /// wiring one in — enabled or not — leaves every [`SimReport`]
-    /// bit-identical to a run without it.
-    pub fn with_observer(mut self, observer: Observer) -> Self {
-        self.observer = observer;
-        self
-    }
-
-    /// Wires an observer into an existing simulation.
+    /// Wires an observer into the simulation. The observer is strictly
+    /// read-only with respect to the simulation: wiring one in —
+    /// enabled or not — leaves every [`SimReport`] bit-identical to a
+    /// run without it.
     pub fn set_observer(&mut self, observer: Observer) {
         self.observer = observer;
     }
 
-    /// Enables cycle attribution (builder style): every latency charged
-    /// from here on is split into per-component contributions (L1
-    /// probe, L2 array, directory, NoC hops, MC queue, fault extra) per
-    /// miss class. Same contract as the observer: purely read-only, so
-    /// reports stay bit-identical to a run without it.
-    pub fn with_attribution(mut self) -> Self {
-        self.set_attribution(true);
-        self
-    }
-
-    /// Enables or disables cycle attribution on an existing simulation.
-    /// Enabling resets any previous accumulation.
+    /// Enables or disables cycle attribution. Enabled, every latency
+    /// charged from here on is split into per-component contributions
+    /// (L1 probe, L2 array, directory, NoC hops, MC queue, fault extra)
+    /// per miss class; enabling resets any previous accumulation. Same
+    /// contract as the observer: purely read-only, so reports stay
+    /// bit-identical to a run without it.
     pub fn set_attribution(&mut self, on: bool) {
         self.attr = if on { Some(Box::new(Attribution::new(self.latencies.l2_hit))) } else { None };
     }
@@ -270,24 +251,17 @@ impl<S: ReferenceStream> Simulation<S> {
         self.attr.as_deref()
     }
 
-    /// Enables the runtime coherence sanitizer (builder style): every
-    /// directory transition is cross-checked against an independent
-    /// executable spec of the protocol, on a shadow copy of the
-    /// directory. Enable it *before* the first reference runs — the
-    /// shadow can only vouch for histories it has seen from reset.
+    /// Enables or disables the runtime coherence sanitizer. Enabled,
+    /// every directory transition is cross-checked against an
+    /// independent executable spec of the protocol, on a shadow copy of
+    /// the directory. Enable it *before* the first reference runs: the
+    /// shadow can only vouch for histories it has seen from reset, so
+    /// turning it on mid-run starts a fresh shadow that is not sound.
     ///
     /// Zero-overhead contract: with the sanitizer off (the default),
     /// every [`SimReport`] is bit-identical to a build that never heard
     /// of it; on, the simulated machine is unchanged and only host time
     /// is spent.
-    pub fn with_sanitizer(mut self) -> Self {
-        self.set_sanitize(true);
-        self
-    }
-
-    /// Enables or disables the sanitizer on an existing simulation.
-    /// Turning it on mid-run discards nothing but starts a fresh shadow,
-    /// which is only sound at reset; prefer enabling it at construction.
     pub fn set_sanitize(&mut self, on: bool) {
         self.sanitizer = if on { Some(Box::new(Sanitizer::new())) } else { None };
     }
@@ -643,15 +617,7 @@ impl<S: ReferenceStream> Simulation<S> {
         if let Some(attr) = &mut self.attr {
             attr.record(obs, class, base, latency);
         }
-        if self.observer.wants_events() {
-            self.observer.record_event(Event {
-                at: self.refs_run,
-                node: n as u16,
-                core: c as u16,
-                line,
-                kind: EventKind::Miss { class: obs, latency },
-            });
-        }
+        self.event(n, c, line, EventKind::Miss { class: obs, latency });
         if let Some(core) = self.nodes.get_mut(n).and_then(|node| node.cores.get_mut(c)) {
             core.timing.stall(class, latency, &mut core.bd);
         }
@@ -671,31 +637,23 @@ impl<S: ReferenceStream> Simulation<S> {
                 attr.record_nack(d.retry_cycles);
             }
         }
-        if !self.observer.wants_events() {
-            return;
-        }
-        let (at, node, core) = (self.refs_run, n as u16, c as u16);
         if d.nacks > 0 {
-            self.observer.record_event(Event {
-                at,
-                node,
-                core,
-                line,
-                kind: EventKind::Nack { count: d.nacks as u32 },
-            });
+            self.event(n, c, line, EventKind::Nack { count: d.nacks as u32 });
         }
         if d.retries > 0 {
-            self.observer.record_event(Event {
-                at,
-                node,
-                core,
-                line,
-                kind: EventKind::Retry { count: d.retries as u32 },
-            });
+            self.event(n, c, line, EventKind::Retry { count: d.retries as u32 });
         }
         if d.watchdog_trips > 0 {
-            self.observer.record_event(Event { at, node, core, line, kind: EventKind::Watchdog });
+            self.event(n, c, line, EventKind::Watchdog);
         }
+    }
+
+    /// Records an event of `kind` on `line` at node `n`, core `c`, now:
+    /// a no-op unless the observer keeps an event trace.
+    #[inline]
+    fn event(&mut self, n: usize, c: usize, line: u64, kind: EventKind) {
+        let (at, node, core) = (self.refs_run, n as u16, c as u16);
+        self.observer.record_event(Event { at, node, core, line, kind });
     }
 
     /// A dirty line leaves node `n` for its home: directory writeback,
@@ -714,26 +672,10 @@ impl<S: ReferenceStream> Simulation<S> {
             let nacked = inj.stats().nacks - nacks_before;
             if nacked > 0 {
                 self.dir.record_nacks(nacked);
-                if self.observer.wants_events() {
-                    self.observer.record_event(Event {
-                        at: self.refs_run,
-                        node: n as u16,
-                        core: 0,
-                        line,
-                        kind: EventKind::Nack { count: nacked as u32 },
-                    });
-                }
+                self.event(n, 0, line, EventKind::Nack { count: nacked as u32 });
             }
         }
-        if self.observer.wants_events() {
-            self.observer.record_event(Event {
-                at: self.refs_run,
-                node: n as u16,
-                core: 0,
-                line,
-                kind: EventKind::Writeback,
-            });
-        }
+        self.event(n, 0, line, EventKind::Writeback);
     }
 
     /// Retires a detected run of `k` back-to-back repeat fetches of the
@@ -848,15 +790,7 @@ impl<S: ReferenceStream> Simulation<S> {
             if let Some(attr) = &mut self.attr {
                 attr.record(MissClass::L2Hit, StallClass::L2Hit, latency, latency);
             }
-            if self.observer.wants_events() {
-                self.observer.record_event(Event {
-                    at: self.refs_run,
-                    node: n as u16,
-                    core: c as u16,
-                    line,
-                    kind: EventKind::Miss { class: MissClass::L2Hit, latency },
-                });
-            }
+            self.event(n, c, line, EventKind::Miss { class: MissClass::L2Hit, latency });
             let core = &mut self.nodes[n].cores[c];
             core.timing.stall(StallClass::L2Hit, latency, &mut core.bd);
             let l1 = if is_ifetch { &mut core.l1i } else { &mut core.l1d };
@@ -930,15 +864,7 @@ impl<S: ReferenceStream> Simulation<S> {
                 // local latency is attributed as fault extra.
                 attr.record(MissClass::Local, StallClass::Local, self.latencies.local, latency);
             }
-            if self.observer.wants_events() {
-                self.observer.record_event(Event {
-                    at: self.refs_run,
-                    node: n as u16,
-                    core: c as u16,
-                    line,
-                    kind: EventKind::Miss { class: MissClass::Local, latency },
-                });
-            }
+            self.event(n, c, line, EventKind::Miss { class: MissClass::Local, latency });
             let node = &mut self.nodes[n];
             let core = &mut node.cores[c];
             core.timing.stall(StallClass::Local, latency, &mut core.bd);
@@ -1160,15 +1086,7 @@ impl<S: ReferenceStream> Simulation<S> {
                 core.l1d.disown(line);
             }
         }
-        if self.observer.wants_events() {
-            self.observer.record_event(Event {
-                at: self.refs_run,
-                node: owner as u16,
-                core: 0,
-                line,
-                kind: EventKind::Downgrade,
-            });
-        }
+        self.event(usize::from(owner), 0, line, EventKind::Downgrade);
     }
 
     /// Checks the coherence invariants of the whole machine, returning
@@ -1241,14 +1159,8 @@ impl<S: ReferenceStream> Simulation<S> {
         for m in set {
             self.invalidate_all_at(m as usize, line);
         }
-        if !set.is_empty() && self.observer.wants_events() {
-            self.observer.record_event(Event {
-                at: self.refs_run,
-                node: requester as u16,
-                core: 0,
-                line,
-                kind: EventKind::Invalidation { targets: set.len() },
-            });
+        if !set.is_empty() {
+            self.event(requester, 0, line, EventKind::Invalidation { targets: set.len() });
         }
     }
 
@@ -1863,8 +1775,8 @@ mod tests {
             ]
         };
         let mut bare = sim_new(&cfg, streams());
-        let mut wired = sim_new(&cfg, streams())
-            .with_fault_injector(FaultInjector::new(FaultPlan::none(), 42).unwrap());
+        let mut wired = sim_new(&cfg, streams());
+        wired.set_fault_injector(FaultInjector::new(FaultPlan::none(), 42).unwrap());
         bare.warm_up(200);
         wired.warm_up(200);
         assert_eq!(bare.run(1_000), wired.run(1_000));
@@ -1880,7 +1792,8 @@ mod tests {
             ]
         };
         let mut bare = sim_new(&cfg, streams());
-        let mut sane = sim_new(&cfg, streams()).with_sanitizer();
+        let mut sane = sim_new(&cfg, streams());
+        sane.set_sanitize(true);
         bare.warm_up(200);
         sane.warm_up(200);
         assert_eq!(bare.run(1_000), sane.run(1_000));
@@ -1897,7 +1810,8 @@ mod tests {
             .l2_sram(256 << 10, 4)
             .rac(csim_config::RacConfig::paper());
         let cfg = b.build().unwrap();
-        let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).unwrap().with_sanitizer();
+        let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).unwrap();
+        sim.set_sanitize(true);
         let rep = sim.run_verified(30_000, 5_000).expect("coherent and spec-conformant");
         assert!(rep.refs_per_node == 30_000);
         // An OLTP run on a small L2 exercises every transition kind the
@@ -1920,8 +1834,8 @@ mod tests {
         plan.link_faults[0].start = 0;
         plan.mc_faults[0].start = 0;
         let clean = sim_new(&cfg, streams()).run(2_000);
-        let mut sim =
-            sim_new(&cfg, streams()).with_fault_injector(FaultInjector::new(plan, 7).unwrap());
+        let mut sim = sim_new(&cfg, streams());
+        sim.set_fault_injector(FaultInjector::new(plan, 7).unwrap());
         let faulty = sim.run(2_000);
         assert!(faulty.faults.nacks > 0, "5% NACKs over thousands of txns must fire");
         assert_eq!(
@@ -1951,8 +1865,8 @@ mod tests {
                 SliceStream::cycle(&[store(addr_homed(0, 1, 2)), load(addr_homed(1, 2, 2))]),
                 SliceStream::cycle(&[load(addr_homed(0, 1, 2))]),
             ];
-            let mut sim = sim_new(&cfg, streams)
-                .with_fault_injector(FaultInjector::new(FaultPlan::storm(), seed).unwrap());
+            let mut sim = sim_new(&cfg, streams);
+            sim.set_fault_injector(FaultInjector::new(FaultPlan::storm(), seed).unwrap());
             sim.run(3_000)
         };
         assert_eq!(run(9), run(9), "same (plan, seed) must reproduce the report");

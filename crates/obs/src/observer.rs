@@ -122,12 +122,6 @@ impl Observer {
         self.epochs.as_ref().map(EpochSeries::epoch_len)
     }
 
-    /// Whether event tracing is on (lets the simulator skip building
-    /// `Event` values entirely).
-    pub fn wants_events(&self) -> bool {
-        self.ring.is_some()
-    }
-
     /// Records one serviced latency of `class` (histogram + class mix).
     #[inline]
     pub fn record_latency(&mut self, class: MissClass, latency: u64) {

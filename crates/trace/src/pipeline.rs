@@ -17,41 +17,47 @@
 //! that generates only at the start of a pull, when its own buffer is
 //! empty, therefore generates in (word position, stream index) order.
 //! The producer here keeps the same order without knowing any run
-//! length: it always lets the stream with the fewest words generated so
-//! far, ties going to the lower index, generate next
-//! ([`ReferenceStream::publish_chunks`]). Those keys never decrease, so
-//! every generation step — every RNG draw and every shared-state change
-//! inside it — happens in the order the direct loop triggers it. This
-//! holds for streams that generate only when their buffer is empty,
-//! which is the [`ReferenceStream::next_burst`] contract.
+//! length: it always lets the stream with the fewest words *published*
+//! so far, ties going to the lower index, publish next
+//! ([`ReferenceStream::publish_chunks`]). A stream generates only when
+//! its buffer is empty, that is when it has published every word it
+//! generated, so the stream that generates is also the one with the
+//! fewest words generated. Those keys never decrease, so every
+//! generation step — every RNG draw and every shared-state change inside
+//! it — happens in the order the direct loop triggers it. This holds for
+//! streams that generate only when their buffer is empty, which is the
+//! [`ReferenceStream::next_burst`] contract.
 //!
 //! A stream publishes its words as chunks of at most [`CHUNK_WORDS`]
 //! words, each within one burst: the default publishes one `next_burst`
 //! pull, and a stream that generates whole bursts
-//! ([`crate::BurstBuffer`]) publishes each chunk as soon as it is
+//! ([`crate::BurstBuffer`]) offers each chunk as soon as it is
 //! generated, so the consumer starts on a burst while the rest of it is
 //! still being built. A lone stream's sink waits for ring room inside the
-//! burst. With several streams it never does: a chunk that finds its ring
-//! full is held by the stream, with every later chunk of that stream,
-//! since waiting inside one stream's burst could starve the consumer of
-//! another stream's words. The producer offers held chunks again as soon
-//! as their ring has room, before anything else, and waits only when the
-//! stream due to generate holds chunks itself and no held ring has room.
+//! burst. With several streams it never does, since waiting inside one
+//! stream's burst could starve the consumer of another stream's words: a
+//! chunk that finds its ring full is refused, and it and the rest of the
+//! burst stay in the stream's buffer. They leave by the ordinary pull,
+//! one chunk each time the stream is due again, and that pull waits for
+//! room. It cannot wait forever: the stream it waits on has published no
+//! more than any other, so the consumer can read every stream up to the
+//! round that frees its ring.
 //!
 //! # The one feedback
 //!
 //! The simulator reads one value back from the workload: a count (the
 //! transactions completed). It travels down the ring as each chunk's
-//! *tag*: the count as of the chunk's whole burst, which the stream
-//! reads while it generates the burst (so the count must change only at
-//! a burst's start) and keeps for the chunks it holds. A consumer stream
-//! takes a chunk only when the simulator needs its first word, so after
-//! `r` rounds every stream has started the chunk holding its word `r`,
-//! and the latest of those chunks' bursts in the producer's order counts
-//! every burst that starts at or before `r` on any stream and no other —
-//! the count the direct loop reads at that moment. Because the count
-//! never falls, that is the largest tag any consumer stream holds:
-//! [`PipeStream::latest_tag`].
+//! *tag*: the count the producer reads as it pushes the chunk. The count
+//! must change only at a burst's start, so the bursts it counts are those
+//! generated before the push, and those all start at or before the
+//! chunk's first word, since the fewest words published never falls. A
+//! consumer stream takes a chunk only when the simulator needs its first
+//! word, so after `r` rounds every stream has started the chunk holding
+//! its word `r`: no tag counts a burst that starts after `r`, and the
+//! chunk holding the start of the last burst at or before `r`, or a
+//! later chunk of the same stream, counts every such burst — the count
+//! the direct loop reads at that moment. That is the largest tag any
+//! consumer stream holds: [`PipeStream::latest_tag`].
 //!
 //! The consumer must read its streams round by round, as the dispatch
 //! loop does: the producer cannot run one stream more than a ring and a
@@ -141,9 +147,14 @@ const MIN_RING_WORDS: usize = 8 << 10;
 const _: () = assert!(MIN_RING_WORDS >= 2 * (CHUNK_WORDS + HEADER_WORDS as usize));
 
 /// The ring of each stream of a pipeline of `streams` streams:
-/// [`LONE_RING_WORDS`] shared out, with at least [`MIN_RING_WORDS`] each.
+/// [`LONE_RING_WORDS`] for a lone stream, [`MIN_RING_WORDS`] for each of
+/// several.
 fn ring_words(streams: usize) -> usize {
-    (LONE_RING_WORDS / streams.max(1)).max(MIN_RING_WORDS)
+    if streams == 1 {
+        LONE_RING_WORDS
+    } else {
+        MIN_RING_WORDS
+    }
 }
 
 /// Words in front of every chunk in a ring: its length and its tag.
@@ -344,10 +355,9 @@ impl std::fmt::Debug for PipeStream {
 }
 
 /// Moves `streams` onto a producer thread and returns one consumer
-/// stream per stream, in the same order. Each stream reads `tag` on the
-/// producer while it generates a burst ([`ChunkSink::tag`]);
-/// [`PipeStream::latest_tag`] reads back the count as of the consumers'
-/// position.
+/// stream per stream, in the same order. The producer reads `tag` as it
+/// pushes each chunk; [`PipeStream::latest_tag`] reads back the count as
+/// of the consumers' position.
 ///
 /// # Errors
 ///
@@ -367,12 +377,12 @@ where
     });
     // Allocated here, with everything else the producer uses: it then
     // allocates nothing itself.
-    let lanes = vec![Lane::default(); streams.len()];
+    let published = vec![0; streams.len()];
     let theirs = Arc::clone(&shared);
     let handle = thread::Builder::new().spawn(move || {
         let mut streams = streams;
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            produce(&mut streams, lanes, tag, &theirs);
+            produce(&mut streams, published, tag, &theirs);
         }));
         hostprof::set_region(Region::Idle);
         if let Err(payload) = outcome {
@@ -397,60 +407,30 @@ where
         .collect())
 }
 
-/// The producer's account of one stream.
-#[derive(Clone, Copy, Debug, Default)]
-struct Lane {
-    /// Words the stream has generated.
-    generated: u64,
-    /// Whether the stream holds chunks its ring refused.
-    held: bool,
-}
-
-/// The producer loop: offer held chunks again wherever their ring has
-/// room, then let the stream with the fewest words generated (ties to
-/// the lower index) generate and publish; wait for room only when that
-/// stream holds chunks itself.
-fn produce<S, T>(streams: &mut [S], mut lanes: Vec<Lane>, mut tag: T, shared: &Shared)
+/// The producer loop: the stream with the fewest words published so far
+/// (ties to the lower index) publishes next, until the consumers are
+/// gone.
+fn produce<S, T>(streams: &mut [S], mut published: Vec<u64>, mut tag: T, shared: &Shared)
 where
     S: ReferenceStream,
     T: FnMut() -> u64,
 {
     let lone = streams.len() == 1;
-    let has_room = |ring: &Ring| ring.room() >= CHUNK_WORDS as u64 + HEADER_WORDS;
     while !shared.stop.load(Ordering::SeqCst) {
-        for ((stream, lane), ring) in streams.iter_mut().zip(&mut lanes).zip(shared.rings.iter()) {
-            if lane.held && has_room(ring) {
-                let mut sink = RingSink { shared, ring, lone, tag: &mut tag, refused: false };
-                stream.publish_chunks(&mut sink);
-                lane.held = sink.refused;
-            }
-        }
-        let next = streams
-            .iter_mut()
-            .zip(&mut lanes)
-            .zip(shared.rings.iter())
-            .enumerate()
-            .min_by_key(|(s, ((_, lane), _))| (lane.generated, *s));
-        let Some((_, ((stream, lane), ring))) = next else {
+        let next = streams.iter_mut().zip(&mut published).zip(shared.rings.iter());
+        let Some(((stream, published), ring)) = next.min_by_key(|((_, words), _)| **words) else {
             return;
         };
-        if !lane.held {
-            let mut sink = RingSink { shared, ring, lone, tag: &mut tag, refused: false };
-            lane.generated += stream.publish_chunks(&mut sink) as u64;
-            lane.held = sink.refused;
-            continue;
-        }
-        // The stream due to generate holds chunks, and no stream that
-        // holds chunks has ring room: wait until one of them has.
-        wait_for_room(shared, || {
-            lanes.iter().zip(shared.rings.iter()).any(|(lane, ring)| lane.held && has_room(ring))
-        });
+        let mut sink = RingSink { shared, ring, lone, tag: &mut tag };
+        *published += stream.publish_chunks(&mut sink) as u64;
     }
 }
 
-/// Waits until `room` holds or the consumers are gone, in the
-/// [`Region::RingFull`] host-profile region. Whether `room` held.
-fn wait_for_room(shared: &Shared, room: impl Fn() -> bool) -> bool {
+/// Waits until `ring` has room for `need` words or the consumers are
+/// gone, in the [`Region::RingFull`] host-profile region. Whether it
+/// has.
+fn wait_for_room(shared: &Shared, ring: &Ring, need: u64) -> bool {
+    let room = || ring.room() >= need;
     if room() {
         return true;
     }
@@ -470,41 +450,34 @@ fn wait_for_room(shared: &Shared, room: impl Fn() -> bool) -> bool {
     room()
 }
 
-/// The producer's [`ChunkSink`] for one stream's ring.
+/// The producer's [`ChunkSink`] for one stream's ring: it tags each
+/// chunk with the count `tag` reads as it pushes the chunk.
 struct RingSink<'a, T> {
     shared: &'a Shared,
     ring: &'a Ring,
     /// The pipeline has this stream alone: an offer waits for room.
     lone: bool,
     tag: &'a mut T,
-    /// Whether the last offer was refused.
-    refused: bool,
 }
 
 impl<T: FnMut() -> u64> ChunkSink for RingSink<'_, T> {
-    fn tag(&mut self) -> u64 {
-        (self.tag)()
-    }
-
     /// Waits for room, unless the consumers are gone: then the chunk is
     /// dropped, and the stream runs on to the end of its burst.
-    fn publish(&mut self, words: &[u64], tag: u64) {
-        let need = words.len() as u64 + HEADER_WORDS;
-        if wait_for_room(self.shared, || self.ring.room() >= need) {
-            self.ring.push_chunk(words, tag);
+    fn publish(&mut self, words: &[u64]) {
+        if wait_for_room(self.shared, self.ring, words.len() as u64 + HEADER_WORDS) {
+            self.ring.push_chunk(words, (self.tag)());
         }
     }
 
-    fn offer(&mut self, words: &[u64], tag: u64) -> bool {
+    fn offer(&mut self, words: &[u64]) -> bool {
         if self.lone {
-            self.publish(words, tag);
+            self.publish(words);
             return true;
         }
         let fits = self.ring.room() >= words.len() as u64 + HEADER_WORDS;
         if fits {
-            self.ring.push_chunk(words, tag);
+            self.ring.push_chunk(words, (self.tag)());
         }
-        self.refused = !fits;
         fits
     }
 }
@@ -697,11 +670,7 @@ mod tests {
     #[test]
     fn every_ring_holds_the_floor_and_a_lone_stream_keeps_its_depth() {
         assert_eq!(ring_words(1), 12 << 10);
-        for n in 1..=64 {
-            let words = ring_words(n);
-            assert!(words >= MIN_RING_WORDS, "{n} streams: {words} words");
-            assert!(words >= 2 * (CHUNK_WORDS + HEADER_WORDS as usize), "{n} streams");
-        }
+        assert!((2..=64).all(|n| ring_words(n) == MIN_RING_WORDS));
         for n in [1, 2, 8, 64] {
             let piped = pipeline(Bursty::set(n).0, || 0).unwrap();
             let rings = &piped[0].shared.rings;
@@ -731,13 +700,13 @@ mod tests {
     }
 
     /// Bursty's bursts generated whole into a [`BurstBuffer`] and
-    /// published a chunk at a time while they are generated, as the OLTP
-    /// stream publishes them; chunks the sink refuses are held.
+    /// offered a chunk at a time while they are generated, as the OLTP
+    /// stream offers them; the words the sink refuses leave by pull.
     struct Buffered {
         inner: Bursty,
         buf: BurstBuffer,
-        /// Calls that ended holding chunks.
-        holds: Arc<AtomicUsize>,
+        /// Calls that published refused words.
+        pulls: Arc<AtomicUsize>,
         /// If set, the first burst stops after its first chunk is
         /// published: it sends on the first and waits on the second
         /// until the test drops its sender.
@@ -745,14 +714,15 @@ mod tests {
     }
 
     impl Buffered {
-        /// Wraps `streams`, counting their holds in `holds`.
-        fn wrap(streams: Vec<Bursty>, holds: &Arc<AtomicUsize>) -> Vec<Buffered> {
+        /// Wraps `streams`, counting their pulls of refused words in
+        /// `pulls`.
+        fn wrap(streams: Vec<Bursty>, pulls: &Arc<AtomicUsize>) -> Vec<Buffered> {
             streams
                 .into_iter()
                 .map(|inner| Buffered {
                     buf: BurstBuffer::with_capacity((inner.shortest + inner.spread) as usize),
                     inner,
-                    holds: Arc::clone(holds),
+                    pulls: Arc::clone(pulls),
                     gate: None,
                 })
                 .collect()
@@ -766,34 +736,29 @@ mod tests {
 
         fn publish_chunks(&mut self, sink: &mut dyn ChunkSink) -> usize {
             if !self.buf.is_empty() {
-                self.buf.offer_held(sink);
-            } else {
-                self.buf.begin();
-                let mut word = 0;
-                loop {
-                    self.inner.next_burst(std::slice::from_mut(&mut word));
-                    self.buf.push(word);
-                    if self.buf.chunk_due() {
-                        self.buf.publish_due(sink);
-                        if let Some((entered, gate)) = self.gate.take() {
-                            entered.send(()).unwrap();
-                            let _ = gate.recv();
-                        }
-                    }
-                    if self.inner.left == 0 {
-                        break;
+                self.pulls.fetch_add(1, Ordering::SeqCst);
+                let mut chunk = [0; CHUNK_WORDS];
+                let n = self.buf.take(&mut chunk);
+                sink.publish(&chunk[..n]);
+                return n;
+            }
+            self.buf.begin();
+            let mut word = 0;
+            loop {
+                self.inner.next_burst(std::slice::from_mut(&mut word));
+                self.buf.push(word);
+                if self.buf.chunk_due() {
+                    self.buf.publish_due(sink);
+                    if let Some((entered, gate)) = self.gate.take() {
+                        entered.send(()).unwrap();
+                        let _ = gate.recv();
                     }
                 }
-                let words = self.buf.finish(sink);
-                if !self.buf.is_empty() {
-                    self.holds.fetch_add(1, Ordering::SeqCst);
+                if self.inner.left == 0 {
+                    break;
                 }
-                return words;
             }
-            if !self.buf.is_empty() {
-                self.holds.fetch_add(1, Ordering::SeqCst);
-            }
-            0
+            self.buf.finish(sink)
         }
     }
 
@@ -832,15 +797,16 @@ mod tests {
     }
 
     #[test]
-    fn held_chunks_keep_the_order_and_the_tags() {
+    fn refused_words_leave_by_pull_in_order_and_with_the_tags() {
         // Each burst is generated whole, and its ring fills long before
-        // its end: with several streams the rest is held, not waited on;
-        // a lone stream waits inside its burst instead.
+        // its end: with several streams the rest leaves by later pulls,
+        // not waited on mid-burst; a lone stream waits inside its burst
+        // instead, so no word of it is ever refused.
         for n in [1, 2, 8] {
-            let holds = Arc::new(AtomicUsize::new(0));
-            check_order_and_tags(n, |streams| Buffered::wrap(streams, &holds));
-            let holds = holds.load(Ordering::SeqCst);
-            assert_eq!(holds > 0, n > 1, "{n} streams: {holds} calls held chunks");
+            let pulls = Arc::new(AtomicUsize::new(0));
+            check_order_and_tags(n, |streams| Buffered::wrap(streams, &pulls));
+            let pulls = pulls.load(Ordering::SeqCst);
+            assert_eq!(pulls > 0, n > 1, "{n} streams: {pulls} pulls of refused words");
         }
     }
 

@@ -50,24 +50,20 @@ pub trait ReferenceStream {
         1
     }
 
-    /// Generates the stream's next words, publishes them to `sink` a
-    /// chunk at a time and returns how many it generated.
-    ///
-    /// A stream that holds chunks `sink` refused on an earlier call
-    /// offers them again, in order, and generates nothing (it returns
-    /// 0). Otherwise it generates as one [`ReferenceStream::next_burst`]
-    /// call on an empty buffer would, and publishes every word it
-    /// generated, in chunks that each lie within one burst.
+    /// Publishes the stream's next words to `sink` a chunk at a time,
+    /// each chunk within one burst, and returns how many it published.
     ///
     /// The default publishes one `next_burst` pull of at most
     /// [`CHUNK_WORDS`] words as one chunk, waiting for room. A stream
-    /// that generates whole bursts overrides it to publish each chunk
-    /// of the burst as soon as it is generated ([`BurstBuffer`]).
+    /// that generates whole bursts overrides it: with an empty buffer it
+    /// generates a burst as one [`ReferenceStream::next_burst`] call
+    /// would and offers each chunk as soon as it is generated
+    /// ([`BurstBuffer`]); the words `sink` refused stay buffered, and
+    /// later calls publish them as the default does.
     fn publish_chunks(&mut self, sink: &mut dyn ChunkSink) -> usize {
         let mut chunk = [0; CHUNK_WORDS];
         let n = self.next_burst(&mut chunk);
-        let tag = sink.tag();
-        sink.publish(chunk.get(..n).unwrap_or(&chunk), tag);
+        sink.publish(chunk.get(..n).unwrap_or(&chunk));
         n
     }
 }
@@ -103,30 +99,26 @@ impl<S: ReferenceStream + ?Sized> ReferenceStream for &mut S {
 /// Where a stream publishes its words a chunk at a time: one stream's
 /// ring of the workload pipeline ([`crate::pipeline`]).
 ///
-/// A chunk is 1 to [`CHUNK_WORDS`] words of one burst and a tag, the
-/// pipeline's count as of that burst, which the consumer reads back.
+/// A chunk is 1 to [`CHUNK_WORDS`] words of one burst. The sink tags it
+/// with the pipeline's count when it takes it, so what the count counts
+/// must change only before a burst's first word.
 pub trait ChunkSink {
-    /// The tag for the chunks of the burst being generated. A stream may
-    /// read it at any point of the burst's generation, so what it counts
-    /// must change only before the burst's first word.
-    fn tag(&mut self) -> u64;
+    /// Publishes `words` as one chunk, waiting for room.
+    fn publish(&mut self, words: &[u64]);
 
-    /// Publishes `words` as one chunk tagged `tag`, waiting for room.
-    fn publish(&mut self, words: &[u64], tag: u64);
-
-    /// Publishes `words` as one chunk tagged `tag` if there is room, and
-    /// returns whether it did. A stream alone in its pipeline waits for
-    /// room instead, since no other stream's consumer can starve
-    /// meanwhile. A stream whose chunk is refused holds it, and every
-    /// later chunk, until its next [`ReferenceStream::publish_chunks`]
-    /// call.
-    fn offer(&mut self, words: &[u64], tag: u64) -> bool;
+    /// Publishes `words` as one chunk if there is room, and returns
+    /// whether it did. A stream alone in its pipeline waits for room
+    /// instead, since no other stream's consumer can starve meanwhile. A
+    /// stream whose chunk is refused keeps it, and every later word of
+    /// the burst, for later [`ReferenceStream::publish_chunks`] calls.
+    fn offer(&mut self, words: &[u64]) -> bool;
 }
 
 /// The current burst of a stream that generates a burst at a time: its
 /// words are written once, then handed out by `next_burst` ([`take`])
-/// or published to a [`ChunkSink`] a chunk at a time while the burst is
-/// generated.
+/// or offered to a [`ChunkSink`] a chunk at a time while the burst is
+/// generated. Once the sink refuses a chunk, that chunk and the rest of
+/// the burst are handed out by [`take`].
 ///
 /// Published chunks start at the burst's first word and every
 /// [`CHUNK_WORDS`] words after it, the pulls `next_burst` hands out
@@ -138,8 +130,9 @@ pub trait ChunkSink {
 #[derive(Debug)]
 pub struct BurstBuffer {
     /// The burst's words, less the chunks already published and
-    /// dropped from the front. Allocated once, with room for the longest burst, and grown only
-    /// by [`BurstBuffer::push`], which never reallocates.
+    /// dropped from the front. Allocated once, with room for the longest
+    /// burst, and grown only by [`BurstBuffer::push`], which never
+    /// reallocates.
     words: Vec<u64>,
     /// Next word of `words` to hand out or publish.
     head: usize,
@@ -147,8 +140,6 @@ pub struct BurstBuffer {
     /// (`head` is then 0), or `usize::MAX` once the sink has refused a
     /// chunk of this burst: the rest waits for the burst's end.
     due: usize,
-    /// The tag of the burst's chunks, kept for the ones the sink refused.
-    tag: u64,
     /// Words of this burst published and dropped from `words`.
     dropped: usize,
 }
@@ -156,13 +147,7 @@ pub struct BurstBuffer {
 impl BurstBuffer {
     /// An empty buffer with room for bursts of up to `words` words.
     pub fn with_capacity(words: usize) -> BurstBuffer {
-        BurstBuffer {
-            words: Vec::with_capacity(words),
-            head: 0,
-            due: usize::MAX,
-            tag: 0,
-            dropped: 0,
-        }
+        BurstBuffer { words: Vec::with_capacity(words), head: 0, due: usize::MAX, dropped: 0 }
     }
 
     /// The longest burst the buffer holds without reallocating.
@@ -201,21 +186,15 @@ impl BurstBuffer {
     /// Offers the burst's complete chunks to `sink`, mid-burst.
     #[cold]
     pub fn publish_due(&mut self, sink: &mut dyn ChunkSink) {
-        self.tag = sink.tag();
         self.offer(sink, false);
     }
 
     /// Ends the burst: offers what is left of it to `sink`, and returns
-    /// how many words the burst had.
+    /// how many of the burst's words `sink` took. The rest is handed out
+    /// by [`BurstBuffer::take`].
     pub fn finish(&mut self, sink: &mut dyn ChunkSink) -> usize {
-        self.tag = sink.tag();
         self.offer(sink, true);
-        self.dropped + self.words.len()
-    }
-
-    /// Offers the chunks `sink` refused again, with the burst's tag.
-    pub fn offer_held(&mut self, sink: &mut dyn ChunkSink) {
-        self.offer(sink, true);
+        self.dropped + self.head
     }
 
     /// Offers chunks from `head` until the sink refuses one, the last
@@ -229,7 +208,7 @@ impl BurstBuffer {
             if chunk.is_empty() || (chunk.len() < CHUNK_WORDS && !whole) {
                 break;
             }
-            if !sink.offer(chunk, self.tag) {
+            if !sink.offer(chunk) {
                 self.due = usize::MAX;
                 return;
             }
@@ -451,6 +430,54 @@ mod tests {
             let n = a.next_burst(&mut out);
             assert_eq!(n, 1);
             assert_eq!(MemRef::unpack(out[0]), b.next_ref());
+        }
+    }
+
+    /// A sink that takes its first `k` chunks and refuses every later
+    /// one, keeping the words it took.
+    struct TakesFirst {
+        k: usize,
+        took: Vec<u64>,
+    }
+
+    impl ChunkSink for TakesFirst {
+        fn publish(&mut self, _: &[u64]) {
+            unreachable!("a burst buffer only offers")
+        }
+
+        fn offer(&mut self, words: &[u64]) -> bool {
+            let taken = self.took.len().div_ceil(CHUNK_WORDS);
+            if taken == self.k {
+                return false;
+            }
+            self.took.extend_from_slice(words);
+            true
+        }
+    }
+
+    #[test]
+    fn take_hands_out_exactly_the_words_the_sink_refused() {
+        let len = 3 * CHUNK_WORDS + 100;
+        let mut buf = BurstBuffer::with_capacity(len);
+        for k in 0..=4 {
+            let mut sink = TakesFirst { k, took: Vec::new() };
+            buf.begin();
+            for word in 0..len as u64 {
+                buf.push(word);
+                if buf.chunk_due() {
+                    buf.publish_due(&mut sink);
+                }
+            }
+            let published = buf.finish(&mut sink);
+            assert_eq!(published, (k * CHUNK_WORDS).min(len), "{k} chunks taken");
+            assert_eq!(published, sink.took.len(), "{k} chunks taken");
+            let mut words = sink.took;
+            let mut out = [0; 300];
+            while !buf.is_empty() {
+                let n = buf.take(&mut out);
+                words.extend_from_slice(&out[..n]);
+            }
+            assert_eq!(words, (0..len as u64).collect::<Vec<_>>(), "{k} chunks taken");
         }
     }
 

@@ -14,6 +14,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
+use csim_trace::pipeline::CHUNK_WORDS;
 use csim_trace::{Access, Addr, BurstBuffer, ChunkSink, ExecMode, MemRef, ReferenceStream, SimRng};
 
 use crate::code::{CodeCursor, CodeRegion};
@@ -265,10 +266,11 @@ pub struct NodeWorkload {
     /// burst for `next_burst`; on the pipeline's producer `run_code`
     /// publishes each chunk as it completes, so a lone stream's buffer
     /// holds about one chunk, and a stream of several holds more only
-    /// while its ring is full. Entries are packed to one word each (see
-    /// [`MemRef::pack`]): a burst is written once and read once, so
-    /// halving its footprint halves the buffer's share of memory traffic
-    /// on the simulator's hottest path.
+    /// once its ring refuses a chunk: from there the burst stays here,
+    /// for later `publish_chunks` calls to hand out. Entries are packed
+    /// to one word each (see [`MemRef::pack`]): a burst is written once
+    /// and read once, so halving its footprint halves the buffer's share
+    /// of memory traffic on the simulator's hottest path.
     buf: BurstBuffer,
     // Precomputed mix thresholds, in the integer domain of
     // [`prob_threshold`]: a 53-bit draw `rng.next_u64() >> 11` compared
@@ -801,11 +803,11 @@ impl NodeWorkload {
         }
     }
 
-    /// Produces the next scheduling burst into the buffer, publishing
-    /// its chunks to `sink`, and returns its length. Cold relative to
-    /// the per-reference hand-out in `next_burst` (a burst is thousands
-    /// of references), so it is kept out of the consumer's inlined fast
-    /// path.
+    /// Produces the next scheduling burst into the buffer, offering its
+    /// chunks to `sink`, and returns how many words `sink` took. Cold
+    /// relative to the per-reference hand-out in `next_burst` (a burst
+    /// is thousands of references), so it is kept out of the consumer's
+    /// inlined fast path.
     #[cold]
     #[inline(never)]
     fn refill(&mut self, sink: &mut dyn ChunkSink) -> usize {
@@ -862,14 +864,10 @@ impl NodeWorkload {
 struct Hold;
 
 impl ChunkSink for Hold {
-    fn tag(&mut self) -> u64 {
-        0
-    }
+    /// Never called: a refill only offers its chunks.
+    fn publish(&mut self, _: &[u64]) {}
 
-    /// Never called: a [`NodeWorkload`] only offers its chunks.
-    fn publish(&mut self, _: &[u64], _: u64) {}
-
-    fn offer(&mut self, _: &[u64], _: u64) -> bool {
+    fn offer(&mut self, _: &[u64]) -> bool {
         false
     }
 }
@@ -897,15 +895,17 @@ impl ReferenceStream for NodeWorkload {
         self.buf.take(out)
     }
 
-    /// Publishes each chunk of the next burst while it is generated, or
-    /// offers the chunks `sink` refused earlier.
+    /// Offers each chunk of the next burst while it is generated, or
+    /// publishes one pull of the words `sink` refused earlier, waiting
+    /// for room.
     fn publish_chunks(&mut self, sink: &mut dyn ChunkSink) -> usize {
         if self.buf.is_empty() {
-            self.refill(sink)
-        } else {
-            self.buf.offer_held(sink);
-            0
+            return self.refill(sink);
         }
+        let mut chunk = [0; CHUNK_WORDS];
+        let n = self.buf.take(&mut chunk);
+        sink.publish(chunk.get(..n).unwrap_or(&chunk));
+        n
     }
 }
 
@@ -1019,7 +1019,9 @@ mod tests {
     /// Runs `refills` refills on each of `nodes` streams built from
     /// `params`, round by round, checking every burst against its
     /// stream's [`burst_bound`] and the buffer's capacity against its
-    /// first value. Each stream's longest burst and bound.
+    /// first value. Each stream's longest burst and bound. A refill
+    /// through `Hold` publishes nothing, so each burst is counted as
+    /// `take` hands it out.
     fn longest_bursts(params: &OltpParams, nodes: usize, refills: usize) -> Vec<(usize, usize)> {
         let mut streams = OltpWorkload::build(params.clone(), nodes).unwrap();
         let mut seen: Vec<(usize, usize)> =
@@ -1028,13 +1030,14 @@ mod tests {
         for _ in 0..refills {
             for ((w, (longest, bound)), &cap) in streams.iter_mut().zip(&mut seen).zip(&caps) {
                 // The direct path: the whole burst stays in the buffer.
-                let words = w.refill(&mut Hold);
-                assert!(words <= *bound, "node {}: {words} words, bound {bound}", w.node);
+                assert_eq!(w.refill(&mut Hold), 0, "node {}: Hold takes no chunk", w.node);
                 assert_eq!(w.buf.capacity(), cap, "node {}: the burst buffer grew", w.node);
-                *longest = (*longest).max(words);
+                let mut words = 0;
                 while !w.buf.is_empty() {
-                    w.buf.take(&mut [0; 512]);
+                    words += w.buf.take(&mut [0; CHUNK_WORDS]);
                 }
+                assert!(words <= *bound, "node {}: {words} words, bound {bound}", w.node);
+                *longest = (*longest).max(words);
             }
         }
         seen

@@ -43,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             b.l2_off_chip(8 << 20, 1);
         }
         let cfg = b.build()?;
-        let mut sim = Simulation::with_oltp(&cfg, OltpParams::default())?.with_attribution();
+        let mut sim = Simulation::with_oltp(&cfg, OltpParams::default())?;
+        sim.set_attribution(true);
         sim.warm_up(refs / 2);
         sim.run(refs);
         let attr = sim.attribution().expect("attribution was enabled above");

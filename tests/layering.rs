@@ -103,9 +103,15 @@ const TOOLING_FILES: &[&str] = &[
 const INDEXING_LINTS: &[&str] = &["indexing_slicing", "string_slice"];
 
 /// The lints `cargo lint-shipped` must deny besides the token rules:
-/// the indexing rule, and rustc's `unreachable_pub`.
-const ALIAS_DENIES: &[&str] =
-    &["clippy::indexing_slicing", "clippy::string_slice", "unreachable_pub"];
+/// the indexing rule, outer `#[allow]`s (which would lift it for a whole
+/// item, where the header check below cannot see), and rustc's
+/// `unreachable_pub`.
+const ALIAS_DENIES: &[&str] = &[
+    "clippy::indexing_slicing",
+    "clippy::string_slice",
+    "clippy::allow_attributes",
+    "unreachable_pub",
+];
 
 /// Checks that the allowlist is acyclic. Returns a cycle description
 /// on failure.

@@ -43,8 +43,8 @@ fn sanitized_run_is_bit_identical_to_plain_run() {
 #[test]
 fn sanitizer_composes_with_strict_mode_and_observer() {
     let cfg = SystemConfig::paper_base_mp8();
-    let mut sim =
-        Simulation::with_oltp(&cfg, OltpParams::default()).expect("valid config").with_sanitizer();
+    let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).expect("valid config");
+    sim.set_sanitize(true);
     sim.set_observer(Observer::new(ObsConfig {
         histograms: true,
         epoch: Some(1_000),
@@ -66,8 +66,8 @@ fn sanitizer_covers_rac_heavy_configurations() {
         .l2_sram(256 << 10, 4)
         .rac(RacConfig::paper());
     let cfg = b.build().expect("valid config");
-    let mut sim =
-        Simulation::with_oltp(&cfg, OltpParams::default()).expect("valid config").with_sanitizer();
+    let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).expect("valid config");
+    sim.set_sanitize(true);
     sim.warm_up(WARM);
     sim.run(MEAS);
     sim.verify_sanitizer().expect("RAC transitions conform to the spec");
